@@ -43,11 +43,24 @@ def _get(cfg, key, default=None, required=False):
     return default
 
 
+def _cast(key, raw, cast):
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: malformed {cast.__name__} "
+                          f"{raw!r}") from None
+
+
+def _get_num(cfg, key, default, cast=int):
+    raw = _get(cfg, key)
+    return default if raw is None else _cast(key, raw, cast)
+
+
 def _get_list(cfg, key, default=None, cast=str):
     raw = _get(cfg, key)
     if raw is None:
         return default
-    return [cast(v.strip()) for v in raw.split(",") if v.strip()]
+    return [_cast(key, v.strip(), cast) for v in raw.split(",") if v.strip()]
 
 
 def _get_bool(cfg, key, default=False):
@@ -57,27 +70,24 @@ def _get_bool(cfg, key, default=False):
     return raw.lower() in ("1", "true", "yes", "on")
 
 
-def _read_queries_file(path: str) -> list:
-    """Either a selected_queries.csv (uses 'selected') or one query per line."""
-    with open(path, newline="", encoding="utf-8") as f:
-        first = f.readline()
-        if "selected" in [c.strip() for c in first.split(",")]:
-            f.seek(0)
-            return [row["selected"] for row in csv.DictReader(f)]
-    with open(path, encoding="utf-8") as f:
-        return [line.strip() for line in f if line.strip()]
+def _load_ili(cfg) -> dict:
+    return datahub.load_ili(_get(cfg, "data.ili", required=True))
 
 
-def _prepare_country(cfg, country):
-    """Load, split, decompose, normalize, and window one country's data."""
-    n_in = int(_get(cfg, "model.n", 52))
-    s_out = int(_get(cfg, "model.s", 5))
-    series = datahub.load_ili(_get(cfg, "data.ili", required=True))[country]
+def _split(cfg, series) -> datahub.SplitPlan:
     test_start = datahub.parse_week(_get(cfg, "split.test_start",
                                          required=True))
-    test_len = int(_get(cfg, "split.test_len", 52))
-    plan = datahub.split_plan(series, test_start, test_len)
-    fit_len = plan.train[1] - series.start + 1
+    return datahub.split_plan(series, test_start,
+                              _get_num(cfg, "split.test_len", 52))
+
+
+def _prepare_country(cfg, series, use_queries):
+    """Split, decompose, normalize, and window one country's data."""
+    n_in = _get_num(cfg, "model.n", 52)
+    s_out = _get_num(cfg, "model.s", 5)
+    country = series.country
+    plan = _split(cfg, series)
+    fit_len = plan.train_len
     d = decompose.stl_decompose(series.values[:fit_len], period=52)
     template = decompose.seasonal_template(d)
     seasonal = np.empty(len(series))
@@ -85,14 +95,19 @@ def _prepare_country(cfg, country):
     for i in range(fit_len, len(series)):
         seasonal[i] = template.values[i % 52]
 
-    panel, stats = None, []
-    if not _get_bool(cfg, "no_queries"):
-        queries = _read_queries_file(
-            _get(cfg, f"queries.{country}", required=True))
+    panel, stats, queries = None, [], []
+    if use_queries:
         raw_panel = datahub.load_trends(
-            _get(cfg, "data.trends_dir", required=True), country, queries,
+            _get(cfg, "data.trends_dir", required=True), country,
+            querysel.read_selected(
+                _get(cfg, f"queries.{country}", required=True)),
             series)
         panel, stats = datahub.minmax_fit_apply(raw_panel, plan.train)
+        queries = panel.queries
+        if not queries:
+            raise datahub.DataError(
+                f"{country}: no query left after dropping those constant "
+                f"on the training range")
 
     train_w = datahub.make_windows(series, panel, seasonal, n_in, s_out,
                                    plan.train)
@@ -101,10 +116,25 @@ def _prepare_country(cfg, country):
     test_w = datahub.make_target_windows(series, panel, seasonal, n_in,
                                          s_out, plan.test)
     return {
-        "series": series, "plan": plan, "decomposition": d,
-        "template": template, "seasonal": seasonal, "panel": panel,
+        "series": series, "plan": plan, "template": template,
+        "seasonal": seasonal, "panel": panel, "queries": queries,
         "norm_stats": stats, "train": train_w, "val": val_w, "test": test_w,
     }
+
+
+def _prepare_trained(cfg, model, extra) -> dict:
+    """Prepare each checkpoint country with the query list it was
+    trained on; a different list is refused."""
+    all_series = _load_ili(cfg)
+    prepared = {}
+    for c in model.countries:
+        p = _prepare_country(cfg, all_series[c], model.use_queries)
+        trained = extra.get(f"queries.{c}", [])
+        if p["queries"] != trained:
+            raise ConfigError(f"{c}: queries {p['queries']} differ from "
+                              f"the {trained} the checkpoint was trained on")
+        prepared[c] = p
+    return prepared
 
 
 def _countries(cfg, args):
@@ -119,7 +149,7 @@ def _countries(cfg, args):
 def cmd_decompose(cfg, args) -> int:
     out = args.out
     countries = _countries(cfg, args)
-    all_series = datahub.load_ili(_get(cfg, "data.ili", required=True))
+    all_series = _load_ili(cfg)
     for country in countries:
         series = all_series[country]
         d = decompose.stl_decompose(series.values, period=52)
@@ -142,8 +172,8 @@ def cmd_decompose(cfg, args) -> int:
 
 
 def cmd_select_queries(cfg, args) -> int:
-    english = _read_queries_file(_get(cfg, "querysel.english_queries",
-                                      required=True))
+    english = querysel.read_selected(_get(cfg, "querysel.english_queries",
+                                          required=True))
     out_path = os.path.join(args.out, "selected_queries.csv")
     if args.method == "mapping":
         selected = querysel.translation_select(
@@ -166,35 +196,19 @@ def cmd_select_queries(cfg, args) -> int:
         if path:
             stopwords |= querysel.load_stopwords(path)
     country = _get(cfg, "querysel.country", required=True)
-    series = datahub.load_ili(_get(cfg, "data.ili", required=True))[country]
-    test_start = datahub.parse_week(_get(cfg, "split.test_start",
-                                         required=True))
-    plan = datahub.split_plan(series, test_start,
-                              int(_get(cfg, "split.test_len", 52)))
-    fit_len = plan.train[1] - series.start + 1
-    ili_train = series.values[:fit_len]
+    series = _load_ili(cfg)[country]
+    fit_len = _split(cfg, series).train_len
     cand_dir = _get(cfg, "querysel.candidates_dir", required=True)
 
     def provider(candidate):
         path = os.path.join(cand_dir, datahub.query_slug(candidate) + ".csv")
         if not os.path.exists(path):
             return None
-        by_week = {}
-        with open(path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                idx = datahub.parse_week(row["iso_week"])
-                if idx >= 0:
-                    by_week[idx] = float(row["value"])
-        vals, last = np.zeros(fit_len), 0.0
-        for i, week in enumerate(series.weeks()[:fit_len]):
-            if week in by_week:
-                last = by_week[week]
-            vals[i] = last
-        return vals
+        return datahub.read_trend(path, series)[:fit_len]
 
     selected = querysel.wt_select(
-        english, source, target, provider, ili_train,
-        k=int(_get(cfg, "querysel.k", 100)), stopwords=stopwords)
+        english, source, target, provider, series.values[:fit_len],
+        k=_get_num(cfg, "querysel.k", 100), stopwords=stopwords)
     querysel.write_selected(out_path, selected)
     print(f"wrote {out_path}")
     return 0
@@ -203,16 +217,16 @@ def cmd_select_queries(cfg, args) -> int:
 def _train_config(cfg, args, countries, mode) -> trainer.TrainConfig:
     return trainer.TrainConfig(
         countries=countries,
-        n_in=int(_get(cfg, "model.n", 52)),
-        s_out=int(_get(cfg, "model.s", 5)),
+        n_in=_get_num(cfg, "model.n", 52),
+        s_out=_get_num(cfg, "model.s", 5),
         lr_grid=tuple(_get_list(cfg, "train.lr_grid",
                                 [0.001, 0.01, 0.1, 1.0], float)),
         m_grid=tuple(_get_list(cfg, "train.m_grid", [8, 16, 32, 64], int)),
-        max_epochs=int(_get(cfg, "train.max_epochs", 300)),
-        patience=int(_get(cfg, "train.patience", 20)),
-        batch_size=int(_get(cfg, "train.batch_size", 32)),
+        max_epochs=_get_num(cfg, "train.max_epochs", 300),
+        patience=_get_num(cfg, "train.patience", 20),
+        batch_size=_get_num(cfg, "train.batch_size", 32),
         seed=args.seed if args.seed is not None
-        else int(_get(cfg, "seed", 0)),
+        else _get_num(cfg, "seed", 0),
         mode=mode,
         use_queries=not (args.no_queries or _get_bool(cfg, "no_queries")),
         use_country_embedding=not (args.no_country_embedding
@@ -225,10 +239,9 @@ def cmd_train(cfg, args) -> int:
     countries = _countries(cfg, args)
     mode = args.mode or _get(cfg, "mode", "single")
     tc = _train_config(cfg, args, countries, mode)
-    if tc.use_queries is False:
-        cfg = dict(cfg)
-        cfg["no_queries"] = "true"
-    prepared = {c: _prepare_country(cfg, c) for c in countries}
+    all_series = _load_ili(cfg)
+    prepared = {c: _prepare_country(cfg, all_series[c], tc.use_queries)
+                for c in countries}
     data = {c: {"train": p["train"], "val": p["val"]}
             for c, p in prepared.items()}
     model, log = trainer.fit(tc, data)
@@ -237,8 +250,7 @@ def cmd_train(cfg, args) -> int:
         extra[f"template.{c}"] = [float(f"{v:.17g}")
                                   for v in p["template"].values]
         extra[f"norm.{c}"] = [[q, mn, mx] for q, mn, mx in p["norm_stats"]]
-        extra[f"queries.{c}"] = (list(p["panel"].queries)
-                                 if p["panel"] is not None else [])
+        extra[f"queries.{c}"] = list(p["queries"])
     ckpt = os.path.join(args.out, "checkpoint.json")
     fluenet.save_checkpoint(ckpt, model, extra)
     log_path = os.path.join(args.out, "trainlog.csv")
@@ -252,29 +264,18 @@ def cmd_train(cfg, args) -> int:
 def cmd_evaluate(cfg, args) -> int:
     model, extra = fluenet.load_checkpoint(args.checkpoint)
     term = extra.get("term", "")
-    countries = model.countries
-    if not model.use_queries:
-        cfg = dict(cfg)
-        cfg["no_queries"] = "true"
-    prepared = {c: _prepare_country(cfg, c) for c in countries}
+    prepared = _prepare_trained(cfg, model, extra)
     reports = []
-    attention_rows = []
-    for c in countries:
-        p = prepared[c]
-        rep = evalbench.evaluate_model(model, p["test"], c,
-                                       "proposed", term)
-        reports.append(rep)
-        if p["panel"] is not None:
-            for week, j, wgt in rep.attention:
-                attention_rows.append((week, p["panel"].queries[j], wgt))
+    for c, p in prepared.items():
+        reports.append(evalbench.evaluate_model(model, p["test"], c,
+                                                "proposed", term))
         if args.with_baselines:
             reports.append(evalbench.evaluate(
                 evalbench.seasonal_naive, p["test"], model.s_out,
                 "seasonal_naive", c, term))
             if p["panel"] is not None:
-                series, plan = p["series"], p["plan"]
-                fit_len = plan.train[1] - series.start + 1
-                ar = evalbench.fit_ar_exog(series.values[:fit_len],
+                fit_len = p["plan"].train_len
+                ar = evalbench.fit_ar_exog(p["series"].values[:fit_len],
                                            p["panel"].matrix[:fit_len],
                                            p=model.n_in)
 
@@ -291,12 +292,9 @@ def cmd_evaluate(cfg, args) -> int:
     evalbench.write_report(os.path.join(args.out, "report.csv"), reports)
     evalbench.write_forecasts(os.path.join(args.out, "forecasts.csv"),
                               reports)
-    att_path = os.path.join(args.out, "attention.csv")
-    with open(att_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["iso_week", "query", "weight"])
-        for week, q, wgt in attention_rows:
-            w.writerow([datahub.format_week(week), q, repr(wgt)])
+    evalbench.write_attention(
+        os.path.join(args.out, "attention.csv"), reports,
+        {c: p["queries"] for c, p in prepared.items()})
     print(f"wrote {args.out}/report.csv, forecasts.csv, attention.csv")
     return 0
 
@@ -304,12 +302,8 @@ def cmd_evaluate(cfg, args) -> int:
 def cmd_forecast(cfg, args) -> int:
     """Forecast S weeks past the end of each country's series."""
     model, extra = fluenet.load_checkpoint(args.checkpoint)
-    if not model.use_queries:
-        cfg = dict(cfg)
-        cfg["no_queries"] = "true"
     rows = []
-    for c in model.countries:
-        p = _prepare_country(cfg, c)
+    for c, p in _prepare_trained(cfg, model, extra).items():
         series, seasonal = p["series"], p["seasonal"]
         template = p["template"]
         n = len(series)
@@ -336,13 +330,10 @@ def cmd_forecast(cfg, args) -> int:
 
 
 def cmd_correlate(cfg, args) -> int:
-    all_series = datahub.load_ili(_get(cfg, "data.ili", required=True))
+    all_series = _load_ili(cfg)
     countries = _countries(cfg, args)
-    shifts = {}
-    for c in countries:
-        raw = _get(cfg, f"correlate.shift.{c}")
-        if raw is not None:
-            shifts[c] = int(raw)
+    shifts = {c: _get_num(cfg, f"correlate.shift.{c}", 0)
+              for c in countries}
     matrix = evalbench.correlation_report(
         {c: all_series[c] for c in countries}, shifts)
     path = os.path.join(args.out, "correlations.csv")

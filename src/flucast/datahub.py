@@ -50,17 +50,9 @@ def parse_week(text: str) -> int:
     return year * WEEKS_PER_YEAR + week - 1
 
 
-def week_index(year: int, week: int) -> int:
-    return year * WEEKS_PER_YEAR + week - 1
-
-
 def format_week(index: int) -> str:
     year, w = divmod(index, WEEKS_PER_YEAR)
     return f"{year}-W{w + 1:02d}"
-
-
-def week_phase(index: int) -> int:
-    return index % WEEKS_PER_YEAR
 
 
 @dataclass(frozen=True)
@@ -133,6 +125,11 @@ class SplitPlan:
         if not (self.train[1] < self.val[0] <= self.val[1] < self.test[0]):
             raise DataError(f"split ranges must be ordered: {self}")
 
+    @property
+    def train_len(self) -> int:
+        """Number of training weeks; training starts the series."""
+        return self.train[1] - self.train[0] + 1
+
 
 def load_ili(path: str) -> dict:
     """Read ili.csv (iso_week,country,ili_rate) into per-country series."""
@@ -145,11 +142,11 @@ def load_ili(path: str) -> dict:
         for lineno, row in enumerate(reader, start=2):
             try:
                 idx = parse_week(row["iso_week"])
-            except DataError as e:
+                rate = float(row["ili_rate"])
+            except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
             if idx < 0:
                 continue  # week 53 dropped
-            rate = float(row["ili_rate"])
             if rate < 0:
                 raise DataError(f"{path}:{lineno}: negative ili_rate {rate}")
             rows.setdefault(row["country"], {})[idx] = rate
@@ -182,35 +179,43 @@ def query_slug(query: str) -> str:
     return re.sub(r"[^0-9a-z_-￿]", "", s)
 
 
-def load_trends(trends_dir: str, country: str, queries,
-                series: WeeklySeries) -> QueryPanel:
-    """Load one CSV per query, aligned to the series weeks.
+def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
+    """One query's trends CSV (iso_week,value) aligned to the series weeks.
 
     Missing interior weeks are forward-filled; leading gaps are zero.
     """
+    by_week = {}
+    with open(path, newline="", encoding="utf-8") as f:
+        for lineno, row in enumerate(csv.DictReader(f), start=2):
+            try:
+                idx = parse_week(row["iso_week"])
+                value = float(row["value"])
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
+            if idx >= 0:
+                by_week[idx] = value
+    values, last = np.zeros(len(series)), 0.0
+    for i, week in enumerate(series.weeks()):
+        if week in by_week:
+            last = by_week[week]
+        values[i] = last
+    return values
+
+
+def load_trends(trends_dir: str, country: str, queries,
+                series: WeeklySeries) -> QueryPanel:
+    """Load one CSV per query (see `read_trend`) into a query panel."""
     queries = list(queries)
     slugs = [query_slug(q) for q in queries]
     if len(set(slugs)) != len(slugs):
         raise DataError(f"{country}: query slug collision in {slugs}")
-    missing = [q for q, s in zip(queries, slugs) if not os.path.exists(
-        os.path.join(trends_dir, country, s + ".csv"))]
+    paths = [os.path.join(trends_dir, country, s + ".csv") for s in slugs]
+    missing = [q for q, p in zip(queries, paths) if not os.path.exists(p)]
     if missing:
         raise DataError(f"{country}: missing trends files for {missing}")
-    n = len(series)
-    matrix = np.zeros((n, len(queries)))
-    for j, slug in enumerate(slugs):
-        path = os.path.join(trends_dir, country, slug + ".csv")
-        by_week = {}
-        with open(path, newline="", encoding="utf-8") as f:
-            for lineno, row in enumerate(csv.DictReader(f), start=2):
-                idx = parse_week(row["iso_week"])
-                if idx >= 0:
-                    by_week[idx] = float(row["value"])
-        last = 0.0
-        for i, week in enumerate(series.weeks()):
-            if week in by_week:
-                last = by_week[week]
-            matrix[i, j] = last
+    matrix = np.zeros((len(series), len(queries)))
+    for j, path in enumerate(paths):
+        matrix[:, j] = read_trend(path, series)
     return QueryPanel(country=country, queries=queries, start=series.start,
                       matrix=matrix)
 

@@ -34,7 +34,7 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class SeasonalTemplate:
-    """One period of seasonal values, indexed by phase = week_index mod T."""
+    """One period of seasonal values, indexed by series position mod T."""
 
     values: np.ndarray  # length T, values[p] is the seasonal value at phase p
     period: int

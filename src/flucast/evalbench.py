@@ -215,12 +215,16 @@ def write_forecasts(path, reports) -> None:
                             repr(y), repr(y_hat)])
 
 
-def write_attention(path, report, queries) -> None:
+def write_attention(path, reports, queries) -> None:
+    """Attention rows of every report; `queries` maps a country to the
+    query list its attention indices refer to."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(["iso_week", "query", "weight"])
-        for week, j, weight in report.attention:
-            w.writerow([datahub.format_week(week), queries[j], repr(weight)])
+        w.writerow(["iso_week", "country", "query", "weight"])
+        for r in reports:
+            for week, j, weight in r.attention:
+                w.writerow([datahub.format_week(week), r.country,
+                            queries[r.country][j], repr(weight)])
 
 
 def write_correlations(path, matrix) -> None:

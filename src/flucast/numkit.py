@@ -67,10 +67,6 @@ def zeros(rows: int, cols: int) -> Tensor2:
     return Tensor2(np.zeros((rows, cols)), copy=False)
 
 
-def ones(rows: int, cols: int) -> Tensor2:
-    return Tensor2(np.ones((rows, cols)), copy=False)
-
-
 _ACTIVE_TAPE = None
 
 
@@ -155,21 +151,6 @@ def sigmoid(a: Tensor2) -> Tensor2:
 def tanh(a: Tensor2) -> Tensor2:
     out = np.tanh(a.data)
     return _emit(out, [a], lambda g: [g * (1.0 - out * out)], "tanh")
-
-
-def elementwise(op: str, a: Tensor2, b: Tensor2 = None) -> Tensor2:
-    """Dispatch entrywise ops by name: sigmoid|tanh|mul|add|sub."""
-    unary = {"sigmoid": sigmoid, "tanh": tanh}
-    binary = {"mul": mul, "add": add, "sub": sub}
-    if op in unary:
-        if b is not None:
-            raise ContractError(f"{op} is unary")
-        return unary[op](a)
-    if op in binary:
-        if b is None:
-            raise ContractError(f"{op} needs two operands")
-        return binary[op](a, b)
-    raise ContractError(f"unknown elementwise op {op!r}")
 
 
 def softmax_row(a: Tensor2) -> Tensor2:

@@ -222,5 +222,10 @@ def write_selected(path: str, candidates) -> None:
 
 
 def read_selected(path: str) -> list:
+    """Queries from a `write_selected` CSV (its 'selected' column), or
+    from a plain list with one query per line."""
     with open(path, newline="", encoding="utf-8") as f:
-        return [row["selected"] for row in csv.DictReader(f)]
+        lines = [line.strip() for line in f if line.strip()]
+    if lines and "selected" in [c.strip() for c in lines[0].split(",")]:
+        return [row["selected"] for row in csv.DictReader(lines)]
+    return lines

@@ -108,12 +108,6 @@ def epsilon_at(epoch: int, max_epochs: int) -> float:
     return min(1.0, max(0.0, 1.0 - (epoch - 1) / (max_epochs - 1)))
 
 
-def apply_country_embedding(model: fluenet.ModelParams, country: str
-                            ) -> np.ndarray:
-    """Initial encoder state for a country; zeros when CE is disabled."""
-    return fluenet.initial_state(model, country, 1).data[0].copy()
-
-
 def _batch_arrays(samples):
     x = np.stack([s.x_des for s in samples])
     q = np.stack([s.q for s in samples])

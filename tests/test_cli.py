@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from flucast import cli, datahub
+from flucast import cli, datahub, querysel
 from flucast.numkit import Rng
 
 START = "2010-W01"
@@ -70,6 +70,80 @@ seed = 1
     return config
 
 
+def _write_embeddings(path, table):
+    path.write_text("".join(f"{w} {' '.join(map(repr, v))}\n"
+                            for w, v in table.items()), encoding="utf-8")
+
+
+def build_wt_inputs(root, config, out):
+    """Embeddings and candidate trends for `select-queries --method wt`.
+
+    Source words are unit axes, so theta_w is a mean of designed
+    cosines. With k=2 the candidates are the pairs of each token's two
+    nearest target words. Per English query, the expected row is the
+    only candidate whose forward-filled training series is usable, or
+    the one whose correlation outweighs a higher theta_w. Returns
+    (config path, [(english, selected, theta_w, theta_t)]).
+    """
+    _write_embeddings(out / "src.txt", {
+        "flu": [1, 0, 0, 0], "fever": [0, 1, 0, 0],
+        "cold": [0, 0, 1, 0], "remedy": [0, 0, 0, 1]})
+    _write_embeddings(out / "tgt.txt", {
+        "gripe": [1, 0, 0, 0], "influenza": [0.8, 0.6, 0, 0],
+        "fiebre": [0, 1, 0, 0], "resfriado": [0, 0, 1, 0],
+        "tos": [0, 0, 0.6, 0.8], "remedio": [0, 0, 0, 1]})
+    english = out / "english.txt"
+    english.write_text("flu fever\ncold remedy\n", encoding="utf-8")
+
+    cfg = cli.load_config(str(config))
+    series = datahub.load_ili(cfg["data.ili"])["US"]
+    weeks = series.weeks()
+    fit_len = datahub.parse_week(cfg["split.test_start"]) - 52 - series.start
+    rng = Rng(5)
+    cand = out / "candidates"
+    cand.mkdir()
+
+    def write(name, pairs, leading=""):
+        with open(cand / (datahub.query_slug(name) + ".csv"), "w",
+                  encoding="utf-8") as f:
+            f.write("iso_week,value\n" + leading)
+            for week, v in pairs:
+                f.write(f"{datahub.format_week(week)},{float(v)!r}\n")
+
+    # Starts at week 3, skips weeks 10-12 and has a dropped week 53.
+    signal = 0.9 * series.values + rng.uniform(0, 0.5, len(series))
+    kept = [i for i in range(3, len(series)) if not 10 <= i <= 12]
+    write("influenza fiebre", [(weeks[i], signal[i]) for i in kept],
+          leading="2009-W53,7.0\n")
+    filled = np.zeros(fit_len)
+    for i in range(3, fit_len):
+        filled[i] = signal[i if i in kept else 9]
+    write("gripe fiebre", zip(weeks, rng.uniform(0, 1, len(series))))
+    # Constant, and zero until after training: both unusable.
+    write("resfriado remedio", [(w, 2.0) for w in weeks])
+    write("resfriado tos", [(w, 1.0 + i) for i, w in enumerate(weeks)
+                            if i >= fit_len])
+    remedy = series.values + rng.uniform(0, 2, len(series))
+    write("tos remedio", zip(weeks, remedy))
+
+    ili_train = series.values[:fit_len]
+
+    def r(x):
+        return float(np.corrcoef(x, ili_train)[0, 1])
+
+    cfg2 = out / "wt.cfg"
+    cfg2.write_text(config.read_text(encoding="utf-8") + f"""
+querysel.country = US
+querysel.english_queries = {english}
+querysel.source_embeddings = {out / "src.txt"}
+querysel.target_embeddings = {out / "tgt.txt"}
+querysel.candidates_dir = {cand}
+querysel.k = 2
+""", encoding="utf-8")
+    return cfg2, [("flu fever", "influenza fiebre", 0.9, r(filled)),
+                  ("cold remedy", "tos remedio", 0.8, r(remedy[:fit_len]))]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -130,8 +204,21 @@ class TestSelectQueriesCommand:
                         f"querysel.mapping = {mapping}\n", encoding="utf-8")
         assert run(cfg2, tmp_path, "select-queries",
                    "--method", "mapping") == 0
-        got = cli._read_queries_file(str(tmp_path / "selected_queries.csv"))
+        got = querysel.read_selected(str(tmp_path / "selected_queries.csv"))
         assert got == ["fiebre gripe", "remedio resfriado"]
+
+    def test_wt_method(self, workspace, tmp_path):
+        root, config = workspace
+        cfg2, expected = build_wt_inputs(root, config, tmp_path)
+        assert run(cfg2, tmp_path, "select-queries", "--method", "wt") == 0
+        with open(tmp_path / "selected_queries.csv", newline="",
+                  encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["english"], r["selected"]) for r in rows] == [
+            (e, s) for e, s, _, _ in expected]
+        for r, (_, _, theta_w, theta_t) in zip(rows, expected):
+            assert float(r["theta_w"]) == pytest.approx(theta_w, abs=1e-12)
+            assert float(r["theta_t"]) == pytest.approx(theta_t, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -216,12 +303,16 @@ class TestEvaluateCommand:
 
         with open(tmp_path / "attention.csv", newline="",
                   encoding="utf-8") as f:
-            att = list(csv.DictReader(f))
+            reader = csv.DictReader(f)
+            att = list(reader)
+        assert reader.fieldnames == ["iso_week", "country", "query",
+                                     "weight"]
+        assert {r["country"] for r in att} == {"US"}
         assert {r["query"] for r in att} == set(QUERIES)
         per_week = {}
         for r in att:
-            per_week.setdefault(r["iso_week"], 0.0)
-            per_week[r["iso_week"]] += float(r["weight"])
+            key = (r["country"], r["iso_week"])
+            per_week[key] = per_week.get(key, 0.0) + float(r["weight"])
         assert all(abs(v - 1.0) < 1e-9 for v in per_week.values())
         assert len(per_week) == TEST_LEN - 4 + 1
 
@@ -255,6 +346,89 @@ class TestForecastCommand:
         assert weeks == [series.end + 1 + h for h in range(4)]
         assert [int(r["horizon"]) for r in rows] == [1, 2, 3, 4]
         assert all(np.isfinite(float(r["y_pred"])) for r in rows)
+
+
+def corrupt(path, lineno):
+    """Append 'x' to the number that ends a 1-based line of a CSV."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] += "x"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestBadInput:
+    """Bad input ends in one 'error:' line and exit code 1."""
+
+    @pytest.mark.parametrize("case", [
+        "ili_rate", "trends_value", "candidate_value", "model.n",
+        "train.lr_grid"])
+    def test_malformed_number(self, tmp_path, capsys, case):
+        config = build_workspace(tmp_path)
+        argv = ["train", "--mode", "single", "--countries", "US"]
+        if case == "ili_rate":
+            corrupt(tmp_path / "ili.csv", 5)
+            argv, where = ["decompose"], "ili.csv:5:"
+        elif case == "trends_value":
+            corrupt(tmp_path / "trends" / "US" / "flu_fever.csv", 7)
+            where = "flu_fever.csv:7:"
+        elif case == "candidate_value":
+            config, _ = build_wt_inputs(tmp_path, config, tmp_path)
+            corrupt(tmp_path / "candidates" / "tos_remedio.csv", 9)
+            argv, where = ["select-queries"], "tos_remedio.csv:9:"
+        else:
+            config.write_text(config.read_text(encoding="utf-8")
+                              + f"{case} = 0.05,x\n", encoding="utf-8")
+            where = repr(case)
+        assert run(config, tmp_path / "out", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    def test_reordered_queries_refused(self, trained_single, tmp_path,
+                                       capsys, command):
+        config, trained = trained_single
+        swapped = tmp_path / "swapped.txt"
+        swapped.write_text("\n".join(QUERIES[::-1]) + "\n",
+                           encoding="utf-8")
+        cfg2 = tmp_path / "c.cfg"
+        cfg2.write_text(config.read_text(encoding="utf-8")
+                        + f"queries.US = {swapped}\n", encoding="utf-8")
+        assert run(cfg2, tmp_path, command, "--checkpoint",
+                   str(trained / "checkpoint.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: US: queries") and "differ" in err
+
+    def test_gru_baseline_with_fewer_queries_refused(self, workspace,
+                                                     tmp_path, capsys):
+        root, config = workspace
+        cfg2 = tmp_path / "c.cfg"
+        cfg2.write_text(config.read_text(encoding="utf-8")
+                        + "model.arch = gru_baseline\n", encoding="utf-8")
+        assert run(cfg2, tmp_path, "train", "--mode", "single",
+                   "--countries", "US") == 0
+        fewer = tmp_path / "fewer.txt"
+        fewer.write_text(QUERIES[0] + "\n", encoding="utf-8")
+        cfg2.write_text(cfg2.read_text(encoding="utf-8")
+                        + f"queries.US = {fewer}\n", encoding="utf-8")
+        assert run(cfg2, tmp_path / "eval", "evaluate", "--checkpoint",
+                   str(tmp_path / "checkpoint.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: US: queries") and "differ" in err
+
+    @pytest.mark.filterwarnings("ignore:US. query")
+    def test_every_query_constant_is_data_error(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        for q in QUERIES:
+            path = tmp_path / "trends" / "US" / (datahub.query_slug(q)
+                                                 + ".csv")
+            lines = path.read_text(encoding="utf-8").splitlines()
+            path.write_text("\n".join([lines[0]] + [
+                ln.split(",")[0] + ",1.0" for ln in lines[1:]]) + "\n",
+                encoding="utf-8")
+        assert run(config, tmp_path / "out", "train", "--mode", "single",
+                   "--countries", "US") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: US: no query left")
 
 
 class TestCorrelateCommand:

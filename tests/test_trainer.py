@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flucast import datahub, fluenet, trainer
+from flucast import datahub, trainer
 from flucast import numkit as nk
 from flucast.numkit import Rng, Tensor2
 
@@ -106,23 +106,6 @@ class TestCountryBatches:
     def test_empty_pool_rejected(self):
         with pytest.raises(trainer.TrainingError):
             trainer.sample_country_batch(Rng(0), {"US": []}, 2)
-
-
-class TestCountryEmbedding:
-    def test_zero_when_disabled(self):
-        model = fluenet.ModelParams(m=4, n_in=6, s_out=2, l_queries=1,
-                                    countries=["JP", "US"], seed=1,
-                                    use_country_embedding=False)
-        assert np.array_equal(trainer.apply_country_embedding(model, "US"),
-                              np.zeros(4))
-
-    def test_distinct_when_enabled(self):
-        model = fluenet.ModelParams(m=4, n_in=6, s_out=2, l_queries=1,
-                                    countries=["JP", "US"], seed=1,
-                                    use_country_embedding=True)
-        a = trainer.apply_country_embedding(model, "JP")
-        b = trainer.apply_country_embedding(model, "US")
-        assert np.max(np.abs(a - b)) > 1e-6
 
 
 class TestConfig:
