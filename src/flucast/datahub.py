@@ -131,6 +131,14 @@ class SplitPlan:
         return self.train[1] - self.train[0] + 1
 
 
+def _fields(path: str, lineno: int, row: dict, names) -> list:
+    """The named fields of one CSV row; a short row is a DataError."""
+    missing = [n for n in names if row.get(n) is None]
+    if missing:
+        raise DataError(f"{path}:{lineno}: row has no {', '.join(missing)}")
+    return [row[n] for n in names]
+
+
 def load_ili(path: str) -> dict:
     """Read ili.csv (iso_week,country,ili_rate) into per-country series."""
     rows = {}
@@ -140,16 +148,18 @@ def load_ili(path: str) -> dict:
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise DataError(f"{path}: header must contain {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
+            week, country, rate = _fields(path, lineno, row, (
+                "iso_week", "country", "ili_rate"))
             try:
-                idx = parse_week(row["iso_week"])
-                rate = float(row["ili_rate"])
+                idx = parse_week(week)
+                rate = float(rate)
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
             if idx < 0:
                 continue  # week 53 dropped
             if rate < 0:
                 raise DataError(f"{path}:{lineno}: negative ili_rate {rate}")
-            rows.setdefault(row["country"], {})[idx] = rate
+            rows.setdefault(country, {})[idx] = rate
     out = {}
     for country, by_week in rows.items():
         weeks = sorted(by_week)
@@ -187,9 +197,10 @@ def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
     by_week = {}
     with open(path, newline="", encoding="utf-8") as f:
         for lineno, row in enumerate(csv.DictReader(f), start=2):
+            week, value = _fields(path, lineno, row, ("iso_week", "value"))
             try:
-                idx = parse_week(row["iso_week"])
-                value = float(row["value"])
+                idx = parse_week(week)
+                value = float(value)
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
             if idx >= 0:

@@ -1,10 +1,10 @@
 """GRU encoder-decoder with search-query attention and reseasonalization.
 
 The network forecasts the deseasonalized component: a GRU encodes the
-deseasonalized ILI window, a shared GRU encodes each query series,
-dot-product attention fuses them, and a GRU decoder with scheduled
-sampling rolls out S steps. Final forecasts add the periodic seasonal
-extension back on.
+deseasonalized ILI window, one shared GRU encodes all L query series
+in a single pass over L*batch rows, dot-product attention fuses them,
+and a GRU decoder with scheduled sampling rolls out S steps. Final
+forecasts add the periodic seasonal extension back on.
 
 Gate equations follow the literal form
     r = sigma(x U_r + h W_r)
@@ -221,47 +221,31 @@ def encode_ili(params: GruParams, x_des: np.ndarray, h0: Tensor2,
 
 def encode_queries(params: GruParams, q: np.ndarray, h0: Tensor2,
                    standard: bool = False) -> list:
-    """Encode each of the L query columns independently with shared params.
+    """Encode the L query columns with the shared GRU in one pass.
 
-    q is (batch x N x L); returns a list of L (batch x M) final states.
+    q is (batch x N x L). The L columns run as one GRU over L*batch rows,
+    where row j*batch + i holds query j of sample i; this is exact
+    because every column shares the weights. Returns a list of L
+    (batch x M) final states.
     """
-    n, l = q.shape[1], q.shape[2]
-    out = []
-    for j in range(l):
-        steps = [Tensor2(q[:, t, j:j + 1]) for t in range(n)]
-        out.append(encode_sequence(params, steps, h0, standard))
-    return out
+    b, n, l = q.shape
+    steps = [Tensor2(q[:, t, :].T.reshape(l * b, 1)) for t in range(n)]
+    h = encode_sequence(params, steps, nk.tile_rows(h0, l), standard)
+    return [nk.row_block(h, j * b, (j + 1) * b) for j in range(l)]
 
 
 def attend(att: AttentionParams, h_tau: Tensor2, h_queries) -> tuple:
     """Unscaled dot-product attention over the L query encodings.
 
-    Returns (context (batch x M), weights (batch x L) tensor).
+    Returns (context (batch x M), weights (batch x L) tensor); the
+    weights carry no gradient.
     """
-    m = h_tau.cols
-    s_q = nk.matmul(h_tau, att.w_q)
-    ones_col = Tensor2(np.ones((m, 1)), copy=False)
-    ones_row = Tensor2(np.ones((1, m)), copy=False)
-    logits, values = [], []
-    for h_q in h_queries:
-        s_k = nk.matmul(h_q, att.w_k)
-        values.append(nk.matmul(h_q, att.w_v))
-        logits.append(nk.matmul(nk.mul(s_q, s_k), ones_col))
-    weights = nk.softmax_row(nk.hstack(logits))
-    ctx = None
-    for j, s_v in enumerate(values):
-        w_j = nk.matmul(nk.col_slice(weights, j, j + 1), ones_row)
-        term = nk.mul(w_j, s_v)
-        ctx = term if ctx is None else nk.add(ctx, term)
-    return ctx, weights
+    return nk.dot_attention(h_tau, att.w_q, att.w_k, att.w_v, h_queries)
 
 
 def _mlp_apply(mlp: Mlp, x: Tensor2) -> Tensor2:
-    b = x.rows
-    ones_b = Tensor2(np.ones((b, 1)), copy=False)
-    hidden = nk.tanh(nk.add(nk.matmul(x, mlp.w1),
-                            nk.matmul(ones_b, mlp.b1)))
-    return nk.add(nk.matmul(hidden, mlp.w2), nk.matmul(ones_b, mlp.b2))
+    hidden = nk.tanh(nk.add_bias(nk.matmul(x, mlp.w1), mlp.b1))
+    return nk.add_bias(nk.matmul(hidden, mlp.w2), mlp.b2)
 
 
 def fuse(fusion: Mlp, h_tau: Tensor2, ctx: Tensor2) -> Tensor2:

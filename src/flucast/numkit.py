@@ -153,18 +153,22 @@ def tanh(a: Tensor2) -> Tensor2:
     return _emit(out, [a], lambda g: [g * (1.0 - out * out)], "tanh")
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of each row, shifted by the row max so exp never overflows."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the softmax input, given its output and output grad."""
+    return out * (g - (g * out).sum(axis=1, keepdims=True))
+
+
 def softmax_row(a: Tensor2) -> Tensor2:
     if a.data.size == 0:
         raise ContractError("softmax_row of empty tensor")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bw(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return [out * (g - dot)]
-
-    return _emit(out, [a], bw, "softmax_row")
+    out = _softmax(a.data)
+    return _emit(out, [a], lambda g: [_softmax_grad(out, g)], "softmax_row")
 
 
 def hstack(tensors) -> Tensor2:
@@ -188,16 +192,80 @@ def hstack(tensors) -> Tensor2:
                  tensors, bw, "hstack")
 
 
-def col_slice(a: Tensor2, j0: int, j1: int) -> Tensor2:
-    if not (0 <= j0 < j1 <= a.cols):
-        raise ShapeError(f"col_slice [{j0}:{j1}] out of range for {a.shape}")
+def add_bias(a: Tensor2, bias: Tensor2) -> Tensor2:
+    """a + bias, with the 1 x cols bias broadcast over every row of a."""
+    if bias.shape != (1, a.cols):
+        raise ShapeError(f"add_bias shape mismatch: {a.shape} + {bias.shape}")
+    return _emit(a.data + bias.data, [a, bias],
+                 lambda g: [g, g.sum(axis=0, keepdims=True)], "add_bias")
+
+
+def tile_rows(a: Tensor2, k: int) -> Tensor2:
+    """k copies of a stacked by rows; block j holds rows j*a.rows onward."""
+    if k < 1:
+        raise ContractError(f"tile_rows needs k >= 1, got {k}")
+
+    def bw(g):
+        return [g.reshape(k, a.rows, a.cols).sum(axis=0)]
+
+    return _emit(np.tile(a.data, (k, 1)), [a], bw, "tile_rows")
+
+
+def row_block(a: Tensor2, i0: int, i1: int) -> Tensor2:
+    """Rows i0..i1-1 of a."""
+    if not (0 <= i0 < i1 <= a.rows):
+        raise ShapeError(f"row_block [{i0}:{i1}] out of range for {a.shape}")
 
     def bw(g):
         full = np.zeros_like(a.data)
-        full[:, j0:j1] = g
+        full[i0:i1] = g
         return [full]
 
-    return _emit(a.data[:, j0:j1].copy(), [a], bw, "col_slice")
+    return _emit(a.data[i0:i1].copy(), [a], bw, "row_block")
+
+
+def dot_attention(query: Tensor2, w_q: Tensor2, w_k: Tensor2,
+                  w_v: Tensor2, keys) -> tuple:
+    """Unscaled dot-product attention of each row over L key tensors.
+
+    With H the (B, L, M) stack of the L (B x M) `keys`, q = query w_q,
+    K = H w_k and V = H w_v, the weights are softmax_j(q . K_j) and the
+    context is sum_j weight_j V_j. Returns (context, weights). Only the
+    context is recorded on the tape; the weights are a constant.
+    """
+    keys = list(keys)
+    if not keys:
+        raise ContractError("dot_attention over no keys")
+    b, m = query.shape
+    if any(k.shape != (b, m) for k in keys) or any(
+            w.shape != (m, m) for w in (w_q, w_k, w_v)):
+        raise ShapeError(
+            f"dot_attention shape mismatch: query {query.shape}, maps "
+            f"{[w.shape for w in (w_q, w_k, w_v)]}, keys "
+            f"{[k.shape for k in keys]}")
+    h = np.stack([k.data for k in keys], axis=1)
+    q = query.data @ w_q.data
+    k_all = h @ w_k.data
+    v_all = h @ w_v.data
+    logits = np.einsum("bm,blm->bl", q, k_all)
+    weights = _finite(_softmax(logits), "dot_attention")
+    ctx = np.einsum("bl,blm->bm", weights, v_all)
+
+    def bw(g):
+        g_w = np.einsum("bm,blm->bl", g, v_all)
+        g_logits = _softmax_grad(weights, g_w)
+        g_q = np.einsum("bl,blm->bm", g_logits, k_all)
+        g_k = g_logits[:, :, None] * q[:, None, :]
+        g_v = weights[:, :, None] * g[:, None, :]
+        flat_h = h.reshape(-1, m)
+        g_h = g_k @ w_k.data.T + g_v @ w_v.data.T
+        return [g_q @ w_q.data.T, query.data.T @ g_q,
+                flat_h.T @ g_k.reshape(-1, m),
+                flat_h.T @ g_v.reshape(-1, m)] + [
+                    g_h[:, j] for j in range(len(keys))]
+
+    out = _emit(ctx, [query, w_q, w_k, w_v] + keys, bw, "dot_attention")
+    return out, Tensor2(weights, copy=False)
 
 
 def mean_all(a: Tensor2) -> Tensor2:

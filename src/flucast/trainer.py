@@ -136,11 +136,25 @@ def _restore(model, snap):
         t.data = snap[n].copy()
 
 
-def _train_one(config: TrainConfig, data: dict, lr: float, m: int,
-               grid_index: int) -> tuple:
+def _query_count(config: TrainConfig, data: dict) -> int:
+    """L of the first country; gru_baseline needs one L for every country."""
+    for c in sorted(data):
+        if not data[c]["train"]:
+            raise TrainingError(f"no training samples for country {c}")
+    counts = {c: d["train"][0].q.shape[1] for c, d in data.items()}
+    if (config.arch == "gru_baseline" and config.use_queries
+            and len(set(counts.values())) > 1):
+        raise TrainingError(
+            "gru_baseline needs the same number of queries in every "
+            "country, got " + ", ".join(f"{c}: L={counts[c]}"
+                                        for c in sorted(counts)))
+    return next(iter(counts.values()))
+
+
+def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
+               m: int, grid_index: int) -> tuple:
     """Train a single grid point; returns (model, log, best val mse)."""
     root = nk.Rng(config.seed).spawn(f"grid/{grid_index}")
-    l_queries = next(iter(data.values()))["train"][0].q.shape[1]
     model = fluenet.ModelParams(
         m=m, n_in=config.n_in, s_out=config.s_out, l_queries=l_queries,
         countries=sorted(data), seed=root.spawn("init").seed,
@@ -202,13 +216,15 @@ def fit(config: TrainConfig, data: dict) -> tuple:
         raise TrainingError("single mode expects exactly one country")
     if config.mode == "multi" and len(data) < 2:
         raise TrainingError("multi mode expects at least two countries")
+    l_queries = _query_count(config, data)
     start = time.monotonic()
     best = None
     diverged = []
     for gi, (lr, m) in enumerate(itertools.product(config.lr_grid,
                                                    config.m_grid)):
         try:
-            model, log, val = _train_one(config, data, lr, m, gi)
+            model, log, val = _train_one(config, data, l_queries, lr, m,
+                                         gi)
         except nk.NonFiniteError:
             diverged.append({"lr": lr, "m": m})
             continue

@@ -383,6 +383,22 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert where in err
 
+    @pytest.mark.parametrize("case", ["ili", "trends"])
+    def test_short_row(self, tmp_path, capsys, case):
+        config = build_workspace(tmp_path)
+        argv = ["train", "--mode", "single", "--countries", "US"]
+        if case == "ili":
+            path, argv = tmp_path / "ili.csv", ["decompose"]
+        else:
+            path = tmp_path / "trends" / "US" / "flu_fever.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path.name}:6:" in err
+
     @pytest.mark.parametrize("command", ["evaluate", "forecast"])
     def test_reordered_queries_refused(self, trained_single, tmp_path,
                                        capsys, command):
@@ -429,6 +445,23 @@ class TestBadInput:
                    "--countries", "US") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: US: no query left")
+
+    @pytest.mark.filterwarnings("ignore:JP. query")
+    def test_gru_baseline_with_unequal_query_counts_refused(self, tmp_path,
+                                                            capsys):
+        config = build_workspace(tmp_path)
+        path = tmp_path / "trends" / "JP" / (datahub.query_slug(QUERIES[0])
+                                             + ".csv")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0]] + [
+            ln.split(",")[0] + ",1.0" for ln in lines[1:]]) + "\n",
+            encoding="utf-8")
+        config.write_text(config.read_text(encoding="utf-8")
+                          + "model.arch = gru_baseline\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", "train", "--mode", "multi") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gru_baseline") and err.count("\n") == 1
+        assert "JP: L=1" in err and "US: L=2" in err
 
 
 class TestCorrelateCommand:

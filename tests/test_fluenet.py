@@ -76,6 +76,69 @@ class TestGruCell:
         assert np.array_equal(via.data, h.data)
 
 
+def per_query_encode(params, q, h0, standard):
+    """Reference: one encode_sequence loop per query column."""
+    n, l = q.shape[1], q.shape[2]
+    return [fluenet.encode_sequence(
+        params, [Tensor2(q[:, t, j:j + 1]) for t in range(n)], h0, standard)
+        for j in range(l)]
+
+
+class TestBatchedQueryEncoder:
+    def states_and_grads(self, encode, params, embed, q, standard,
+                         weights):
+        """Final states and gradients of a weighted sum of them."""
+        b, m = q.shape[0], params.w_h.rows
+        for t in vars(params).values():
+            t.grad = None
+        with nk.GradTape() as tape:
+            if embed is None:
+                h0 = nk.zeros(b, m)
+            else:
+                onehot = np.zeros((b, embed.rows))
+                onehot[:, 1] = 1.0
+                h0 = nk.matmul(Tensor2(onehot), embed)
+            states = encode(params, q, h0, standard)
+            loss = nk.mean_all(nk.mul(nk.hstack(states), Tensor2(weights)))
+        nk.backward(tape, loss)
+        grads = {n: t.grad for n, t in vars(params).items()}
+        if embed is not None:
+            grads["embed"] = embed.grad
+        return [h.data for h in states], grads
+
+    @pytest.mark.parametrize("standard", [False, True],
+                             ids=["literal", "standard"])
+    @pytest.mark.parametrize("embedded", [True, False],
+                             ids=["embedding", "zeros"])
+    def test_matches_per_query_loop(self, standard, embedded):
+        rng = Rng(60)
+        b, n, l, m = 5, 7, 4, 3
+        params = random_gru(rng, 1, m)
+        embed = Tensor2(rng.normal(0, 0.5, (2, m))) if embedded else None
+        q = rng.uniform(0, 1, (b, n, l))
+        weights = rng.normal(0, 1, (b, l * m))
+        want, want_g = self.states_and_grads(per_query_encode, params,
+                                             embed, q, standard, weights)
+        got, got_g = self.states_and_grads(fluenet.encode_queries, params,
+                                           embed, q, standard, weights)
+        assert len(got) == l
+        for a, w in zip(got, want):
+            assert a.shape == (b, m)
+            assert np.max(np.abs(a - w)) < 1e-12
+        assert set(got_g) == set(want_g)
+        for name in want_g:
+            assert np.any(want_g[name] != 0.0), name
+            assert np.max(np.abs(got_g[name] - want_g[name])) < 1e-12, name
+
+    def test_inf_in_one_query_column_raises(self):
+        rng = Rng(61)
+        params = random_gru(rng, 1, 3)
+        q = rng.uniform(0, 1, (4, 6, 3))
+        q[2, 3, 1] = np.inf
+        with pytest.raises(nk.NonFiniteError):
+            fluenet.encode_queries(params, q, nk.zeros(4, 3))
+
+
 class TestAttention:
     def make_att(self, rng, m):
         return fluenet.AttentionParams(

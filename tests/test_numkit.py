@@ -162,21 +162,89 @@ class TestBackward:
         assert_grad_close(a.grad, finite_difference(loss, a.data))
         assert_grad_close(b.grad, finite_difference(loss, b.data))
 
-    def test_hstack_and_col_slice_gradients(self):
+    def test_hstack_gradients(self):
         rng = nk.Rng(29)
         a = Tensor2(rng.uniform(-1, 1, (2, 2)))
         b = Tensor2(rng.uniform(-1, 1, (2, 3)))
+        c = Tensor2(rng.uniform(-1, 1, (2, 5)))
 
         def loss():
-            y = nk.col_slice(nk.hstack([a, b]), 1, 4)
-            return nk.mean_all(nk.mul(y, y)).item()
+            y = nk.hstack([a, b])
+            return nk.mean_all(nk.mul(nk.mul(y, y), c)).item()
 
         with nk.GradTape() as tape:
-            y = nk.col_slice(nk.hstack([a, b]), 1, 4)
-            l = nk.mean_all(nk.mul(y, y))
+            y = nk.hstack([a, b])
+            l = nk.mean_all(nk.mul(nk.mul(y, y), c))
         nk.backward(tape, l)
         assert_grad_close(a.grad, finite_difference(loss, a.data))
         assert_grad_close(b.grad, finite_difference(loss, b.data))
+
+    def test_add_bias_gradients(self):
+        rng = nk.Rng(31)
+        a = Tensor2(rng.uniform(-1, 1, (4, 3)))
+        bias = Tensor2(rng.uniform(-1, 1, (1, 3)))
+
+        def loss():
+            y = nk.tanh(nk.add_bias(a, bias))
+            return nk.mean_all(nk.mul(y, y)).item()
+
+        with nk.GradTape() as tape:
+            y = nk.tanh(nk.add_bias(a, bias))
+            l = nk.mean_all(nk.mul(y, y))
+        nk.backward(tape, l)
+        assert_grad_close(a.grad, finite_difference(loss, a.data))
+        assert_grad_close(bias.grad, finite_difference(loss, bias.data))
+
+    def test_tile_rows_and_row_block_gradients(self):
+        rng = nk.Rng(37)
+        a = Tensor2(rng.uniform(-1, 1, (2, 3)))
+        w = Tensor2(rng.uniform(-1, 1, (6, 3)))
+
+        def blocks():
+            y = nk.tanh(nk.mul(nk.tile_rows(a, 3), w))
+            return [nk.row_block(y, 2 * j, 2 * j + 2) for j in (0, 2)]
+
+        def loss():
+            p, r = blocks()
+            return nk.mean_all(nk.mul(p, nk.add(r, p))).item()
+
+        with nk.GradTape() as tape:
+            p, r = blocks()
+            l = nk.mean_all(nk.mul(p, nk.add(r, p)))
+        nk.backward(tape, l)
+        assert_grad_close(a.grad, finite_difference(loss, a.data))
+        assert_grad_close(w.grad, finite_difference(loss, w.data))
+        assert np.all(w.grad[2:4] == 0.0)
+
+    def test_tile_rows_and_row_block_values(self):
+        a = Tensor2([[1.0, 2.0], [3.0, 4.0]])
+        t = nk.tile_rows(a, 3)
+        assert np.array_equal(t.data, np.vstack([a.data] * 3))
+        assert np.array_equal(nk.row_block(t, 2, 4).data, a.data)
+        with pytest.raises(nk.ShapeError):
+            nk.row_block(t, 4, 7)
+        with pytest.raises(nk.ShapeError):
+            nk.add_bias(a, Tensor2([[1.0, 2.0, 3.0]]))
+
+    def test_dot_attention_gradients(self):
+        rng = nk.Rng(41)
+        b, m, l = 3, 4, 5
+        query = Tensor2(rng.uniform(-1, 1, (b, m)))
+        maps = [Tensor2(rng.uniform(-1, 1, (m, m))) for _ in range(3)]
+        keys = [Tensor2(rng.uniform(-1, 1, (b, m))) for _ in range(l)]
+        c = Tensor2(rng.uniform(-1, 1, (b, m)))
+
+        def loss():
+            ctx, _ = nk.dot_attention(query, *maps, keys)
+            return nk.mean_all(nk.mul(nk.mul(ctx, ctx), c)).item()
+
+        with nk.GradTape() as tape:
+            ctx, _ = nk.dot_attention(query, *maps, keys)
+            assert len(tape) == 1
+            l_ = nk.mean_all(nk.mul(nk.mul(ctx, ctx), c))
+        nk.backward(tape, l_)
+        for t in [query] + maps + keys:
+            assert_grad_close(t.grad, finite_difference(loss, t.data))
 
     def test_non_scalar_loss_rejected(self):
         with nk.GradTape() as tape:
