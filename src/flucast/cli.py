@@ -81,10 +81,9 @@ def _split(cfg, series) -> datahub.SplitPlan:
                               _get_num(cfg, "split.test_len", 52))
 
 
-def _prepare_country(cfg, series, use_queries):
-    """Split, decompose, normalize, and window one country's data."""
-    n_in = _get_num(cfg, "model.n", 52)
-    s_out = _get_num(cfg, "model.s", 5)
+def _prepare_country(cfg, series, use_queries, n_in, s_out):
+    """Split, decompose, normalize, and window one country's data into
+    windows of n_in input and s_out target weeks."""
     country = series.country
     plan = _split(cfg, series)
     fit_len = plan.train_len
@@ -92,8 +91,8 @@ def _prepare_country(cfg, series, use_queries):
     template = decompose.seasonal_template(d)
     seasonal = np.empty(len(series))
     seasonal[:fit_len] = d.seasonal
-    for i in range(fit_len, len(series)):
-        seasonal[i] = template.values[i % 52]
+    seasonal[fit_len:] = template.values[np.arange(fit_len, len(series))
+                                         % template.period]
 
     panel, stats, queries = None, [], []
     if use_queries:
@@ -123,12 +122,13 @@ def _prepare_country(cfg, series, use_queries):
 
 
 def _prepare_trained(cfg, model, extra) -> dict:
-    """Prepare each checkpoint country with the query list it was
-    trained on; a different list is refused."""
+    """Prepare each checkpoint country with the N, S and query list it
+    was trained on; a different query list is refused."""
     all_series = _load_ili(cfg)
     prepared = {}
     for c in model.countries:
-        p = _prepare_country(cfg, all_series[c], model.use_queries)
+        p = _prepare_country(cfg, all_series[c], model.use_queries,
+                             model.n_in, model.s_out)
         trained = extra.get(f"queries.{c}", [])
         if p["queries"] != trained:
             raise ConfigError(f"{c}: queries {p['queries']} differ from "
@@ -240,7 +240,8 @@ def cmd_train(cfg, args) -> int:
     mode = args.mode or _get(cfg, "mode", "single")
     tc = _train_config(cfg, args, countries, mode)
     all_series = _load_ili(cfg)
-    prepared = {c: _prepare_country(cfg, all_series[c], tc.use_queries)
+    prepared = {c: _prepare_country(cfg, all_series[c], tc.use_queries,
+                                    tc.n_in, tc.s_out)
                 for c in countries}
     data = {c: {"train": p["train"], "val": p["val"]}
             for c, p in prepared.items()}

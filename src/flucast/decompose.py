@@ -4,6 +4,11 @@ Splits a series into trend + seasonal + remainder with an exact
 reconstruction identity, and periodically extends the seasonal pattern
 into the forecast horizon. Works on plain float arrays indexed by week
 position; calendar handling lives in datahub.
+
+Every LOESS smoother runs on contiguous windows: on equally spaced x the
+q nearest neighbours of a point are a window clamped at the series ends,
+so all points are smoothed at once with array operations, with results
+bitwise equal to per-point nearest-neighbour LOESS.
 """
 
 from __future__ import annotations
@@ -45,35 +50,42 @@ class SeasonalTemplate:
                 f"template length {len(self.values)} != period {self.period}")
 
 
-def _loess_at(xs: np.ndarray, ys: np.ndarray, x0: float, span: int,
-              degree: int, rw: np.ndarray) -> float:
-    """Locally weighted regression estimate at x0 over the span nearest xs."""
-    n = len(xs)
-    q = min(span, n)
-    d = np.abs(xs - x0)
-    idx = np.argsort(d, kind="stable")[:q]
-    dq = d[idx]
-    h = dq.max()
-    if h <= 0:
-        w = np.ones(q)
-    else:
-        w = np.clip(1.0 - (dq / h) ** 3, 0.0, None) ** 3
-    w = w * rw[idx]
-    if w.sum() <= 0:
-        w = np.ones(q)
-    xw = xs[idx]
-    yw = ys[idx]
+def _loess_rows(ys: np.ndarray, rw: np.ndarray, x0s: np.ndarray, q: int,
+                degree: int) -> np.ndarray:
+    """Tricube LOESS of each row of ys (R, m) at the integer points x0s.
+
+    On x = 0..m-1 the q nearest neighbours of x0 are the contiguous window
+    starting at clip(x0 - q//2, 0, m - q). Each window is ordered by
+    distance, ties to the lower index, so every weighted sum adds the same
+    terms in the same order as a nearest-neighbour sort of the whole row.
+    Returns the (R, K) estimates for the K points.
+    """
+    m = ys.shape[1]
+    start = np.clip(x0s - q // 2, 0, m - q)
+    win = start[:, None] + np.arange(q)
+    d = np.abs(win - x0s[:, None]).astype(np.float64)
+    order = np.argsort(d, axis=1, kind="stable")
+    idx = np.take_along_axis(win, order, axis=1)
+    dq = np.take_along_axis(d, order, axis=1)
+    h = dq[:, -1:]
+    # a row with h <= 0 has every distance 0, so dividing it by 1 instead
+    # gives it unit tricube weights
+    tri = np.clip(1.0 - (dq / np.where(h > 0, h, 1.0)) ** 3, 0.0, None) ** 3
+    w = tri * rw[:, idx]
+    w = np.where(w.sum(axis=-1, keepdims=True) <= 0, 1.0, w)
+    yw = ys[:, idx]
     if degree == 0:
-        return float(np.sum(w * yw) / np.sum(w))
+        return np.sum(w * yw, axis=-1) / np.sum(w, axis=-1)
     # degree 1: closed-form weighted least squares line, evaluated at x0
-    sw = w.sum()
-    xm = np.sum(w * xw) / sw
-    ym = np.sum(w * yw) / sw
-    sxx = np.sum(w * (xw - xm) ** 2)
-    if sxx <= 1e-300:
-        return float(ym)
-    slope = np.sum(w * (xw - xm) * (yw - ym)) / sxx
-    return float(ym + slope * (x0 - xm))
+    xw = idx.astype(np.float64)
+    sw = w.sum(axis=-1, keepdims=True)
+    xm = np.sum(w * xw, axis=-1, keepdims=True) / sw
+    ym = np.sum(w * yw, axis=-1, keepdims=True) / sw
+    sxx = np.sum(w * (xw - xm) ** 2, axis=-1, keepdims=True)
+    flat = sxx <= 1e-300
+    slope = (np.sum(w * (xw - xm) * (yw - ym), axis=-1, keepdims=True)
+             / np.where(flat, 1.0, sxx))
+    return np.where(flat, ym, ym + slope * (x0s[:, None] - xm))[..., 0]
 
 
 def loess_smooth(series, span: int, degree: int,
@@ -95,9 +107,7 @@ def loess_smooth(series, span: int, degree: int,
           else np.asarray(robustness_weights, dtype=np.float64))
     if len(rw) != n:
         raise ParameterError("robustness weights length mismatch")
-    xs = np.arange(n, dtype=np.float64)
-    return np.array([_loess_at(xs, ys, float(i), span, degree, rw)
-                     for i in range(n)])
+    return _loess_rows(ys[None], rw[None], np.arange(n), span, degree)[0]
 
 
 def _next_odd(x: float) -> int:
@@ -143,28 +153,26 @@ def stl_decompose(series, period: int, inner_iters: int = 2,
     trend = np.zeros(n)
     seasonal = np.zeros(n)
     rho = np.ones(n)
-    xs_by_phase = [np.arange(p, n, period, dtype=np.float64) / period
-                   for p in range(period)]
+    # the cycle-subseries of phase p is y[p::period]; the phases before
+    # n % period have one point more. Each length group is smoothed in one
+    # call at k = -1..m, i.e. extended one cycle both ways, into c[p + (k+1)T]
+    groups = []
+    for phases in (np.arange(n % period), np.arange(n % period, period)):
+        if len(phases):
+            m = len(range(phases[0], n, period))
+            span = seasonal_span
+            if span > m:
+                span = max(m if m % 2 == 1 else m - 1, 1)
+            groups.append((phases[:, None] + period * np.arange(m), span,
+                           phases[:, None] + period * np.arange(m + 2),
+                           np.arange(-1, m + 1)))
 
     for outer in range(outer_iters + 1):
         for _ in range(inner_iters):
             detrended = y - trend
-            # cycle-subseries smoothing, each extended one cycle both ways
             c = np.zeros(n + 2 * period)
-            for p in range(period):
-                sub = detrended[p::period]
-                sub_rho = rho[p::period]
-                m = len(sub)
-                span = seasonal_span
-                if span > m:
-                    span = m if m % 2 == 1 else m - 1
-                    span = max(span, 1)
-                xs = np.arange(m, dtype=np.float64)
-                for k in range(-1, m + 1):
-                    pos = p + (k + 1) * period
-                    if pos < n + 2 * period:
-                        c[pos] = _loess_at(xs, sub, float(k), span, 0,
-                                           sub_rho)
+            for sub, span, out, ks in groups:
+                c[out] = _loess_rows(detrended[sub], rho[sub], ks, span, 0)
             # low-pass: MA(T) twice, MA(3), then degree-1 loess
             lp = _moving_average(c, period)
             lp = _moving_average(lp, period)
@@ -209,14 +217,12 @@ def seasonal_template(d: Decomposition, fit_len: int = None
     if n < T:
         raise InsufficientDataError("decomposition shorter than one period")
     vals = np.empty(T)
-    for i in range(n - T, n):
-        vals[i % T] = d.seasonal[i]
+    vals[np.arange(n - T, n) % T] = d.seasonal[n - T:n]
     return SeasonalTemplate(values=vals, period=T)
 
 
 def extend_seasonal(template: SeasonalTemplate, from_index: int,
                     steps: int) -> np.ndarray:
     """Seasonal values for indices from_index+1 .. from_index+steps."""
-    T = template.period
-    return np.array([template.values[(from_index + 1 + i) % T]
-                     for i in range(steps)])
+    return template.values[np.arange(from_index + 1, from_index + 1 + steps)
+                           % template.period]

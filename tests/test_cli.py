@@ -348,6 +348,41 @@ class TestForecastCommand:
         assert all(np.isfinite(float(r["y_pred"])) for r in rows)
 
 
+@pytest.fixture(scope="module")
+def trained_multi(workspace, tmp_path_factory):
+    """A multi-mode checkpoint plus its evaluate and forecast outputs."""
+    root, config = workspace
+    out = tmp_path_factory.mktemp("multi")
+    assert run(config, out, "train", "--mode", "multi") == 0
+    ckpt = str(out / "checkpoint.json")
+    assert run(config, out / "evaluate", "evaluate", "--checkpoint", ckpt,
+               "--with-baselines") == 0
+    assert run(config, out / "forecast", "forecast", "--checkpoint",
+               ckpt) == 0
+    return config, out
+
+
+class TestCheckpointWindowSizes:
+    """evaluate and forecast window with the checkpoint's N and S."""
+
+    @pytest.mark.parametrize("edit", ["model.n = 16", "model.s = 6"])
+    def test_config_window_sizes_ignored(self, trained_multi, tmp_path,
+                                         edit):
+        config, trained = trained_multi
+        cfg2 = tmp_path / "c.cfg"
+        cfg2.write_text(config.read_text(encoding="utf-8") + edit + "\n",
+                        encoding="utf-8")
+        ckpt = str(trained / "checkpoint.json")
+        assert run(cfg2, tmp_path / "evaluate", "evaluate", "--checkpoint",
+                   ckpt, "--with-baselines") == 0
+        assert run(cfg2, tmp_path / "forecast", "forecast", "--checkpoint",
+                   ckpt) == 0
+        for name in ("evaluate/report.csv", "evaluate/forecasts.csv",
+                     "evaluate/attention.csv", "forecast/forecasts.csv"):
+            assert ((tmp_path / name).read_bytes()
+                    == (trained / name).read_bytes()), name
+
+
 def corrupt(path, lineno):
     """Append 'x' to the number that ends a 1-based line of a CSV."""
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -25,6 +25,123 @@ def wls_loess_oracle(ys, span, degree):
     return out
 
 
+def _loess_at(xs, ys, x0, span, degree, rw):
+    """Per-point LOESS over the span nearest x0 by a full stable sort: the
+    implementation the contiguous-window kernel replaced, kept as oracle."""
+    n = len(xs)
+    q = min(span, n)
+    d = np.abs(xs - x0)
+    idx = np.argsort(d, kind="stable")[:q]
+    dq = d[idx]
+    h = dq.max()
+    if h <= 0:
+        w = np.ones(q)
+    else:
+        w = np.clip(1.0 - (dq / h) ** 3, 0.0, None) ** 3
+    w = w * rw[idx]
+    if w.sum() <= 0:
+        w = np.ones(q)
+    xw = xs[idx]
+    yw = ys[idx]
+    if degree == 0:
+        return float(np.sum(w * yw) / np.sum(w))
+    sw = w.sum()
+    xm = np.sum(w * xw) / sw
+    ym = np.sum(w * yw) / sw
+    sxx = np.sum(w * (xw - xm) ** 2)
+    if sxx <= 1e-300:
+        return float(ym)
+    slope = np.sum(w * (xw - xm) * (yw - ym)) / sxx
+    return float(ym + slope * (x0 - xm))
+
+
+def oracle_loess_smooth(ys, span, degree, rw=None):
+    n = len(ys)
+    if span > n:
+        span = n if n % 2 == 1 else n - 1
+    rw = np.ones(n) if rw is None else rw
+    xs = np.arange(n, dtype=np.float64)
+    return np.array([_loess_at(xs, ys, float(i), span, degree, rw)
+                     for i in range(n)])
+
+
+def oracle_stl(y, period, inner_iters=2, outer_iters=1, seasonal_span=7):
+    """stl_decompose with one per-point LOESS call per output value."""
+    n = len(y)
+    trend_span = decompose._next_odd(1.5 * period
+                                     / (1.0 - 1.5 / seasonal_span))
+    lowpass_span = decompose._next_odd(period)
+    trend = np.zeros(n)
+    seasonal = np.zeros(n)
+    rho = np.ones(n)
+    for outer in range(outer_iters + 1):
+        for _ in range(inner_iters):
+            detrended = y - trend
+            c = np.zeros(n + 2 * period)
+            for p in range(period):
+                sub = detrended[p::period]
+                m = len(sub)
+                span = seasonal_span
+                if span > m:
+                    span = max(m if m % 2 == 1 else m - 1, 1)
+                xs = np.arange(m, dtype=np.float64)
+                for k in range(-1, m + 1):
+                    c[p + (k + 1) * period] = _loess_at(
+                        xs, sub, float(k), span, 0, rho[p::period])
+            lp = decompose._moving_average(c, period)
+            lp = decompose._moving_average(lp, period)
+            lp = decompose._moving_average(lp, 3)
+            lp = oracle_loess_smooth(lp, lowpass_span, 1)
+            seasonal = c[period:period + n] - lp
+            trend = oracle_loess_smooth(y - seasonal, trend_span, 1, rho)
+        if outer < outer_iters:
+            rho = decompose._bisquare(y - trend - seasonal)
+    for start in range(0, n, period):
+        stop = min(start + period, n)
+        m = seasonal[start:stop].mean()
+        seasonal[start:stop] -= m
+        trend[start:stop] += m
+    return trend, seasonal, y - trend - seasonal
+
+
+class TestContiguousWindowKernel:
+    """The vectorized LOESS is bitwise equal to the per-point oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 53, 104, 157])
+    def test_loess_smooth_bitwise(self, n):
+        rng = Rng(n)
+        for span in [1, 3, 5, 7, 13, 51, 53, 101, 155, 201]:
+            for degree in (0, 1):
+                if span < degree + 1:
+                    continue
+                ys = rng.normal(0, 1, n)
+                rounded = np.round(ys, 1)  # ties in y
+                some_zero = rng.uniform(0, 1, n) * rng.bernoulli(0.6, n)
+                # weights near 1e-305 make sxx <= 1e-300 in some windows
+                for y, rw in ((ys, None), (rounded, None), (ys, some_zero),
+                              (rounded, some_zero), (ys, np.zeros(n)),
+                              (ys, 1e-305 * some_zero)):
+                    out = decompose.loess_smooth(y, span, degree, rw)
+                    assert np.array_equal(
+                        out, oracle_loess_smooth(y, span, degree, rw)), (
+                        span, degree)
+
+    # (12, 5): subseries of 3 and 2 points, so span 7 clamps to 3 and 1
+    @pytest.mark.parametrize("n, period", [(104, 52), (105, 52), (233, 52),
+                                           (312, 52), (520, 52), (12, 5)])
+    def test_stl_decompose_bitwise(self, n, period):
+        rng = Rng(n)
+        t = np.arange(n, dtype=float)
+        y = (np.abs(rng.normal(5, 2, n)).cumsum() / 50
+             + np.sin(2 * np.pi * t / period) + rng.normal(0, 0.3, n))
+        y[rng.integers(0, n, 3)] += 4.0  # outliers for the robustness pass
+        d = decompose.stl_decompose(y, period=period)
+        trend, seasonal, remainder = oracle_stl(y, period)
+        assert np.array_equal(d.trend, trend)
+        assert np.array_equal(d.seasonal, seasonal)
+        assert np.array_equal(d.remainder, remainder)
+
+
 class TestLoessSmooth:
     def test_constant_is_fixed_point(self):
         ys = np.full(5, 5.0)
