@@ -391,7 +391,8 @@ def main(argv=None) -> int:
             querysel.MappingError, evalbench.MetricError,
             trainer.TrainingError, decompose.ParameterError,
             decompose.InsufficientDataError, nk.ContractError,
-            FileNotFoundError, KeyError) as e:
+            nk.NonFiniteError, nk.ShapeError, FileNotFoundError,
+            KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,9 @@ Gate equations follow the literal form
     h' = (1 - z) * h + z * f
 with no bias terms in the gates. A conventional-GRU variant
 (f = tanh(x U_h + (r * h) W_h)) is available behind `standard_gru`.
+Each encoder runs as one `numkit.gru_sequence` tape op with fused gate
+GEMMs; the decoder, whose inputs depend on its own outputs, calls
+`gru_cell` (the same op with T = 1) once per step.
 """
 
 from __future__ import annotations
@@ -187,28 +190,15 @@ class ForecastResult:
 def gru_cell(params: GruParams, x: Tensor2, h_prev: Tensor2,
              standard: bool = False) -> Tensor2:
     """One gated-recurrent step on a (batch x in_dim) input."""
-    r = nk.sigmoid(nk.add(nk.matmul(x, params.u_r),
-                          nk.matmul(h_prev, params.w_r)))
-    if standard:
-        cand = nk.matmul(nk.mul(r, h_prev), params.w_h)
-    else:
-        cand = nk.mul(h_prev, nk.matmul(r, params.w_h))
-    f = nk.tanh(nk.add(nk.matmul(x, params.u_h), cand))
-    z = nk.sigmoid(nk.add(nk.matmul(x, params.u_z),
-                          nk.matmul(h_prev, params.w_z)))
-    one = Tensor2(np.ones(z.shape), copy=False)
-    return nk.add(nk.mul(nk.sub(one, z), h_prev), nk.mul(z, f))
+    return encode_sequence(params, [x], h_prev, standard)
 
 
 def encode_sequence(params: GruParams, steps, h0: Tensor2,
                     standard: bool = False) -> Tensor2:
-    """Fold gru_cell over a list of (batch x in_dim) input tensors."""
-    if not steps:
-        raise nk.ContractError("encoder needs at least one input step")
-    h = h0
-    for x in steps:
-        h = gru_cell(params, x, h, standard)
-    return h
+    """Run the GRU over a list of (batch x in_dim) input tensors as one
+    tape op; returns the final state."""
+    return nk.gru_sequence(steps, h0, params.u_z, params.u_r, params.u_h,
+                           params.w_z, params.w_r, params.w_h, standard)
 
 
 def encode_ili(params: GruParams, x_des: np.ndarray, h0: Tensor2,
@@ -341,7 +331,11 @@ def forecast(model: ModelParams, country: str, sample) -> ForecastResult:
 
 def save_checkpoint(path: str, model: ModelParams, extra: dict = None
                     ) -> None:
-    """Versioned JSON checkpoint; float data round-trips bit-exactly."""
+    """Versioned JSON checkpoint; float data round-trips bit-exactly.
+
+    `meta.l_queries` is the model's L, the largest query count of any
+    country; the query list of each country belongs in `extra`.
+    """
     doc = {
         "format": "flucast-checkpoint",
         "version": 1,
@@ -365,7 +359,10 @@ def save_checkpoint(path: str, model: ModelParams, extra: dict = None
 
 
 def load_checkpoint(path: str) -> tuple:
-    """Rebuild a ModelParams (plus the extra dict) from a checkpoint."""
+    """Rebuild a ModelParams (plus the extra dict) from a checkpoint.
+
+    A tensor holding NaN or inf is refused with a ContractError naming it.
+    """
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     if doc.get("format") != "flucast-checkpoint":
@@ -385,5 +382,8 @@ def load_checkpoint(path: str) -> tuple:
     for name, t in params.items():
         entry = saved[name]
         arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        if not np.all(np.isfinite(arr)):
+            raise nk.ContractError(
+                f"{path}: checkpoint tensor {name} holds non-finite values")
         t.data = arr
     return model, doc["extra"]

@@ -3,7 +3,10 @@
 All higher-level model code computes on `Tensor2` values. Gradients are
 recorded on an explicit `GradTape` at tensor-operation granularity: each
 primitive appends one entry, so the tape order is already topological and
-`backward` is a single reverse sweep.
+`backward` is a single reverse sweep. Primitives range from elementwise
+ops to whole model layers: `dot_attention` is one entry, and
+`gru_sequence` runs a GRU over T steps with fused gate GEMMs and a
+hand-written BPTT backward as one entry.
 """
 
 from __future__ import annotations
@@ -104,11 +107,15 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _emit(out_data, inputs, backward_fn, op: str) -> Tensor2:
-    out = Tensor2(_finite(out_data, op), copy=False)
+def _record(out_data, inputs, backward_fn) -> Tensor2:
+    out = Tensor2(out_data, copy=False)
     if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.record(out, inputs, backward_fn)
     return out
+
+
+def _emit(out_data, inputs, backward_fn, op: str) -> Tensor2:
+    return _record(_finite(out_data, op), inputs, backward_fn)
 
 
 def matmul(a: Tensor2, b: Tensor2) -> Tensor2:
@@ -140,14 +147,6 @@ def mul(a: Tensor2, b: Tensor2) -> Tensor2:
                  lambda g: [g * b.data, g * a.data], "mul")
 
 
-def sigmoid(a: Tensor2) -> Tensor2:
-    # Split by sign so exp never overflows.
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return _emit(out, [a], lambda g: [g * out * (1.0 - out)], "sigmoid")
-
-
 def tanh(a: Tensor2) -> Tensor2:
     out = np.tanh(a.data)
     return _emit(out, [a], lambda g: [g * (1.0 - out * out)], "tanh")
@@ -162,13 +161,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient at the softmax input, given its output and output grad."""
     return out * (g - (g * out).sum(axis=1, keepdims=True))
-
-
-def softmax_row(a: Tensor2) -> Tensor2:
-    if a.data.size == 0:
-        raise ContractError("softmax_row of empty tensor")
-    out = _softmax(a.data)
-    return _emit(out, [a], lambda g: [_softmax_grad(out, g)], "softmax_row")
 
 
 def hstack(tensors) -> Tensor2:
@@ -266,6 +258,108 @@ def dot_attention(query: Tensor2, w_q: Tensor2, w_k: Tensor2,
 
     out = _emit(ctx, [query, w_q, w_k, w_v] + keys, bw, "dot_attention")
     return out, Tensor2(weights, copy=False)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function as 0.5 tanh(x/2) + 0.5, which cannot overflow.
+
+    Its derivative is s (1 - s) for s = _sigmoid(x).
+    """
+    return 0.5 * np.tanh(0.5 * x) + 0.5
+
+
+def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
+                 u_h: Tensor2, w_z: Tensor2, w_r: Tensor2, w_h: Tensor2,
+                 standard: bool = False) -> Tensor2:
+    """Final state of a bias-free GRU run over T >= 1 (B x in) step inputs.
+
+    Each step computes
+        z = sigmoid(x U_z + h W_z),  r = sigmoid(x U_r + h W_r),
+        f = tanh(x U_h + h * (r W_h))    (literal form), or
+        f = tanh(x U_h + (r * h) W_h)    (standard form),
+        h' = (1 - z) * h + z * f.
+    The input projections of all T steps are one GEMM with [U_z|U_r|U_h],
+    and each step's hidden projection is one GEMM with [W_z|W_r]. The
+    (T, B, 3M) pre-activations are checked once: every matmul term and
+    product enters one of them, so an inf that a saturated sigmoid or
+    tanh would hide is still caught. The backward is BPTT in one reverse
+    loop, with the weight gradients as one GEMM each over all steps.
+    """
+    steps = list(steps)
+    if not steps:
+        raise ContractError("gru_sequence needs at least one step")
+    b, m = h0.shape
+    n_in = u_z.rows
+    if (any(x.shape != (b, n_in) for x in steps)
+            or any(u.shape != (n_in, m) for u in (u_z, u_r, u_h))
+            or any(w.shape != (m, m) for w in (w_z, w_r, w_h))):
+        raise ShapeError(
+            f"gru_sequence shape mismatch: h0 {h0.shape}, steps "
+            f"{sorted({x.shape for x in steps})}, maps "
+            f"{[t.shape for t in (u_z, u_r, u_h, w_z, w_r, w_h)]}")
+    t_len = len(steps)
+    x_all = np.concatenate([x.data for x in steps])
+    u_all = np.concatenate([u_z.data, u_r.data, u_h.data], axis=1)
+    w_zr = np.concatenate([w_z.data, w_r.data], axis=1)
+    pre = (x_all @ u_all).reshape(t_len, b, 3 * m)
+    gates = np.empty((t_len, b, 2 * m))  # z | r
+    cand = np.empty((t_len, b, m))  # f
+    mix = np.empty((t_len, b, m))  # r * h (standard) or r W_h (literal)
+    states = np.empty((t_len + 1, b, m))
+    states[0] = h0.data
+    for t in range(t_len):
+        h, a = states[t], pre[t]
+        a[:, :2 * m] += h @ w_zr
+        gates[t] = _sigmoid(a[:, :2 * m])
+        z, r = gates[t, :, :m], gates[t, :, m:]
+        if standard:
+            mix[t] = r * h
+            a[:, 2 * m:] += mix[t] @ w_h.data
+        else:
+            mix[t] = r @ w_h.data
+            a[:, 2 * m:] += h * mix[t]
+        cand[t] = np.tanh(a[:, 2 * m:])
+        states[t + 1] = (1.0 - z) * h + z * cand[t]
+    finite = np.isfinite(pre).reshape(t_len, -1).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(f"gru_sequence produced non-finite values at "
+                             f"step {int(np.argmin(finite)) + 1} of {t_len}")
+
+    def bw(g):
+        d_pre = np.empty_like(pre)
+        dh = g
+        for t in range(t_len - 1, -1, -1):
+            h, f, d_a = states[t], cand[t], d_pre[t]
+            z, r = gates[t, :, :m], gates[t, :, m:]
+            d_a[:, :m] = dh * (f - h) * z * (1.0 - z)
+            d_a[:, 2 * m:] = dh * z * (1.0 - f * f)
+            dh_prev = dh * (1.0 - z)
+            if standard:
+                d_rh = d_a[:, 2 * m:] @ w_h.data.T
+                d_a[:, m:2 * m] = d_rh * h * r * (1.0 - r)
+                dh_prev += d_rh * r
+            else:
+                dh_prev += d_a[:, 2 * m:] * mix[t]
+                d_a[:, m:2 * m] = ((d_a[:, 2 * m:] * h) @ w_h.data.T
+                                   * r * (1.0 - r))
+            dh_prev += d_a[:, :2 * m] @ w_zr.T
+            dh = dh_prev
+        d_flat = d_pre.reshape(-1, 3 * m)
+        h_flat = states[:-1].reshape(-1, m)
+        d_x = d_flat @ u_all.T
+        d_u = x_all.T @ d_flat
+        d_wzr = h_flat.T @ d_flat[:, :2 * m]
+        if standard:
+            d_wh = mix.reshape(-1, m).T @ d_flat[:, 2 * m:]
+        else:
+            d_wh = (gates[:, :, m:].reshape(-1, m).T
+                    @ (d_flat[:, 2 * m:] * h_flat))
+        return [d_x[t * b:(t + 1) * b] for t in range(t_len)] + [
+            dh, d_u[:, :m], d_u[:, m:2 * m], d_u[:, 2 * m:],
+            d_wzr[:, :m], d_wzr[:, m:], d_wh]
+
+    return _record(states[-1].copy(), steps + [h0, u_z, u_r, u_h, w_z,
+                                               w_r, w_h], bw)
 
 
 def mean_all(a: Tensor2) -> Tensor2:

@@ -137,7 +137,7 @@ def _restore(model, snap):
 
 
 def _query_count(config: TrainConfig, data: dict) -> int:
-    """L of the first country; gru_baseline needs one L for every country."""
+    """The largest L of any country; gru_baseline needs one L for all."""
     for c in sorted(data):
         if not data[c]["train"]:
             raise TrainingError(f"no training samples for country {c}")
@@ -148,7 +148,7 @@ def _query_count(config: TrainConfig, data: dict) -> int:
             "gru_baseline needs the same number of queries in every "
             "country, got " + ", ".join(f"{c}: L={counts[c]}"
                                         for c in sorted(counts)))
-    return next(iter(counts.values()))
+    return max(counts.values())
 
 
 def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,

@@ -18,11 +18,14 @@ from flucast.numkit import Rng, Tensor2
 class TestGradientFidelity:
     """Analytic gradients match central finite differences."""
 
-    def test_full_model_gradients(self):
+    @pytest.mark.parametrize("standard_gru", [False, True],
+                             ids=["literal", "standard"])
+    def test_full_model_gradients(self, standard_gru):
         m, n, s, l, b = 4, 8, 2, 2, 3
         model = fluenet.ModelParams(m=m, n_in=n, s_out=s, l_queries=l,
                                     countries=["US"], seed=17,
-                                    use_country_embedding=True)
+                                    use_country_embedding=True,
+                                    standard_gru=standard_gru)
         rng = Rng(18)
         x = rng.normal(0, 1, (b, n))
         q = rng.uniform(0, 1, (b, n, l))
@@ -37,7 +40,9 @@ class TestGradientFidelity:
             loss = trainer.mse_loss(o_hat, o)
         nk.backward(tape, loss)
 
-        step = 1e-5
+        # At 1e-5 the quotient's roundoff, ~eps * loss / step, is 1e-4 of
+        # a gradient near the 1e-8 floor; 1e-4 lowers the worst error.
+        step = 1e-4
         worst = 0.0
         checked = 0
         for name, p in model.named_params().items():

@@ -283,6 +283,23 @@ class TestTrainCommand:
         assert header == "epoch,train_mse,val_mse_JP,val_mse_US"
 
 
+    @pytest.mark.filterwarnings("ignore:JP. query")
+    def test_multi_run_records_largest_query_count(self, tmp_path):
+        config = build_workspace(tmp_path)
+        path = tmp_path / "trends" / "JP" / (datahub.query_slug(QUERIES[0])
+                                             + ".csv")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0]] + [
+            ln.split(",")[0] + ",1.0" for ln in lines[1:]]) + "\n",
+            encoding="utf-8")
+        assert run(config, tmp_path / "out", "train", "--mode", "multi") == 0
+        ckpt = json.loads((tmp_path / "out" / "checkpoint.json"
+                           ).read_text(encoding="utf-8"))
+        counts = [len(ckpt["extra"][f"queries.{c}"]) for c in ("JP", "US")]
+        assert counts == [1, 2]
+        assert ckpt["meta"]["l_queries"] == max(counts)
+
+
 class TestEvaluateCommand:
     def test_reports_baselines_and_attention(self, trained_single,
                                              tmp_path):
@@ -448,6 +465,65 @@ class TestBadInput:
                    str(trained / "checkpoint.json")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: US: queries") and "differ" in err
+
+    def edited_checkpoint(self, trained, tmp_path, name, edit):
+        """A copy of the trained checkpoint with one tensor edited."""
+        doc = json.loads((trained / "checkpoint.json"
+                          ).read_text(encoding="utf-8"))
+        edit(doc["tensors"][name])
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    def test_non_finite_checkpoint_refused(self, trained_single, tmp_path,
+                                           capsys, command):
+        config, trained = trained_single
+
+        def put_nan(entry):
+            entry["data"][0] = float("nan")
+
+        ckpt = self.edited_checkpoint(trained, tmp_path,
+                                      "shared.decoder.w_h", put_nan)
+        assert run(config, tmp_path / "out", command, "--checkpoint",
+                   ckpt) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "shared.decoder.w_h" in err and "non-finite" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    def test_overflow_in_forward_is_one_line(self, trained_single, tmp_path,
+                                             capsys, command):
+        config, trained = trained_single
+
+        def huge(entry):
+            entry["data"] = [1.7e308] * len(entry["data"])
+
+        ckpt = self.edited_checkpoint(trained, tmp_path,
+                                      "shared.ili_encoder.u_h", huge)
+        assert run(config, tmp_path / "out", command, "--checkpoint",
+                   ckpt) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gru_sequence produced non-finite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    def test_reshaped_checkpoint_tensor_is_one_line(self, trained_single,
+                                                    tmp_path, capsys,
+                                                    command):
+        config, trained = trained_single
+
+        def flatten(entry):
+            entry["shape"] = [1, len(entry["data"])]
+
+        ckpt = self.edited_checkpoint(trained, tmp_path,
+                                      "shared.decoder.w_h", flatten)
+        assert run(config, tmp_path / "out", command, "--checkpoint",
+                   ckpt) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "shape mismatch" in err
 
     def test_gru_baseline_with_fewer_queries_refused(self, workspace,
                                                      tmp_path, capsys):

@@ -20,6 +20,35 @@ def random_gru(rng, in_dim, m):
         w_h=Tensor2(rng.normal(0, 0.5, (m, m))))
 
 
+def tape_sigmoid(a):
+    """The sign-split exp sigmoid as its own tape op, as numkit had it."""
+    e = np.exp(-np.abs(a.data))
+    out = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return nk._emit(out, [a], lambda g: [g * out * (1.0 - out)], "sigmoid")
+
+
+def per_op_gru_cell(params, x, h_prev, standard=False):
+    """Oracle: one GRU step built from elementwise tape ops."""
+    r = tape_sigmoid(nk.add(nk.matmul(x, params.u_r),
+                            nk.matmul(h_prev, params.w_r)))
+    if standard:
+        cand = nk.matmul(nk.mul(r, h_prev), params.w_h)
+    else:
+        cand = nk.mul(h_prev, nk.matmul(r, params.w_h))
+    f = nk.tanh(nk.add(nk.matmul(x, params.u_h), cand))
+    z = tape_sigmoid(nk.add(nk.matmul(x, params.u_z),
+                            nk.matmul(h_prev, params.w_z)))
+    one = Tensor2(np.ones(z.shape), copy=False)
+    return nk.add(nk.mul(nk.sub(one, z), h_prev), nk.mul(z, f))
+
+
+def per_op_encode(params, steps, h0, standard=False):
+    h = h0
+    for x in steps:
+        h = per_op_gru_cell(params, x, h, standard)
+    return h
+
+
 class TestGruCell:
     def test_numpy_transcription_oracle(self):
         rng = Rng(11)
@@ -76,10 +105,88 @@ class TestGruCell:
         assert np.array_equal(via.data, h.data)
 
 
+class TestGruSequence:
+    """The fused encoder against the per-op oracle loop."""
+
+    def states_and_grads(self, encode, params, embed, steps, b, standard,
+                         weights):
+        """Final state and the gradients of a weighted sum of it."""
+        m = params.w_h.rows
+        for t in list(vars(params).values()) + steps:
+            t.grad = None
+        with nk.GradTape() as tape:
+            if embed is None:
+                h0 = nk.zeros(b, m)
+            else:
+                onehot = np.zeros((b, embed.rows))
+                onehot[:, 1] = 1.0
+                h0 = nk.matmul(Tensor2(onehot), embed)
+            h = encode(params, steps, h0, standard)
+            loss = nk.mean_all(nk.mul(h, Tensor2(weights)))
+        nk.backward(tape, loss)
+        grads = {n: t.grad for n, t in vars(params).items()}
+        grads.update((f"x{t}", x.grad) for t, x in enumerate(steps))
+        if embed is not None:
+            grads["embed"] = embed.grad
+        return h.data, grads
+
+    @pytest.mark.parametrize("standard", [False, True],
+                             ids=["literal", "standard"])
+    @pytest.mark.parametrize("in_dim", [1, 4], ids=["ili", "gru_baseline"])
+    @pytest.mark.parametrize("t_len", [1, 26])
+    @pytest.mark.parametrize("embedded", [True, False],
+                             ids=["embedding", "zeros"])
+    def test_matches_per_op_loop(self, standard, in_dim, t_len, embedded):
+        rng = Rng(70)
+        b, m = 5, 4
+        params = random_gru(rng, in_dim, m)
+        embed = Tensor2(rng.normal(0, 0.5, (2, m))) if embedded else None
+        steps = [Tensor2(rng.uniform(-1, 1, (b, in_dim)))
+                 for _ in range(t_len)]
+        weights = rng.normal(0, 1, (b, m))
+        want, want_g = self.states_and_grads(per_op_encode, params, embed,
+                                             steps, b, standard, weights)
+        got, got_g = self.states_and_grads(fluenet.encode_sequence, params,
+                                           embed, steps, b, standard,
+                                           weights)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert set(got_g) == set(want_g)
+        for name in want_g:
+            if t_len > 1:
+                assert np.any(want_g[name] != 0.0), name
+            assert np.max(np.abs(got_g[name] - want_g[name])) < 1e-12, name
+
+    def test_hidden_inf_at_middle_step_raises(self):
+        rng = Rng(71)
+        params = random_gru(rng, 1, 3)
+        xs = rng.normal(0, 1, (2, 26))
+        xs[1, 13] = np.inf
+        # The gates saturate, so an unchecked run ends in a finite state.
+        u_z, u_r, u_h, w_z, w_r, w_h = (t.data for t in vars(params).values())
+        h = np.zeros((2, 3))
+        for t in range(26):
+            x = xs[:, t:t + 1]
+            r = sigmoid(x @ u_r + h @ w_r)
+            f = np.tanh(x @ u_h + h * (r @ w_h))
+            z = sigmoid(x @ u_z + h @ w_z)
+            h = (1.0 - z) * h + z * f
+        assert np.all(np.isfinite(h))
+        with pytest.raises(nk.NonFiniteError, match="step 14 of 26"):
+            fluenet.encode_ili(params, xs, nk.zeros(2, 3))
+
+    def test_encoder_adds_one_tape_entry(self):
+        rng = Rng(72)
+        params = random_gru(rng, 1, 3)
+        with nk.GradTape() as tape:
+            fluenet.encode_ili(params, rng.normal(0, 1, (2, 9)),
+                               nk.zeros(2, 3))
+        assert len(tape) == 1
+
+
 def per_query_encode(params, q, h0, standard):
-    """Reference: one encode_sequence loop per query column."""
+    """Reference: one per-op GRU loop per query column."""
     n, l = q.shape[1], q.shape[2]
-    return [fluenet.encode_sequence(
+    return [per_op_encode(
         params, [Tensor2(q[:, t, j:j + 1]) for t in range(n)], h0, standard)
         for j in range(l)]
 

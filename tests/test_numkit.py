@@ -46,7 +46,18 @@ class TestMatmul:
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
-        assert nk.sigmoid(Tensor2([[0.0]])).data[0, 0] == 0.5
+        assert nk._sigmoid(np.array([[0.0]]))[0, 0] == 0.5
+
+    def test_sigmoid_saturates_without_overflow(self):
+        out = nk._sigmoid(np.array([[-1000.0, 1000.0]]))
+        assert np.array_equal(out, [[0.0, 1.0]])
+
+    def test_sigmoid_matches_exp_form(self):
+        # Within one ulp of 1.0 of the sign-split exp form it replaced.
+        x = np.linspace(-40.0, 40.0, 20001)
+        e = np.exp(-np.abs(x))
+        exp_form = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.max(np.abs(nk._sigmoid(x) - exp_form)) <= np.spacing(1.0)
 
     def test_tanh_at_zero(self):
         assert nk.tanh(Tensor2([[0.0]])).data[0, 0] == 0.0
@@ -67,25 +78,27 @@ class TestElementwise:
 
 
 class TestSoftmaxRow:
+    """The row softmax behind dot_attention, shifted by the row max."""
+
     def test_symmetry(self):
-        assert np.allclose(nk.softmax_row(Tensor2([[0.0, 0.0]])).data,
+        assert np.allclose(nk._softmax(np.array([[0.0, 0.0]])),
                            [[0.5, 0.5]], atol=1e-15)
 
     def test_large_inputs_no_overflow(self):
-        out = nk.softmax_row(Tensor2([[1000.0, 1000.0]]))
-        assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-15)
+        out = nk._softmax(np.array([[1000.0, 1000.0]]))
+        assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_direct_formula(self):
-        out = nk.softmax_row(Tensor2([[np.log(1.0), np.log(3.0)]]))
-        assert np.max(np.abs(out.data - [[0.25, 0.75]])) < 1e-12
+        out = nk._softmax(np.array([[np.log(1.0), np.log(3.0)]]))
+        assert np.max(np.abs(out - [[0.25, 0.75]])) < 1e-12
 
     def test_rows_sum_to_one_and_shift_invariance(self):
         rng = nk.Rng(3)
         for _ in range(20):
             x = rng.uniform(-5, 5, (4, 6))
-            out = nk.softmax_row(Tensor2(x)).data
+            out = nk._softmax(x)
             assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
-            shifted = nk.softmax_row(Tensor2(x + 3.7)).data
+            shifted = nk._softmax(x + 3.7)
             assert np.max(np.abs(out - shifted)) < 1e-12
 
 
@@ -130,8 +143,7 @@ class TestBackward:
         assert_grad_close(a.grad, finite_difference(loss, a.data))
         assert_grad_close(b.grad, finite_difference(loss, b.data))
 
-    @pytest.mark.parametrize("op", [nk.sigmoid, nk.tanh],
-                             ids=["sigmoid", "tanh"])
+    @pytest.mark.parametrize("op", [nk.tanh], ids=["tanh"])
     def test_unary_primitives_match_finite_differences(self, op):
         rng = nk.Rng(19)
         a = Tensor2(rng.uniform(-2, 2, (3, 4)))
@@ -146,21 +158,24 @@ class TestBackward:
         nk.backward(tape, l)
         assert_grad_close(a.grad, finite_difference(loss, a.data))
 
-    def test_matmul_softmax_chain_matches_finite_differences(self):
+    def test_sigmoid_derivative_matches_finite_differences(self):
+        x = nk.Rng(19).uniform(-4, 4, (3, 4))
+        s = nk._sigmoid(x)
+        step = 1e-6
+        fd = (nk._sigmoid(x + step) - nk._sigmoid(x - step)) / (2 * step)
+        assert_grad_close(s * (1.0 - s), fd)
+
+    def test_softmax_grad_matches_finite_differences(self):
         rng = nk.Rng(23)
-        a = Tensor2(rng.uniform(-1, 1, (2, 3)))
-        b = Tensor2(rng.uniform(-1, 1, (3, 4)))
+        x = rng.uniform(-1, 1, (2, 4))
+        c = rng.uniform(-1, 1, (2, 4))
 
         def loss():
-            y = nk.softmax_row(nk.matmul(a, b))
-            return nk.mean_all(nk.mul(y, y)).item()
+            return float(np.mean(nk._softmax(x) ** 2 * c))
 
-        with nk.GradTape() as tape:
-            y = nk.softmax_row(nk.matmul(a, b))
-            l = nk.mean_all(nk.mul(y, y))
-        nk.backward(tape, l)
-        assert_grad_close(a.grad, finite_difference(loss, a.data))
-        assert_grad_close(b.grad, finite_difference(loss, b.data))
+        out = nk._softmax(x)
+        analytic = nk._softmax_grad(out, 2.0 * out * c / x.size)
+        assert_grad_close(analytic, finite_difference(loss, x))
 
     def test_hstack_gradients(self):
         rng = nk.Rng(29)
@@ -245,6 +260,41 @@ class TestBackward:
         nk.backward(tape, l_)
         for t in [query] + maps + keys:
             assert_grad_close(t.grad, finite_difference(loss, t.data))
+
+    @pytest.mark.parametrize("standard", [False, True],
+                             ids=["literal", "standard"])
+    def test_gru_sequence_gradients(self, standard):
+        rng = nk.Rng(43)
+        t_len, b, n_in, m = 4, 3, 2, 3
+        steps = [Tensor2(rng.uniform(-1, 1, (b, n_in)))
+                 for _ in range(t_len)]
+        h0 = Tensor2(rng.uniform(-1, 1, (b, m)))
+        maps = [Tensor2(rng.normal(0, 0.7, shape))
+                for shape in [(n_in, m)] * 3 + [(m, m)] * 3]
+        c = Tensor2(rng.uniform(-1, 1, (b, m)))
+
+        def run():
+            h = nk.gru_sequence(steps, h0, *maps, standard)
+            return nk.mean_all(nk.mul(nk.mul(h, h), c))
+
+        with nk.GradTape() as tape:
+            l_ = run()
+            assert len(tape) == 4
+        nk.backward(tape, l_)
+        for t in steps + [h0] + maps:
+            fd = finite_difference(lambda: run().item(), t.data)
+            assert np.allclose(t.grad, fd, rtol=1e-5, atol=1e-9)
+            assert_grad_close(t.grad, fd)
+
+    def test_gru_sequence_contract(self):
+        h0 = nk.zeros(2, 3)
+        maps = [nk.zeros(*shape) for shape in [(1, 3)] * 3 + [(3, 3)] * 3]
+        with pytest.raises(nk.ContractError):
+            nk.gru_sequence([], h0, *maps)
+        with pytest.raises(nk.ShapeError, match="gru_sequence"):
+            nk.gru_sequence([nk.zeros(2, 2)], h0, *maps)
+        with pytest.raises(nk.ShapeError, match="gru_sequence"):
+            nk.gru_sequence([nk.zeros(3, 1)], h0, *maps)
 
     def test_non_scalar_loss_rejected(self):
         with nk.GradTape() as tape:
