@@ -407,6 +407,18 @@ def corrupt(path, lineno):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def put_nan(entry):
+    entry["data"][0] = float("nan")
+
+
+def put_huge(entry):
+    entry["data"] = [1.7e308] * len(entry["data"])
+
+
+def flatten(entry):
+    entry["shape"] = [1, len(entry["data"])]
+
+
 class TestBadInput:
     """Bad input ends in one 'error:' line and exit code 1."""
 
@@ -466,64 +478,29 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: US: queries") and "differ" in err
 
-    def edited_checkpoint(self, trained, tmp_path, name, edit):
-        """A copy of the trained checkpoint with one tensor edited."""
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    @pytest.mark.parametrize("name, edit, message", [
+        ("shared.decoder.w_h", put_nan,
+         "checkpoint tensor shared.decoder.w_h holds non-finite values"),
+        pytest.param("shared.ili_encoder.u_h", put_huge,
+                     "gru_sequence produced non-finite values",
+                     marks=pytest.mark.filterwarnings("ignore:overflow")),
+        ("shared.decoder.w_h", flatten, "shape mismatch")],
+        ids=["nan", "overflow", "reshaped"])
+    def test_bad_checkpoint_tensor_is_one_line(self, trained_single,
+                                               tmp_path, capsys, command,
+                                               name, edit, message):
+        config, trained = trained_single
         doc = json.loads((trained / "checkpoint.json"
                           ).read_text(encoding="utf-8"))
         edit(doc["tensors"][name])
-        path = tmp_path / "edited.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        return str(path)
-
-    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
-    def test_non_finite_checkpoint_refused(self, trained_single, tmp_path,
-                                           capsys, command):
-        config, trained = trained_single
-
-        def put_nan(entry):
-            entry["data"][0] = float("nan")
-
-        ckpt = self.edited_checkpoint(trained, tmp_path,
-                                      "shared.decoder.w_h", put_nan)
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
         assert run(config, tmp_path / "out", command, "--checkpoint",
-                   ckpt) == 1
+                   str(ckpt)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "shared.decoder.w_h" in err and "non-finite" in err
-
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
-    def test_overflow_in_forward_is_one_line(self, trained_single, tmp_path,
-                                             capsys, command):
-        config, trained = trained_single
-
-        def huge(entry):
-            entry["data"] = [1.7e308] * len(entry["data"])
-
-        ckpt = self.edited_checkpoint(trained, tmp_path,
-                                      "shared.ili_encoder.u_h", huge)
-        assert run(config, tmp_path / "out", command, "--checkpoint",
-                   ckpt) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: gru_sequence produced non-finite")
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
-    def test_reshaped_checkpoint_tensor_is_one_line(self, trained_single,
-                                                    tmp_path, capsys,
-                                                    command):
-        config, trained = trained_single
-
-        def flatten(entry):
-            entry["shape"] = [1, len(entry["data"])]
-
-        ckpt = self.edited_checkpoint(trained, tmp_path,
-                                      "shared.decoder.w_h", flatten)
-        assert run(config, tmp_path / "out", command, "--checkpoint",
-                   ckpt) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "shape mismatch" in err
+        assert message in err
 
     def test_gru_baseline_with_fewer_queries_refused(self, workspace,
                                                      tmp_path, capsys):
