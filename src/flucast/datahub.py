@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import os
 import re
 import warnings
@@ -33,6 +34,7 @@ class AlignmentError(DataError):
     pass
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_week(text: str) -> int:
     """Parse 'YYYY-Www' to a week index; returns -1 for dropped week 53."""
     m = _WEEK_RE.match(text.strip())
@@ -131,25 +133,46 @@ class SplitPlan:
         return self.train[1] - self.train[0] + 1
 
 
-def _fields(path: str, lineno: int, row: dict, names) -> list:
-    """The named fields of one CSV row; a short row is a DataError."""
-    missing = [n for n in names if row.get(n) is None]
-    if missing:
-        raise DataError(f"{path}:{lineno}: row has no {', '.join(missing)}")
-    return [row[n] for n in names]
+def _columns(header, names) -> list:
+    """Index of each named column in a CSV header, None where absent.
+
+    A repeated name gives its last column, as `csv.DictReader` does.
+    """
+    index = {name: i for i, name in enumerate(header or ())}
+    return [index.get(n) for n in names]
+
+
+def _rows(reader):
+    """(line number, row) for each non-blank data row after the header.
+
+    Blank lines are skipped as `csv.DictReader` skips them, and not
+    counted: the number is the row's line in the file without them.
+    """
+    return enumerate(filter(None, reader), start=2)
+
+
+def _fields(path: str, lineno: int, row: list, cols, names) -> list:
+    """The fields at `cols` of one CSV row; a short row is a DataError."""
+    try:
+        return [row[c] for c in cols]
+    except (IndexError, TypeError):  # past the row's end, or no column
+        missing = [n for n, c in zip(names, cols)
+                   if c is None or c >= len(row)]
+        raise DataError(f"{path}:{lineno}: row has no {', '.join(missing)}"
+                        ) from None
 
 
 def load_ili(path: str) -> dict:
     """Read ili.csv (iso_week,country,ili_rate) into per-country series."""
     rows = {}
+    names = ("iso_week", "country", "ili_rate")
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"iso_week", "country", "ili_rate"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise DataError(f"{path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            week, country, rate = _fields(path, lineno, row, (
-                "iso_week", "country", "ili_rate"))
+        reader = csv.reader(f)
+        cols = _columns(next(reader, None), names)
+        if None in cols:
+            raise DataError(f"{path}: header must contain {sorted(names)}")
+        for lineno, row in _rows(reader):
+            week, country, rate = _fields(path, lineno, row, cols, names)
             try:
                 idx = parse_week(week)
                 rate = float(rate)
@@ -192,12 +215,19 @@ def query_slug(query: str) -> str:
 def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
     """One query's trends CSV (iso_week,value) aligned to the series weeks.
 
-    Missing interior weeks are forward-filled; leading gaps are zero.
+    A series week missing from the file takes the value of the latest
+    file week at or before it that is not before the series start, or
+    0.0 when there is none: file weeks before `series.start` are never
+    carried in, so leading gaps are zero even when the file starts
+    earlier. A repeated week keeps its last value; week 53 is dropped.
     """
+    names = ("iso_week", "value")
     by_week = {}
     with open(path, newline="", encoding="utf-8") as f:
-        for lineno, row in enumerate(csv.DictReader(f), start=2):
-            week, value = _fields(path, lineno, row, ("iso_week", "value"))
+        reader = csv.reader(f)
+        cols = _columns(next(reader, None), names)
+        for lineno, row in _rows(reader):
+            week, value = _fields(path, lineno, row, cols, names)
             try:
                 idx = parse_week(week)
                 value = float(value)
@@ -205,12 +235,11 @@ def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
                 raise DataError(f"{path}:{lineno}: {e}") from None
             if idx >= 0:
                 by_week[idx] = value
-    values, last = np.zeros(len(series)), 0.0
-    for i, week in enumerate(series.weeks()):
-        if week in by_week:
-            last = by_week[week]
-        values[i] = last
-    return values
+    weeks = sorted(w for w in by_week if w >= series.start)
+    filled = np.array([0.0] + [by_week[w] for w in weeks])
+    at = np.searchsorted(np.array(weeks, dtype=np.int64), series.weeks(),
+                         side="right")
+    return filled[at]
 
 
 def load_trends(trends_dir: str, country: str, queries,

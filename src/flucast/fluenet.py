@@ -329,6 +329,11 @@ def forecast(model: ModelParams, country: str, sample) -> ForecastResult:
                           else weights[0].copy())
 
 
+# The ModelParams arguments a checkpoint's `meta` holds.
+_META_KEYS = ("m", "n_in", "s_out", "l_queries", "countries", "seed",
+              "use_queries", "use_country_embedding", "standard_gru", "arch")
+
+
 def save_checkpoint(path: str, model: ModelParams, extra: dict = None
                     ) -> None:
     """Versioned JSON checkpoint; float data round-trips bit-exactly.
@@ -339,13 +344,7 @@ def save_checkpoint(path: str, model: ModelParams, extra: dict = None
     doc = {
         "format": "flucast-checkpoint",
         "version": 1,
-        "meta": {
-            "m": model.m, "n_in": model.n_in, "s_out": model.s_out,
-            "l_queries": model.l_queries, "countries": model.countries,
-            "seed": model.seed, "use_queries": model.use_queries,
-            "use_country_embedding": model.use_country_embedding,
-            "standard_gru": model.standard_gru, "arch": model.arch,
-        },
+        "meta": {k: getattr(model, k) for k in _META_KEYS},
         "extra": extra or {},
         "tensors": {
             name: {"shape": [t.rows, t.cols],
@@ -361,27 +360,59 @@ def save_checkpoint(path: str, model: ModelParams, extra: dict = None
 def load_checkpoint(path: str) -> tuple:
     """Rebuild a ModelParams (plus the extra dict) from a checkpoint.
 
-    A tensor holding NaN or inf is refused with a ContractError naming it.
+    Only what `save_checkpoint` writes is accepted. Anything else is a
+    ContractError naming the file and the key or tensor: a file that is
+    not JSON, another format or version, a missing `meta` key, a tensor
+    missing, unexpected or of another shape than the model layout, or a
+    tensor holding NaN or inf.
     """
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("format") != "flucast-checkpoint":
-        raise ValueError(f"{path} is not a flucast checkpoint")
-    meta = doc["meta"]
-    model = ModelParams(m=meta["m"], n_in=meta["n_in"], s_out=meta["s_out"],
-                        l_queries=meta["l_queries"],
-                        countries=meta["countries"], seed=meta["seed"],
-                        use_queries=meta["use_queries"],
-                        use_country_embedding=meta["use_country_embedding"],
-                        standard_gru=meta["standard_gru"], arch=meta["arch"])
-    params = model.named_params()
-    saved = doc["tensors"]
-    if set(params) != set(saved):
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as e:
+        raise nk.ContractError(f"{path}: not a JSON checkpoint: {e}"
+                               ) from None
+    if not isinstance(doc, dict) or doc.get("format") != "flucast-checkpoint":
         raise nk.ContractError(
-            "checkpoint tensor names do not match model layout")
+            f"{path}: not a flucast checkpoint (format is not "
+            f"'flucast-checkpoint')")
+    if doc.get("version") != 1:
+        raise nk.ContractError(
+            f"{path}: checkpoint version {doc.get('version')!r} is not 1")
+    meta, saved = doc.get("meta"), doc.get("tensors")
+    for key, value in (("meta", meta), ("tensors", saved),
+                       ("extra", doc.get("extra"))):
+        if not isinstance(value, dict):
+            raise nk.ContractError(
+                f"{path}: checkpoint key {key} is missing or not an object")
+    missing = [k for k in _META_KEYS if k not in meta]
+    if missing:
+        raise nk.ContractError(
+            f"{path}: checkpoint meta lacks {', '.join(missing)}")
+    try:
+        model = ModelParams(**{k: meta[k] for k in _META_KEYS})
+    except (TypeError, ValueError) as e:
+        raise nk.ContractError(f"{path}: checkpoint meta: {e}") from None
+    params = model.named_params()
+    unknown = sorted(set(saved) - set(params))
+    absent = [n for n in params if n not in saved]
+    if unknown or absent:
+        raise nk.ContractError(
+            f"{path}: checkpoint tensors do not match the model layout: "
+            f"missing {absent}, unexpected {unknown}")
     for name, t in params.items():
-        entry = saved[name]
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        entry, shape = saved[name], [t.rows, t.cols]
+        if not isinstance(entry, dict) or entry.get("shape") != shape:
+            got = entry.get("shape") if isinstance(entry, dict) else None
+            raise nk.ContractError(
+                f"{path}: checkpoint tensor {name} shape mismatch: saved "
+                f"{got}, model layout {shape}")
+        try:
+            arr = np.array(entry["data"], dtype=np.float64).reshape(shape)
+        except (KeyError, TypeError, ValueError):
+            raise nk.ContractError(
+                f"{path}: checkpoint tensor {name} data does not fill its "
+                f"shape {shape}") from None
         if not np.all(np.isfinite(arr)):
             raise nk.ContractError(
                 f"{path}: checkpoint tensor {name} holds non-finite values")

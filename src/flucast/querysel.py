@@ -4,6 +4,13 @@ Scores candidate target-language queries by word similarity in an aligned
 embedding space plus Pearson correlation of the candidate's trends series
 with the country's ILI series, and picks the argmax of the sum. A
 user-supplied mapping file stands in for external translation.
+
+Each embedding table is one (V, d) matrix with its row norms. The k
+nearest target words of a source word are shortlisted with one
+matrix-vector product: every word whose approximate cosine is within
+1e-9 of the k-th largest. Only the shortlist is then scored with the
+exact per-pair `cosine`, so similarities and their tie order are
+bitwise those of a scan over the whole vocabulary.
 """
 
 from __future__ import annotations
@@ -40,12 +47,24 @@ class EmbeddingTable:
 
     def __init__(self, language: str, words, vectors):
         self.language = language
-        vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
-        dims = {v.shape for v in vectors}
+        vectors = list(vectors)
+        dims = {len(v) for v in vectors}
         if len(dims) > 1:
-            raise ValueError(f"inconsistent embedding dimensions: {dims}")
-        self._table = dict(zip(words, vectors))
-        self.dim = vectors[0].shape[0] if vectors else 0
+            raise ValueError(
+                f"inconsistent embedding dimensions: {sorted(dims)}")
+        self.dim = dims.pop() if dims else 0
+        # Row of each word; a repeated word keeps its first place and its
+        # last vector.
+        rows = {w: i for i, w in zip(range(len(vectors)), words)}
+        matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors),
+                                                             self.dim)
+        if len(rows) < len(matrix):
+            matrix = matrix[list(rows.values())]
+        # One (V, d) matrix in vocabulary order; `_table` maps each word
+        # to a row view of it.
+        self._matrix = matrix
+        self._norms = np.linalg.norm(matrix, axis=1)
+        self._table = dict(zip(rows, matrix))
 
     def __contains__(self, word):
         return word in self._table
@@ -75,7 +94,7 @@ def load_embeddings(path: str, language: str) -> EmbeddingTable:
             if len(parts) < 2:
                 continue
             words.append(parts[0])
-            vectors.append([float(x) for x in parts[1:]])
+            vectors.append(list(map(float, parts[1:])))
     return EmbeddingTable(language, words, vectors)
 
 
@@ -96,6 +115,10 @@ class QueryCandidate:
         return self.theta_w + self.theta_t
 
 
+# Margin below the k-th approximate cosine that `cosine_topk` keeps.
+_SHORTLIST_SLACK = 1e-9
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0 or nv == 0:
@@ -105,9 +128,25 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 def cosine_topk(word: str, source: EmbeddingTable, target: EmbeddingTable,
                 k: int) -> list:
-    """k most cosine-similar target words, descending; ties lexicographic."""
+    """k most cosine-similar target words, descending; ties lexicographic.
+
+    One matvec scores every target word approximately, and only the
+    words within `_SHORTLIST_SLACK` of the k-th largest score are scored
+    again with `cosine`. The two scores differ by a few ulps, far less
+    than the slack, so the shortlist holds every word of the exact top
+    k and every word tied with its last one, and the result is the
+    exhaustive scan's, bit for bit.
+    """
     v = source.vector(word)
-    scored = [(w, cosine(v, target.vector(w))) for w in target.vocabulary()]
+    words = target.vocabulary()
+    if 0 < k < len(words):
+        denom = target._norms * np.linalg.norm(v)
+        approx = np.zeros(len(words))
+        np.divide(target._matrix @ v, denom, out=approx, where=denom > 0)
+        kth = np.partition(approx, len(words) - k)[len(words) - k]
+        words = [words[i]
+                 for i in np.flatnonzero(approx >= kth - _SHORTLIST_SLACK)]
+    scored = [(w, cosine(v, target.vector(w))) for w in words]
     scored.sort(key=lambda p: (-p[1], p[0]))
     return scored[:k]
 
@@ -132,25 +171,6 @@ def _content_tokens(query: str, stopwords: set) -> list:
     if not tokens:
         raise EmptyContentError(f"query {query!r} has only stopwords")
     return tokens
-
-
-def phrase_similarity(english_query: str, candidate_query: str,
-                      source: EmbeddingTable, target: EmbeddingTable,
-                      stopwords: set) -> float:
-    """Mean cosine over greedy best-match content-word pairs."""
-    src = _content_tokens(english_query, stopwords)
-    tgt = _content_tokens(candidate_query, stopwords)
-    sims = [[cosine(source.vector(s), target.vector(t)) for t in tgt]
-            for s in src]
-    n_pairs = min(len(src), len(tgt))
-    free_s, free_t = set(range(len(src))), set(range(len(tgt)))
-    total = 0.0
-    for _ in range(n_pairs):
-        best = max(((sims[i][j], -i, -j) for i in free_s for j in free_t))
-        total += best[0]
-        free_s.discard(-best[1])
-        free_t.discard(-best[2])
-    return total / n_pairs
 
 
 def wt_select(english_queries, source: EmbeddingTable,

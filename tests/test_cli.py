@@ -485,7 +485,8 @@ class TestBadInput:
         pytest.param("shared.ili_encoder.u_h", put_huge,
                      "gru_sequence produced non-finite values",
                      marks=pytest.mark.filterwarnings("ignore:overflow")),
-        ("shared.decoder.w_h", flatten, "shape mismatch")],
+        ("shared.decoder.w_h", flatten,
+         "checkpoint tensor shared.decoder.w_h shape mismatch")],
         ids=["nan", "overflow", "reshaped"])
     def test_bad_checkpoint_tensor_is_one_line(self, trained_single,
                                                tmp_path, capsys, command,
@@ -500,6 +501,44 @@ class TestBadInput:
                    str(ckpt)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: "not json {", "not a JSON checkpoint"),
+        (lambda doc: {"a": 1}, "not a flucast checkpoint"),
+        (lambda doc: {**doc, "version": 99}, "checkpoint version 99 is not 1"),
+        (lambda doc: {**doc, "meta": {}}, "checkpoint meta lacks m, n_in"),
+        (lambda doc: {**doc, "tensors": {
+            k: v for k, v in doc["tensors"].items()
+            if k != "shared.fusion.b1"}},
+         "missing ['shared.fusion.b1']"),
+        (lambda doc: {**doc, "tensors": {
+            **doc["tensors"],
+            "shared.extra": doc["tensors"]["shared.fusion.b1"]}},
+         "unexpected ['shared.extra']"),
+        (lambda doc: {**doc, "meta": {**doc["meta"], "arch": "rnn"}},
+         "checkpoint meta: unknown arch 'rnn'"),
+        (lambda doc: {**doc, "tensors": {
+            **doc["tensors"], "shared.fusion.b1": {
+                **doc["tensors"]["shared.fusion.b1"], "data": [0.5]}}},
+         "tensor shared.fusion.b1 data does not fill its shape")],
+        ids=["not_json", "other_format", "version", "empty_meta",
+             "missing_tensor", "unexpected_tensor", "bad_arch",
+             "short_data"])
+    def test_malformed_checkpoint_is_one_line(self, trained_single, tmp_path,
+                                              capsys, command, edit,
+                                              message):
+        config, trained = trained_single
+        doc = edit(json.loads((trained / "checkpoint.json"
+                               ).read_text(encoding="utf-8")))
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(doc if isinstance(doc, str) else json.dumps(doc),
+                        encoding="utf-8")
+        assert run(config, tmp_path / "out", command, "--checkpoint",
+                   str(ckpt)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
         assert message in err
 
     def test_gru_baseline_with_fewer_queries_refused(self, workspace,

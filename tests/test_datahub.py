@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,160 @@ class TestWeeks:
     def test_year_boundary_consecutive(self):
         assert (datahub.parse_week("2018-W01")
                 == datahub.parse_week("2017-W52") + 1)
+
+
+def dictreader_fields(path, names, header_required=False):
+    """(line number, fields) of each row as the readers took them from
+    csv.DictReader before they read rows with csv.reader."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        if header_required and (
+                reader.fieldnames is None
+                or not set(names) <= set(reader.fieldnames)):
+            raise datahub.DataError(
+                f"{path}: header must contain {sorted(names)}")
+        for lineno, row in enumerate(reader, start=2):
+            missing = [n for n in names if row.get(n) is None]
+            if missing:
+                raise datahub.DataError(
+                    f"{path}:{lineno}: row has no {', '.join(missing)}")
+            yield lineno, [row[n] for n in names]
+
+
+def dictreader_read_trend(path, series):
+    """`read_trend` before this reader: DictReader rows and a loop over
+    the series weeks that forward-fills from the file weeks it meets."""
+    by_week = {}
+    for lineno, (week, value) in dictreader_fields(path,
+                                                   ("iso_week", "value")):
+        try:
+            idx = datahub.parse_week(week)
+            value = float(value)
+        except ValueError as e:
+            raise datahub.DataError(f"{path}:{lineno}: {e}") from None
+        if idx >= 0:
+            by_week[idx] = value
+    values, last = np.zeros(len(series)), 0.0
+    for i, week in enumerate(series.weeks()):
+        if week in by_week:
+            last = by_week[week]
+        values[i] = last
+    return values
+
+
+def dictreader_ili_rates(path):
+    """The {country: {week: rate}} that `load_ili` read with DictReader."""
+    rows = {}
+    for lineno, (week, country, rate) in dictreader_fields(
+            path, ("iso_week", "country", "ili_rate"), header_required=True):
+        try:
+            idx = datahub.parse_week(week)
+            rate = float(rate)
+        except ValueError as e:
+            raise datahub.DataError(f"{path}:{lineno}: {e}") from None
+        if idx >= 0:
+            rows.setdefault(country, {})[idx] = rate
+    return rows
+
+
+TREND_FILES = {
+    "interior_gaps": "iso_week,value\n2015-W02,1.5\n2015-W05,4.25\n"
+                     "2015-W09,0.0\n2015-W10,7\n",
+    "before_and_after_series": "iso_week,value\n2014-W50,9.0\n"
+                               "2014-W52,8.0\n2015-W03,1.0\n"
+                               "2015-W12,2.0\n2016-W01,3.0\n",
+    "starts_before_series_with_gap": "iso_week,value\n2014-W51,9.0\n"
+                                     "2015-W04,1.0\n",
+    "only_before_series": "iso_week,value\n2014-W40,9.0\n",
+    "unsorted_duplicates": "iso_week,value\n2015-W04,1.0\n"
+                           "2015-W02,2.0\n2015-W04,3.0\n2015-W02,-0.0\n",
+    "week53": "iso_week,value\n2015-W52,1.0\n2015-W53,9.0\n"
+              "2016-W01,2.0\n",
+    "swapped_columns": "value,iso_week\n1.0,2015-W01\n2.0,2015-W06\n",
+    "extra_columns": "country,iso_week,note,value\nUS,2015-W01,a,1.0\n"
+                     "US,2015-W03,b,2.0,x,y\n",
+    "repeated_column": "iso_week,value,value\n2015-W01,1.0,5.0\n",
+    "blank_lines": "iso_week,value\n\n2015-W01,1.0\n\n\n2015-W04,2.0\n\n",
+    "crlf_and_quotes": 'iso_week,value\r\n"2015-W02","1e-3"\r\n'
+                       ' 2015-W03 , 2.5 \r\n',
+    "header_only": "iso_week,value\n",
+    "empty": "",
+    "short_row": "iso_week,value\n2015-W01,1.0\n2015-W02\n",
+    "short_row_after_blank": "iso_week,value\n\n2015-W01,1.0\n\n2015-W02\n",
+    "no_value_column": "iso_week,count\n2015-W01,1.0\n",
+    "malformed_value": "iso_week,value\n2015-W01,1.0\n2015-W02,n/a\n",
+    "malformed_week": "iso_week,value\n2015-W01,1.0\n2015-W60,2.0\n",
+    "week53_bad_year": "iso_week,value\n2016-W53,2.0\n",
+}
+
+
+class TestReadTrendMatchesDictReader:
+    """`read_trend` returns the old reader's array bit for bit, and
+    raises its error with the same `path:line` message."""
+
+    @pytest.mark.parametrize("case", sorted(TREND_FILES))
+    def test_against_oracle(self, tmp_path, case):
+        path = tmp_path / "q.csv"
+        path.write_bytes(TREND_FILES[case].encode("utf-8"))
+        for start, weeks in (("2015-W01", 12), ("2014-W52", 3),
+                             ("2015-W03", 60)):
+            series = datahub.WeeklySeries(
+                country="US", start=datahub.parse_week(start),
+                values=np.ones(weeks))
+            try:
+                want = dictreader_read_trend(str(path), series)
+            except datahub.DataError as e:
+                with pytest.raises(datahub.DataError) as got:
+                    datahub.read_trend(str(path), series)
+                assert str(got.value) == str(e)
+                assert "q.csv:" in str(e)
+                continue
+            got = datahub.read_trend(str(path), series)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_leading_gap_is_not_carried_in(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text(TREND_FILES["starts_before_series_with_gap"],
+                        encoding="utf-8")
+        series = datahub.WeeklySeries(
+            country="US", start=datahub.parse_week("2015-W01"),
+            values=np.ones(6))
+        assert np.array_equal(datahub.read_trend(str(path), series),
+                              [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+
+ILI_FILES = {
+    "plain": "iso_week,country,ili_rate\n2015-W01,US,1.0\n"
+             "2015-W02,US,2.0\n2015-W01,JP,3.0\n2015-W02,JP,4.0\n",
+    "swapped_extra_blank": "country,ili_rate,note,iso_week\n\n"
+                           "US,1.0,x,2015-W52\nUS,9.0,y,2015-W53\n\n"
+                           "US,2.0,,2016-W01\n",
+    "missing_column": "iso_week,country,rate\n2015-W01,US,1.0\n",
+    "empty": "",
+    "blank_header": "\niso_week,country,ili_rate\n2015-W01,US,1.0\n",
+    "short_row_after_blank": "iso_week,country,ili_rate\n\n"
+                             "2015-W01,US,1.0\n2015-W02,US\n",
+    "malformed_rate": "iso_week,country,ili_rate\n2015-W01,US,x\n",
+}
+
+
+class TestLoadIliMatchesDictReader:
+    @pytest.mark.parametrize("case", sorted(ILI_FILES))
+    def test_against_oracle(self, tmp_path, case):
+        path = tmp_path / "ili.csv"
+        path.write_text(ILI_FILES[case], encoding="utf-8")
+        try:
+            want = dictreader_ili_rates(str(path))
+        except datahub.DataError as e:
+            with pytest.raises(datahub.DataError) as got:
+                datahub.load_ili(str(path))
+            assert str(got.value) == str(e)
+            return
+        got = datahub.load_ili(str(path))
+        assert {c: dict(zip(s.weeks().tolist(), s.values.tolist()))
+                for c, s in got.items()} == want
 
 
 class TestLoadIli:

@@ -284,6 +284,7 @@ class TestBackward:
         for t in steps + [h0] + maps:
             fd = finite_difference(lambda: run().item(), t.data)
             assert np.allclose(t.grad, fd, rtol=1e-5, atol=1e-9)
+            assert_grad_close(t.grad, fd)
 
     def test_gru_sequence_contract(self):
         h0 = nk.zeros(2, 3)

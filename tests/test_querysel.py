@@ -48,6 +48,97 @@ class TestCosineTopk:
             querysel.cosine_topk("sneeze", src, tgt, 2)
 
 
+def exhaustive_topk(word, source, target, k):
+    """The per-pair scan `cosine_topk` used before its matvec shortlist:
+    every target word scored with the two-norm cosine, then sorted."""
+    def cos(u, v):
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        if nu == 0 or nv == 0:
+            return 0.0
+        return float(np.dot(u, v) / (nu * nv))
+
+    v = source.vector(word)
+    scored = [(w, cos(v, target.vector(w))) for w in target.vocabulary()]
+    scored.sort(key=lambda p: (-p[1], p[0]))
+    return scored[:k]
+
+
+class TestShortlistMatchesExhaustiveScan:
+    """`cosine_topk` returns the old scan's (word, score) list exactly."""
+
+    KS = (1, 2, 3, 7, 24, 25, 26, 40)  # the table below has V = 25
+
+    def check(self, src, tgt, ks=KS):
+        for word in src.vocabulary():
+            for k in ks:
+                assert (querysel.cosine_topk(word, src, tgt, k)
+                        == exhaustive_topk(word, src, tgt, k)), (word, k)
+
+    def test_random_vectors(self):
+        rng = Rng(5)
+        src = EmbeddingTable("en", ["a", "b"],
+                             [rng.uniform(-1, 1, 6) for _ in range(2)])
+        words = [f"w{i:02d}" for i in range(25)]
+        tgt = EmbeddingTable("xx", words,
+                             [rng.uniform(-1, 1, 6) for _ in words])
+        self.check(src, tgt)
+
+    def test_exact_ties_sort_by_word(self):
+        # Equal vectors, and copies scaled by powers of two, have bitwise
+        # equal cosines; the ties straddle several k.
+        rng = Rng(6)
+        base = [rng.uniform(-1, 1, 4) for _ in range(5)]
+        vectors = [base[i % 5] * 2.0 ** (i % 3) for i in range(25)]
+        words = [f"t{(7 * i) % 25:02d}" for i in range(25)]
+        src = EmbeddingTable("en", ["a", "b"], [base[0], base[3]])
+        self.check(src, EmbeddingTable("xx", words, vectors))
+
+    def test_near_ties_within_1e_12(self):
+        rng = Rng(7)
+        v = rng.uniform(-1, 1, 5)
+        vectors = [v + rng.uniform(-1e-13, 1e-13, 5) for _ in range(20)]
+        vectors += [rng.uniform(-1, 1, 5) for _ in range(5)]
+        words = [f"n{i:02d}" for i in range(25)]
+        src = EmbeddingTable("en", ["a"], [v])
+        tgt = EmbeddingTable("xx", words, vectors)
+        scores = [s for _, s in exhaustive_topk("a", src, tgt, 20)]
+        assert 0 < max(scores) - min(scores) < 1e-12
+        self.check(src, tgt)
+
+    def test_zero_norm_target_rows(self):
+        # Zero rows score 0.0 and sit between the positive and the
+        # negative cosines, so some k cut through them.
+        rng = Rng(8)
+        vectors = [rng.uniform(-1, 1, 3) for _ in range(15)]
+        vectors += [np.zeros(3)] * 10
+        words = [f"z{(3 * i) % 25:02d}" for i in range(25)]
+        src = EmbeddingTable("en", ["a", "b"],
+                             [rng.uniform(-1, 1, 3) for _ in range(2)])
+        self.check(src, EmbeddingTable("xx", words, vectors),
+                   ks=range(1, 27))
+
+    def test_zero_source_vector(self):
+        rng = Rng(9)
+        words = [f"s{(11 * i) % 25:02d}" for i in range(25)]
+        tgt = EmbeddingTable("xx", words,
+                             [rng.uniform(-1, 1, 3) for _ in words])
+        src = EmbeddingTable("en", ["a"], [np.zeros(3)])
+        assert querysel.cosine_topk("a", src, tgt, 3) == [
+            ("s00", 0.0), ("s01", 0.0), ("s02", 0.0)]
+        self.check(src, tgt)
+
+    def test_small_integer_vectors(self):
+        # Entries in {-1, 0, 1} give many exact ties and zero rows.
+        rng = Rng(10)
+        for _ in range(20):
+            words = [f"i{i:02d}" for i in range(25)]
+            tgt = EmbeddingTable("xx", words, [
+                np.round(rng.uniform(-1.5, 1.5, 3)) for _ in words])
+            src = EmbeddingTable("en", ["a"],
+                                 [np.round(rng.uniform(-1.5, 1.5, 3))])
+            self.check(src, tgt)
+
+
 class TestPearson:
     def test_self_correlation(self):
         a = np.array([1.0, 3.0, 2.0, 5.0])
@@ -76,48 +167,6 @@ class TestPearson:
             assert abs(r - querysel.pearson(b, a)) < 1e-12
             assert abs(r - querysel.pearson(2.5 * a + 7.0, b)) < 1e-12
             assert -1.0 <= r <= 1.0
-
-
-class TestPhraseSimilarity:
-    def test_identical_vector_single_word(self):
-        src, tgt = make_tables()
-        out = querysel.phrase_similarity("flu", "grippe", src, tgt, set())
-        assert abs(out - 1.0) < 1e-12
-
-    def test_mean_of_pair_cosines(self):
-        src = EmbeddingTable("en", ["a", "b"], [[1, 0], [0, 1]])
-        tgt = EmbeddingTable("xx", ["x", "y"],
-                             [[0.8, 0.6], [0.6, 0.8]])
-        out = querysel.phrase_similarity("a b", "x y", src, tgt, set())
-        assert abs(out - 0.8) < 1e-12  # greedy pairs (a,x)=0.8 and (b,y)=0.8
-
-    def test_matches_greedy_pairing_oracle(self):
-        src = EmbeddingTable("en", ["p", "q", "r"],
-                             [[1, 0, 0], [0, 1, 0], [0.5, 0.5, 0]])
-        tgt = EmbeddingTable("xx", ["u", "v", "w"],
-                             [[0.9, 0.1, 0], [0.1, 0.9, 0], [0, 0, 1]])
-        # greedy over the 3x3 cosine table: best pair first, rows/cols removed
-        def cos(a, b):
-            return float(np.dot(a, b)
-                         / (np.linalg.norm(a) * np.linalg.norm(b)))
-        sims = {(s, t): cos(src.vector(s), tgt.vector(t))
-                for s in "pqr" for t in "uvw"}
-        picked, free_s, free_t = [], {"p", "q", "r"}, {"u", "v", "w"}
-        for _ in range(3):
-            s, t = max(((s, t) for s in free_s for t in free_t),
-                       key=lambda p: (sims[p], p))
-            picked.append(sims[(s, t)])
-            free_s.remove(s)
-            free_t.remove(t)
-        expected = np.mean(picked)
-        got = querysel.phrase_similarity("p q r", "u v w", src, tgt, set())
-        assert abs(got - expected) < 1e-12
-
-    def test_all_stopwords_rejected(self):
-        src, tgt = make_tables()
-        with pytest.raises(querysel.EmptyContentError):
-            querysel.phrase_similarity("the of", "grippe", src, tgt,
-                                       {"the", "of"})
 
 
 class TestWtSelect:
@@ -169,6 +218,11 @@ class TestWtSelect:
         assert -1.0 <= out.theta_t <= 1.0
         assert -2.0 <= out.score <= 2.0
 
+    def test_all_stopwords_rejected(self):
+        with pytest.raises(querysel.EmptyContentError):
+            querysel.wt_select(["the of"], self.src, self.tgt, self.provider,
+                               self.ili, k=4, stopwords={"the", "of"})
+
     def test_no_trends_data_raises(self):
         with pytest.raises(querysel.SelectionError, match="flu"):
             querysel.wt_select(["flu"], self.src, self.tgt, lambda c: None,
@@ -213,6 +267,20 @@ class TestEmbeddingIo:
         path.write_text("flu 1.0 0.0\nfever 0.0 1.0\n", encoding="utf-8")
         table = querysel.load_embeddings(str(path), "en")
         assert len(table) == 2
+
+    def test_vectors_are_rows_of_one_matrix(self):
+        table = EmbeddingTable("xx", ["b", "a", "b", "c"],
+                               [[1, 2], [3, 4], [5, 6], [7, 8]])
+        assert table.vocabulary() == ["b", "a", "c"]  # first place
+        assert len(table) == 3 and table.dim == 2
+        assert np.array_equal(table.vector("b"), [5.0, 6.0])  # last vector
+        for w in table.vocabulary():
+            assert table.vector(w).base is table._matrix
+        assert np.array_equal(table._matrix, [[5, 6], [3, 4], [7, 8]])
+
+    def test_inconsistent_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            EmbeddingTable("xx", ["a", "b"], [[1.0, 2.0], [1.0]])
 
     def test_selected_roundtrip(self, tmp_path):
         path = tmp_path / "selected_queries.csv"
