@@ -195,8 +195,11 @@ def gru_cell(params: GruParams, x: Tensor2, h_prev: Tensor2,
 
 def encode_sequence(params: GruParams, steps, h0: Tensor2,
                     standard: bool = False) -> Tensor2:
-    """Run the GRU over a list of (batch x in_dim) input tensors as one
-    tape op; returns the final state."""
+    """Run the GRU over T inputs as one tape op; returns the final state.
+
+    steps is a (T x batch x in_dim) data array, or a list of T
+    (batch x in_dim) tensors when the inputs need gradients.
+    """
     return nk.gru_sequence(steps, h0, params.u_z, params.u_r, params.u_h,
                            params.w_z, params.w_r, params.w_h, standard)
 
@@ -204,9 +207,7 @@ def encode_sequence(params: GruParams, steps, h0: Tensor2,
 def encode_ili(params: GruParams, x_des: np.ndarray, h0: Tensor2,
                standard: bool = False) -> Tensor2:
     """Encode the (batch x N) deseasonalized window; returns final state."""
-    n = x_des.shape[1]
-    steps = [Tensor2(x_des[:, t:t + 1]) for t in range(n)]
-    return encode_sequence(params, steps, h0, standard)
+    return encode_sequence(params, x_des.T[:, :, None], h0, standard)
 
 
 def encode_queries(params: GruParams, q: np.ndarray, h0: Tensor2,
@@ -219,7 +220,7 @@ def encode_queries(params: GruParams, q: np.ndarray, h0: Tensor2,
     (batch x M) final states.
     """
     b, n, l = q.shape
-    steps = [Tensor2(q[:, t, :].T.reshape(l * b, 1)) for t in range(n)]
+    steps = q.transpose(1, 2, 0).reshape(n, l * b, 1)
     h = encode_sequence(params, steps, nk.tile_rows(h0, l), standard)
     return [nk.row_block(h, j * b, (j + 1) * b) for j in range(l)]
 
@@ -297,9 +298,9 @@ def forward_batch(model: ModelParams, country: str, x_des: np.ndarray,
     std = model.standard_gru
 
     if model.arch == "gru_baseline" and model.use_queries:
-        joined = np.concatenate([x_des[:, :, None], q], axis=2)
-        steps = [Tensor2(joined[:, t, :]) for t in range(joined.shape[1])]
-        h_tau = encode_sequence(model.ili_encoder, steps, h0, std)
+        joined = np.concatenate([x_des.T[:, :, None], q.transpose(1, 0, 2)],
+                                axis=2)
+        h_tau = encode_sequence(model.ili_encoder, joined, h0, std)
     else:
         h_tau = encode_ili(model.ili_encoder, x_des, h0, std)
 

@@ -12,6 +12,7 @@ hand-written BPTT backward as one entry.
 from __future__ import annotations
 
 import hashlib
+import weakref
 
 import numpy as np
 
@@ -260,106 +261,242 @@ def dot_attention(query: Tensor2, w_q: Tensor2, w_k: Tensor2,
     return out, Tensor2(weights, copy=False)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Logistic function as 0.5 tanh(x/2) + 0.5, which cannot overflow.
 
-    Its derivative is s (1 - s) for s = _sigmoid(x).
+    Writes into `out` when given; `out` may be x itself. Its derivative
+    is s (1 - s) for s = _sigmoid(x).
     """
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+    out = np.multiply(0.5, x, out=out)
+    np.tanh(out, out=out)
+    np.multiply(0.5, out, out=out)
+    return np.add(out, 0.5, out=out)
+
+
+# Free buffer sets of `gru_sequence`, keyed by their tuple of shapes. A
+# set is taken by one call and given back when nothing can read it any
+# more: at the end of the call, or, for the history a tape entry keeps,
+# when that entry is collected.
+_FREE = {}
+_FREE_PER_SHAPES = 2
+
+
+def _take(shapes) -> list:
+    """float64 buffers of the given shapes, a free set if there is one."""
+    free = _FREE.get(shapes)
+    return free.pop() if free else [np.empty(s) for s in shapes]
+
+
+def _give(shapes, bufs) -> None:
+    """Hand back a set from `_take`; beyond the bound it is dropped."""
+    free = _FREE.setdefault(shapes, [])
+    if len(free) < _FREE_PER_SHAPES:
+        free.append(bufs)
 
 
 def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
                  u_h: Tensor2, w_z: Tensor2, w_r: Tensor2, w_h: Tensor2,
                  standard: bool = False) -> Tensor2:
-    """Final state of a bias-free GRU run over T >= 1 (B x in) step inputs.
+    """Final state of a bias-free GRU run over T >= 1 steps of input.
 
     Each step computes
         z = sigmoid(x U_z + h W_z),  r = sigmoid(x U_r + h W_r),
         f = tanh(x U_h + h * (r W_h))    (literal form), or
         f = tanh(x U_h + (r * h) W_h)    (standard form),
         h' = (1 - z) * h + z * f.
-    The input projections of all T steps are one GEMM with [U_z|U_r|U_h],
-    and each step's hidden projection is one GEMM with [W_z|W_r]. The
-    (T, B, 3M) pre-activations are checked once: every matmul term and
-    product enters one of them, so an inf that a saturated sigmoid or
-    tanh would hide is still caught. The backward is BPTT in one reverse
-    loop, with the weight gradients as one GEMM each over all steps.
+    `steps` is either a (T, B, in) array of data, which gets no gradient,
+    or a list of T (B x in) tensors, which do (the decoder feeds its own
+    outputs back). A data array must not change while the tape lives.
+
+    Each step's hidden projection is one GEMM with [W_z|W_r]. The input
+    projection is x * [U_z|U_r|U_h] per step when in = 1 (an outer
+    product), else one GEMM over all T steps. Each step's z|r and h
+    pre-activations are checked for NaN and inf before the sigmoid and
+    tanh, which would hide an inf; the error names the first bad step.
+
+    With no active tape the recurrence runs on one step's buffers and
+    keeps no history. Under a tape, the states and z, r, f and the mix
+    term (r * h or r W_h) are kept as contiguous (T, B, M) blocks, and
+    the tape entry's backward is BPTT in one reverse loop into a
+    (T, B, 3M) block of z|r|h pre-activation gradients, then one GEMM per
+    weight gradient over all steps. Buffers come from a pool keyed by
+    shape: the history set returns to it once the tape entry is
+    collected, every other set at the end of the call, so a training
+    loop reuses the same memory. Results never alias the pool.
     """
-    steps = list(steps)
-    if not steps:
-        raise ContractError("gru_sequence needs at least one step")
     b, m = h0.shape
     n_in = u_z.rows
-    if (any(x.shape != (b, n_in) for x in steps)
+    if isinstance(steps, np.ndarray):
+        xs, steps = np.ascontiguousarray(steps, dtype=np.float64), []
+        if xs.ndim != 3:
+            raise ShapeError(f"gru_sequence input array must be (T, B, in), "
+                             f"got shape {xs.shape}")
+        t_len, step_shapes = len(xs), {xs.shape[1:]}
+    else:
+        steps = list(steps)
+        t_len, step_shapes = len(steps), {x.shape for x in steps}
+    if t_len == 0:
+        raise ContractError("gru_sequence needs at least one step")
+    if (step_shapes != {(b, n_in)}
             or any(u.shape != (n_in, m) for u in (u_z, u_r, u_h))
             or any(w.shape != (m, m) for w in (w_z, w_r, w_h))):
         raise ShapeError(
             f"gru_sequence shape mismatch: h0 {h0.shape}, steps "
-            f"{sorted({x.shape for x in steps})}, maps "
+            f"{sorted(step_shapes)}, maps "
             f"{[t.shape for t in (u_z, u_r, u_h, w_z, w_r, w_h)]}")
-    t_len = len(steps)
-    x_all = np.concatenate([x.data for x in steps])
+    if steps:
+        xs = np.stack([x.data for x in steps])
     u_all = np.concatenate([u_z.data, u_r.data, u_h.data], axis=1)
     w_zr = np.concatenate([w_z.data, w_r.data], axis=1)
-    pre = (x_all @ u_all).reshape(t_len, b, 3 * m)
-    gates = np.empty((t_len, b, 2 * m))  # z | r
-    cand = np.empty((t_len, b, m))  # f
-    mix = np.empty((t_len, b, m))  # r * h (standard) or r W_h (literal)
-    states = np.empty((t_len + 1, b, m))
-    states[0] = h0.data
-    for t in range(t_len):
-        h, a = states[t], pre[t]
-        a[:, :2 * m] += h @ w_zr
-        gates[t] = _sigmoid(a[:, :2 * m])
-        z, r = gates[t, :, :m], gates[t, :, m:]
-        if standard:
-            mix[t] = r * h
-            a[:, 2 * m:] += mix[t] @ w_h.data
-        else:
-            mix[t] = r @ w_h.data
-            a[:, 2 * m:] += h * mix[t]
-        cand[t] = np.tanh(a[:, 2 * m:])
-        states[t + 1] = (1.0 - z) * h + z * cand[t]
-    finite = np.isfinite(pre).reshape(t_len, -1).all(axis=1)
-    if not finite.all():
-        raise NonFiniteError(f"gru_sequence produced non-finite values at "
-                             f"step {int(np.argmin(finite)) + 1} of {t_len}")
+    taped = _ACTIVE_TAPE is not None
+    keep = t_len if taped else 1
+    hist_shapes = ((keep + 1, b, m),) + ((keep, b, m),) * 4
+    hist = _take(hist_shapes)
+    try:
+        h_last = _gru_forward(xs, h0.data, u_all, w_zr, w_h.data, hist,
+                              standard).copy()
+    except BaseException:
+        _give(hist_shapes, hist)
+        raise
+    if not taped:
+        _give(hist_shapes, hist)
+        return Tensor2(h_last, copy=False)
 
     def bw(g):
-        d_pre = np.empty_like(pre)
+        return _gru_backward(g, xs, hist, u_all, w_zr, w_h.data, standard,
+                             bool(steps))
+
+    weakref.finalize(bw, _give, hist_shapes, hist)
+    return _record(h_last, steps + [h0, u_z, u_r, u_h, w_z, w_r, w_h], bw)
+
+
+def _gru_forward(xs, h0, u_all, w_zr, w_h, hist, standard) -> np.ndarray:
+    """Run the recurrence into `hist`; returns the final state's buffer.
+
+    hist is (states, z, r, f, mix). With T steps of room, step t writes
+    block t and states[t + 1]. With one step of room, every step writes
+    block 0 and the states alternate between two rows.
+    """
+    t_len, b, n_in = xs.shape
+    m = w_h.shape[0]
+    states, z, r, f, mix = hist
+    keep = len(z)
+    scratch_shapes = ((b, 2 * m), (b, 2 * m), (b, m), (b, m))
+    pzr, hzr, ph, tmp = scratch = _take(scratch_shapes)
+    xu = None
+    if n_in > 1:
+        xu = (xs.reshape(-1, n_in) @ u_all).reshape(t_len, b, 3 * m)
+    states[0] = h0
+    try:
+        for t in range(t_len):
+            h = states[t % (keep + 1)]
+            h_new = states[(t + 1) % (keep + 1)]
+            z_t, r_t, f_t, mix_t = z[t % keep], r[t % keep], f[t % keep], \
+                mix[t % keep]
+            if xu is None:
+                # x U as the K = 1 GEMM rounds it, where a zero is +0.
+                np.multiply(xs[t], u_all[:, :2 * m], out=pzr)
+                np.add(np.multiply(xs[t], u_all[:, 2 * m:], out=ph), 0.0,
+                       out=ph)
+                x_zr, x_h = pzr, ph
+            else:
+                x_zr, x_h = xu[t, :, :2 * m], xu[t, :, 2 * m:]
+            np.add(x_zr, np.matmul(h, w_zr, out=hzr), out=pzr)
+            _sigmoid(pzr, out=hzr)
+            z_t[...] = hzr[:, :m]
+            r_t[...] = hzr[:, m:]
+            if standard:
+                np.multiply(r_t, h, out=mix_t)
+                np.matmul(mix_t, w_h, out=tmp)
+            else:
+                np.matmul(r_t, w_h, out=mix_t)
+                np.multiply(h, mix_t, out=tmp)
+            np.add(x_h, tmp, out=ph)
+            if not (np.isfinite(pzr).all() and np.isfinite(ph).all()):
+                raise NonFiniteError(
+                    f"gru_sequence produced non-finite values at step "
+                    f"{t + 1} of {t_len}")
+            np.tanh(ph, out=f_t)
+            np.subtract(1.0, z_t, out=ph)
+            np.multiply(ph, h, out=ph)
+            np.multiply(z_t, f_t, out=tmp)
+            np.add(ph, tmp, out=h_new)
+    finally:
+        _give(scratch_shapes, scratch)
+    return h_new
+
+
+def _gru_backward(g, xs, hist, u_all, w_zr, w_h, standard, need_dx) -> list:
+    """BPTT for `gru_sequence`: gradients of its inputs, given g = dL/dh_T.
+
+    The per-step products keep the operand order of the formulas
+        d_z = dh (f - h) z (1 - z),  d_h = dh z (1 - f f),
+        d_r = (d_h W_h^T) h r (1 - r)     (standard), or
+        d_r = ((d_h h) W_h^T) r (1 - r)   (literal),
+    so the gradients do not depend on how the buffers are laid out.
+    """
+    t_len, b, n_in = xs.shape
+    m = w_h.shape[0]
+    states, z, r, f, mix = hist
+    shapes = ((t_len, b, 3 * m),) + ((b, m),) * 5 + (
+        () if standard else ((t_len * b, m),))
+    bufs = _take(shapes)
+    d_pre, e1, e2, e3, dh_a, dh_b = bufs[:6]
+    try:
         dh = g
         for t in range(t_len - 1, -1, -1):
-            h, f, d_a = states[t], cand[t], d_pre[t]
-            z, r = gates[t, :, :m], gates[t, :, m:]
-            d_a[:, :m] = dh * (f - h) * z * (1.0 - z)
-            d_a[:, 2 * m:] = dh * z * (1.0 - f * f)
-            dh_prev = dh * (1.0 - z)
+            h, z_t, r_t, f_t, d_a = states[t], z[t], r[t], f[t], d_pre[t]
+            d_h = d_a[:, 2 * m:]
+            dh_prev = dh_b if dh is dh_a else dh_a
+            np.subtract(1.0, z_t, out=e1)
+            np.subtract(f_t, h, out=e2)
+            np.multiply(dh, e2, out=e2)
+            np.multiply(e2, z_t, out=e2)
+            np.multiply(e2, e1, out=d_a[:, :m])
+            np.multiply(f_t, f_t, out=e2)
+            np.subtract(1.0, e2, out=e2)
+            np.multiply(dh, z_t, out=e3)
+            np.multiply(e3, e2, out=d_h)
+            np.multiply(dh, e1, out=dh_prev)
+            np.subtract(1.0, r_t, out=e1)
             if standard:
-                d_rh = d_a[:, 2 * m:] @ w_h.data.T
-                d_a[:, m:2 * m] = d_rh * h * r * (1.0 - r)
-                dh_prev += d_rh * r
+                d_rh = np.matmul(d_h, w_h.T, out=e3)
+                np.multiply(d_rh, h, out=e2)
+                np.multiply(e2, r_t, out=e2)
+                np.multiply(e2, e1, out=d_a[:, m:2 * m])
+                np.multiply(d_rh, r_t, out=e2)
             else:
-                dh_prev += d_a[:, 2 * m:] * mix[t]
-                d_a[:, m:2 * m] = ((d_a[:, 2 * m:] * h) @ w_h.data.T
-                                   * r * (1.0 - r))
-            dh_prev += d_a[:, :2 * m] @ w_zr.T
+                np.multiply(d_h, h, out=e2)
+                np.matmul(e2, w_h.T, out=e3)
+                np.multiply(e3, r_t, out=e3)
+                np.multiply(e3, e1, out=d_a[:, m:2 * m])
+                np.multiply(d_h, mix[t], out=e2)
+            np.add(dh_prev, e2, out=dh_prev)
+            np.add(dh_prev, np.matmul(d_a[:, :2 * m], w_zr.T, out=e2),
+                   out=dh_prev)
             dh = dh_prev
         d_flat = d_pre.reshape(-1, 3 * m)
         h_flat = states[:-1].reshape(-1, m)
-        d_x = d_flat @ u_all.T
-        d_u = x_all.T @ d_flat
+        d_u = xs.reshape(-1, n_in).T @ d_flat
         d_wzr = h_flat.T @ d_flat[:, :2 * m]
         if standard:
             d_wh = mix.reshape(-1, m).T @ d_flat[:, 2 * m:]
         else:
-            d_wh = (gates[:, :, m:].reshape(-1, m).T
-                    @ (d_flat[:, 2 * m:] * h_flat))
-        return [d_x[t * b:(t + 1) * b] for t in range(t_len)] + [
-            dh, d_u[:, :m], d_u[:, m:2 * m], d_u[:, 2 * m:],
-            d_wzr[:, :m], d_wzr[:, m:], d_wh]
-
-    return _record(states[-1].copy(), steps + [h0, u_z, u_r, u_h, w_z,
-                                               w_r, w_h], bw)
+            r_rows = r.reshape(-1, m)
+            if m == 1:
+                # Then the product is a dot, whose summation order follows
+                # the stride of r: read r as the column of a z|r block.
+                r_rows = np.concatenate([z, r], axis=2).reshape(-1, 2)[:, 1:]
+            d_wh = r_rows.T @ np.multiply(d_flat[:, 2 * m:], h_flat,
+                                          out=bufs[6])
+        d_x = []
+        if need_dx:
+            d_all = d_flat @ u_all.T
+            d_x = [d_all[t * b:(t + 1) * b] for t in range(t_len)]
+        return d_x + [dh.copy(), d_u[:, :m], d_u[:, m:2 * m], d_u[:, 2 * m:],
+                      d_wzr[:, :m], d_wzr[:, m:], d_wh]
+    finally:
+        _give(shapes, bufs)
 
 
 def mean_all(a: Tensor2) -> Tensor2:
