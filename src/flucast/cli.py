@@ -388,7 +388,8 @@ def main(argv=None) -> int:
         }[args.command]
         return handler(cfg, args)
     except (ConfigError, datahub.DataError, querysel.SelectionError,
-            querysel.MappingError, evalbench.MetricError,
+            querysel.MappingError, querysel.EmptyContentError,
+            evalbench.MetricError,
             trainer.TrainingError, decompose.ParameterError,
             decompose.InsufficientDataError, nk.ContractError,
             nk.NonFiniteError, nk.ShapeError, FileNotFoundError,

@@ -145,10 +145,10 @@ def _columns(header, names) -> list:
 def _rows(reader):
     """(line number, row) for each non-blank data row after the header.
 
-    Blank lines are skipped as `csv.DictReader` skips them, and not
-    counted: the number is the row's line in the file without them.
+    Blank lines are skipped as `csv.DictReader` skips them. The number is
+    the reader's `line_num`, the physical line the row ends on.
     """
-    return enumerate(filter(None, reader), start=2)
+    return ((reader.line_num, row) for row in reader if row)
 
 
 def _fields(path: str, lineno: int, row: list, cols, names) -> list:

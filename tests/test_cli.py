@@ -558,6 +558,19 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: US: queries") and "differ" in err
 
+    def test_stopword_only_query_is_one_line(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        config, _ = build_wt_inputs(tmp_path, config, tmp_path)
+        (tmp_path / "english.txt").write_text("flu fever\nthe of\n",
+                                              encoding="utf-8")
+        (tmp_path / "stop.txt").write_text("the\nof\n", encoding="utf-8")
+        config.write_text(config.read_text(encoding="utf-8")
+                          + f"querysel.source_stopwords = "
+                            f"{tmp_path / 'stop.txt'}\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", "select-queries") == 1
+        err = capsys.readouterr().err
+        assert err == "error: query 'the of' has only stopwords\n"
+
     @pytest.mark.filterwarnings("ignore:US. query")
     def test_every_query_constant_is_data_error(self, tmp_path, capsys):
         config = build_workspace(tmp_path)

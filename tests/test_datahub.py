@@ -38,7 +38,8 @@ class TestWeeks:
 
 def dictreader_fields(path, names, header_required=False):
     """(line number, fields) of each row as the readers took them from
-    csv.DictReader before they read rows with csv.reader."""
+    csv.DictReader before they read rows with csv.reader, numbered by the
+    reader's `line_num`: blank lines count."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         if header_required and (
@@ -46,7 +47,8 @@ def dictreader_fields(path, names, header_required=False):
                 or not set(names) <= set(reader.fieldnames)):
             raise datahub.DataError(
                 f"{path}: header must contain {sorted(names)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             missing = [n for n in names if row.get(n) is None]
             if missing:
                 raise datahub.DataError(
@@ -188,6 +190,23 @@ class TestLoadIliMatchesDictReader:
         got = datahub.load_ili(str(path))
         assert {c: dict(zip(s.weeks().tolist(), s.values.tolist()))
                 for c, s in got.items()} == want
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("q.csv", TREND_FILES["short_row_after_blank"], "q.csv:5: row has no"),
+    ("ili.csv", ILI_FILES["short_row_after_blank"],
+     "ili.csv:4: row has no")], ids=["trends", "ili"])
+def test_short_row_after_blank_names_its_physical_line(tmp_path, name, text,
+                                                       where):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(datahub.DataError, match=where):
+        if name == "ili.csv":
+            datahub.load_ili(str(path))
+        else:
+            datahub.read_trend(str(path), datahub.WeeklySeries(
+                country="US", start=datahub.parse_week("2015-W01"),
+                values=np.ones(3)))
 
 
 class TestLoadIli:

@@ -310,6 +310,219 @@ class TestBackward:
         assert abs(a.grad[0, 0] - 4.0) < 1e-12
 
 
+def oracle_gru_sequence(steps, h0, u_z, u_r, u_h, w_z, w_r, w_h,
+                        standard=False):
+    """`gru_sequence` as it was before its buffers were pooled: fresh
+    arrays every call, a (T, B, 3M) pre-activation block with the input
+    projection as one GEMM, z|r in one (T, B, 2M) block, and one
+    finiteness check after the loop. The kernel must match it bit for
+    bit, outputs and gradients."""
+    steps = list(steps)
+    b, m = h0.shape
+    t_len = len(steps)
+    x_all = np.concatenate([x.data for x in steps])
+    u_all = np.concatenate([u_z.data, u_r.data, u_h.data], axis=1)
+    w_zr = np.concatenate([w_z.data, w_r.data], axis=1)
+    pre = (x_all @ u_all).reshape(t_len, b, 3 * m)
+    gates = np.empty((t_len, b, 2 * m))  # z | r
+    cand = np.empty((t_len, b, m))  # f
+    mix = np.empty((t_len, b, m))  # r * h (standard) or r W_h (literal)
+    states = np.empty((t_len + 1, b, m))
+    states[0] = h0.data
+    for t in range(t_len):
+        h, a = states[t], pre[t]
+        a[:, :2 * m] += h @ w_zr
+        gates[t] = 0.5 * np.tanh(0.5 * a[:, :2 * m]) + 0.5
+        z, r = gates[t, :, :m], gates[t, :, m:]
+        if standard:
+            mix[t] = r * h
+            a[:, 2 * m:] += mix[t] @ w_h.data
+        else:
+            mix[t] = r @ w_h.data
+            a[:, 2 * m:] += h * mix[t]
+        cand[t] = np.tanh(a[:, 2 * m:])
+        states[t + 1] = (1.0 - z) * h + z * cand[t]
+    finite = np.isfinite(pre).reshape(t_len, -1).all(axis=1)
+    if not finite.all():
+        raise nk.NonFiniteError(
+            f"gru_sequence produced non-finite values at step "
+            f"{int(np.argmin(finite)) + 1} of {t_len}")
+
+    def bw(g):
+        d_pre = np.empty_like(pre)
+        dh = g
+        for t in range(t_len - 1, -1, -1):
+            h, f, d_a = states[t], cand[t], d_pre[t]
+            z, r = gates[t, :, :m], gates[t, :, m:]
+            d_a[:, :m] = dh * (f - h) * z * (1.0 - z)
+            d_a[:, 2 * m:] = dh * z * (1.0 - f * f)
+            dh_prev = dh * (1.0 - z)
+            if standard:
+                d_rh = d_a[:, 2 * m:] @ w_h.data.T
+                d_a[:, m:2 * m] = d_rh * h * r * (1.0 - r)
+                dh_prev += d_rh * r
+            else:
+                dh_prev += d_a[:, 2 * m:] * mix[t]
+                d_a[:, m:2 * m] = ((d_a[:, 2 * m:] * h) @ w_h.data.T
+                                   * r * (1.0 - r))
+            dh_prev += d_a[:, :2 * m] @ w_zr.T
+            dh = dh_prev
+        d_flat = d_pre.reshape(-1, 3 * m)
+        h_flat = states[:-1].reshape(-1, m)
+        d_x = d_flat @ u_all.T
+        d_u = x_all.T @ d_flat
+        d_wzr = h_flat.T @ d_flat[:, :2 * m]
+        if standard:
+            d_wh = mix.reshape(-1, m).T @ d_flat[:, 2 * m:]
+        else:
+            d_wh = (gates[:, :, m:].reshape(-1, m).T
+                    @ (d_flat[:, 2 * m:] * h_flat))
+        return [d_x[t * b:(t + 1) * b] for t in range(t_len)] + [
+            dh, d_u[:, :m], d_u[:, m:2 * m], d_u[:, 2 * m:],
+            d_wzr[:, :m], d_wzr[:, m:], d_wh]
+
+    return nk._record(states[-1].copy(), steps + [h0, u_z, u_r, u_h, w_z,
+                                                  w_r, w_h], bw)
+
+
+def gru_case(seed, t_len, b, m, n_in):
+    """Inputs (T, B, in), h0 and the six maps of one GRU run, with exact
+    zeros in the inputs (min-max scaling makes them), and loss weights."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, 1.0, (t_len, b, n_in))
+    xs[rng.random(xs.shape) < 0.2] = 0.0
+    h0 = rng.normal(0.0, 1.0, (b, m))
+    maps = [rng.normal(0.0, 0.6, s) for s in [(n_in, m)] * 3 + [(m, m)] * 3]
+    return xs, h0, maps, rng.normal(0.0, 1.0, (b, m))
+
+
+def gru_run(fn, case, standard, taped=True, as_array=False):
+    """Final state of `fn` on a `gru_case`, and under a tape the gradients
+    of mean(weights * h) for h0, the maps and (list input) every step."""
+    xs, h0, maps, weights = case
+    steps = xs.copy() if as_array else [Tensor2(x) for x in xs]
+    h0, maps = Tensor2(h0), [Tensor2(a) for a in maps]
+    if not taped:
+        return fn(steps, h0, *maps, standard).data, []
+    with nk.GradTape() as tape:
+        h = fn(steps, h0, *maps, standard)
+        loss = nk.mean_all(nk.mul(h, Tensor2(weights)))
+    nk.backward(tape, loss)
+    grads = [h0.grad] + [t.grad for t in maps]
+    if not as_array:
+        grads += [x.grad for x in steps]
+    return h.data, grads
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_matches_oracle(case, standard, taped, as_array):
+    want, want_g = gru_run(oracle_gru_sequence, case, standard)
+    got, got_g = gru_run(nk.gru_sequence, case, standard, taped, as_array)
+    assert_same_bits(got, want)
+    if taped:
+        assert len(got_g) == len(want_g) - (len(case[0]) if as_array else 0)
+        for g, w in zip(got_g, want_g):
+            assert_same_bits(g, w)
+
+
+class TestGruSequenceMatchesOracle:
+    """The pooled kernel against the fresh-array kernel it replaced."""
+
+    @pytest.mark.parametrize("standard", [False, True],
+                             ids=["literal", "standard"])
+    @pytest.mark.parametrize("n_in", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 26])
+    @pytest.mark.parametrize("taped", [True, False], ids=["tape", "no_tape"])
+    @pytest.mark.parametrize("as_array", [False, True],
+                             ids=["tensors", "array"])
+    def test_same_bits(self, standard, n_in, t_len, taped, as_array):
+        case = gru_case(80 + t_len + n_in, t_len, 7, 5, n_in)
+        for _ in range(2):  # the second run takes its buffers from the pool
+            assert_matches_oracle(case, standard, taped, as_array)
+
+    @pytest.mark.parametrize("standard", [False, True],
+                             ids=["literal", "standard"])
+    def test_hidden_size_one(self, standard):
+        # At M = 1 the W_h gradient is a dot product, whose summation
+        # order follows the stride of its operands.
+        for t_len, b in ((1, 1), (3, 1), (5, 300)):
+            assert_matches_oracle(gru_case(81, t_len, b, 1, 1), standard,
+                                  True, False)
+
+    def test_two_live_tapes(self):
+        a, b = gru_case(82, 26, 6, 4, 1), gru_case(83, 26, 6, 4, 1)
+        want_a = gru_run(oracle_gru_sequence, a, False)
+        want_b = gru_run(oracle_gru_sequence, b, False)
+        runs = []
+        for xs, h0, maps, weights in (a, b):
+            h0, maps = Tensor2(h0), [Tensor2(t) for t in maps]
+            with nk.GradTape() as tape:
+                h = nk.gru_sequence(xs, h0, *maps)
+                loss = nk.mean_all(nk.mul(h, Tensor2(weights)))
+            runs.append((tape, loss, h, [h0] + maps))
+        for (tape, loss, h, inputs), (want, want_g) in zip(
+                reversed(runs), (want_b, want_a)):
+            nk.backward(tape, loss)
+            assert_same_bits(h.data, want)
+            for t, w in zip(inputs, want_g):
+                assert_same_bits(t.grad, w)
+
+    def test_backward_after_later_forward(self):
+        case = gru_case(84, 26, 6, 4, 1)
+        xs, h0, maps, weights = case
+        want, want_g = gru_run(oracle_gru_sequence, case, True)
+        h0, maps = Tensor2(h0), [Tensor2(t) for t in maps]
+        with nk.GradTape() as tape:
+            h = nk.gru_sequence(xs, h0, *maps, True)
+            loss = nk.mean_all(nk.mul(h, Tensor2(weights)))
+        other = gru_case(85, 26, 6, 4, 1)
+        gru_run(nk.gru_sequence, other, True, taped=False, as_array=True)
+        gru_run(nk.gru_sequence, other, True, as_array=True)  # tape dropped
+        nk.backward(tape, loss)
+        assert_same_bits(h.data, want)
+        for t, w in zip([h0] + maps, want_g):
+            assert_same_bits(t.grad, w)
+
+    def test_grads_do_not_alias_pooled_buffers(self):
+        case = gru_case(86, 26, 6, 4, 1)
+        for standard in (False, True):
+            _, grads = gru_run(nk.gru_sequence, case, standard)
+            pooled = [buf for sets in nk._FREE.values() for bufs in sets
+                      for buf in bufs]
+            assert pooled
+            assert not any(np.shares_memory(g, buf)
+                           for g in grads for buf in pooled)
+            kept = [g.copy() for g in grads]
+            gru_run(nk.gru_sequence, gru_case(87, 26, 6, 4, 1), standard)
+            for g, k in zip(grads, kept):
+                assert_same_bits(g, k)
+
+    # The in = 3 projection is a GEMM, where BLAS flags inf * 0 as invalid.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    @pytest.mark.parametrize("n_in", [1, 3])
+    def test_nonfinite_step_same_with_and_without_tape(self, n_in):
+        xs, h0, maps, _ = gru_case(88, 26, 3, 4, n_in)
+        xs[13, 1, 0] = np.inf
+        messages = []
+        for fn, taped in ((oracle_gru_sequence, False),
+                          (nk.gru_sequence, False), (nk.gru_sequence, True)):
+            args = [Tensor2(t) for t in [h0] + maps]
+            with pytest.raises(nk.NonFiniteError) as err:
+                if taped:
+                    with nk.GradTape():
+                        fn(xs.copy(), *args)
+                else:
+                    fn([Tensor2(x) for x in xs], *args)
+            messages.append(str(err.value))
+        assert messages == ["gru_sequence produced non-finite values at "
+                            "step 14 of 26"] * 3
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         p = Tensor2([[1.0, 2.0]])

@@ -1,14 +1,23 @@
-"""Property tests; they need hypothesis and are skipped without it."""
+"""Property tests; they need hypothesis and are skipped without it.
+
+HYPOTHESIS_PROFILE=ci selects a derandomized profile, so a failure seen
+in CI replays locally with the same examples.
+"""
 
 import datetime
+import os
 import re
 
 import pytest
 
 from flucast import datahub
+from test_numkit import assert_matches_oracle, gru_case
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+hypothesis.settings.register_profile("ci", derandomize=True)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE",
+                                                "default"))
 
 LABEL = re.compile(r"\d{4}-W\d{2}")
 
@@ -41,3 +50,16 @@ class TestWeekLabels:
         for _ in range(3):
             with pytest.raises(datahub.DataError):
                 datahub.parse_week(label)
+
+
+class TestGruSequenceBits:
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                      t_len=st.integers(1, 9), b=st.integers(1, 6),
+                      m=st.integers(1, 6), n_in=st.integers(1, 3),
+                      standard=st.booleans(), taped=st.booleans(),
+                      as_array=st.booleans())
+    def test_matches_oracle(self, seed, t_len, b, m, n_in, standard, taped,
+                            as_array):
+        assert_matches_oracle(gru_case(seed, t_len, b, m, n_in), standard,
+                              taped, as_array)
