@@ -14,8 +14,12 @@ Gate equations follow the literal form
 with no bias terms in the gates. A conventional-GRU variant
 (f = tanh(x U_h + (r * h) W_h)) is available behind `standard_gru`.
 Each encoder runs as one `numkit.gru_sequence` tape op with fused gate
-GEMMs; the decoder, whose inputs depend on its own outputs, calls
-`gru_cell` (the same op with T = 1) once per step.
+GEMMs, on its input series passed as one (T x batch x in_dim) array:
+the series are data, so the op skips their gradient. The decoder, whose
+inputs depend on its own outputs, calls `gru_cell` (the same op with
+T = 1 and its input as a tensor, which gets a gradient) once per step.
+Without a tape, in validation and inference, the op keeps no per-step
+history.
 """
 
 from __future__ import annotations

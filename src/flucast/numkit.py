@@ -7,6 +7,14 @@ primitive appends one entry, so the tape order is already topological and
 ops to whole model layers: `dot_attention` is one entry, and
 `gru_sequence` runs a GRU over T steps with fused gate GEMMs and a
 hand-written BPTT backward as one entry.
+
+`gru_sequence` has two paths. With no active tape it runs the recurrence
+on one step's buffers and keeps no history. Under a tape it keeps the
+states and the z, r, f and mix terms as contiguous (T, B, M) blocks for
+the backward. Its buffers come from a small pool keyed by shape: a set
+used only inside a call goes back at the end of the call, and a history
+set once the tape entry holding it is collected, so a later call never
+overwrites a history some tape can still read.
 """
 
 from __future__ import annotations
@@ -273,25 +281,33 @@ def _sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return np.add(out, 0.5, out=out)
 
 
-# Free buffer sets of `gru_sequence`, keyed by their tuple of shapes. A
-# set is taken by one call and given back when nothing can read it any
-# more: at the end of the call, or, for the history a tape entry keeps,
-# when that entry is collected.
+# Free buffer sets of `gru_sequence`, keyed by their tuple of shapes and
+# ordered from the least recently returned. A set is taken by one call
+# and given back when nothing can read it any more: at the end of the
+# call, or, for the history a tape entry keeps, when that entry is
+# collected. At most two sets are kept per key, and at most eight keys,
+# as many as one training step of the model uses (forward scratch,
+# history and backward sets of three GRUs, two of which share a batch
+# size). Keys that a training loop has stopped using, such as those of a
+# finished grid point, drop out first.
 _FREE = {}
 _FREE_PER_SHAPES = 2
+_FREE_SHAPES = 8
 
 
 def _take(shapes) -> list:
     """float64 buffers of the given shapes, a free set if there is one."""
-    free = _FREE.get(shapes)
-    return free.pop() if free else [np.empty(s) for s in shapes]
+    free = _FREE.pop(shapes, [])
+    if len(free) > 1:
+        _FREE[shapes] = free[1:]
+    return free[0] if free else [np.empty(s) for s in shapes]
 
 
 def _give(shapes, bufs) -> None:
-    """Hand back a set from `_take`; beyond the bound it is dropped."""
-    free = _FREE.setdefault(shapes, [])
-    if len(free) < _FREE_PER_SHAPES:
-        free.append(bufs)
+    """Hand back a set from `_take`."""
+    _FREE[shapes] = (_FREE.pop(shapes, []) + [bufs])[-_FREE_PER_SHAPES:]
+    if len(_FREE) > _FREE_SHAPES:
+        del _FREE[next(iter(_FREE))]
 
 
 def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
@@ -311,8 +327,10 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
     Each step's hidden projection is one GEMM with [W_z|W_r]. The input
     projection is x * [U_z|U_r|U_h] per step when in = 1 (an outer
     product), else one GEMM over all T steps. Each step's z|r and h
-    pre-activations are checked for NaN and inf before the sigmoid and
-    tanh, which would hide an inf; the error names the first bad step.
+    pre-activations are checked for NaN and inf, which the sigmoid and
+    tanh would hide; the error names the first bad step. Every
+    elementwise op writes into a preallocated buffer with the operand
+    order of the formulas, so no result depends on the buffer layout.
 
     With no active tape the recurrence runs on one step's buffers and
     keeps no history. Under a tape, the states and z, r, f and the mix
@@ -383,22 +401,22 @@ def _gru_forward(xs, h0, u_all, w_zr, w_h, hist, standard) -> np.ndarray:
     keep = len(z)
     scratch_shapes = ((b, 2 * m), (b, 2 * m), (b, m), (b, m))
     pzr, hzr, ph, tmp = scratch = _take(scratch_shapes)
-    xu = None
-    if n_in > 1:
+    if n_in == 1:
+        u_zr, u_h = u_all[:, :2 * m], u_all[:, 2 * m:]
+    else:
         xu = (xs.reshape(-1, n_in) @ u_all).reshape(t_len, b, 3 * m)
     states[0] = h0
     try:
         for t in range(t_len):
             h = states[t % (keep + 1)]
             h_new = states[(t + 1) % (keep + 1)]
-            z_t, r_t, f_t, mix_t = z[t % keep], r[t % keep], f[t % keep], \
-                mix[t % keep]
-            if xu is None:
-                # x U as the K = 1 GEMM rounds it, where a zero is +0.
-                np.multiply(xs[t], u_all[:, :2 * m], out=pzr)
-                np.add(np.multiply(xs[t], u_all[:, 2 * m:], out=ph), 0.0,
-                       out=ph)
-                x_zr, x_h = pzr, ph
+            i = t % keep
+            z_t, r_t, f_t, mix_t = z[i], r[i], f[i], mix[i]
+            if n_in == 1:
+                # x U as the K = 1 GEMM gives it, +0 for a zero product;
+                # adding h W_zr below does the same for the z|r part.
+                x_zr = np.multiply(xs[t], u_zr, out=pzr)
+                x_h = np.add(np.multiply(xs[t], u_h, out=ph), 0.0, out=ph)
             else:
                 x_zr, x_h = xu[t, :, :2 * m], xu[t, :, 2 * m:]
             np.add(x_zr, np.matmul(h, w_zr, out=hzr), out=pzr)
@@ -433,7 +451,9 @@ def _gru_backward(g, xs, hist, u_all, w_zr, w_h, standard, need_dx) -> list:
         d_z = dh (f - h) z (1 - z),  d_h = dh z (1 - f f),
         d_r = (d_h W_h^T) h r (1 - r)     (standard), or
         d_r = ((d_h h) W_h^T) r (1 - r)   (literal),
-    so the gradients do not depend on how the buffers are laid out.
+    and each GEMM multiplies the same operands, and over the same (T, B,
+    3M) gradient block, as the plain-array oracle in tests/test_numkit.py,
+    so the gradients are bitwise that oracle's.
     """
     t_len, b, n_in = xs.shape
     m = w_h.shape[0]
@@ -484,8 +504,9 @@ def _gru_backward(g, xs, hist, u_all, w_zr, w_h, standard, need_dx) -> list:
         else:
             r_rows = r.reshape(-1, m)
             if m == 1:
-                # Then the product is a dot, whose summation order follows
-                # the stride of r: read r as the column of a z|r block.
+                # This product is then a dot, whose summation order follows
+                # r's stride: read r as a column of a z|r block, as the
+                # oracle lays it out.
                 r_rows = np.concatenate([z, r], axis=2).reshape(-1, 2)[:, 1:]
             d_wh = r_rows.T @ np.multiply(d_flat[:, 2 * m:], h_flat,
                                           out=bufs[6])

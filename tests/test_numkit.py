@@ -386,12 +386,14 @@ def oracle_gru_sequence(steps, h0, u_z, u_r, u_h, w_z, w_r, w_h,
 
 
 def gru_case(seed, t_len, b, m, n_in):
-    """Inputs (T, B, in), h0 and the six maps of one GRU run, with exact
-    zeros in the inputs (min-max scaling makes them), and loss weights."""
+    """Inputs (T, B, in), h0 and the six maps of one GRU run, and loss
+    weights. The inputs hold exact zeros (min-max scaling makes them) and
+    h0 holds some -0.0, so the sign of a zero product shows."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, (t_len, b, n_in))
     xs[rng.random(xs.shape) < 0.2] = 0.0
     h0 = rng.normal(0.0, 1.0, (b, m))
+    h0[rng.random(h0.shape) < 0.2] = -0.0
     maps = [rng.normal(0.0, 0.6, s) for s in [(n_in, m)] * 3 + [(m, m)] * 3]
     return xs, h0, maps, rng.normal(0.0, 1.0, (b, m))
 
@@ -487,6 +489,25 @@ class TestGruSequenceMatchesOracle:
         assert_same_bits(h.data, want)
         for t, w in zip([h0] + maps, want_g):
             assert_same_bits(t.grad, w)
+
+    def test_history_is_pooled_once_its_tape_is_collected(self):
+        xs, h0, maps, _ = gru_case(89, 5, 3, 2, 1)
+        history = ((6, 3, 2),) + ((5, 3, 2),) * 4
+        nk._FREE.clear()
+        with nk.GradTape() as tape:
+            nk.gru_sequence(xs, Tensor2(h0), *[Tensor2(t) for t in maps])
+        assert history not in nk._FREE
+        gru_run(nk.gru_sequence, (xs, h0, maps, h0), False, as_array=True)
+        assert len(nk._FREE[history]) == 1  # the run above, not the tape's
+        del tape
+        assert len(nk._FREE[history]) == 2
+
+    def test_pool_keeps_the_most_recent_shapes(self):
+        for b in range(1, 2 * nk._FREE_SHAPES):
+            gru_run(nk.gru_sequence, gru_case(90, 2, b, 2, 1), False,
+                    taped=False)
+        assert len(nk._FREE) <= nk._FREE_SHAPES
+        assert ((b, 4), (b, 4), (b, 2), (b, 2)) in nk._FREE
 
     def test_grads_do_not_alias_pooled_buffers(self):
         case = gru_case(86, 26, 6, 4, 1)
