@@ -197,16 +197,6 @@ def load_ili(path: str) -> dict:
     return out
 
 
-def write_ili(path: str, series_by_country: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["iso_week", "country", "ili_rate"])
-        for country in sorted(series_by_country):
-            s = series_by_country[country]
-            for week, v in zip(s.weeks(), s.values):
-                w.writerow([format_week(week), country, repr(float(v))])
-
-
 def query_slug(query: str) -> str:
     s = query.lower().replace(" ", "_")
     return re.sub(r"[^0-9a-z_-￿]", "", s)
@@ -339,16 +329,23 @@ def make_target_windows(series: WeeklySeries, panel, seasonal: np.ndarray,
                         (lo - n_in, hi))
 
 
-def split_plan(series: WeeklySeries, test_start: int, test_len: int,
-               val_len: int = 52, min_train: int = 156) -> SplitPlan:
+# Validation takes the year before the test range; training needs three
+# years before that.
+_VAL_WEEKS = WEEKS_PER_YEAR
+_MIN_TRAIN_WEEKS = 3 * WEEKS_PER_YEAR
+
+
+def split_plan(series: WeeklySeries, test_start: int, test_len: int
+               ) -> SplitPlan:
     """Validation is the 52 weeks before test; training is everything prior."""
     test_end = test_start + test_len - 1
-    val_start = test_start - val_len
+    val_start = test_start - _VAL_WEEKS
     train_weeks = val_start - series.start
-    if train_weeks < min_train or test_end > series.end:
+    if train_weeks < _MIN_TRAIN_WEEKS or test_end > series.end:
         raise DataError(
-            f"{series.country}: need >= {min_train} training + {val_len} "
-            f"validation + {test_len} test weeks; have {len(series)} from "
+            f"{series.country}: need >= {_MIN_TRAIN_WEEKS} training + "
+            f"{_VAL_WEEKS} validation + {test_len} test weeks; have "
+            f"{len(series)} from "
             f"{format_week(series.start)} with test start "
             f"{format_week(test_start)}")
     return SplitPlan(train=(series.start, val_start - 1),

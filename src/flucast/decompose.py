@@ -128,10 +128,15 @@ def _bisquare(resid: np.ndarray) -> np.ndarray:
     return np.where(u < 1.0, (1.0 - u ** 2) ** 2, 0.0)
 
 
-def stl_decompose(series, period: int, inner_iters: int = 2,
-                  outer_iters: int = 1, seasonal_span: int = 7,
-                  trend_span: int = None, lowpass_span: int = None
-                  ) -> Decomposition:
+# STL settings: inner and outer (robustness) loop counts and the
+# cycle-subseries LOESS span. The trend and low-pass spans follow from
+# the period (Cleveland et al. 1990).
+_INNER_ITERS = 2
+_OUTER_ITERS = 1
+_SEASONAL_SPAN = 7
+
+
+def stl_decompose(series, period: int) -> Decomposition:
     """Cleveland-style STL: cycle-subseries smoothing, low-pass, trend.
 
     The seasonal component is centered to zero mean over every full cycle
@@ -145,10 +150,8 @@ def stl_decompose(series, period: int, inner_iters: int = 2,
             f"need at least {2 * period} points for period {period}, got {n}")
     if np.any(~np.isfinite(y)):
         raise ParameterError("series contains missing or non-finite values")
-    if trend_span is None:
-        trend_span = _next_odd(1.5 * period / (1.0 - 1.5 / seasonal_span))
-    if lowpass_span is None:
-        lowpass_span = _next_odd(period)
+    trend_span = _next_odd(1.5 * period / (1.0 - 1.5 / _SEASONAL_SPAN))
+    lowpass_span = _next_odd(period)
 
     trend = np.zeros(n)
     seasonal = np.zeros(n)
@@ -160,15 +163,15 @@ def stl_decompose(series, period: int, inner_iters: int = 2,
     for phases in (np.arange(n % period), np.arange(n % period, period)):
         if len(phases):
             m = len(range(phases[0], n, period))
-            span = seasonal_span
+            span = _SEASONAL_SPAN
             if span > m:
                 span = max(m if m % 2 == 1 else m - 1, 1)
             groups.append((phases[:, None] + period * np.arange(m), span,
                            phases[:, None] + period * np.arange(m + 2),
                            np.arange(-1, m + 1)))
 
-    for outer in range(outer_iters + 1):
-        for _ in range(inner_iters):
+    for outer in range(_OUTER_ITERS + 1):
+        for _ in range(_INNER_ITERS):
             detrended = y - trend
             c = np.zeros(n + 2 * period)
             for sub, span, out, ks in groups:
@@ -180,7 +183,7 @@ def stl_decompose(series, period: int, inner_iters: int = 2,
             lp = loess_smooth(lp, lowpass_span, 1)
             seasonal = c[period:period + n] - lp
             trend = loess_smooth(y - seasonal, trend_span, 1, rho)
-        if outer < outer_iters:
+        if outer < _OUTER_ITERS:
             rho = _bisquare(y - trend - seasonal)
 
     # center each full cycle of the seasonal; fold the mean into the trend
@@ -195,24 +198,13 @@ def stl_decompose(series, period: int, inner_iters: int = 2,
                          remainder=remainder, period=period)
 
 
-def deseasonalize(values, seasonal) -> np.ndarray:
-    """Subtract the seasonal component pointwise."""
-    values = np.asarray(values, dtype=np.float64)
-    seasonal = np.asarray(seasonal, dtype=np.float64)
-    if values.shape != seasonal.shape:
-        raise ParameterError(
-            f"misaligned series: {values.shape} vs {seasonal.shape}")
-    return values - seasonal
-
-
-def seasonal_template(d: Decomposition, fit_len: int = None
-                      ) -> SeasonalTemplate:
+def seasonal_template(d: Decomposition) -> SeasonalTemplate:
     """Template from the final fitted cycle, indexed by phase.
 
-    fit_len defaults to the full decomposition length; phases are week
-    indices modulo the period, with index 0 at the start of the series.
+    Phases are week indices modulo the period, with index 0 at the start
+    of the series.
     """
-    n = len(d.seasonal) if fit_len is None else fit_len
+    n = len(d.seasonal)
     T = d.period
     if n < T:
         raise InsufficientDataError("decomposition shorter than one period")

@@ -111,7 +111,7 @@ def fit_ar_exog(y: np.ndarray, q: np.ndarray, p: int) -> ArExogModel:
 
 
 def evaluate(predict, test_windows, s_out: int, model_name: str,
-             country: str, term: str = "", horizons=None) -> EvalReport:
+             country: str, term: str = "") -> EvalReport:
     """Score a forecaster over test windows, per horizon.
 
     `predict(sample) -> array of length s_out (trailing NaN allowed for
@@ -120,7 +120,7 @@ def evaluate(predict, test_windows, s_out: int, model_name: str,
     """
     if not test_windows:
         raise MetricError("no test windows")
-    horizons = list(horizons or range(1, s_out + 1))
+    horizons = range(1, s_out + 1)
     truth = {h: [] for h in horizons}
     preds = {h: [] for h in horizons}
     traces = []

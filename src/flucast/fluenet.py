@@ -175,13 +175,6 @@ class ModelParams:
             out["shared.country_embed"] = self.country_embed
         return out
 
-    def params_for(self, country: str) -> dict:
-        """Shared params plus the listed country's specific params."""
-        self.country_id(country)
-        return {n: p for n, p in self.named_params().items()
-                if n.startswith("shared.")
-                or n.startswith(f"country.{country}.")}
-
 
 @dataclass(frozen=True)
 class ForecastResult:

@@ -588,57 +588,40 @@ def glorot_uniform(rng: Rng, rows: int, cols: int) -> Tensor2:
     return Tensor2(rng.uniform(-limit, limit, (rows, cols)), copy=False)
 
 
-class AdamState:
-    """Per-tensor Adam accumulators with bias correction."""
-
-    def __init__(self, shape, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ContractError("learning rate must be positive")
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-
-
-def adam_step(state: AdamState, param: Tensor2, grad: np.ndarray) -> Tensor2:
-    """One Adam update; returns the updated parameter tensor."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != param.shape or state.m.shape != param.shape:
-        raise ShapeError(f"adam_step shape mismatch: param {param.shape}, "
-                         f"grad {grad.shape}, state {state.m.shape}")
-    state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    new = param.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return Tensor2(_finite(new, "adam_step"), copy=False)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam over a named parameter dict; updates tensors in place."""
+    """Adam with bias correction over a named parameter dict.
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    Each name keeps its own moments m, v and step count t. A tensor with
+    no gradient in a step keeps all three, so a per-country tensor is
+    bias-corrected by the number of batches of its country.
+    """
+
+    def __init__(self, lr: float):
+        if lr <= 0:
+            raise ContractError("learning rate must be positive")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._states = {}
+        self._states = {}  # name -> (m, v, t)
 
     def step(self, params: dict) -> None:
         """Update every param whose .grad is set; then clear grads."""
         for name, p in params.items():
             if p.grad is None:
                 continue
-            st = self._states.get(name)
-            if st is None:
-                st = AdamState(p.shape, self.lr, self.beta1, self.beta2,
-                               self.eps)
-                self._states[name] = st
-            p.data = adam_step(st, p, p.grad).data
+            grad = np.asarray(p.grad, dtype=np.float64)
+            m, v, t = self._states.get(name) or (
+                np.zeros(p.shape), np.zeros(p.shape), 0)
+            if grad.shape != p.shape or m.shape != p.shape:
+                raise ShapeError(f"adam_step shape mismatch: param {p.shape}, "
+                                 f"grad {grad.shape}, state {m.shape}")
+            t += 1
+            m = _BETA1 * m + (1.0 - _BETA1) * grad
+            v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+            self._states[name] = (m, v, t)
+            m_hat = m / (1.0 - _BETA1 ** t)
+            v_hat = v / (1.0 - _BETA2 ** t)
+            new = p.data - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+            p.data = _finite(new, "adam_step")
             p.grad = None

@@ -173,18 +173,23 @@ def _content_tokens(query: str, stopwords: set) -> list:
     return tokens
 
 
+# Candidates per English query that `wt_select` looks up, best theta_w
+# first.
+_MAX_CANDIDATES = 200
+
+
 def wt_select(english_queries, source: EmbeddingTable,
               target: EmbeddingTable, trends_provider, ili_values,
-              k: int, stopwords: set, max_candidates: int = 200) -> list:
+              k: int, stopwords: set) -> list:
     """Pick, per English query, the candidate maximizing theta_w + theta_t.
 
     `trends_provider(candidate) -> 1-D array or None` supplies the
     candidate's trends series over the same training weeks as ili_values.
     Candidates are cartesian compositions of the k nearest target words
-    per content token, capped at max_candidates by theta_w.
+    per content token, capped at `_MAX_CANDIDATES` by theta_w.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise SelectionError(f"k must be >= 1, got {k}")
     ili_values = np.asarray(ili_values, dtype=np.float64)
     results = []
     for query in english_queries:
@@ -197,7 +202,7 @@ def wt_select(english_queries, source: EmbeddingTable,
             if text not in candidates or theta_w > candidates[text]:
                 candidates[text] = theta_w
         ordered = sorted(candidates.items(), key=lambda p: (-p[1], p[0]))
-        ordered = ordered[:max_candidates]
+        ordered = ordered[:_MAX_CANDIDATES]
         best = None
         for text, theta_w in ordered:
             series = trends_provider(text)

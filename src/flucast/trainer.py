@@ -46,8 +46,16 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lr_grid or not self.m_grid:
             raise TrainingError("hyperparameter grids must be nonempty")
-        if self.patience < 1 or self.batch_size < 1:
-            raise TrainingError("patience and batch size must be >= 1")
+        if not all(lr > 0 for lr in self.lr_grid):
+            raise TrainingError(f"learning rates must be positive, got "
+                                f"{list(self.lr_grid)}")
+        for name, value in (("m_grid", min(self.m_grid)),
+                            ("max_epochs", self.max_epochs),
+                            ("n_in", self.n_in), ("s_out", self.s_out),
+                            ("patience", self.patience),
+                            ("batch_size", self.batch_size)):
+            if value < 1:
+                raise TrainingError(f"{name} must be >= 1, got {value}")
         if self.mode not in ("single", "multi"):
             raise TrainingError(f"unknown mode {self.mode!r}")
         if self.mode == "multi" and len(self.countries) < 2:
@@ -151,6 +159,22 @@ def _query_count(config: TrainConfig, data: dict) -> int:
     return max(counts.values())
 
 
+def _train_step(model, adam, country, batch, eps, rng) -> float:
+    """One Adam step on one batch; returns the batch loss.
+
+    The tape goes out of scope on return, so the GRU histories it holds
+    go back to the buffer pool before validation runs.
+    """
+    x, q, o = _batch_arrays(batch)
+    with nk.GradTape() as tape:
+        o_hat, _ = fluenet.forward_batch(model, country, x, q, teacher=o,
+                                         eps=eps, rng=rng)
+        loss = mse_loss(o_hat, o)
+        nk.backward(tape, loss)
+    adam.step(model.named_params())
+    return loss.item()
+
+
 def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
                m: int, grid_index: int) -> tuple:
     """Train a single grid point; returns (model, log, best val mse)."""
@@ -179,15 +203,8 @@ def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
         for _ in range(steps_per_epoch):
             country, batch = sample_country_batch(
                 batch_rng, train_sets, config.batch_size)
-            x, q, o = _batch_arrays(batch)
-            with nk.GradTape() as tape:
-                o_hat, _ = fluenet.forward_batch(
-                    model, country, x, q, teacher=o, eps=eps,
-                    rng=sample_rng)
-                loss = mse_loss(o_hat, o)
-                nk.backward(tape, loss)
-            adam.step(model.named_params())
-            losses.append(loss.item())
+            losses.append(_train_step(model, adam, country, batch, eps,
+                                      sample_rng))
         val = _validation_mse(model, data)
         avg_val = float(np.mean(list(val.values())))
         log.entries.append({"epoch": epoch,

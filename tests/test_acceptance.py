@@ -13,6 +13,7 @@ from flucast import (cli, datahub, decompose, evalbench, fluenet, querysel,
                      trainer)
 from flucast import numkit as nk
 from flucast.numkit import Rng, Tensor2
+from ili_csv import series_rows, write_ili_csv
 
 
 class TestGradientFidelity:
@@ -344,8 +345,8 @@ class TestReproducibility:
             5.0 + 2.0 * np.sin(2 * np.pi * np.arange(260) / 52.0)
             + 0.1 * rng.normal(0, 1, 260), 0.1)
         ili_path = tmp_path / "ili.csv"
-        datahub.write_ili(str(ili_path), {
-            "US": datahub.WeeklySeries("US", start, values)})
+        write_ili_csv(ili_path, series_rows({
+            "US": datahub.WeeklySeries("US", start, values)}))
         config = tmp_path / "c.cfg"
         config.write_text(
             f"countries = US\ndata.ili = {ili_path}\n"

@@ -6,6 +6,7 @@ import pytest
 
 from flucast import cli, datahub, querysel
 from flucast.numkit import Rng
+from ili_csv import series_rows, write_ili_csv
 
 START = "2010-W01"
 WEEKS = 280
@@ -29,7 +30,7 @@ def build_workspace(root):
             country=country, start=start,
             values=np.maximum(synth_series(rng, WEEKS, phase), 0.1))
     ili_path = root / "ili.csv"
-    datahub.write_ili(str(ili_path), ili)
+    write_ili_csv(ili_path, series_rows(ili))
 
     trends = root / "trends"
     for country in ili:
@@ -570,6 +571,26 @@ class TestBadInput:
         assert run(config, tmp_path / "out", "select-queries") == 1
         err = capsys.readouterr().err
         assert err == "error: query 'the of' has only stopwords\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        ("train.lr_grid = 0.01,-0.1",
+         "learning rates must be positive, got [0.01, -0.1]"),
+        ("train.m_grid = 0", "m_grid must be >= 1, got 0"),
+        ("train.max_epochs = 0", "max_epochs must be >= 1, got 0"),
+        ("model.n = 0", "n_in must be >= 1, got 0"),
+        ("model.s = 0", "s_out must be >= 1, got 0"),
+        ("querysel.k = 0", "k must be >= 1, got 0")],
+        ids=["lr", "m", "max_epochs", "n", "s", "k"])
+    def test_out_of_range_setting_is_one_line(self, tmp_path, capsys, edit,
+                                              message):
+        config = build_workspace(tmp_path)
+        config, _ = build_wt_inputs(tmp_path, config, tmp_path)
+        config.write_text(config.read_text(encoding="utf-8") + edit + "\n",
+                          encoding="utf-8")
+        argv = (["select-queries"] if edit.startswith("querysel.")
+                else ["train", "--mode", "single", "--countries", "US"])
+        assert run(config, tmp_path / "out", *argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.filterwarnings("ignore:US. query")
     def test_every_query_constant_is_data_error(self, tmp_path, capsys):

@@ -5,13 +5,7 @@ import pytest
 
 from flucast import datahub, decompose
 from flucast.numkit import Rng
-
-
-def write_ili_csv(path, rows):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("iso_week,country,ili_rate\n")
-        for r in rows:
-            f.write(",".join(str(x) for x in r) + "\n")
+from ili_csv import series_rows, write_ili_csv
 
 
 class TestWeeks:
@@ -255,7 +249,7 @@ class TestLoadIli:
             country="JP", start=datahub.parse_week("2014-W10"),
             values=rng.uniform(0, 30, 120))
         out_path = tmp_path / "out.csv"
-        datahub.write_ili(str(out_path), {"JP": series})
+        write_ili_csv(out_path, series_rows({"JP": series}))
         back = datahub.load_ili(str(out_path))["JP"]
         assert back.start == series.start
         assert np.array_equal(back.values, series.values)

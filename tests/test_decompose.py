@@ -236,26 +236,6 @@ class TestStlDecompose:
             decompose.stl_decompose(series, period=52)
 
 
-class TestDeseasonalize:
-    def test_zero_seasonal_unchanged(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(decompose.deseasonalize(x, np.zeros(3)), x)
-
-    def test_direct_subtraction(self):
-        out = decompose.deseasonalize([3, 4, 3, 4], [1, 2, 1, 2])
-        assert np.array_equal(out, [2, 2, 2, 2])
-
-    def test_reconstruction_identity(self):
-        rng = Rng(2)
-        x = rng.uniform(0, 10, 30)
-        s = rng.uniform(-1, 1, 30)
-        assert np.max(np.abs(decompose.deseasonalize(x, s) + s - x)) < 1e-12
-
-    def test_misaligned_rejected(self):
-        with pytest.raises(decompose.ParameterError):
-            decompose.deseasonalize(np.ones(4), np.ones(5))
-
-
 class TestExtendSeasonal:
     def test_periodic_indexing(self):
         tpl = decompose.SeasonalTemplate(values=np.array([1.0, 2.0, 3.0]),

@@ -544,35 +544,70 @@ class TestGruSequenceMatchesOracle:
                             "step 14 of 26"] * 3
 
 
+def adam_run(p, grads, lr):
+    """p after one Adam.step per gradient, from a fresh optimizer."""
+    adam = nk.Adam(lr)
+    for g in grads:
+        p.grad = g
+        adam.step({"p": p})
+        assert p.grad is None
+    return p
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        p = Tensor2([[1.0, 2.0]])
-        st = nk.AdamState(p.shape, lr=0.1)
-        out = nk.adam_step(st, p, np.zeros((1, 2)))
-        assert np.array_equal(out.data, p.data)
+        p = adam_run(Tensor2([[1.0, 2.0]]), [np.zeros((1, 2))], lr=0.1)
+        assert np.array_equal(p.data, [[1.0, 2.0]])
 
     def test_first_step_matches_hand_formula(self):
         # t=1: m_hat = g, v_hat = g^2, update = lr * g/|g| = lr
-        p = Tensor2([[0.5]])
-        st = nk.AdamState(p.shape, lr=0.1)
-        out = nk.adam_step(st, p, np.array([[1.0]]))
-        assert abs(out.data[0, 0] - (0.5 - 0.1 * (1.0 / (1.0 + 1e-8)))) < 1e-15
+        p = adam_run(Tensor2([[0.5]]), [np.array([[1.0]])], lr=0.1)
+        assert abs(p.data[0, 0] - (0.5 - 0.1 * (1.0 / (1.0 + 1e-8)))) < 1e-15
 
     def test_determinism(self):
         def run():
-            p = Tensor2([[1.0, -1.0]])
-            st = nk.AdamState(p.shape, lr=0.01)
             g = np.array([[0.3, -0.2]])
-            for _ in range(5):
-                p = nk.adam_step(st, p, g)
-            return p.data
+            return adam_run(Tensor2([[1.0, -1.0]]), [g] * 5, lr=0.01).data
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        p = Tensor2([[1.0]])
-        st = nk.AdamState(p.shape, lr=0.1)
         with pytest.raises(nk.ShapeError):
-            nk.adam_step(st, p, np.zeros((2, 2)))
+            adam_run(Tensor2([[1.0]]), [np.zeros((2, 2))], lr=0.1)
+
+    def test_nonpositive_learning_rate_rejected(self):
+        for lr in (0.0, -0.1):
+            with pytest.raises(nk.ContractError, match="learning rate"):
+                nk.Adam(lr)
+
+    def test_sparse_gradients_keep_per_tensor_step_counts(self):
+        # "every" gets a gradient on each of 6 steps, "odd" only on steps
+        # 1, 3 and 5 (a country drawn every other batch); each must follow
+        # the hand formula with its own step count, bit for bit.
+        rng = nk.Rng(77)
+        params = {"every": Tensor2(rng.normal(0, 1, (2, 3))),
+                  "odd": Tensor2(rng.normal(0, 1, (3, 1)))}
+        grads = {n: [rng.normal(0, 1, p.shape) for _ in range(6)]
+                 for n, p in params.items()}
+        want = {}
+        for name, p in params.items():
+            x, m, v, t = p.data.copy(), 0.0, 0.0, 0
+            for step, g in enumerate(grads[name], start=1):
+                if name == "odd" and step % 2 == 0:
+                    continue
+                t += 1
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+                x = x - 0.05 * (m / (1.0 - 0.9 ** t)) / (
+                    np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            want[name] = x
+        adam = nk.Adam(0.05)
+        for step in range(1, 7):
+            for name, p in params.items():
+                if name == "every" or step % 2 == 1:
+                    p.grad = grads[name][step - 1]
+            adam.step(params)
+        for name, p in params.items():
+            assert np.array_equal(p.data, want[name]), name
 
 
 class TestRng:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,21 @@ class TestFit:
         config = quick_config(max_epochs=3, use_country_embedding=True)
         model, _ = trainer.fit(config, data)
         assert model.country_embed is None
+
+    def test_no_tape_alive_during_validation(self, monkeypatch):
+        # A live tape keeps its GRU histories out of the buffer pool.
+        validation_mse = trainer._validation_mse
+        tapes = []
+
+        def counted(model, data):
+            gc.collect()
+            tapes.append(sum(isinstance(o, nk.GradTape)
+                             for o in gc.get_objects()))
+            return validation_mse(model, data)
+
+        monkeypatch.setattr(trainer, "_validation_mse", counted)
+        trainer.fit(quick_config(max_epochs=2), make_data(["US"], seed=17))
+        assert tapes == [0, 0]
 
     def test_mode_data_mismatch_rejected(self):
         data = make_data(["JP", "US"])
