@@ -70,8 +70,16 @@ def _get_bool(cfg, key, default=False):
     return raw.lower() in ("1", "true", "yes", "on")
 
 
-def _load_ili(cfg) -> dict:
-    return datahub.load_ili(_get(cfg, "data.ili", required=True))
+def _load_ili(cfg, countries) -> dict:
+    """The ILI series of each named country, in the given order; a
+    country with no rows in the file is a DataError naming both."""
+    path = _get(cfg, "data.ili", required=True)
+    series = datahub.load_ili(path)
+    missing = [c for c in countries if c not in series]
+    if missing:
+        raise datahub.DataError(f"{path}: no rows for country "
+                                f"{', '.join(missing)}")
+    return {c: series[c] for c in countries}
 
 
 def _split(cfg, series) -> datahub.SplitPlan:
@@ -81,60 +89,132 @@ def _split(cfg, series) -> datahub.SplitPlan:
                               _get_num(cfg, "split.test_len", 52))
 
 
-def _prepare_country(cfg, series, use_queries, n_in, s_out):
-    """Split, decompose, normalize, and window one country's data into
-    windows of n_in input and s_out target weeks."""
-    country = series.country
+def _query_list(cfg, country) -> list:
+    return querysel.read_selected(_get(cfg, f"queries.{country}",
+                                       required=True))
+
+
+def _trends(cfg, series, queries) -> datahub.QueryPanel:
+    return datahub.load_trends(_get(cfg, "data.trends_dir", required=True),
+                               series.country, queries, series)
+
+
+def _fit_country(cfg, series, use_queries) -> tuple:
+    """Fit one country's preprocessing on its training range.
+
+    Returns (stored, seasonal, panel): the checkpoint `extra` entries of
+    the fit, the STL seasonal over the training range, and the query
+    panel min-max normalized on that range (None without queries).
+    """
+    c = series.country
+    plan = _split(cfg, series)
+    seasonal = decompose.stl_decompose(series.values[:plan.train_len],
+                                       period=52).seasonal
+    queries, panel, stats = [], None, []
+    if use_queries:
+        queries = _query_list(cfg, c)
+        panel, stats = datahub.minmax_fit_apply(
+            _trends(cfg, series, queries), plan.train)
+        if not stats:
+            raise datahub.DataError(
+                f"{c}: no query left after dropping those constant on the "
+                f"training range")
+    stored = {f"seasonal.{c}": seasonal.tolist(), f"queries.{c}": queries,
+              f"norm.{c}": stats}
+    return stored, seasonal, panel
+
+
+def _stored_fit(ckpt, extra, cfg, series, model) -> tuple:
+    """Read back the preprocessing `train` fitted for one country.
+
+    Returns (seasonal, panel) as `_fit_country` does, with the panel
+    loaded for the kept queries only and normalized by the saved stats.
+    A configured query list that differs from the trained one is a
+    ConfigError; a missing or malformed entry is a ContractError naming
+    the checkpoint and the key.
+    """
+    c = series.country
+
+    def stored(key):
+        name = f"{key}.{c}"
+        if name not in extra:
+            raise nk.ContractError(f"{ckpt}: checkpoint extra lacks {name}")
+        return extra[name]
+
+    def bad(key, problem):
+        return nk.ContractError(f"{ckpt}: checkpoint extra {key}.{c} "
+                                f"{problem}")
+
+    seasonal = stored("seasonal")
+    try:
+        seasonal = np.array(seasonal, dtype=np.float64)
+        if seasonal.ndim != 1:
+            raise TypeError
+    except (TypeError, ValueError):
+        raise bad("seasonal", "is not a list of numbers") from None
+    if not np.all(np.isfinite(seasonal)):
+        raise bad("seasonal", "holds non-finite values")
+    fit_len = _split(cfg, series).train_len
+    if len(seasonal) != fit_len:
+        raise bad("seasonal", f"has {len(seasonal)} weeks, but the training "
+                              f"range of {c} in {_get(cfg, 'data.ili')} has "
+                              f"{fit_len}")
+
+    trained = stored("queries")
+    configured = _query_list(cfg, c) if model.use_queries else []
+    if configured != trained:
+        raise ConfigError(f"{c}: queries {configured} differ from the "
+                          f"{trained} the checkpoint was trained on")
+
+    norm = stored("norm")
+    try:
+        stats = [(q, float(mn), float(mx)) for q, mn, mx in norm]
+        if not all(isinstance(q, str) for q, _, _ in stats):
+            raise TypeError
+    except (TypeError, ValueError):
+        raise bad("norm", "is not a list of [query, min, max]") from None
+    for q, mn, mx in stats:
+        if not (np.isfinite(mn) and np.isfinite(mx) and mn < mx):
+            raise bad("norm", f"query {q!r} has min {mn!r} and max {mx!r}, "
+                              f"not finite with min < max")
+    lo = 1 if model.use_queries else 0
+    if not lo <= len(stats) <= model.l_queries:
+        raise bad("norm", f"has {len(stats)} queries, the model takes "
+                          f"{lo} to {model.l_queries}")
+    panel = None
+    if model.use_queries:
+        panel = datahub.minmax_apply(
+            _trends(cfg, series, [q for q, _, _ in stats]), stats)
+    return seasonal, panel
+
+
+def _apply_country(cfg, series, seasonal_fit, panel) -> dict:
+    """One country's split, full-length seasonal array and template, from
+    its training-range seasonal and its normalized query panel."""
     plan = _split(cfg, series)
     fit_len = plan.train_len
-    d = decompose.stl_decompose(series.values[:fit_len], period=52)
-    template = decompose.seasonal_template(d)
-    seasonal = np.empty(len(series))
-    seasonal[:fit_len] = d.seasonal
-    seasonal[fit_len:] = template.values[np.arange(fit_len, len(series))
-                                         % template.period]
-
-    panel, stats, queries = None, [], []
-    if use_queries:
-        raw_panel = datahub.load_trends(
-            _get(cfg, "data.trends_dir", required=True), country,
-            querysel.read_selected(
-                _get(cfg, f"queries.{country}", required=True)),
-            series)
-        panel, stats = datahub.minmax_fit_apply(raw_panel, plan.train)
-        queries = panel.queries
-        if not queries:
-            raise datahub.DataError(
-                f"{country}: no query left after dropping those constant "
-                f"on the training range")
-
-    train_w = datahub.make_windows(series, panel, seasonal, n_in, s_out,
-                                   plan.train)
-    val_w = datahub.make_target_windows(series, panel, seasonal, n_in,
-                                        s_out, plan.val)
-    test_w = datahub.make_target_windows(series, panel, seasonal, n_in,
-                                         s_out, plan.test)
-    return {
-        "series": series, "plan": plan, "template": template,
-        "seasonal": seasonal, "panel": panel, "queries": queries,
-        "norm_stats": stats, "train": train_w, "val": val_w, "test": test_w,
-    }
+    template = decompose.seasonal_template(seasonal_fit, 52)
+    seasonal = np.concatenate([seasonal_fit, decompose.extend_seasonal(
+        template, fit_len - 1, len(series) - fit_len)])
+    return {"series": series, "plan": plan, "template": template,
+            "seasonal": seasonal, "panel": panel}
 
 
-def _prepare_trained(cfg, model, extra) -> dict:
-    """Prepare each checkpoint country with the N, S and query list it
-    was trained on; a different query list is refused."""
-    all_series = _load_ili(cfg)
-    prepared = {}
-    for c in model.countries:
-        p = _prepare_country(cfg, all_series[c], model.use_queries,
-                             model.n_in, model.s_out)
-        trained = extra.get(f"queries.{c}", [])
-        if p["queries"] != trained:
-            raise ConfigError(f"{c}: queries {p['queries']} differ from "
-                              f"the {trained} the checkpoint was trained on")
-        prepared[c] = p
-    return prepared
+def _windows(p, part, n_in, s_out) -> list:
+    """Windows of n_in input and s_out target weeks for one part of a
+    prepared country's split: all of them inside the training range, or
+    those whose targets lie in the validation or test range."""
+    make = (datahub.make_windows if part == "train"
+            else datahub.make_target_windows)
+    return make(p["series"], p["panel"], p["seasonal"], n_in, s_out,
+                getattr(p["plan"], part))
+
+
+def _prepare_trained(cfg, ckpt, model, extra) -> dict:
+    """Prepare each checkpoint country with its saved preprocessing."""
+    return {c: _apply_country(cfg, s, *_stored_fit(ckpt, extra, cfg, s,
+                                                   model))
+            for c, s in _load_ili(cfg, model.countries).items()}
 
 
 def _countries(cfg, args):
@@ -148,10 +228,7 @@ def _countries(cfg, args):
 
 def cmd_decompose(cfg, args) -> int:
     out = args.out
-    countries = _countries(cfg, args)
-    all_series = _load_ili(cfg)
-    for country in countries:
-        series = all_series[country]
+    for country, series in _load_ili(cfg, _countries(cfg, args)).items():
         d = decompose.stl_decompose(series.values, period=52)
         recon = d.reconstruct()
         if np.max(np.abs(recon - series.values)) > 1e-9:
@@ -196,7 +273,7 @@ def cmd_select_queries(cfg, args) -> int:
         if path:
             stopwords |= querysel.load_stopwords(path)
     country = _get(cfg, "querysel.country", required=True)
-    series = _load_ili(cfg)[country]
+    series = _load_ili(cfg, [country])[country]
     fit_len = _split(cfg, series).train_len
     cand_dir = _get(cfg, "querysel.candidates_dir", required=True)
 
@@ -239,19 +316,14 @@ def cmd_train(cfg, args) -> int:
     countries = _countries(cfg, args)
     mode = args.mode or _get(cfg, "mode", "single")
     tc = _train_config(cfg, args, countries, mode)
-    all_series = _load_ili(cfg)
-    prepared = {c: _prepare_country(cfg, all_series[c], tc.use_queries,
-                                    tc.n_in, tc.s_out)
-                for c in countries}
-    data = {c: {"train": p["train"], "val": p["val"]}
-            for c, p in prepared.items()}
+    extra, data = {"term": _get(cfg, "term", "")}, {}
+    for c, series in _load_ili(cfg, countries).items():
+        stored, seasonal, panel = _fit_country(cfg, series, tc.use_queries)
+        extra.update(stored)
+        p = _apply_country(cfg, series, seasonal, panel)
+        data[c] = {part: _windows(p, part, tc.n_in, tc.s_out)
+                   for part in ("train", "val")}
     model, log = trainer.fit(tc, data)
-    extra = {"term": _get(cfg, "term", ""), "mode": mode}
-    for c, p in prepared.items():
-        extra[f"template.{c}"] = [float(f"{v:.17g}")
-                                  for v in p["template"].values]
-        extra[f"norm.{c}"] = [[q, mn, mx] for q, mn, mx in p["norm_stats"]]
-        extra[f"queries.{c}"] = list(p["queries"])
     ckpt = os.path.join(args.out, "checkpoint.json")
     fluenet.save_checkpoint(ckpt, model, extra)
     log_path = os.path.join(args.out, "trainlog.csv")
@@ -265,14 +337,15 @@ def cmd_train(cfg, args) -> int:
 def cmd_evaluate(cfg, args) -> int:
     model, extra = fluenet.load_checkpoint(args.checkpoint)
     term = extra.get("term", "")
-    prepared = _prepare_trained(cfg, model, extra)
+    prepared = _prepare_trained(cfg, args.checkpoint, model, extra)
     reports = []
     for c, p in prepared.items():
-        reports.append(evalbench.evaluate_model(model, p["test"], c,
-                                                "proposed", term))
+        test = _windows(p, "test", model.n_in, model.s_out)
+        reports.append(evalbench.evaluate_model(model, test, c, "proposed",
+                                                term))
         if args.with_baselines:
             reports.append(evalbench.evaluate(
-                evalbench.seasonal_naive, p["test"], model.s_out,
+                evalbench.seasonal_naive, test, model.s_out,
                 "seasonal_naive", c, term))
             if p["panel"] is not None:
                 fit_len = p["plan"].train_len
@@ -289,13 +362,14 @@ def cmd_evaluate(cfg, args) -> int:
                     return out
 
                 reports.append(evalbench.evaluate(
-                    ar_predict, p["test"], model.s_out, "ar_exog", c, term))
+                    ar_predict, test, model.s_out, "ar_exog", c, term))
     evalbench.write_report(os.path.join(args.out, "report.csv"), reports)
     evalbench.write_forecasts(os.path.join(args.out, "forecasts.csv"),
                               reports)
     evalbench.write_attention(
         os.path.join(args.out, "attention.csv"), reports,
-        {c: p["queries"] for c, p in prepared.items()})
+        {c: p["panel"].queries for c, p in prepared.items()
+         if p["panel"] is not None})
     print(f"wrote {args.out}/report.csv, forecasts.csv, attention.csv")
     return 0
 
@@ -304,7 +378,8 @@ def cmd_forecast(cfg, args) -> int:
     """Forecast S weeks past the end of each country's series."""
     model, extra = fluenet.load_checkpoint(args.checkpoint)
     rows = []
-    for c, p in _prepare_trained(cfg, model, extra).items():
+    for c, p in _prepare_trained(cfg, args.checkpoint, model,
+                                 extra).items():
         series, seasonal = p["series"], p["seasonal"]
         template = p["template"]
         n = len(series)
@@ -331,12 +406,10 @@ def cmd_forecast(cfg, args) -> int:
 
 
 def cmd_correlate(cfg, args) -> int:
-    all_series = _load_ili(cfg)
     countries = _countries(cfg, args)
     shifts = {c: _get_num(cfg, f"correlate.shift.{c}", 0)
               for c in countries}
-    matrix = evalbench.correlation_report(
-        {c: all_series[c] for c in countries}, shifts)
+    matrix = evalbench.correlation_report(_load_ili(cfg, countries), shifts)
     path = os.path.join(args.out, "correlations.csv")
     evalbench.write_correlations(path, matrix)
     print(f"wrote {path}")

@@ -261,7 +261,7 @@ def minmax_fit_apply(panel: QueryPanel, training_range) -> tuple:
     b = hi - panel.start + 1
     if not (0 <= a < b <= panel.matrix.shape[0]):
         raise AlignmentError(f"training range {training_range} outside panel")
-    keep, stats = [], []
+    stats = []
     for j, q in enumerate(panel.queries):
         col = panel.matrix[a:b, j]
         mn, mx = col.min(), col.max()
@@ -269,16 +269,19 @@ def minmax_fit_apply(panel: QueryPanel, training_range) -> tuple:
             warnings.warn(f"{panel.country}: query {q!r} constant on "
                           f"training range, dropped")
             continue
-        keep.append(j)
         stats.append((q, float(mn), float(mx)))
-    mat = np.empty((panel.matrix.shape[0], len(keep)))
-    for out_j, j in enumerate(keep):
-        _, mn, mx = stats[out_j]
-        mat[:, out_j] = (panel.matrix[:, j] - mn) / (mx - mn)
-    norm = QueryPanel(country=panel.country,
-                      queries=[panel.queries[j] for j in keep],
-                      start=panel.start, matrix=mat)
-    return norm, stats
+    return minmax_apply(panel, stats), stats
+
+
+def minmax_apply(panel: QueryPanel, stats) -> QueryPanel:
+    """The panel's queries named in `stats`, in that order, each mapped
+    by its (query, min, max) to (x - min) / (max - min)."""
+    cols = [panel.queries.index(q) for q, _, _ in stats]
+    mn = np.array([s[1] for s in stats])
+    mx = np.array([s[2] for s in stats])
+    return QueryPanel(country=panel.country,
+                      queries=[q for q, _, _ in stats], start=panel.start,
+                      matrix=(panel.matrix[:, cols] - mn) / (mx - mn))
 
 
 def make_windows(series: WeeklySeries, panel, seasonal: np.ndarray,

@@ -198,19 +198,20 @@ def stl_decompose(series, period: int) -> Decomposition:
                          remainder=remainder, period=period)
 
 
-def seasonal_template(d: Decomposition) -> SeasonalTemplate:
-    """Template from the final fitted cycle, indexed by phase.
+def seasonal_template(seasonal: np.ndarray, period: int
+                      ) -> SeasonalTemplate:
+    """Template from the final fitted cycle of a seasonal component,
+    indexed by phase.
 
     Phases are week indices modulo the period, with index 0 at the start
     of the series.
     """
-    n = len(d.seasonal)
-    T = d.period
-    if n < T:
-        raise InsufficientDataError("decomposition shorter than one period")
-    vals = np.empty(T)
-    vals[np.arange(n - T, n) % T] = d.seasonal[n - T:n]
-    return SeasonalTemplate(values=vals, period=T)
+    n = len(seasonal)
+    if n < period:
+        raise InsufficientDataError("seasonal shorter than one period")
+    vals = np.empty(period)
+    vals[np.arange(n - period, n) % period] = seasonal[n - period:n]
+    return SeasonalTemplate(values=vals, period=period)
 
 
 def extend_seasonal(template: SeasonalTemplate, from_index: int,

@@ -148,19 +148,21 @@ def evaluate(predict, test_windows, s_out: int, model_name: str,
 
 def evaluate_model(model: fluenet.ModelParams, test_windows, country: str,
                    model_name: str, term: str = "") -> EvalReport:
-    """Evaluate a trained network, collecting attention traces."""
-    attention = []
-
-    def predict(sample):
-        res = fluenet.forecast(model, country, sample)
-        if res.attention is not None:
-            for j, w in enumerate(res.attention):
-                attention.append((sample.last_week, j, float(w)))
-        return res.y_hat
-
-    report = evaluate(predict, test_windows, model.s_out, model_name,
-                      country, term)
-    report.attention = attention
+    """Evaluate a trained network on all test windows in one batch,
+    collecting attention traces."""
+    if not test_windows:
+        raise MetricError("no test windows")
+    o_hat, weights = fluenet.forward_batch(
+        model, country, np.stack([s.x_des for s in test_windows]),
+        np.stack([s.q for s in test_windows]))
+    # `evaluate` asks for one forecast per window, in order
+    y_hat = iter(o_hat.data + np.stack([s.x_seas for s in test_windows]))
+    report = evaluate(lambda sample: next(y_hat), test_windows,
+                      model.s_out, model_name, country, term)
+    if weights is not None:
+        report.attention = [(s.last_week, j, float(w))
+                            for s, row in zip(test_windows, weights)
+                            for j, w in enumerate(row)]
     return report
 
 

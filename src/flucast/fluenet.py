@@ -37,6 +37,9 @@ class UnknownCountryError(KeyError):
     pass
 
 
+ARCHS = ("proposed", "gru_baseline")
+
+
 @dataclass
 class GruParams:
     """Input-to-hidden (in_dim x M) and hidden-to-hidden (M x M) maps."""
@@ -95,7 +98,7 @@ class ModelParams:
                  countries, seed: int, use_queries: bool = True,
                  use_country_embedding: bool = False,
                  standard_gru: bool = False, arch: str = "proposed"):
-        if arch not in ("proposed", "gru_baseline"):
+        if arch not in ARCHS:
             raise ValueError(f"unknown arch {arch!r}")
         if use_queries and arch == "proposed" and l_queries < 1:
             raise ValueError("l_queries must be >= 1 when queries are used")
@@ -174,14 +177,6 @@ class ModelParams:
         if self.country_embed is not None:
             out["shared.country_embed"] = self.country_embed
         return out
-
-
-@dataclass(frozen=True)
-class ForecastResult:
-    o_hat: np.ndarray  # S deseasonalized forecasts
-    x_seas: np.ndarray  # S seasonal values
-    y_hat: np.ndarray  # o_hat + x_seas, exactly
-    attention: np.ndarray  # L weights summing to 1, or None
 
 
 def gru_cell(params: GruParams, x: Tensor2, h_prev: Tensor2,
@@ -315,18 +310,6 @@ def forward_batch(model: ModelParams, country: str, x_des: np.ndarray,
     return o_hat, weights
 
 
-def forecast(model: ModelParams, country: str, sample) -> ForecastResult:
-    """Deterministic inference on one WindowSample, reseasonalized."""
-    x_des = sample.x_des.reshape(1, -1)
-    q = sample.q.reshape(1, sample.q.shape[0], sample.q.shape[1])
-    o_hat, weights = forward_batch(model, country, x_des, q)
-    o = o_hat.data[0].copy()
-    return ForecastResult(o_hat=o, x_seas=sample.x_seas.copy(),
-                          y_hat=o + sample.x_seas,
-                          attention=None if weights is None
-                          else weights[0].copy())
-
-
 # The ModelParams arguments a checkpoint's `meta` holds.
 _META_KEYS = ("m", "n_in", "s_out", "l_queries", "countries", "seed",
               "use_queries", "use_country_embedding", "standard_gru", "arch")
@@ -341,7 +324,7 @@ def save_checkpoint(path: str, model: ModelParams, extra: dict = None
     """
     doc = {
         "format": "flucast-checkpoint",
-        "version": 1,
+        "version": 2,
         "meta": {k: getattr(model, k) for k in _META_KEYS},
         "extra": extra or {},
         "tensors": {
@@ -374,9 +357,9 @@ def load_checkpoint(path: str) -> tuple:
         raise nk.ContractError(
             f"{path}: not a flucast checkpoint (format is not "
             f"'flucast-checkpoint')")
-    if doc.get("version") != 1:
+    if doc.get("version") != 2:
         raise nk.ContractError(
-            f"{path}: checkpoint version {doc.get('version')!r} is not 1")
+            f"{path}: checkpoint version {doc.get('version')!r} is not 2")
     meta, saved = doc.get("meta"), doc.get("tensors")
     for key, value in (("meta", meta), ("tensors", saved),
                        ("extra", doc.get("extra"))):

@@ -56,6 +56,8 @@ class TrainConfig:
                             ("batch_size", self.batch_size)):
             if value < 1:
                 raise TrainingError(f"{name} must be >= 1, got {value}")
+        if self.arch not in fluenet.ARCHS:
+            raise TrainingError(f"unknown arch {self.arch!r}")
         if self.mode not in ("single", "multi"):
             raise TrainingError(f"unknown mode {self.mode!r}")
         if self.mode == "multi" and len(self.countries) < 2:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from flucast import cli, datahub, querysel
+from flucast import cli, datahub, decompose, querysel
 from flucast.numkit import Rng
 from ili_csv import series_rows, write_ili_csv
 
@@ -145,6 +145,12 @@ querysel.k = 2
                   ("cold remedy", "tos remedio", 0.8, r(remedy[:fit_len]))]
 
 
+def ili_rows(path):
+    """The data rows of an ili.csv, as lists of strings."""
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))[1:]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -238,9 +244,17 @@ class TestTrainCommand:
         ckpt = json.loads((out / "checkpoint.json"
                            ).read_text(encoding="utf-8"))
         assert ckpt["meta"]["countries"] == ["US"]
-        assert "template.US" in ckpt["extra"]
-        assert len(ckpt["extra"]["template.US"]) == 52
+        cfg = cli.load_config(str(config))
+        series = datahub.load_ili(cfg["data.ili"])["US"]
+        fit_len = (datahub.parse_week(cfg["split.test_start"]) - 52
+                   - series.start)
+        seasonal = decompose.stl_decompose(series.values[:fit_len], 52
+                                           ).seasonal
+        assert ckpt["extra"]["seasonal.US"] == seasonal.tolist()
         assert ckpt["extra"]["queries.US"] == QUERIES
+        assert [q for q, _, _ in ckpt["extra"]["norm.US"]] == QUERIES
+        assert sorted(ckpt["extra"]) == ["norm.US", "queries.US",
+                                         "seasonal.US", "term"]
         lines = (out / "trainlog.csv").read_text(encoding="utf-8"
                                                  ).splitlines()
         assert lines[0] == "epoch,train_mse,val_mse_US"
@@ -296,7 +310,8 @@ class TestTrainCommand:
         assert run(config, tmp_path / "out", "train", "--mode", "multi") == 0
         ckpt = json.loads((tmp_path / "out" / "checkpoint.json"
                            ).read_text(encoding="utf-8"))
-        counts = [len(ckpt["extra"][f"queries.{c}"]) for c in ("JP", "US")]
+        assert ckpt["extra"]["queries.JP"] == QUERIES
+        counts = [len(ckpt["extra"][f"norm.{c}"]) for c in ("JP", "US")]
         assert counts == [1, 2]
         assert ckpt["meta"]["l_queries"] == max(counts)
 
@@ -399,6 +414,81 @@ class TestCheckpointWindowSizes:
                      "evaluate/attention.csv", "forecast/forecasts.csv"):
             assert ((tmp_path / name).read_bytes()
                     == (trained / name).read_bytes()), name
+
+
+class TestStoredPreprocessing:
+    """evaluate and forecast apply the STL seasonal and min-max stats
+    that train fitted and saved, and fit neither again."""
+
+    def test_training_range_edits_leave_outputs_unchanged(self, tmp_path):
+        config = build_workspace(tmp_path)
+        ckpt = tmp_path / "checkpoint.json"
+        assert run(config, tmp_path, "train", "--mode", "single",
+                   "--countries", "US") == 0
+
+        def outputs(name):
+            out = tmp_path / name
+            assert run(config, out, "evaluate", "--checkpoint",
+                       str(ckpt)) == 0
+            assert run(config, out / "fc", "forecast", "--checkpoint",
+                       str(ckpt)) == 0
+            return {f: (out / f).read_bytes() for f in (
+                "report.csv", "forecasts.csv", "attention.csv",
+                "fc/forecasts.csv")}
+
+        cfg = cli.load_config(str(config))
+        fit_len = (datahub.parse_week(cfg["split.test_start"]) - 52
+                   - datahub.parse_week(START))
+
+        def training_seasonal():
+            series = datahub.load_ili(cfg["data.ili"])["US"]
+            return decompose.stl_decompose(series.values[:fit_len], 52
+                                           ).seasonal
+
+        fitted = training_seasonal()
+        before = outputs("before")
+        # week 10 lies in the training range; it becomes the new maximum
+        # of the US ILI series and of one US trends series
+        week = datahub.format_week(datahub.parse_week(START) + 10)
+        rows = ili_rows(tmp_path / "ili.csv")
+        peak = max(float(r[2]) for r in rows if r[1] == "US")
+        write_ili_csv(tmp_path / "ili.csv", [
+            [w, c, repr(peak + 5.0) if (w, c) == (week, "US") else v]
+            for w, c, v in rows])
+        trend = tmp_path / "trends" / "US" / "flu_fever.csv"
+        lines = trend.read_text(encoding="utf-8").splitlines()
+        peak = max(float(ln.split(",")[1]) for ln in lines[1:])
+        trend.write_text("\n".join([lines[0]] + [
+            f"{week},{peak + 5.0!r}" if ln.startswith(week + ",") else ln
+            for ln in lines[1:]]) + "\n", encoding="utf-8")
+
+        # a refit would see the edit
+        assert not np.array_equal(training_seasonal(), fitted)
+        assert outputs("after") == before
+
+    @pytest.mark.filterwarnings("ignore:US. query")
+    def test_dropped_query_needs_no_trends_file(self, tmp_path):
+        config = build_workspace(tmp_path)
+        path = tmp_path / "trends" / "US" / "flu_fever.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0]] + [
+            ln.split(",")[0] + ",1.0" for ln in lines[1:]]) + "\n",
+            encoding="utf-8")
+        assert run(config, tmp_path, "train", "--mode", "single",
+                   "--countries", "US") == 0
+        path.unlink()
+        ckpt = str(tmp_path / "checkpoint.json")
+        assert run(config, tmp_path / "eval", "evaluate", "--checkpoint",
+                   ckpt) == 0
+        assert run(config, tmp_path / "fc", "forecast", "--checkpoint",
+                   ckpt) == 0
+        with open(tmp_path / "eval" / "attention.csv", newline="",
+                  encoding="utf-8") as f:
+            assert {r["query"] for r in csv.DictReader(f)} == {"cold remedy"}
+
+
+# The per-country checkpoint entries `train` writes.
+STORED_KEYS = ["seasonal", "queries", "norm"]
 
 
 def corrupt(path, lineno):
@@ -508,7 +598,8 @@ class TestBadInput:
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: "not json {", "not a JSON checkpoint"),
         (lambda doc: {"a": 1}, "not a flucast checkpoint"),
-        (lambda doc: {**doc, "version": 99}, "checkpoint version 99 is not 1"),
+        (lambda doc: {**doc, "version": 99}, "checkpoint version 99 is not 2"),
+        (lambda doc: {**doc, "version": 1}, "checkpoint version 1 is not 2"),
         (lambda doc: {**doc, "meta": {}}, "checkpoint meta lacks m, n_in"),
         (lambda doc: {**doc, "tensors": {
             k: v for k, v in doc["tensors"].items()
@@ -523,10 +614,33 @@ class TestBadInput:
         (lambda doc: {**doc, "tensors": {
             **doc["tensors"], "shared.fusion.b1": {
                 **doc["tensors"]["shared.fusion.b1"], "data": [0.5]}}},
-         "tensor shared.fusion.b1 data does not fill its shape")],
-        ids=["not_json", "other_format", "version", "empty_meta",
-             "missing_tensor", "unexpected_tensor", "bad_arch",
-             "short_data"])
+         "tensor shared.fusion.b1 data does not fill its shape"),
+        (lambda doc: {**doc, "extra": {
+            k: v for k, v in doc["extra"].items() if k != "norm.US"}},
+         "checkpoint extra lacks norm.US"),
+        (lambda doc: {**doc, "extra": {
+            **doc["extra"],
+            "seasonal.US": [float("nan")] + doc["extra"]["seasonal.US"][1:]}},
+         "checkpoint extra seasonal.US holds non-finite values"),
+        (lambda doc: {**doc, "extra": {
+            **doc["extra"], "seasonal.US": doc["extra"]["seasonal.US"][1:]}},
+         "checkpoint extra seasonal.US has 179 weeks, but the training "
+         "range of US in"),
+        (lambda doc: {**doc, "extra": {
+            **doc["extra"], "norm.US": [["flu fever", 2.0, 2.0]]
+            + doc["extra"]["norm.US"][1:]}},
+         "checkpoint extra norm.US query 'flu fever' has min 2.0 and max "
+         "2.0, not finite with min < max"),
+        (lambda doc: {**doc, "extra": {
+            **doc["extra"], "norm.US": [["flu fever", 2.0]]}},
+         "checkpoint extra norm.US is not a list of [query, min, max]"),
+        (lambda doc: {**doc, "extra": {
+            **doc["extra"], "norm.US": doc["extra"]["norm.US"] * 2}},
+         "checkpoint extra norm.US has 4 queries, the model takes 1 to 2")],
+        ids=["not_json", "other_format", "version", "version_1",
+             "empty_meta", "missing_tensor", "unexpected_tensor",
+             "bad_arch", "short_data", "missing_norm", "nan_seasonal",
+             "short_seasonal", "flat_stat", "short_stat", "extra_stats"])
     def test_malformed_checkpoint_is_one_line(self, trained_single, tmp_path,
                                               capsys, command, edit,
                                               message):
@@ -579,8 +693,9 @@ class TestBadInput:
         ("train.max_epochs = 0", "max_epochs must be >= 1, got 0"),
         ("model.n = 0", "n_in must be >= 1, got 0"),
         ("model.s = 0", "s_out must be >= 1, got 0"),
-        ("querysel.k = 0", "k must be >= 1, got 0")],
-        ids=["lr", "m", "max_epochs", "n", "s", "k"])
+        ("querysel.k = 0", "k must be >= 1, got 0"),
+        ("model.arch = rnn", "unknown arch 'rnn'")],
+        ids=["lr", "m", "max_epochs", "n", "s", "k", "arch"])
     def test_out_of_range_setting_is_one_line(self, tmp_path, capsys, edit,
                                               message):
         config = build_workspace(tmp_path)
@@ -623,6 +738,69 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: gru_baseline") and err.count("\n") == 1
         assert "JP: L=1" in err and "US: L=2" in err
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    @pytest.mark.parametrize("key", STORED_KEYS)
+    def test_each_stored_key_is_read(self, trained_single, tmp_path, capsys,
+                                     command, key):
+        config, trained = trained_single
+        doc = json.loads((trained / "checkpoint.json"
+                          ).read_text(encoding="utf-8"))
+        assert {k.rsplit(".", 1)[0] for k in doc["extra"]
+                if k.endswith(".US")} == set(STORED_KEYS)
+        del doc["extra"][f"{key}.US"]
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(config, tmp_path / "out", command, "--checkpoint",
+                   str(ckpt)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: checkpoint extra lacks {key}.US\n")
+
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    def test_moved_ili_start_is_one_line(self, trained_single, tmp_path,
+                                         capsys, command):
+        """ili.csv starting four weeks later shortens the training range
+        the stored seasonal was fitted on."""
+        config, trained = trained_single
+        cfg = cli.load_config(str(config))
+        late = datahub.format_week(datahub.parse_week(START) + 4)
+        rows = ili_rows(cfg["data.ili"])
+        ili = tmp_path / "ili.csv"
+        write_ili_csv(ili, [r for r in rows if r[0] >= late])
+        cfg2 = tmp_path / "c.cfg"
+        cfg2.write_text(config.read_text(encoding="utf-8")
+                        + f"data.ili = {ili}\n", encoding="utf-8")
+        ckpt = trained / "checkpoint.json"
+        assert run(cfg2, tmp_path / "out", command, "--checkpoint",
+                   str(ckpt)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: checkpoint extra seasonal.US has 180 weeks, "
+            f"but the training range of US in {ili} has 176\n")
+
+    @pytest.mark.parametrize("command", [
+        "decompose", "select-queries", "train", "correlate", "evaluate",
+        "forecast"])
+    def test_country_missing_from_ili_is_one_line(self, trained_single,
+                                                  tmp_path, capsys, command):
+        config, trained = trained_single
+        cfg = cli.load_config(str(config))
+        rows = ili_rows(cfg["data.ili"])
+        ili = tmp_path / "jp_only.csv"
+        write_ili_csv(ili, [r for r in rows if r[1] == "JP"])
+        if command == "select-queries":
+            config, _ = build_wt_inputs(tmp_path, config, tmp_path)
+        cfg2 = tmp_path / "c.cfg"
+        cfg2.write_text(config.read_text(encoding="utf-8")
+                        + f"data.ili = {ili}\n", encoding="utf-8")
+        argv = {"decompose": ["--countries", "US"],
+                "train": ["--mode", "single", "--countries", "US"],
+                "evaluate": ["--checkpoint", str(trained / "checkpoint.json")],
+                "forecast": ["--checkpoint", str(trained / "checkpoint.json")]
+                }.get(command, [])
+        assert run(cfg2, tmp_path / "out", command, *argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ili}: no rows for country US\n")
 
 
 class TestCorrelateCommand:

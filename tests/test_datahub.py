@@ -313,6 +313,22 @@ class TestMinmax:
         assert norm.queries == ["q"]
         assert norm.matrix.shape == (3, 1)
 
+    def test_apply_with_saved_stats_matches_fit(self):
+        """Stats saved at fit time rebuild the normalized panel bit for bit
+        from a panel that holds only the kept queries."""
+        rng = Rng(9)
+        matrix = rng.uniform(0, 4, (20, 3))
+        matrix[:, 1] = 2.0
+        panel = datahub.QueryPanel(country="US", queries=["a", "flat", "b"],
+                                   start=100, matrix=matrix)
+        with pytest.warns(UserWarning, match="flat"):
+            norm, stats = datahub.minmax_fit_apply(panel, (100, 109))
+        kept = datahub.QueryPanel(country="US", queries=["a", "b"],
+                                  start=100, matrix=matrix[:, [0, 2]])
+        again = datahub.minmax_apply(kept, stats)
+        assert again.queries == norm.queries == ["a", "b"]
+        assert np.array_equal(again.matrix, norm.matrix)
+
     def test_invertibility(self):
         rng = Rng(8)
         panel = self.make_panel(rng.uniform(3, 9, 20))

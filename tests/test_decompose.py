@@ -264,5 +264,5 @@ class TestExtendSeasonal:
         t = np.arange(208, dtype=float)
         s = np.sin(2 * np.pi * t / 52)
         d = decompose.stl_decompose(s, period=52)
-        tpl = decompose.seasonal_template(d)
+        tpl = decompose.seasonal_template(d.seasonal, d.period)
         assert np.array_equal(tpl.values, d.seasonal[-52:])

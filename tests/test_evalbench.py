@@ -190,6 +190,65 @@ class TestEvaluate:
         assert all(abs(v - 1.0) < 1e-12 for v in by_week.values())
 
 
+def per_window_evaluate_model(model, windows, country, model_name):
+    """Oracle: the network run on one window at a time (B=1)."""
+    attention = []
+
+    def predict(sample):
+        o_hat, weights = fluenet.forward_batch(model, country,
+                                               sample.x_des[None],
+                                               sample.q[None])
+        if weights is not None:
+            attention.extend((sample.last_week, j, float(w))
+                             for j, w in enumerate(weights[0]))
+        return o_hat.data[0] + sample.x_seas
+
+    report = evalbench.evaluate(predict, windows, model.s_out, model_name,
+                                country)
+    report.attention = attention
+    return report
+
+
+class TestBatchedEvaluateModel:
+    """evaluate_model runs all windows as one batch; the per-window loop
+    it replaced is the oracle."""
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"use_country_embedding": True, "standard_gru": True},
+        {"arch": "gru_baseline"}, {"use_queries": False}],
+        ids=["proposed", "embedded", "gru_baseline", "no_queries"])
+    def test_matches_per_window_oracle(self, kw):
+        model = fluenet.ModelParams(m=5, n_in=6, s_out=3, l_queries=2,
+                                    countries=["JP", "US"], seed=4, **kw)
+        rng = Rng(10)
+        windows = [make_sample("US", 400 + i, rng.normal(0, 1, 6),
+                               rng.normal(0, 1, 3), rng.uniform(1, 5, 3),
+                               q=rng.uniform(0, 1, (6, 2)))
+                   for i in range(9)]
+        got = evalbench.evaluate_model(model, windows, "US", "net")
+        want = per_window_evaluate_model(model, windows, "US", "net")
+        assert [(w, h, y) for w, h, y, _ in got.traces] == [
+            (w, h, y) for w, h, y, _ in want.traces]
+        assert np.max(np.abs(np.subtract(
+            [v for *_, v in got.traces], [v for *_, v in want.traces]))
+        ) <= 1e-12
+        for a, b in zip(got.scores, want.scores):
+            assert a.horizon == b.horizon
+            assert abs(a.rmse - b.rmse) <= 1e-12
+            assert abs(a.r2 - b.r2) <= 1e-12
+        assert [(w, j) for w, j, _ in got.attention] == [
+            (w, j) for w, j, _ in want.attention]
+        assert len(got.attention) == (18 if model.has_attention else 0)
+        for (_, _, a), (_, _, b) in zip(got.attention, want.attention):
+            assert abs(a - b) <= 1e-12
+
+    def test_empty_windows_rejected(self):
+        model = fluenet.ModelParams(m=3, n_in=4, s_out=3, l_queries=2,
+                                    countries=["US"], seed=9)
+        with pytest.raises(evalbench.MetricError):
+            evalbench.evaluate_model(model, [], "US", "net")
+
+
 class TestCorrelationReport:
     def make_series(self, country, start, values):
         return datahub.WeeklySeries(country=country, start=start,

@@ -472,9 +472,12 @@ class TestModel:
             x_raw=rng.uniform(0, 5, 8), x_des=rng.normal(0, 1, 8),
             q=rng.uniform(0, 1, (8, 2)), y_raw=rng.uniform(0, 5, 3),
             o=rng.normal(0, 1, 3), x_seas=rng.normal(0, 1, 3))
-        res = fluenet.forecast(model, "US", sample)
-        assert np.array_equal(res.y_hat - res.o_hat, res.x_seas)
-        assert abs(res.attention.sum() - 1.0) < 1e-12
+        o_hat, weights = fluenet.forward_batch(model, "US",
+                                               sample.x_des[None],
+                                               sample.q[None])
+        y_hat = o_hat.data[0] + sample.x_seas
+        assert np.array_equal(y_hat - o_hat.data[0], sample.x_seas)
+        assert abs(weights[0].sum() - 1.0) < 1e-12
 
 
 class TestCheckpoint:
@@ -492,21 +495,15 @@ class TestCheckpoint:
         assert (loaded.m, loaded.n_in, loaded.s_out) == (4, 8, 3)
 
     def test_forecasts_survive_roundtrip(self, tmp_path):
-        from flucast import datahub
         model = small_model()
-        rng = Rng(50)
-        sample = datahub.WindowSample(
-            country="JP", last_week=600,
-            x_raw=rng.uniform(0, 5, 8), x_des=rng.normal(0, 1, 8),
-            q=rng.uniform(0, 1, (8, 2)), y_raw=rng.uniform(0, 5, 3),
-            o=rng.normal(0, 1, 3), x_seas=rng.normal(0, 1, 3))
-        before = fluenet.forecast(model, "JP", sample)
+        x, q = sample_batch(Rng(50), 1, 8, 2)
+        before = fluenet.forward_batch(model, "JP", x, q)
         path = str(tmp_path / "ck.json")
         fluenet.save_checkpoint(path, model)
         loaded, _ = fluenet.load_checkpoint(path)
-        after = fluenet.forecast(loaded, "JP", sample)
-        assert np.array_equal(before.y_hat, after.y_hat)
-        assert np.array_equal(before.attention, after.attention)
+        after = fluenet.forward_batch(loaded, "JP", x, q)
+        assert np.array_equal(before[0].data, after[0].data)
+        assert np.array_equal(before[1], after[1])
 
     def test_tampered_file_rejected(self, tmp_path):
         import json
