@@ -85,8 +85,10 @@ def _load_ili(cfg, countries) -> dict:
 def _split(cfg, series) -> datahub.SplitPlan:
     test_start = datahub.parse_week(_get(cfg, "split.test_start",
                                          required=True))
-    return datahub.split_plan(series, test_start,
-                              _get_num(cfg, "split.test_len", 52))
+    test_len = _get_num(cfg, "split.test_len", 52)
+    if test_len < 1:
+        raise ConfigError(f"split.test_len must be >= 1, got {test_len}")
+    return datahub.split_plan(series, test_start, test_len)
 
 
 def _query_list(cfg, country) -> list:
@@ -465,7 +467,7 @@ def main(argv=None) -> int:
             evalbench.MetricError,
             trainer.TrainingError, decompose.ParameterError,
             decompose.InsufficientDataError, nk.ContractError,
-            nk.NonFiniteError, nk.ShapeError, FileNotFoundError,
+            nk.NonFiniteError, nk.ShapeError, OSError,
             KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -69,20 +69,19 @@ class Mlp:
     b2: Tensor2
 
 
-def _init_gru(rng, in_dim, m):
-    return GruParams(u_z=nk.glorot_uniform(rng, in_dim, m),
-                     u_r=nk.glorot_uniform(rng, in_dim, m),
-                     u_h=nk.glorot_uniform(rng, in_dim, m),
-                     w_z=nk.glorot_uniform(rng, m, m),
-                     w_r=nk.glorot_uniform(rng, m, m),
-                     w_h=nk.glorot_uniform(rng, m, m))
+def _glorot(seed):
+    """The default `make`: a bias (stream None) starts at zero; a weight is
+    drawn from `model-init` or from its child stream of that name."""
+    streams = {"model-init": nk.Rng(seed).spawn("model-init")}
 
+    def make(name, rows, cols, stream):
+        if stream is None:
+            return nk.zeros(rows, cols)
+        if stream not in streams:
+            streams[stream] = streams["model-init"].spawn(stream)
+        return nk.glorot_uniform(streams[stream], rows, cols)
 
-def _init_mlp(rng, in_dim, hidden, out_dim):
-    return Mlp(w1=nk.glorot_uniform(rng, in_dim, hidden),
-               b1=nk.zeros(1, hidden),
-               w2=nk.glorot_uniform(rng, hidden, out_dim),
-               b2=nk.zeros(1, out_dim))
+    return make
 
 
 class ModelParams:
@@ -92,12 +91,17 @@ class ModelParams:
     output MLP are country-specific. The country embedding (one-hot -> M
     linear map) supplies the initial hidden state of both encoders in
     multi-task mode.
+
+    The constructor is the only list of the tensors. It walks them in the
+    Glorot draw order, getting each from `make(name, rows, cols, stream)`;
+    the default `make` initializes, and `load_checkpoint` reads the file.
     """
 
     def __init__(self, m: int, n_in: int, s_out: int, l_queries: int,
                  countries, seed: int, use_queries: bool = True,
                  use_country_embedding: bool = False,
-                 standard_gru: bool = False, arch: str = "proposed"):
+                 standard_gru: bool = False, arch: str = "proposed",
+                 make=None):
         if arch not in ARCHS:
             raise ValueError(f"unknown arch {arch!r}")
         if use_queries and arch == "proposed" and l_queries < 1:
@@ -113,32 +117,43 @@ class ModelParams:
         self.standard_gru = standard_gru
         self.arch = arch
 
-        rng = nk.Rng(seed).spawn("model-init")
-        ili_in = 1
-        if arch == "gru_baseline" and use_queries:
-            ili_in = 1 + l_queries
-        self.ili_encoder = _init_gru(rng, ili_in, m)
-        self.decoder = _init_gru(rng, 1, m)
-        self.query_encoder = None
-        fuse_in = m
-        if self.has_attention:
-            self.query_encoder = _init_gru(rng, 1, m)
-            fuse_in = 2 * m
-        self.fusion = _init_mlp(rng, fuse_in, m, m)
-        self.attention = {}
-        self.output = {}
+        make = make or _glorot(seed)
+        self._params = {}
+
+        def put(name, rows, cols, stream):
+            self._params[name] = make(name, rows, cols, stream)
+            return self._params[name]
+
+        def gru(name, in_dim):
+            return GruParams(*(
+                put(f"shared.{name}.{g}", m if g[0] == "w" else in_dim, m,
+                    "model-init")
+                for g in ("u_z", "u_r", "u_h", "w_z", "w_r", "w_h")))
+
+        def mlp(prefix, in_dim, out_dim, stream):
+            return Mlp(put(f"{prefix}.w1", in_dim, m, stream),
+                       put(f"{prefix}.b1", 1, m, None),
+                       put(f"{prefix}.w2", m, out_dim, stream),
+                       put(f"{prefix}.b2", 1, out_dim, None))
+
+        self.ili_encoder = gru("ili_encoder", 1 + self.l_queries
+                               if arch == "gru_baseline" else 1)
+        self.decoder = gru("decoder", 1)
+        self.query_encoder = (gru("query_encoder", 1) if self.has_attention
+                              else None)
+        self.fusion = mlp("shared.fusion", 2 * m if self.has_attention else m,
+                          m, "model-init")
+        self.attention, self.output = {}, {}
         for c in self.countries:
-            crng = rng.spawn(f"country/{c}")
+            stream = f"country/{c}"
             if self.has_attention:
-                self.attention[c] = AttentionParams(
-                    w_q=nk.glorot_uniform(crng, m, m),
-                    w_k=nk.glorot_uniform(crng, m, m),
-                    w_v=nk.glorot_uniform(crng, m, m))
-            self.output[c] = _init_mlp(crng, m, m, 1)
-        self.country_embed = None
-        if use_country_embedding:
-            self.country_embed = nk.glorot_uniform(
-                rng.spawn("country-embed"), len(self.countries), m)
+                self.attention[c] = AttentionParams(*(
+                    put(f"country.{c}.attention.{w}", m, m, stream)
+                    for w in ("w_q", "w_k", "w_v")))
+            self.output[c] = mlp(f"country.{c}.output", m, 1, stream)
+        self.country_embed = (put("shared.country_embed", len(countries),
+                                  m, "country-embed")
+                              if use_country_embedding else None)
 
     @property
     def has_attention(self) -> bool:
@@ -152,31 +167,8 @@ class ModelParams:
                                       ) from None
 
     def named_params(self) -> dict:
-        out = {}
-
-        def put_gru(prefix, g):
-            for f in ("u_z", "u_r", "u_h", "w_z", "w_r", "w_h"):
-                out[f"{prefix}.{f}"] = getattr(g, f)
-
-        def put_mlp(prefix, mlp):
-            for f in ("w1", "b1", "w2", "b2"):
-                out[f"{prefix}.{f}"] = getattr(mlp, f)
-
-        put_gru("shared.ili_encoder", self.ili_encoder)
-        if self.query_encoder is not None:
-            put_gru("shared.query_encoder", self.query_encoder)
-        put_gru("shared.decoder", self.decoder)
-        put_mlp("shared.fusion", self.fusion)
-        for c in self.countries:
-            if c in self.attention:
-                a = self.attention[c]
-                out[f"country.{c}.attention.w_q"] = a.w_q
-                out[f"country.{c}.attention.w_k"] = a.w_k
-                out[f"country.{c}.attention.w_v"] = a.w_v
-            put_mlp(f"country.{c}.output", self.output[c])
-        if self.country_embed is not None:
-            out["shared.country_embed"] = self.country_embed
-        return out
+        """Every tensor by name, in walk order; the model's own dict."""
+        return self._params
 
 
 def gru_cell(params: GruParams, x: Tensor2, h_prev: Tensor2,
@@ -229,11 +221,6 @@ def attend(att: AttentionParams, h_tau: Tensor2, h_queries) -> tuple:
 def _mlp_apply(mlp: Mlp, x: Tensor2) -> Tensor2:
     hidden = nk.tanh(nk.add_bias(nk.matmul(x, mlp.w1), mlp.b1))
     return nk.add_bias(nk.matmul(hidden, mlp.w2), mlp.b2)
-
-
-def fuse(fusion: Mlp, h_tau: Tensor2, ctx: Tensor2) -> Tensor2:
-    """MLP over the concatenation of ILI encoding and attention context."""
-    return _mlp_apply(fusion, nk.hstack([h_tau, ctx]))
 
 
 def decode(decoder: GruParams, output_mlp: Mlp, h_enc: Tensor2,
@@ -300,10 +287,9 @@ def forward_batch(model: ModelParams, country: str, x_des: np.ndarray,
     if model.has_attention:
         h_queries = encode_queries(model.query_encoder, q, h0, std)
         ctx, w = attend(model.attention[country], h_tau, h_queries)
-        h_enc = fuse(model.fusion, h_tau, ctx)
+        h_tau = nk.hstack([h_tau, ctx])  # the fusion MLP's input
         weights = w.data
-    else:
-        h_enc = _mlp_apply(model.fusion, h_tau)
+    h_enc = _mlp_apply(model.fusion, h_tau)
 
     o_hat = decode(model.decoder, model.output[country], h_enc,
                    x_des[:, -1], model.s_out, teacher, eps, rng, std)
@@ -341,6 +327,7 @@ def save_checkpoint(path: str, model: ModelParams, extra: dict = None
 def load_checkpoint(path: str) -> tuple:
     """Rebuild a ModelParams (plus the extra dict) from a checkpoint.
 
+    The tensors are read in the model layout's walk; nothing is drawn.
     Only what `save_checkpoint` writes is accepted. Anything else is a
     ContractError naming the file and the key or tensor: a file that is
     not JSON, another format or version, a missing `meta` key, a tensor
@@ -370,8 +357,26 @@ def load_checkpoint(path: str) -> tuple:
     if missing:
         raise nk.ContractError(
             f"{path}: checkpoint meta lacks {', '.join(missing)}")
+    faults = []  # held back until the layout check has named every gap
+
+    def read(name, rows, cols, _stream):
+        entry, shape = saved.get(name), [rows, cols]
+        got = entry.get("shape") if isinstance(entry, dict) else None
+        if got != shape:
+            faults.append(f"{name} shape mismatch: saved {got}, model "
+                          f"layout {shape}")
+            return None
+        try:
+            arr = np.array(entry["data"], dtype=np.float64).reshape(shape)
+        except (KeyError, TypeError, ValueError):
+            faults.append(f"{name} data does not fill its shape {shape}")
+            return None
+        if not np.all(np.isfinite(arr)):
+            faults.append(f"{name} holds non-finite values")
+        return Tensor2(arr, copy=False)
+
     try:
-        model = ModelParams(**{k: meta[k] for k in _META_KEYS})
+        model = ModelParams(**{k: meta[k] for k in _META_KEYS}, make=read)
     except (TypeError, ValueError) as e:
         raise nk.ContractError(f"{path}: checkpoint meta: {e}") from None
     params = model.named_params()
@@ -381,21 +386,6 @@ def load_checkpoint(path: str) -> tuple:
         raise nk.ContractError(
             f"{path}: checkpoint tensors do not match the model layout: "
             f"missing {absent}, unexpected {unknown}")
-    for name, t in params.items():
-        entry, shape = saved[name], [t.rows, t.cols]
-        if not isinstance(entry, dict) or entry.get("shape") != shape:
-            got = entry.get("shape") if isinstance(entry, dict) else None
-            raise nk.ContractError(
-                f"{path}: checkpoint tensor {name} shape mismatch: saved "
-                f"{got}, model layout {shape}")
-        try:
-            arr = np.array(entry["data"], dtype=np.float64).reshape(shape)
-        except (KeyError, TypeError, ValueError):
-            raise nk.ContractError(
-                f"{path}: checkpoint tensor {name} data does not fill its "
-                f"shape {shape}") from None
-        if not np.all(np.isfinite(arr)):
-            raise nk.ContractError(
-                f"{path}: checkpoint tensor {name} holds non-finite values")
-        t.data = arr
+    if faults:
+        raise nk.ContractError(f"{path}: checkpoint tensor {faults[0]}")
     return model, doc["extra"]

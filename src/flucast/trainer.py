@@ -46,6 +46,9 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lr_grid or not self.m_grid:
             raise TrainingError("hyperparameter grids must be nonempty")
+        if not all(math.isfinite(lr) for lr in self.lr_grid):
+            raise TrainingError(f"learning rates must be finite, got "
+                                f"{list(self.lr_grid)}")
         if not all(lr > 0 for lr in self.lr_grid):
             raise TrainingError(f"learning rates must be positive, got "
                                 f"{list(self.lr_grid)}")

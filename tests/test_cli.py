@@ -1,10 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from flucast import cli, datahub, decompose, querysel
+from flucast import cli, datahub, decompose, querysel, trainer
 from flucast.numkit import Rng
 from ili_csv import series_rows, write_ili_csv
 
@@ -364,6 +367,28 @@ class TestEvaluateCommand:
             assert float(r["y_true"]) == series.values[series.pos(week)]
 
 
+class TestInferenceDrawsNothing:
+    @pytest.mark.parametrize("argv", [["evaluate", "--with-baselines"],
+                                      ["forecast"]])
+    def test_no_numpy_random_in_a_fresh_interpreter(self, trained_single,
+                                                    tmp_path, argv):
+        """Loading a checkpoint reads its tensors and draws no weights,
+        so inference never imports numpy.random."""
+        config, trained = trained_single
+        probe = ("import sys; from flucast import cli; "
+                 "assert cli.main(sys.argv[1:]) == 0; "
+                 "print([m for m in sys.modules "
+                 "if m.startswith('numpy.random')])")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "--config", str(config), "--out",
+             str(tmp_path), argv[0], "--checkpoint",
+             str(trained / "checkpoint.json"), *argv[1:]],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestForecastCommand:
     def test_projects_past_series_end(self, trained_single, tmp_path):
         config, trained = trained_single
@@ -694,10 +719,18 @@ class TestBadInput:
         ("model.n = 0", "n_in must be >= 1, got 0"),
         ("model.s = 0", "s_out must be >= 1, got 0"),
         ("querysel.k = 0", "k must be >= 1, got 0"),
-        ("model.arch = rnn", "unknown arch 'rnn'")],
-        ids=["lr", "m", "max_epochs", "n", "s", "k", "arch"])
-    def test_out_of_range_setting_is_one_line(self, tmp_path, capsys, edit,
-                                              message):
+        ("model.arch = rnn", "unknown arch 'rnn'"),
+        ("train.lr_grid = 0.01,inf",
+         "learning rates must be finite, got [0.01, inf]"),
+        ("split.test_len = 0", "split.test_len must be >= 1, got 0"),
+        ("split.test_len = -5", "split.test_len must be >= 1, got -5")],
+        ids=["lr", "m", "max_epochs", "n", "s", "k", "arch", "lr_inf",
+             "test_len_0", "test_len_negative"])
+    def test_out_of_range_setting_is_one_line(self, tmp_path, capsys,
+                                              monkeypatch, edit, message):
+        """Refused before any grid point trains."""
+        monkeypatch.setattr(trainer, "_train_one", lambda *a: pytest.fail(
+            "a grid point trained"))
         config = build_workspace(tmp_path)
         config, _ = build_wt_inputs(tmp_path, config, tmp_path)
         config.write_text(config.read_text(encoding="utf-8") + edit + "\n",
@@ -706,6 +739,21 @@ class TestBadInput:
                 else ["train", "--mode", "single", "--countries", "US"])
         assert run(config, tmp_path / "out", *argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("where", ["data.ili", "--checkpoint"])
+    def test_directory_for_a_file_is_one_line(self, tmp_path, capsys, where):
+        config = build_workspace(tmp_path)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = ["evaluate", "--checkpoint", str(folder)]
+        if where == "data.ili":
+            config.write_text(config.read_text(encoding="utf-8")
+                              + f"data.ili = {folder}\n", encoding="utf-8")
+            argv = ["decompose"]
+        assert run(config, tmp_path / "out", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(folder) in err
 
     @pytest.mark.filterwarnings("ignore:US. query")
     def test_every_query_constant_is_data_error(self, tmp_path, capsys):

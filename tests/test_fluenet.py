@@ -480,6 +480,69 @@ class TestModel:
         assert abs(weights[0].sum() - 1.0) < 1e-12
 
 
+def oracle_init(m, l_queries, countries, seed, use_queries,
+                use_country_embedding, arch):
+    """Every tensor drawn straight from `Rng`, group by group: ILI
+    encoder, decoder, query encoder and fusion on `model-init`, then each
+    country's attention and output on `country/<C>`, then the embedding
+    on `country-embed`. Same-seed checkpoints keep their bytes only
+    while `ModelParams` draws in this order."""
+    rng = Rng(seed).spawn("model-init")
+    out = {}
+
+    def glorot(stream, name, rows, cols):
+        limit = np.sqrt(6.0 / (rows + cols))
+        out[name] = stream.uniform(-limit, limit, (rows, cols))
+
+    def gru(prefix, in_dim):
+        for g in ("u_z", "u_r", "u_h"):
+            glorot(rng, f"shared.{prefix}.{g}", in_dim, m)
+        for g in ("w_z", "w_r", "w_h"):
+            glorot(rng, f"shared.{prefix}.{g}", m, m)
+
+    def mlp(stream, prefix, in_dim, out_dim):
+        glorot(stream, f"{prefix}.w1", in_dim, m)
+        out[f"{prefix}.b1"] = np.zeros((1, m))
+        glorot(stream, f"{prefix}.w2", m, out_dim)
+        out[f"{prefix}.b2"] = np.zeros((1, out_dim))
+
+    attention = use_queries and arch == "proposed"
+    joint = arch == "gru_baseline" and use_queries
+    gru("ili_encoder", 1 + l_queries if joint else 1)
+    gru("decoder", 1)
+    if attention:
+        gru("query_encoder", 1)
+    mlp(rng, "shared.fusion", 2 * m if attention else m, m)
+    for c in countries:
+        crng = rng.spawn(f"country/{c}")
+        if attention:
+            for w in ("w_q", "w_k", "w_v"):
+                glorot(crng, f"country.{c}.attention.{w}", m, m)
+        mlp(crng, f"country.{c}.output", m, 1)
+    if use_country_embedding:
+        glorot(rng.spawn("country-embed"), "shared.country_embed",
+               len(countries), m)
+    return out
+
+
+class TestInitOrder:
+    @pytest.mark.parametrize("arch", fluenet.ARCHS)
+    @pytest.mark.parametrize("use_queries", [True, False],
+                             ids=["queries", "no_queries"])
+    @pytest.mark.parametrize("embed", [True, False],
+                             ids=["embed", "no_embed"])
+    def test_draws_match_oracle_bit_for_bit(self, arch, use_queries, embed):
+        args = dict(m=3, l_queries=2, countries=["BR", "JP", "US"], seed=11,
+                    use_queries=use_queries, use_country_embedding=embed,
+                    arch=arch)
+        model = fluenet.ModelParams(n_in=5, s_out=2, **args)
+        want = oracle_init(**args)
+        got = model.named_params()
+        assert set(got) == set(want)
+        for name, t in got.items():
+            assert np.array_equal(t.data, want[name]), name
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bit_faithful(self, tmp_path):
         model = small_model(use_country_embedding=True)

@@ -1,4 +1,5 @@
-"""Property tests; they need hypothesis and are skipped without it.
+"""Property tests driven by hypothesis, which the `test` extra installs;
+without it this module fails to import rather than being skipped.
 
 HYPOTHESIS_PROFILE=ci selects a derandomized profile, so a failure seen
 in CI replays locally with the same examples.
@@ -8,13 +9,13 @@ import datetime
 import os
 import re
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from flucast import datahub
 from test_numkit import assert_matches_oracle, gru_case
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 hypothesis.settings.register_profile("ci", derandomize=True)
 hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE",
                                                 "default"))
