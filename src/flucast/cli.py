@@ -347,24 +347,21 @@ def cmd_evaluate(cfg, args) -> int:
                                                 term))
         if args.with_baselines:
             reports.append(evalbench.evaluate(
-                evalbench.seasonal_naive, test, model.s_out,
-                "seasonal_naive", c, term))
-            if p["panel"] is not None:
+                evalbench.seasonal_naive(test), test, "seasonal_naive", c,
+                term))
+            panel = p["panel"]
+            if panel is not None:
                 fit_len = p["plan"].train_len
                 ar = evalbench.fit_ar_exog(p["series"].values[:fit_len],
-                                           p["panel"].matrix[:fit_len],
+                                           panel.matrix[:fit_len],
                                            p=model.n_in)
-
-                def ar_predict(sample, ar=ar, p=p):
-                    lq = p["panel"].matrix[
-                        sample.last_week + 1 - p["panel"].start]
-                    lags = sample.x_raw[::-1][:ar.order]
-                    out = np.full(model.s_out, np.nan)
-                    out[0] = ar.predict_one(lags, lq)
-                    return out
-
-                reports.append(evalbench.evaluate(
-                    ar_predict, test, model.s_out, "ar_exog", c, term))
+                y_hat = np.full(test.y_raw.shape, np.nan)
+                q_next = panel.matrix[test.last_week + 1 - panel.start]
+                lags = test.x_raw[:, ::-1][:, :ar.order]
+                for i in range(len(test)):
+                    y_hat[i, 0] = ar.predict_one(lags[i], q_next[i])
+                reports.append(evalbench.evaluate(y_hat, test, "ar_exog", c,
+                                                  term))
     evalbench.write_report(os.path.join(args.out, "report.csv"), reports)
     evalbench.write_forecasts(os.path.join(args.out, "forecasts.csv"),
                               reports)
@@ -382,19 +379,13 @@ def cmd_forecast(cfg, args) -> int:
     rows = []
     for c, p in _prepare_trained(cfg, args.checkpoint, model,
                                  extra).items():
-        series, seasonal = p["series"], p["seasonal"]
-        template = p["template"]
-        n = len(series)
-        x_des = (series.values[n - model.n_in:]
-                 - seasonal[n - model.n_in:]).reshape(1, -1)
-        if p["panel"] is not None:
-            q = p["panel"].matrix[n - model.n_in:]
-            q = q.reshape(1, *q.shape)
-        else:
-            q = np.zeros((1, model.n_in, 0))
-        o_hat, _ = fluenet.forward_batch(model, c, x_des, q)
-        x_seas = decompose.extend_seasonal(template, n - 1, model.s_out)
-        y_hat = o_hat.data[0] + x_seas
+        series = p["series"]
+        last = datahub.make_windows(
+            series, p["panel"], p["seasonal"], model.n_in, 0,
+            (series.end - model.n_in + 1, series.end))
+        o_hat, _ = fluenet.forward_batch(model, c, last.x_des, last.q)
+        y_hat = o_hat.data[0] + decompose.extend_seasonal(
+            p["template"], len(series) - 1, model.s_out)
         for h in range(model.s_out):
             rows.append((series.end + 1 + h, c, h + 1, float(y_hat[h])))
     path = os.path.join(args.out, "forecasts.csv")
@@ -450,8 +441,8 @@ def main(argv=None) -> int:
     p.add_argument("--countries", default=None)
 
     args = parser.parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
     try:
+        os.makedirs(args.out, exist_ok=True)
         cfg = load_config(args.config)
         handler = {
             "decompose": cmd_decompose,
@@ -467,7 +458,7 @@ def main(argv=None) -> int:
             evalbench.MetricError,
             trainer.TrainingError, decompose.ParameterError,
             decompose.InsufficientDataError, nk.ContractError,
-            nk.NonFiniteError, nk.ShapeError, OSError,
+            nk.NonFiniteError, nk.ShapeError, OSError, UnicodeDecodeError,
             KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ import functools
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -102,17 +102,26 @@ class QueryPanel:
 
 
 @dataclass(frozen=True)
-class WindowSample:
-    """One supervised window: N input weeks, S target weeks."""
+class Windows:
+    """One country's supervised windows, one row each: N input weeks up to
+    the final input week (time t), then S target weeks."""
 
     country: str
-    last_week: int  # week index of the final input week (time t)
-    x_raw: np.ndarray  # N raw ILI values
-    x_des: np.ndarray  # N deseasonalized values
-    q: np.ndarray  # N x L normalized query values
-    y_raw: np.ndarray  # S raw targets
-    o: np.ndarray  # S deseasonalized targets, o = y_raw - x_seas
-    x_seas: np.ndarray  # S seasonal values for the target weeks
+    last_week: np.ndarray  # (W,) week index of each final input week
+    x_raw: np.ndarray  # (W, N) raw ILI values
+    x_des: np.ndarray  # (W, N) deseasonalized values
+    q: np.ndarray  # (W, N, L) normalized query values
+    y_raw: np.ndarray  # (W, S) raw targets
+    o: np.ndarray  # (W, S) deseasonalized targets, o = y_raw - x_seas
+    x_seas: np.ndarray  # (W, S) seasonal values for the target weeks
+
+    def __len__(self):
+        return len(self.last_week)
+
+    def take(self, rows) -> "Windows":
+        """The windows at the integer indices `rows`, in that order."""
+        return Windows(self.country, *(getattr(self, f.name)[rows]
+                                       for f in fields(self)[1:]))
 
 
 @dataclass(frozen=True)
@@ -285,7 +294,7 @@ def minmax_apply(panel: QueryPanel, stats) -> QueryPanel:
 
 
 def make_windows(series: WeeklySeries, panel, seasonal: np.ndarray,
-                 n_in: int, n_out: int, week_range) -> list:
+                 n_in: int, n_out: int, week_range) -> Windows:
     """All stride-1 windows whose N inputs and S targets fit in the range.
 
     `seasonal` is the full-length seasonal array aligned to the series
@@ -300,27 +309,20 @@ def make_windows(series: WeeklySeries, panel, seasonal: np.ndarray,
     if panel is not None and (panel.start != series.start
                               or panel.matrix.shape[0] != len(series)):
         raise AlignmentError("query panel not aligned to series")
-    des = series.values - seasonal
-    samples = []
-    for t in range(series.pos(lo) + n_in - 1, series.pos(hi) - n_out + 1):
-        sl_in = slice(t - n_in + 1, t + 1)
-        sl_out = slice(t + 1, t + 1 + n_out)
-        q = (panel.matrix[sl_in] if panel is not None
-             else np.zeros((n_in, 0)))
-        samples.append(WindowSample(
-            country=series.country,
-            last_week=series.start + t,
-            x_raw=series.values[sl_in].copy(),
-            x_des=des[sl_in].copy(),
-            q=q.copy(),
-            y_raw=series.values[sl_out].copy(),
-            o=(series.values[sl_out] - seasonal[sl_out]).copy(),
-            x_seas=seasonal[sl_out].copy()))
-    return samples
+    t = np.arange(series.pos(lo) + n_in - 1, series.pos(hi) - n_out + 1)
+    inp = t[:, None] + np.arange(1 - n_in, 1)  # (W, N) input positions
+    out = t[:, None] + np.arange(1, n_out + 1)  # (W, S) target positions
+    return Windows(
+        country=series.country, last_week=series.start + t,
+        x_raw=series.values[inp], x_des=(series.values - seasonal)[inp],
+        q=(panel.matrix[inp] if panel is not None
+           else np.zeros((len(t), n_in, 0))),
+        y_raw=series.values[out],
+        o=series.values[out] - seasonal[out], x_seas=seasonal[out])
 
 
 def make_target_windows(series: WeeklySeries, panel, seasonal: np.ndarray,
-                        n_in: int, n_out: int, target_range) -> list:
+                        n_in: int, n_out: int, target_range) -> Windows:
     """Windows whose S targets all lie in target_range; inputs may reach
     back into earlier weeks (validation/test usage)."""
     lo, hi = target_range

@@ -61,9 +61,10 @@ class EvalReport:
     attention: list = field(default_factory=list)  # (week, query, weight)
 
 
-def seasonal_naive(sample) -> np.ndarray:
-    """Persist the last deseasonalized value, reseasonalize per horizon."""
-    return sample.x_des[-1] + sample.x_seas
+def seasonal_naive(windows) -> np.ndarray:
+    """Persist each window's last deseasonalized value, reseasonalize per
+    horizon; a (W, S) forecast."""
+    return windows.x_des[:, -1:] + windows.x_seas
 
 
 @dataclass
@@ -110,40 +111,32 @@ def fit_ar_exog(y: np.ndarray, q: np.ndarray, p: int) -> ArExogModel:
     return ArExogModel(order=p, coefficients=coef, n_queries=l)
 
 
-def evaluate(predict, test_windows, s_out: int, model_name: str,
-             country: str, term: str = "") -> EvalReport:
-    """Score a forecaster over test windows, per horizon.
+def evaluate(y_hat, windows, model_name: str, country: str,
+             term: str = "") -> EvalReport:
+    """Score a (W, S) forecast of the windows' raw targets, per horizon.
 
-    `predict(sample) -> array of length s_out (trailing NaN allowed for
-    unsupported horizons)`. Horizons where every prediction is NaN are
-    reported absent (the AR baseline's multi-step case).
+    NaN marks a horizon that is not forecast for that window. A horizon
+    forecast for no window is reported absent (the AR baseline's
+    multi-step case).
     """
-    if not test_windows:
+    if not windows:
         raise MetricError("no test windows")
-    horizons = range(1, s_out + 1)
-    truth = {h: [] for h in horizons}
-    preds = {h: [] for h in horizons}
-    traces = []
-    attention = []
-    for sample in test_windows:
-        y_hat = np.asarray(predict(sample), dtype=np.float64)
-        for h in horizons:
-            v = y_hat[h - 1]
-            if np.isnan(v):
-                continue
-            truth[h].append(sample.y_raw[h - 1])
-            preds[h].append(v)
-            traces.append((sample.last_week + h, h,
-                           float(sample.y_raw[h - 1]), float(v)))
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    if y_hat.shape != windows.y_raw.shape:
+        raise MetricError(f"forecast shape {y_hat.shape} differs from "
+                          f"targets {windows.y_raw.shape}")
+    kept = ~np.isnan(y_hat)
+    weeks = windows.last_week.tolist()
+    traces = [(weeks[i] + h + 1, h + 1, float(windows.y_raw[i, h]),
+               float(y_hat[i, h])) for i, h in np.argwhere(kept).tolist()]
     scores = []
-    for h in horizons:
-        if not preds[h]:
-            continue
-        scores.append(HorizonScore(horizon=h,
-                                   rmse=rmse(truth[h], preds[h]),
-                                   r2=r2(truth[h], preds[h])))
+    for h, rows in enumerate(kept.T):
+        if rows.any():
+            y, f = windows.y_raw[rows, h], y_hat[rows, h]
+            scores.append(HorizonScore(horizon=h + 1, rmse=rmse(y, f),
+                                       r2=r2(y, f)))
     return EvalReport(model_name=model_name, country=country, term=term,
-                      scores=scores, traces=traces, attention=attention)
+                      scores=scores, traces=traces)
 
 
 def evaluate_model(model: fluenet.ModelParams, test_windows, country: str,
@@ -152,17 +145,14 @@ def evaluate_model(model: fluenet.ModelParams, test_windows, country: str,
     collecting attention traces."""
     if not test_windows:
         raise MetricError("no test windows")
-    o_hat, weights = fluenet.forward_batch(
-        model, country, np.stack([s.x_des for s in test_windows]),
-        np.stack([s.q for s in test_windows]))
-    # `evaluate` asks for one forecast per window, in order
-    y_hat = iter(o_hat.data + np.stack([s.x_seas for s in test_windows]))
-    report = evaluate(lambda sample: next(y_hat), test_windows,
-                      model.s_out, model_name, country, term)
+    o_hat, weights = fluenet.forward_batch(model, country,
+                                           test_windows.x_des, test_windows.q)
+    report = evaluate(o_hat.data + test_windows.x_seas, test_windows,
+                      model_name, country, term)
     if weights is not None:
-        report.attention = [(s.last_week, j, float(w))
-                            for s, row in zip(test_windows, weights)
-                            for j, w in enumerate(row)]
+        report.attention = [(week, j, float(w)) for week, row in zip(
+            test_windows.last_week.tolist(), weights)
+            for j, w in enumerate(row)]
     return report
 
 

@@ -109,7 +109,7 @@ def sample_country_batch(rng: nk.Rng, datasets: dict, batch_size: int
         idx = rng.choice_without_replacement(len(pool), batch_size)
     else:
         idx = rng.integers(0, len(pool), size=batch_size)
-    return c, [pool[i] for i in idx]
+    return c, pool.take(idx)
 
 
 def epsilon_at(epoch: int, max_epochs: int) -> float:
@@ -121,22 +121,14 @@ def epsilon_at(epoch: int, max_epochs: int) -> float:
     return min(1.0, max(0.0, 1.0 - (epoch - 1) / (max_epochs - 1)))
 
 
-def _batch_arrays(samples):
-    x = np.stack([s.x_des for s in samples])
-    q = np.stack([s.q for s in samples])
-    o = np.stack([s.o for s in samples])
-    return x, q, o
-
-
 def _validation_mse(model, data) -> dict:
     out = {}
     for c in sorted(data):
         val = data[c]["val"]
         if not val:
             raise TrainingError(f"no validation samples for country {c}")
-        x, q, o = _batch_arrays(val)
-        o_hat, _ = fluenet.forward_batch(model, c, x, q)
-        out[c] = float(np.mean((o_hat.data - o) ** 2))
+        o_hat, _ = fluenet.forward_batch(model, c, val.x_des, val.q)
+        out[c] = float(np.mean((o_hat.data - val.o) ** 2))
     return out
 
 
@@ -154,7 +146,7 @@ def _query_count(config: TrainConfig, data: dict) -> int:
     for c in sorted(data):
         if not data[c]["train"]:
             raise TrainingError(f"no training samples for country {c}")
-    counts = {c: d["train"][0].q.shape[1] for c, d in data.items()}
+    counts = {c: d["train"].q.shape[2] for c, d in data.items()}
     if (config.arch == "gru_baseline" and config.use_queries
             and len(set(counts.values())) > 1):
         raise TrainingError(
@@ -170,11 +162,11 @@ def _train_step(model, adam, country, batch, eps, rng) -> float:
     The tape goes out of scope on return, so the GRU histories it holds
     go back to the buffer pool before validation runs.
     """
-    x, q, o = _batch_arrays(batch)
     with nk.GradTape() as tape:
-        o_hat, _ = fluenet.forward_batch(model, country, x, q, teacher=o,
-                                         eps=eps, rng=rng)
-        loss = mse_loss(o_hat, o)
+        o_hat, _ = fluenet.forward_batch(model, country, batch.x_des,
+                                         batch.q, teacher=batch.o, eps=eps,
+                                         rng=rng)
+        loss = mse_loss(o_hat, batch.o)
         nk.backward(tape, loss)
     adam.step(model.named_params())
     return loss.item()
@@ -231,7 +223,7 @@ def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
 def fit(config: TrainConfig, data: dict) -> tuple:
     """Grid search over (lr, M); returns the best (ModelParams, TrainLog).
 
-    `data` maps country -> {"train": [WindowSample], "val": [WindowSample]}.
+    `data` maps country -> {"train": Windows, "val": Windows}.
     Divergent grid points (non-finite values during training) are skipped.
     """
     if config.mode == "single" and len(data) != 1:

@@ -177,16 +177,17 @@ def synth_countries(n_countries=5, weeks=330, l=3, rho=0.8, seed=77):
 
 
 def windows_from_arrays(name, x_des, seasonal, q, n, s, t_range):
-    samples = []
+    """The windows whose last input week t is in t_range, stacked from
+    per-window slices."""
+    rows = []
     for t in range(*t_range):
         o = x_des[t + 1:t + 1 + s]
         x_seas = seasonal[t + 1:t + 1 + s]
-        samples.append(datahub.WindowSample(
-            country=name, last_week=100000 + t,
-            x_raw=x_des[t - n + 1:t + 1] + seasonal[t - n + 1:t + 1],
-            x_des=x_des[t - n + 1:t + 1], q=q[t - n + 1:t + 1],
-            y_raw=o + x_seas, o=o, x_seas=x_seas))
-    return samples
+        rows.append((100000 + t,
+                     x_des[t - n + 1:t + 1] + seasonal[t - n + 1:t + 1],
+                     x_des[t - n + 1:t + 1], q[t - n + 1:t + 1],
+                     o + x_seas, o, x_seas))
+    return datahub.Windows(name, *(np.stack(a) for a in zip(*rows)))
 
 
 def r2_by_horizon(model, test_w, country):
@@ -281,12 +282,9 @@ class TestArBaseline:
             "US", rng.normal(0, 1, 60), np.zeros(60),
             rng.uniform(0, 1, (60, 1)), 10, 3, (9, 40))
 
-        def one_step(sample):
-            out = np.full(3, np.nan)
-            out[0] = sample.x_des[-1]
-            return out
-
-        report = evalbench.evaluate(one_step, windows, 3, "ar_exog", "US")
+        one_step = np.full((len(windows), 3), np.nan)
+        one_step[:, 0] = windows.x_des[:, -1]
+        report = evalbench.evaluate(one_step, windows, "ar_exog", "US")
         assert [sc.horizon for sc in report.scores] == [1]
 
 

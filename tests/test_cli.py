@@ -755,6 +755,29 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(folder) in err
 
+    def test_file_for_out_is_one_line(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        assert run(config, out, "decompose") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+
+    @pytest.mark.parametrize("where", ["config", "ili", "trends"])
+    def test_non_utf8_byte_is_one_line(self, tmp_path, capsys, where):
+        config = build_workspace(tmp_path)
+        argv = ["decompose"]
+        path = {"config": config, "ili": tmp_path / "ili.csv"}.get(where)
+        if where == "trends":
+            path = tmp_path / "trends" / "US" / "flu_fever.csv"
+            argv = ["train", "--mode", "single", "--countries", "US"]
+        path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+        assert run(config, tmp_path / "out", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "can't decode byte 0xe9" in err
+
     @pytest.mark.filterwarnings("ignore:US. query")
     def test_every_query_constant_is_data_error(self, tmp_path, capsys):
         config = build_workspace(tmp_path)

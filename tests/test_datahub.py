@@ -377,8 +377,9 @@ class TestMakeWindows:
         series, panel, seasonal = make_windowing_fixture()
         samples = datahub.make_windows(series, panel, seasonal, 52, 5,
                                        (series.start, series.end))
-        for smp in samples:
-            assert np.max(np.abs(smp.o + smp.x_seas - smp.y_raw)) < 1e-12
+        for o, x_seas, y_raw in zip(samples.o, samples.x_seas,
+                                    samples.y_raw):
+            assert np.max(np.abs(o + x_seas - y_raw)) < 1e-12
 
     def test_range_too_short_rejected(self):
         series, panel, seasonal = make_windowing_fixture(length=60)
@@ -392,9 +393,9 @@ class TestMakeWindows:
         hi = series.end
         samples = datahub.make_target_windows(series, panel, seasonal,
                                               52, 5, (lo, hi))
-        firsts = [s.last_week + 1 for s in samples]
+        firsts = samples.last_week + 1
         assert min(firsts) == lo
-        assert max(s.last_week + 5 for s in samples) == hi
+        assert max(samples.last_week + 5) == hi
 
 
 class TestSplitPlan:
@@ -421,5 +422,5 @@ class TestSplitPlan:
         plan = datahub.split_plan(series, series.start + 220, 52)
         train_w = datahub.make_windows(series, panel, seasonal, 52, 5,
                                        plan.train)
-        assert all(s.last_week + 5 <= plan.train[1] for s in train_w)
-        assert all(s.last_week + 5 < plan.val[0] for s in train_w)
+        assert all(train_w.last_week + 5 <= plan.train[1])
+        assert all(train_w.last_week + 5 < plan.val[0])

@@ -49,28 +49,37 @@ class TestR2:
             evalbench.r2([2.0, 2.0], [1.0, 3.0])
 
 
-def make_sample(country, last_week, x_des, x_seas, y_raw, q=None):
+def windows_table(country, last_week, x_des, x_seas, y_raw, q=None):
+    """Windows from (W, N) inputs and (W, S) seasonal values and raw
+    targets, row i ending at week last_week + i; without q every window
+    has one all-zero query."""
     x_des = np.asarray(x_des, dtype=float)
     y_raw = np.asarray(y_raw, dtype=float)
     x_seas = np.asarray(x_seas, dtype=float)
     if q is None:
-        q = np.zeros((len(x_des), 1))
-    return datahub.WindowSample(country=country, last_week=last_week,
-                                x_raw=x_des + 1.0, x_des=x_des, q=q,
-                                y_raw=y_raw, o=y_raw - x_seas,
-                                x_seas=x_seas)
+        q = np.zeros(x_des.shape + (1,))
+    return datahub.Windows(country=country,
+                           last_week=last_week + np.arange(len(x_des)),
+                           x_raw=x_des + 1.0, x_des=x_des, q=q,
+                           y_raw=y_raw, o=y_raw - x_seas, x_seas=x_seas)
+
+
+def stacked(rows):
+    """Per-window tuples of arrays -> one stacked array per position."""
+    return [np.stack(a) for a in zip(*rows)]
 
 
 class TestSeasonalNaive:
     def test_persists_last_deseasonalized_value(self):
-        s = make_sample("US", 100, [0.1, 0.2, 0.7], [1.0, 2.0],
-                        [9.0, 9.0])
-        assert np.array_equal(evalbench.seasonal_naive(s),
-                              [1.7, 2.7])
+        w = windows_table("US", 100, [[0.1, 0.2, 0.7]], [[1.0, 2.0]],
+                          [[9.0, 9.0]])
+        assert np.array_equal(evalbench.seasonal_naive(w),
+                              [[1.7, 2.7]])
 
     def test_horizon_one_equals_last_raw_when_season_flat(self):
-        s = make_sample("US", 100, [3.0, 4.0], [0.0, 0.0], [5.0, 6.0])
-        assert evalbench.seasonal_naive(s)[0] == 4.0
+        w = windows_table("US", 100, [[3.0, 4.0]], [[0.0, 0.0]],
+                          [[5.0, 6.0]])
+        assert evalbench.seasonal_naive(w)[0, 0] == 4.0
 
 
 class TestArExog:
@@ -131,56 +140,60 @@ class TestArExog:
 class TestEvaluate:
     def make_windows(self):
         rng = Rng(6)
-        out = []
-        for i in range(6):
+        rows = []
+        for _ in range(6):
             y = rng.uniform(1, 5, 3)
-            out.append(make_sample("US", 200 + i, rng.normal(0, 1, 4),
-                                   rng.normal(0, 1, 3), y))
-        return out
+            rows.append((rng.normal(0, 1, 4), rng.normal(0, 1, 3), y))
+        return windows_table("US", 200, *stacked(rows))
 
     def test_perfect_predictor_scores_perfectly(self):
         windows = self.make_windows()
-        report = evalbench.evaluate(lambda s: s.y_raw, windows, 3,
-                                    "oracle", "US")
+        report = evalbench.evaluate(windows.y_raw, windows, "oracle", "US")
         assert [s.horizon for s in report.scores] == [1, 2, 3]
         assert all(s.rmse == 0.0 and s.r2 == 1.0 for s in report.scores)
         assert len(report.traces) == 18
 
     def test_nan_horizons_reported_absent(self):
         windows = self.make_windows()
-
-        def one_step(s):
-            return np.array([s.y_raw[0], np.nan, np.nan])
-
-        report = evalbench.evaluate(one_step, windows, 3, "ar", "US")
+        one_step = np.full((len(windows), 3), np.nan)
+        one_step[:, 0] = windows.y_raw[:, 0]
+        report = evalbench.evaluate(one_step, windows, "ar", "US")
         assert [s.horizon for s in report.scores] == [1]
         assert all(h == 1 for _, h, _, _ in report.traces)
 
     def test_matches_direct_metric_computation(self):
         windows = self.make_windows()
         rng = Rng(7)
-        noise = {id(w): rng.normal(0, 0.3, 3) for w in windows}
-        report = evalbench.evaluate(lambda s: s.y_raw + noise[id(s)],
-                                    windows, 3, "m", "US")
+        noise = [rng.normal(0, 0.3, 3) for _ in range(len(windows))]
+        report = evalbench.evaluate(windows.y_raw + np.stack(noise),
+                                    windows, "m", "US")
         for h_score in report.scores:
             h = h_score.horizon
-            y = [w.y_raw[h - 1] for w in windows]
-            y_hat = [w.y_raw[h - 1] + noise[id(w)][h - 1] for w in windows]
+            y = [row[h - 1] for row in windows.y_raw]
+            y_hat = [row[h - 1] + n[h - 1]
+                     for row, n in zip(windows.y_raw, noise)]
             assert abs(h_score.rmse - evalbench.rmse(y, y_hat)) < 1e-15
             assert abs(h_score.r2 - evalbench.r2(y, y_hat)) < 1e-15
 
     def test_empty_windows_rejected(self):
+        empty = self.make_windows().take([])
         with pytest.raises(evalbench.MetricError):
-            evalbench.evaluate(lambda s: s.y_raw, [], 3, "m", "US")
+            evalbench.evaluate(empty.y_raw, empty, "m", "US")
+
+    def test_forecast_shape_mismatch_rejected(self):
+        windows = self.make_windows()
+        with pytest.raises(evalbench.MetricError, match="shape"):
+            evalbench.evaluate(windows.y_raw[:, :2], windows, "m", "US")
+        with pytest.raises(evalbench.MetricError, match="shape"):
+            evalbench.evaluate(windows.y_raw[0], windows, "m", "US")
 
     def test_evaluate_model_collects_attention(self):
         model = fluenet.ModelParams(m=3, n_in=4, s_out=3, l_queries=2,
                                     countries=["US"], seed=9)
         rng = Rng(8)
-        windows = [make_sample("US", 300 + i, rng.normal(0, 1, 4),
-                               rng.normal(0, 1, 3), rng.uniform(1, 5, 3),
-                               q=rng.uniform(0, 1, (4, 2)))
-                   for i in range(4)]
+        windows = windows_table("US", 300, *stacked(
+            (rng.normal(0, 1, 4), rng.normal(0, 1, 3), rng.uniform(1, 5, 3),
+             rng.uniform(0, 1, (4, 2))) for _ in range(4)))
         report = evalbench.evaluate_model(model, windows, "US", "net")
         assert len(report.attention) == 8  # 4 windows x 2 queries
         by_week = {}
@@ -191,19 +204,18 @@ class TestEvaluate:
 
 
 def per_window_evaluate_model(model, windows, country, model_name):
-    """Oracle: the network run on one window at a time (B=1)."""
-    attention = []
-
-    def predict(sample):
-        o_hat, weights = fluenet.forward_batch(model, country,
-                                               sample.x_des[None],
-                                               sample.q[None])
+    """Oracle: the network run on one window at a time (B=1), its rows
+    gathered into the (W, S) forecast that is scored."""
+    y_hat, attention = [], []
+    for i in range(len(windows)):
+        one = windows.take([i])
+        o_hat, weights = fluenet.forward_batch(model, country, one.x_des,
+                                               one.q)
         if weights is not None:
-            attention.extend((sample.last_week, j, float(w))
+            attention.extend((int(one.last_week[0]), j, float(w))
                              for j, w in enumerate(weights[0]))
-        return o_hat.data[0] + sample.x_seas
-
-    report = evalbench.evaluate(predict, windows, model.s_out, model_name,
+        y_hat.append(o_hat.data[0] + one.x_seas[0])
+    report = evalbench.evaluate(np.stack(y_hat), windows, model_name,
                                 country)
     report.attention = attention
     return report
@@ -221,10 +233,9 @@ class TestBatchedEvaluateModel:
         model = fluenet.ModelParams(m=5, n_in=6, s_out=3, l_queries=2,
                                     countries=["JP", "US"], seed=4, **kw)
         rng = Rng(10)
-        windows = [make_sample("US", 400 + i, rng.normal(0, 1, 6),
-                               rng.normal(0, 1, 3), rng.uniform(1, 5, 3),
-                               q=rng.uniform(0, 1, (6, 2)))
-                   for i in range(9)]
+        windows = windows_table("US", 400, *stacked(
+            (rng.normal(0, 1, 6), rng.normal(0, 1, 3), rng.uniform(1, 5, 3),
+             rng.uniform(0, 1, (6, 2))) for _ in range(9)))
         got = evalbench.evaluate_model(model, windows, "US", "net")
         want = per_window_evaluate_model(model, windows, "US", "net")
         assert [(w, h, y) for w, h, y, _ in got.traces] == [

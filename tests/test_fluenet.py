@@ -467,16 +467,15 @@ class TestModel:
         from flucast import datahub
         model = small_model()
         rng = Rng(43)
-        sample = datahub.WindowSample(
-            country="US", last_week=500,
-            x_raw=rng.uniform(0, 5, 8), x_des=rng.normal(0, 1, 8),
-            q=rng.uniform(0, 1, (8, 2)), y_raw=rng.uniform(0, 5, 3),
-            o=rng.normal(0, 1, 3), x_seas=rng.normal(0, 1, 3))
-        o_hat, weights = fluenet.forward_batch(model, "US",
-                                               sample.x_des[None],
-                                               sample.q[None])
-        y_hat = o_hat.data[0] + sample.x_seas
-        assert np.array_equal(y_hat - o_hat.data[0], sample.x_seas)
+        window = datahub.Windows(
+            country="US", last_week=np.array([500]),
+            x_raw=rng.uniform(0, 5, (1, 8)), x_des=rng.normal(0, 1, (1, 8)),
+            q=rng.uniform(0, 1, (1, 8, 2)), y_raw=rng.uniform(0, 5, (1, 3)),
+            o=rng.normal(0, 1, (1, 3)), x_seas=rng.normal(0, 1, (1, 3)))
+        o_hat, weights = fluenet.forward_batch(model, "US", window.x_des,
+                                               window.q)
+        y_hat = o_hat.data[0] + window.x_seas[0]
+        assert np.array_equal(y_hat - o_hat.data[0], window.x_seas[0])
         assert abs(weights[0].sum() - 1.0) < 1e-12
 
 

@@ -10,10 +10,12 @@ import os
 import re
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from flucast import datahub
+from flucast.numkit import Rng
 from test_numkit import assert_matches_oracle, gru_case
 
 hypothesis.settings.register_profile("ci", derandomize=True)
@@ -64,3 +66,60 @@ class TestGruSequenceBits:
                             as_array):
         assert_matches_oracle(gru_case(seed, t_len, b, m, n_in), standard,
                               taped, as_array)
+
+
+class TestWindowTable:
+    """make_windows against per-window slices, and take against rows."""
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+                      n=st.integers(1, 8), s=st.integers(1, 5),
+                      l=st.sampled_from([0, 1, 3]))
+    def test_rows_match_slices(self, data, seed, n, s, l):
+        length = data.draw(st.integers(n + s, n + s + 40), label="length")
+        lo = data.draw(st.integers(0, length - n - s), label="lo")
+        hi = data.draw(st.integers(lo + n + s - 1, length - 1), label="hi")
+        rng = Rng(seed)
+        start = datahub.parse_week("2015-W01")
+        series = datahub.WeeklySeries(country="US", start=start,
+                                      values=rng.uniform(0, 5, length))
+        seasonal = rng.normal(0, 1, length)
+        panel = None
+        if l:
+            panel = datahub.QueryPanel(
+                country="US", queries=[f"q{j}" for j in range(l)],
+                start=start, matrix=rng.uniform(0, 1, (length, l)))
+
+        w = datahub.make_windows(series, panel, seasonal, n, s,
+                                 (start + lo, start + hi))
+        assert len(w) == hi - lo + 2 - n - s
+        target = datahub.make_target_windows(series, panel, seasonal, n, s,
+                                             (start + lo + n, start + hi))
+        assert len(target) == hi - (lo + n) + 2 - s
+
+        v = series.values
+        for table in (w, target):
+            assert table.country == "US"
+            for i in range(len(table)):
+                t = lo + n - 1 + i
+                inp, out = slice(t - n + 1, t + 1), slice(t + 1, t + 1 + s)
+                q = panel.matrix[inp] if l else np.zeros((n, 0))
+                want = {"x_raw": v[inp], "x_des": v[inp] - seasonal[inp],
+                        "q": q, "y_raw": v[out],
+                        "o": v[out] - seasonal[out], "x_seas": seasonal[out]}
+                assert table.last_week[i] == start + t
+                for name, value in want.items():
+                    assert np.array_equal(getattr(table, name)[i], value), \
+                        name
+
+        rows = np.array(data.draw(st.lists(st.integers(0, len(w) - 1),
+                                           max_size=12), label="rows"),
+                        dtype=np.int64)
+        taken = w.take(rows)
+        assert taken.country == w.country and len(taken) == len(rows)
+        for name in ("last_week", "x_raw", "x_des", "q", "y_raw", "o",
+                     "x_seas"):
+            got, full = getattr(taken, name), getattr(w, name)
+            assert got.shape == (len(rows),) + full.shape[1:], name
+            for k, i in enumerate(rows):
+                assert np.array_equal(got[k], full[i]), name

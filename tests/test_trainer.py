@@ -8,27 +8,27 @@ from flucast import numkit as nk
 from flucast.numkit import Rng, Tensor2
 
 
-def make_samples(rng, country, count, n_in=6, s_out=2, l=1,
+def make_windows(rng, country, count, n_in=6, s_out=2, l=1,
                  learnable=False):
-    out = []
-    for i in range(count):
+    rows = []
+    for _ in range(count):
         x = rng.normal(0, 1, n_in)
         q = rng.uniform(0, 1, (n_in, l))
         if learnable:
             o = np.full(s_out, float(x[-1]))
         else:
             o = rng.normal(0, 1, s_out)
-        out.append(datahub.WindowSample(
-            country=country, last_week=1000 + i,
-            x_raw=x + 3.0, x_des=x, q=q, y_raw=o + 0.5,
-            o=o, x_seas=np.full(s_out, 0.5)))
-    return out
+        rows.append((x, q, o))
+    x, q, o = (np.stack(a) for a in zip(*rows))
+    return datahub.Windows(
+        country=country, last_week=1000 + np.arange(count), x_raw=x + 3.0,
+        x_des=x, q=q, y_raw=o + 0.5, o=o, x_seas=np.full(o.shape, 0.5))
 
 
 def make_data(countries, n_train=12, n_val=4, seed=0, **kw):
     rng = Rng(seed)
-    return {c: {"train": make_samples(rng, c, n_train, **kw),
-                "val": make_samples(rng, c, n_val, **kw)}
+    return {c: {"train": make_windows(rng, c, n_train, **kw),
+                "val": make_windows(rng, c, n_val, **kw)}
             for c in countries}
 
 
@@ -81,15 +81,17 @@ class TestCountryBatches:
         rng = Rng(5).spawn("batches")
         for _ in range(50):
             c, batch = trainer.sample_country_batch(rng, sets, 8)
-            assert all(s.country == c for s in batch)
+            assert batch.country == c
             assert len(batch) == 8
+            assert all((sets[c].x_des == row).all(axis=1).any()
+                       for row in batch.x_des)
 
     def test_no_repeats_when_pool_is_large_enough(self):
         data = make_data(["US"], n_train=30)
         sets = {"US": data["US"]["train"]}
         rng = Rng(6).spawn("batches")
         _, batch = trainer.sample_country_batch(rng, sets, 10)
-        assert len({id(s) for s in batch}) == 10
+        assert len(set(batch.last_week.tolist())) == 10
 
     def test_country_draw_is_uniform(self):
         data = make_data(["AU", "JP", "US"], n_train=4)
@@ -107,7 +109,8 @@ class TestCountryBatches:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(trainer.TrainingError):
-            trainer.sample_country_batch(Rng(0), {"US": []}, 2)
+            trainer.sample_country_batch(
+                Rng(0), {"US": make_windows(Rng(0), "US", 1).take([])}, 2)
 
 
 class TestConfig:
@@ -135,7 +138,7 @@ def quick_config(**kw):
 class TestFit:
     def test_overfits_a_learnable_toy_problem(self):
         rng = Rng(0)
-        samples = make_samples(rng, "US", 8, learnable=True)
+        samples = make_windows(rng, "US", 8, learnable=True)
         data = {"US": {"train": samples, "val": samples}}
         config = quick_config(max_epochs=250, patience=250)
         model, log = trainer.fit(config, data)
