@@ -23,7 +23,7 @@ class ConfigError(ValueError):
 def load_config(path: str) -> dict:
     """Parse key=value lines; '#' starts a comment; keys keep dots."""
     cfg = {}
-    with open(path, encoding="utf-8") as f:
+    with datahub.open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -191,15 +191,12 @@ def _stored_fit(ckpt, extra, cfg, series, model) -> tuple:
 
 
 def _apply_country(cfg, series, seasonal_fit, panel) -> dict:
-    """One country's split, full-length seasonal array and template, from
-    its training-range seasonal and its normalized query panel."""
-    plan = _split(cfg, series)
-    fit_len = plan.train_len
-    template = decompose.seasonal_template(seasonal_fit, 52)
-    seasonal = np.concatenate([seasonal_fit, decompose.extend_seasonal(
-        template, fit_len - 1, len(series) - fit_len)])
-    return {"series": series, "plan": plan, "template": template,
-            "seasonal": seasonal, "panel": panel}
+    """One country's split and full-length seasonal array, from its
+    training-range seasonal and its normalized query panel."""
+    return {"series": series, "plan": _split(cfg, series),
+            "seasonal": decompose.extend_seasonal(seasonal_fit, 52,
+                                                  len(series)),
+            "panel": panel}
 
 
 def _windows(p, part, n_in, s_out) -> list:
@@ -293,9 +290,8 @@ def cmd_select_queries(cfg, args) -> int:
     return 0
 
 
-def _train_config(cfg, args, countries, mode) -> trainer.TrainConfig:
+def _train_config(cfg, args) -> trainer.TrainConfig:
     return trainer.TrainConfig(
-        countries=countries,
         n_in=_get_num(cfg, "model.n", 52),
         s_out=_get_num(cfg, "model.s", 5),
         lr_grid=tuple(_get_list(cfg, "train.lr_grid",
@@ -306,18 +302,15 @@ def _train_config(cfg, args, countries, mode) -> trainer.TrainConfig:
         batch_size=_get_num(cfg, "train.batch_size", 32),
         seed=args.seed if args.seed is not None
         else _get_num(cfg, "seed", 0),
-        mode=mode,
         use_queries=not (args.no_queries or _get_bool(cfg, "no_queries")),
         use_country_embedding=not (args.no_country_embedding
                                    or _get_bool(cfg, "no_country_embedding")),
-        standard_gru=_get_bool(cfg, "standard_gru"),
         arch=_get(cfg, "model.arch", "proposed"))
 
 
 def cmd_train(cfg, args) -> int:
     countries = _countries(cfg, args)
-    mode = args.mode or _get(cfg, "mode", "single")
-    tc = _train_config(cfg, args, countries, mode)
+    tc = _train_config(cfg, args)
     extra, data = {"term": _get(cfg, "term", "")}, {}
     for c, series in _load_ili(cfg, countries).items():
         stored, seasonal, panel = _fit_country(cfg, series, tc.use_queries)
@@ -385,7 +378,7 @@ def cmd_forecast(cfg, args) -> int:
             (series.end - model.n_in + 1, series.end))
         o_hat, _ = fluenet.forward_batch(model, c, last.x_des, last.q)
         y_hat = o_hat.data[0] + decompose.extend_seasonal(
-            p["template"], len(series) - 1, model.s_out)
+            p["seasonal"], 52, len(series) + model.s_out)[len(series):]
         for h in range(model.s_out):
             rows.append((series.end + 1 + h, c, h + 1, float(y_hat[h])))
     path = os.path.join(args.out, "forecasts.csv")
@@ -425,7 +418,6 @@ def main(argv=None) -> int:
     p.add_argument("--method", choices=["wt", "mapping"], default="wt")
 
     p = sub.add_parser("train")
-    p.add_argument("--mode", choices=["single", "multi"], default=None)
     p.add_argument("--countries", default=None)
     p.add_argument("--no-country-embedding", action="store_true")
     p.add_argument("--no-queries", action="store_true")
@@ -458,8 +450,7 @@ def main(argv=None) -> int:
             evalbench.MetricError,
             trainer.TrainingError, decompose.ParameterError,
             decompose.InsufficientDataError, nk.ContractError,
-            nk.NonFiniteError, nk.ShapeError, OSError, UnicodeDecodeError,
-            KeyError) as e:
+            nk.NonFiniteError, nk.ShapeError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

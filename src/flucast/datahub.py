@@ -7,6 +7,7 @@ year has exactly 52 weeks and a week maps to a single integer index
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import functools
@@ -142,6 +143,17 @@ class SplitPlan:
         return self.train[1] - self.train[0] + 1
 
 
+@contextlib.contextmanager
+def open_text(path: str, newline: str = None):
+    """The file at `path`, open for reading as UTF-8 text; a byte that is
+    not UTF-8 is a DataError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def _columns(header, names) -> list:
     """Index of each named column in a CSV header, None where absent.
 
@@ -175,7 +187,7 @@ def load_ili(path: str) -> dict:
     """Read ili.csv (iso_week,country,ili_rate) into per-country series."""
     rows = {}
     names = ("iso_week", "country", "ili_rate")
-    with open(path, newline="", encoding="utf-8") as f:
+    with open_text(path, newline="") as f:
         reader = csv.reader(f)
         cols = _columns(next(reader, None), names)
         if None in cols:
@@ -222,7 +234,7 @@ def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
     """
     names = ("iso_week", "value")
     by_week = {}
-    with open(path, newline="", encoding="utf-8") as f:
+    with open_text(path, newline="") as f:
         reader = csv.reader(f)
         cols = _columns(next(reader, None), names)
         for lineno, row in _rows(reader):

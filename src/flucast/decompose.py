@@ -37,19 +37,6 @@ class Decomposition:
         return self.trend + self.seasonal + self.remainder
 
 
-@dataclass(frozen=True)
-class SeasonalTemplate:
-    """One period of seasonal values, indexed by series position mod T."""
-
-    values: np.ndarray  # length T, values[p] is the seasonal value at phase p
-    period: int
-
-    def __post_init__(self):
-        if len(self.values) != self.period:
-            raise ParameterError(
-                f"template length {len(self.values)} != period {self.period}")
-
-
 def _loess_rows(ys: np.ndarray, rw: np.ndarray, x0s: np.ndarray, q: int,
                 degree: int) -> np.ndarray:
     """Tricube LOESS of each row of ys (R, m) at the integer points x0s.
@@ -198,24 +185,14 @@ def stl_decompose(series, period: int) -> Decomposition:
                          remainder=remainder, period=period)
 
 
-def seasonal_template(seasonal: np.ndarray, period: int
-                      ) -> SeasonalTemplate:
-    """Template from the final fitted cycle of a seasonal component,
-    indexed by phase.
-
-    Phases are week indices modulo the period, with index 0 at the start
-    of the series.
-    """
+def extend_seasonal(seasonal: np.ndarray, period: int, length: int
+                    ) -> np.ndarray:
+    """`length` seasonal values: the fitted ones, then repeats of their
+    final cycle, so a position past the fit takes the value of the last
+    fitted position in its phase (position mod the period)."""
     n = len(seasonal)
     if n < period:
         raise InsufficientDataError("seasonal shorter than one period")
-    vals = np.empty(period)
-    vals[np.arange(n - period, n) % period] = seasonal[n - period:n]
-    return SeasonalTemplate(values=vals, period=period)
-
-
-def extend_seasonal(template: SeasonalTemplate, from_index: int,
-                    steps: int) -> np.ndarray:
-    """Seasonal values for indices from_index+1 .. from_index+steps."""
-    return template.values[np.arange(from_index + 1, from_index + 1 + steps)
-                           % template.period]
+    i = np.arange(length)
+    past = n - period + (i - n) % period
+    return seasonal[np.where(i < n, i, past)]

@@ -161,7 +161,8 @@ def correlation_report(series_by_country: dict, shifts: dict = None
     """Pairwise Pearson correlations over the overlapping weeks.
 
     `shifts` maps country -> weeks to shift that series forward (the AU
-    alignment). Each series is min-max normalized on the overlap first.
+    alignment). Each series is min-max normalized on the overlap first;
+    one that is constant there has no correlation, a MetricError.
     """
     shifts = shifts or {}
     shifted = {}
@@ -177,6 +178,11 @@ def correlation_report(series_by_country: dict, shifts: dict = None
     for c, s in shifted.items():
         seg = s.values[lo - s.start:hi - s.start + 1]
         mn, mx = seg.min(), seg.max()
+        if mx <= mn and len(shifted) > 1:
+            raise MetricError(
+                f"{c}: ILI rate is constant over the overlapping weeks "
+                f"{datahub.format_week(lo)}..{datahub.format_week(hi)}, so "
+                f"its correlation is undefined")
         segments[c] = (seg - mn) / (mx - mn) if mx > mn else seg
     countries = sorted(segments)
     out = {}

@@ -11,8 +11,7 @@ Gate equations follow the literal form
     f = tanh(x U_h + h * (r W_h))
     z = sigma(x U_z + h W_z)
     h' = (1 - z) * h + z * f
-with no bias terms in the gates. A conventional-GRU variant
-(f = tanh(x U_h + (r * h) W_h)) is available behind `standard_gru`.
+with no bias terms in the gates, as the paper gives them.
 Each encoder runs as one `numkit.gru_sequence` tape op with fused gate
 GEMMs, on its input series passed as one (T x batch x in_dim) array:
 the series are data, so the op skips their gradient. The decoder, whose
@@ -89,8 +88,8 @@ class ModelParams:
 
     GRUs and the fusion MLP are shared across countries; attention and the
     output MLP are country-specific. The country embedding (one-hot -> M
-    linear map) supplies the initial hidden state of both encoders in
-    multi-task mode.
+    linear map) supplies the initial hidden state of both encoders when
+    the model covers more than one country.
 
     The constructor is the only list of the tensors. It walks them in the
     Glorot draw order, getting each from `make(name, rows, cols, stream)`;
@@ -100,8 +99,7 @@ class ModelParams:
     def __init__(self, m: int, n_in: int, s_out: int, l_queries: int,
                  countries, seed: int, use_queries: bool = True,
                  use_country_embedding: bool = False,
-                 standard_gru: bool = False, arch: str = "proposed",
-                 make=None):
+                 arch: str = "proposed", make=None):
         if arch not in ARCHS:
             raise ValueError(f"unknown arch {arch!r}")
         if use_queries and arch == "proposed" and l_queries < 1:
@@ -114,7 +112,6 @@ class ModelParams:
         self.seed = seed
         self.use_queries = use_queries
         self.use_country_embedding = use_country_embedding
-        self.standard_gru = standard_gru
         self.arch = arch
 
         make = make or _glorot(seed)
@@ -171,31 +168,27 @@ class ModelParams:
         return self._params
 
 
-def gru_cell(params: GruParams, x: Tensor2, h_prev: Tensor2,
-             standard: bool = False) -> Tensor2:
+def gru_cell(params: GruParams, x: Tensor2, h_prev: Tensor2) -> Tensor2:
     """One gated-recurrent step on a (batch x in_dim) input."""
-    return encode_sequence(params, [x], h_prev, standard)
+    return encode_sequence(params, [x], h_prev)
 
 
-def encode_sequence(params: GruParams, steps, h0: Tensor2,
-                    standard: bool = False) -> Tensor2:
+def encode_sequence(params: GruParams, steps, h0: Tensor2) -> Tensor2:
     """Run the GRU over T inputs as one tape op; returns the final state.
 
     steps is a (T x batch x in_dim) data array, or a list of T
     (batch x in_dim) tensors when the inputs need gradients.
     """
     return nk.gru_sequence(steps, h0, params.u_z, params.u_r, params.u_h,
-                           params.w_z, params.w_r, params.w_h, standard)
+                           params.w_z, params.w_r, params.w_h)
 
 
-def encode_ili(params: GruParams, x_des: np.ndarray, h0: Tensor2,
-               standard: bool = False) -> Tensor2:
+def encode_ili(params: GruParams, x_des: np.ndarray, h0: Tensor2) -> Tensor2:
     """Encode the (batch x N) deseasonalized window; returns final state."""
-    return encode_sequence(params, x_des.T[:, :, None], h0, standard)
+    return encode_sequence(params, x_des.T[:, :, None], h0)
 
 
-def encode_queries(params: GruParams, q: np.ndarray, h0: Tensor2,
-                   standard: bool = False) -> list:
+def encode_queries(params: GruParams, q: np.ndarray, h0: Tensor2) -> list:
     """Encode the L query columns with the shared GRU in one pass.
 
     q is (batch x N x L). The L columns run as one GRU over L*batch rows,
@@ -205,7 +198,7 @@ def encode_queries(params: GruParams, q: np.ndarray, h0: Tensor2,
     """
     b, n, l = q.shape
     steps = q.transpose(1, 2, 0).reshape(n, l * b, 1)
-    h = encode_sequence(params, steps, nk.tile_rows(h0, l), standard)
+    h = encode_sequence(params, steps, nk.tile_rows(h0, l))
     return [nk.row_block(h, j * b, (j + 1) * b) for j in range(l)]
 
 
@@ -225,7 +218,7 @@ def _mlp_apply(mlp: Mlp, x: Tensor2) -> Tensor2:
 
 def decode(decoder: GruParams, output_mlp: Mlp, h_enc: Tensor2,
            x_last: np.ndarray, s_out: int, teacher: np.ndarray = None,
-           eps: float = 0.0, rng=None, standard: bool = False) -> Tensor2:
+           eps: float = 0.0, rng=None) -> Tensor2:
     """Roll the decoder S steps with scheduled sampling.
 
     Step inputs after the first are the teacher value with probability eps
@@ -237,7 +230,7 @@ def decode(decoder: GruParams, output_mlp: Mlp, h_enc: Tensor2,
     if eps > 0.0 and (teacher is None or rng is None):
         raise nk.ContractError("eps > 0 requires teacher values and an rng")
     b = x_last.shape[0]
-    h = gru_cell(decoder, Tensor2(x_last.reshape(b, 1)), h_enc, standard)
+    h = gru_cell(decoder, Tensor2(x_last.reshape(b, 1)), h_enc)
     outputs = [_mlp_apply(output_mlp, h)]
     for i in range(1, s_out):
         prev = outputs[-1]
@@ -248,7 +241,7 @@ def decode(decoder: GruParams, output_mlp: Mlp, h_enc: Tensor2,
                          nk.mul(Tensor2(1.0 - mask), prev))
         else:
             inp = prev
-        h = gru_cell(decoder, inp, h, standard)
+        h = gru_cell(decoder, inp, h)
         outputs.append(_mlp_apply(output_mlp, h))
     return nk.hstack(outputs)
 
@@ -274,31 +267,30 @@ def forward_batch(model: ModelParams, country: str, x_des: np.ndarray,
     model.country_id(country)
     b = x_des.shape[0]
     h0 = initial_state(model, country, b)
-    std = model.standard_gru
 
     if model.arch == "gru_baseline" and model.use_queries:
         joined = np.concatenate([x_des.T[:, :, None], q.transpose(1, 0, 2)],
                                 axis=2)
-        h_tau = encode_sequence(model.ili_encoder, joined, h0, std)
+        h_tau = encode_sequence(model.ili_encoder, joined, h0)
     else:
-        h_tau = encode_ili(model.ili_encoder, x_des, h0, std)
+        h_tau = encode_ili(model.ili_encoder, x_des, h0)
 
     weights = None
     if model.has_attention:
-        h_queries = encode_queries(model.query_encoder, q, h0, std)
+        h_queries = encode_queries(model.query_encoder, q, h0)
         ctx, w = attend(model.attention[country], h_tau, h_queries)
         h_tau = nk.hstack([h_tau, ctx])  # the fusion MLP's input
         weights = w.data
     h_enc = _mlp_apply(model.fusion, h_tau)
 
     o_hat = decode(model.decoder, model.output[country], h_enc,
-                   x_des[:, -1], model.s_out, teacher, eps, rng, std)
+                   x_des[:, -1], model.s_out, teacher, eps, rng)
     return o_hat, weights
 
 
 # The ModelParams arguments a checkpoint's `meta` holds.
 _META_KEYS = ("m", "n_in", "s_out", "l_queries", "countries", "seed",
-              "use_queries", "use_country_embedding", "standard_gru", "arch")
+              "use_queries", "use_country_embedding", "arch")
 
 
 def save_checkpoint(path: str, model: ModelParams, extra: dict = None
@@ -310,7 +302,7 @@ def save_checkpoint(path: str, model: ModelParams, extra: dict = None
     """
     doc = {
         "format": "flucast-checkpoint",
-        "version": 2,
+        "version": 3,
         "meta": {k: getattr(model, k) for k in _META_KEYS},
         "extra": extra or {},
         "tensors": {
@@ -344,9 +336,9 @@ def load_checkpoint(path: str) -> tuple:
         raise nk.ContractError(
             f"{path}: not a flucast checkpoint (format is not "
             f"'flucast-checkpoint')")
-    if doc.get("version") != 2:
+    if doc.get("version") != 3:
         raise nk.ContractError(
-            f"{path}: checkpoint version {doc.get('version')!r} is not 2")
+            f"{path}: checkpoint version {doc.get('version')!r} is not 3")
     meta, saved = doc.get("meta"), doc.get("tensors")
     for key, value in (("meta", meta), ("tensors", saved),
                        ("extra", doc.get("extra"))):

@@ -311,14 +311,13 @@ def _give(shapes, bufs) -> None:
 
 
 def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
-                 u_h: Tensor2, w_z: Tensor2, w_r: Tensor2, w_h: Tensor2,
-                 standard: bool = False) -> Tensor2:
+                 u_h: Tensor2, w_z: Tensor2, w_r: Tensor2, w_h: Tensor2
+                 ) -> Tensor2:
     """Final state of a bias-free GRU run over T >= 1 steps of input.
 
     Each step computes
         z = sigmoid(x U_z + h W_z),  r = sigmoid(x U_r + h W_r),
-        f = tanh(x U_h + h * (r W_h))    (literal form), or
-        f = tanh(x U_h + (r * h) W_h)    (standard form),
+        f = tanh(x U_h + h * (r W_h)),
         h' = (1 - z) * h + z * f.
     `steps` is either a (T, B, in) array of data, which gets no gradient,
     or a list of T (B x in) tensors, which do (the decoder feeds its own
@@ -334,13 +333,13 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
 
     With no active tape the recurrence runs on one step's buffers and
     keeps no history. Under a tape, the states and z, r, f and the mix
-    term (r * h or r W_h) are kept as contiguous (T, B, M) blocks, and
-    the tape entry's backward is BPTT in one reverse loop into a
-    (T, B, 3M) block of z|r|h pre-activation gradients, then one GEMM per
-    weight gradient over all steps. Buffers come from a pool keyed by
-    shape: the history set returns to it once the tape entry is
-    collected, every other set at the end of the call, so a training
-    loop reuses the same memory. Results never alias the pool.
+    term r W_h are kept as contiguous (T, B, M) blocks, and the tape
+    entry's backward is BPTT in one reverse loop into a (T, B, 3M) block
+    of z|r|h pre-activation gradients, then one GEMM per weight gradient
+    over all steps. Buffers come from a pool keyed by shape: the history
+    set returns to it once the tape entry is collected, every other set
+    at the end of the call, so a training loop reuses the same memory.
+    Results never alias the pool.
     """
     b, m = h0.shape
     n_in = u_z.rows
@@ -371,8 +370,7 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
     hist_shapes = ((keep + 1, b, m),) + ((keep, b, m),) * 4
     hist = _take(hist_shapes)
     try:
-        h_last = _gru_forward(xs, h0.data, u_all, w_zr, w_h.data, hist,
-                              standard).copy()
+        h_last = _gru_forward(xs, h0.data, u_all, w_zr, w_h.data, hist).copy()
     except BaseException:
         _give(hist_shapes, hist)
         raise
@@ -381,14 +379,13 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
         return Tensor2(h_last, copy=False)
 
     def bw(g):
-        return _gru_backward(g, xs, hist, u_all, w_zr, w_h.data, standard,
-                             bool(steps))
+        return _gru_backward(g, xs, hist, u_all, w_zr, w_h.data, bool(steps))
 
     weakref.finalize(bw, _give, hist_shapes, hist)
     return _record(h_last, steps + [h0, u_z, u_r, u_h, w_z, w_r, w_h], bw)
 
 
-def _gru_forward(xs, h0, u_all, w_zr, w_h, hist, standard) -> np.ndarray:
+def _gru_forward(xs, h0, u_all, w_zr, w_h, hist) -> np.ndarray:
     """Run the recurrence into `hist`; returns the final state's buffer.
 
     hist is (states, z, r, f, mix). With T steps of room, step t writes
@@ -423,12 +420,8 @@ def _gru_forward(xs, h0, u_all, w_zr, w_h, hist, standard) -> np.ndarray:
             _sigmoid(pzr, out=hzr)
             z_t[...] = hzr[:, :m]
             r_t[...] = hzr[:, m:]
-            if standard:
-                np.multiply(r_t, h, out=mix_t)
-                np.matmul(mix_t, w_h, out=tmp)
-            else:
-                np.matmul(r_t, w_h, out=mix_t)
-                np.multiply(h, mix_t, out=tmp)
+            np.matmul(r_t, w_h, out=mix_t)
+            np.multiply(h, mix_t, out=tmp)
             np.add(x_h, tmp, out=ph)
             if not (np.isfinite(pzr).all() and np.isfinite(ph).all()):
                 raise NonFiniteError(
@@ -444,13 +437,12 @@ def _gru_forward(xs, h0, u_all, w_zr, w_h, hist, standard) -> np.ndarray:
     return h_new
 
 
-def _gru_backward(g, xs, hist, u_all, w_zr, w_h, standard, need_dx) -> list:
+def _gru_backward(g, xs, hist, u_all, w_zr, w_h, need_dx) -> list:
     """BPTT for `gru_sequence`: gradients of its inputs, given g = dL/dh_T.
 
     The per-step products keep the operand order of the formulas
         d_z = dh (f - h) z (1 - z),  d_h = dh z (1 - f f),
-        d_r = (d_h W_h^T) h r (1 - r)     (standard), or
-        d_r = ((d_h h) W_h^T) r (1 - r)   (literal),
+        d_r = ((d_h h) W_h^T) r (1 - r),
     and each GEMM multiplies the same operands, and over the same (T, B,
     3M) gradient block, as the plain-array oracle in tests/test_numkit.py,
     so the gradients are bitwise that oracle's.
@@ -458,10 +450,9 @@ def _gru_backward(g, xs, hist, u_all, w_zr, w_h, standard, need_dx) -> list:
     t_len, b, n_in = xs.shape
     m = w_h.shape[0]
     states, z, r, f, mix = hist
-    shapes = ((t_len, b, 3 * m),) + ((b, m),) * 5 + (
-        () if standard else ((t_len * b, m),))
+    shapes = ((t_len, b, 3 * m),) + ((b, m),) * 5 + ((t_len * b, m),)
     bufs = _take(shapes)
-    d_pre, e1, e2, e3, dh_a, dh_b = bufs[:6]
+    d_pre, e1, e2, e3, dh_a, dh_b, dh_rows = bufs
     try:
         dh = g
         for t in range(t_len - 1, -1, -1):
@@ -479,18 +470,11 @@ def _gru_backward(g, xs, hist, u_all, w_zr, w_h, standard, need_dx) -> list:
             np.multiply(e3, e2, out=d_h)
             np.multiply(dh, e1, out=dh_prev)
             np.subtract(1.0, r_t, out=e1)
-            if standard:
-                d_rh = np.matmul(d_h, w_h.T, out=e3)
-                np.multiply(d_rh, h, out=e2)
-                np.multiply(e2, r_t, out=e2)
-                np.multiply(e2, e1, out=d_a[:, m:2 * m])
-                np.multiply(d_rh, r_t, out=e2)
-            else:
-                np.multiply(d_h, h, out=e2)
-                np.matmul(e2, w_h.T, out=e3)
-                np.multiply(e3, r_t, out=e3)
-                np.multiply(e3, e1, out=d_a[:, m:2 * m])
-                np.multiply(d_h, mix[t], out=e2)
+            np.multiply(d_h, h, out=e2)
+            np.matmul(e2, w_h.T, out=e3)
+            np.multiply(e3, r_t, out=e3)
+            np.multiply(e3, e1, out=d_a[:, m:2 * m])
+            np.multiply(d_h, mix[t], out=e2)
             np.add(dh_prev, e2, out=dh_prev)
             np.add(dh_prev, np.matmul(d_a[:, :2 * m], w_zr.T, out=e2),
                    out=dh_prev)
@@ -499,17 +483,13 @@ def _gru_backward(g, xs, hist, u_all, w_zr, w_h, standard, need_dx) -> list:
         h_flat = states[:-1].reshape(-1, m)
         d_u = xs.reshape(-1, n_in).T @ d_flat
         d_wzr = h_flat.T @ d_flat[:, :2 * m]
-        if standard:
-            d_wh = mix.reshape(-1, m).T @ d_flat[:, 2 * m:]
-        else:
-            r_rows = r.reshape(-1, m)
-            if m == 1:
-                # This product is then a dot, whose summation order follows
-                # r's stride: read r as a column of a z|r block, as the
-                # oracle lays it out.
-                r_rows = np.concatenate([z, r], axis=2).reshape(-1, 2)[:, 1:]
-            d_wh = r_rows.T @ np.multiply(d_flat[:, 2 * m:], h_flat,
-                                          out=bufs[6])
+        r_rows = r.reshape(-1, m)
+        if m == 1:
+            # This product is then a dot, whose summation order follows
+            # r's stride: read r as a column of a z|r block, as the oracle
+            # lays it out.
+            r_rows = np.concatenate([z, r], axis=2).reshape(-1, 2)[:, 1:]
+        d_wh = r_rows.T @ np.multiply(d_flat[:, 2 * m:], h_flat, out=dh_rows)
         d_x = []
         if need_dx:
             d_all = d_flat @ u_all.T

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datahub import open_text
+
 
 class OOVError(KeyError):
     pass
@@ -86,7 +88,7 @@ class EmbeddingTable:
 def load_embeddings(path: str, language: str) -> EmbeddingTable:
     """Text format: word then floats per line; optional 'count dim' header."""
     words, vectors = [], []
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split(" ")
             if lineno == 1 and len(parts) == 2:
@@ -99,7 +101,7 @@ def load_embeddings(path: str, language: str) -> EmbeddingTable:
 
 
 def load_stopwords(path: str) -> set:
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         return {line.strip() for line in f if line.strip()}
 
 
@@ -228,7 +230,7 @@ def wt_select(english_queries, source: EmbeddingTable,
 def translation_select(mapping_path: str, english_queries) -> list:
     """Return the user-supplied translation for each English query verbatim."""
     mapping = {}
-    with open(mapping_path, newline="", encoding="utf-8") as f:
+    with open_text(mapping_path, newline="") as f:
         for row in csv.DictReader(f):
             mapping[row["english"]] = row["translated"]
     missing = [q for q in english_queries if q not in mapping]
@@ -249,7 +251,7 @@ def write_selected(path: str, candidates) -> None:
 def read_selected(path: str) -> list:
     """Queries from a `write_selected` CSV (its 'selected' column), or
     from a plain list with one query per line."""
-    with open(path, newline="", encoding="utf-8") as f:
+    with open_text(path, newline="") as f:
         lines = [line.strip() for line in f if line.strip()]
     if lines and "selected" in [c.strip() for c in lines[0].split(",")]:
         return [row["selected"] for row in csv.DictReader(lines)]

@@ -1,5 +1,6 @@
 """Training loops: loss, batching, scheduled-sampling decay, early stopping,
-and the (learning rate x hidden size) grid, for single- and multi-task modes.
+and the (learning rate x hidden size) grid. One country trains a
+single-task model; two or more train one multi-task model.
 
 Multi-task batches hold one country at a time: a country is drawn
 uniformly, then a batch of its windows. GRUs and the fusion MLP are
@@ -28,7 +29,6 @@ class TrainingError(ValueError):
 
 @dataclass
 class TrainConfig:
-    countries: list
     n_in: int = 52
     s_out: int = 5
     lr_grid: tuple = (0.001, 0.01, 0.1, 1.0)
@@ -37,10 +37,8 @@ class TrainConfig:
     patience: int = 20
     batch_size: int = 32
     seed: int = 0
-    mode: str = "single"
     use_queries: bool = True
     use_country_embedding: bool = True
-    standard_gru: bool = False
     arch: str = "proposed"
 
     def __post_init__(self):
@@ -61,10 +59,6 @@ class TrainConfig:
                 raise TrainingError(f"{name} must be >= 1, got {value}")
         if self.arch not in fluenet.ARCHS:
             raise TrainingError(f"unknown arch {self.arch!r}")
-        if self.mode not in ("single", "multi"):
-            raise TrainingError(f"unknown mode {self.mode!r}")
-        if self.mode == "multi" and len(self.countries) < 2:
-            raise TrainingError("multi mode needs at least 2 countries")
 
 
 @dataclass
@@ -180,9 +174,8 @@ def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
         m=m, n_in=config.n_in, s_out=config.s_out, l_queries=l_queries,
         countries=sorted(data), seed=root.spawn("init").seed,
         use_queries=config.use_queries,
-        use_country_embedding=(config.mode == "multi"
-                               and config.use_country_embedding),
-        standard_gru=config.standard_gru, arch=config.arch)
+        use_country_embedding=len(data) > 1 and config.use_country_embedding,
+        arch=config.arch)
     adam = nk.Adam(lr)
     batch_rng = root.spawn("batches")
     sample_rng = root.spawn("scheduled-sampling")
@@ -226,10 +219,8 @@ def fit(config: TrainConfig, data: dict) -> tuple:
     `data` maps country -> {"train": Windows, "val": Windows}.
     Divergent grid points (non-finite values during training) are skipped.
     """
-    if config.mode == "single" and len(data) != 1:
-        raise TrainingError("single mode expects exactly one country")
-    if config.mode == "multi" and len(data) < 2:
-        raise TrainingError("multi mode expects at least two countries")
+    if not data:
+        raise TrainingError("no country to train")
     l_queries = _query_count(config, data)
     start = time.monotonic()
     best = None

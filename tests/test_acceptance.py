@@ -14,19 +14,18 @@ from flucast import (cli, datahub, decompose, evalbench, fluenet, querysel,
 from flucast import numkit as nk
 from flucast.numkit import Rng, Tensor2
 from ili_csv import series_rows, write_ili_csv
+from test_numkit import LITERAL
 
 
 class TestGradientFidelity:
     """Analytic gradients match central finite differences."""
 
-    @pytest.mark.parametrize("standard_gru", [False, True],
-                             ids=["literal", "standard"])
-    def test_full_model_gradients(self, standard_gru):
+    @LITERAL
+    def test_full_model_gradients(self, gate):
         m, n, s, l, b = 4, 8, 2, 2, 3
         model = fluenet.ModelParams(m=m, n_in=n, s_out=s, l_queries=l,
                                     countries=["US"], seed=17,
-                                    use_country_embedding=True,
-                                    standard_gru=standard_gru)
+                                    use_country_embedding=True)
         rng = Rng(18)
         x = rng.normal(0, 1, (b, n))
         q = rng.uniform(0, 1, (b, n, l))
@@ -207,11 +206,10 @@ class TestSyntheticForecasting:
         return {"train": mk((self.N - 1, 265)), "val": mk((265, 295)),
                 "test": mk((295, 325))}
 
-    def config(self, countries, mode):
+    def config(self):
         return trainer.TrainConfig(
-            countries=countries, n_in=self.N, s_out=self.S,
-            lr_grid=(0.01,), m_grid=(16,), max_epochs=150, patience=15,
-            batch_size=32, seed=5, mode=mode)
+            n_in=self.N, s_out=self.S, lr_grid=(0.01,), m_grid=(16,),
+            max_epochs=150, patience=15, batch_size=32, seed=5)
 
     def test_single_and_multi_task_skill(self):
         data = synth_countries()
@@ -221,12 +219,12 @@ class TestSyntheticForecasting:
         single_r2 = {}
         for c in names:
             model, _ = trainer.fit(
-                self.config([c], "single"),
+                self.config(),
                 {c: {"train": sets[c]["train"], "val": sets[c]["val"]}})
             single_r2[c] = r2_by_horizon(model, sets[c]["test"], c)
 
         multi_model, _ = trainer.fit(
-            self.config(names, "multi"),
+            self.config(),
             {c: {"train": sets[c]["train"], "val": sets[c]["val"]}
              for c in names})
         multi_r2 = {c: r2_by_horizon(multi_model, sets[c]["test"], c)

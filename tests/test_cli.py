@@ -1,6 +1,8 @@
+import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -235,8 +237,7 @@ class TestSelectQueriesCommand:
 def trained_single(workspace, tmp_path_factory):
     root, config = workspace
     out = tmp_path_factory.mktemp("single")
-    rc = run(config, out, "train", "--mode", "single",
-             "--countries", "US")
+    rc = run(config, out, "train", "--countries", "US")
     assert rc == 0
     return config, out
 
@@ -268,8 +269,7 @@ class TestTrainCommand:
         root, config = workspace
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run(config, out, "train", "--mode", "single",
-                       "--countries", "US") == 0
+            assert run(config, out, "train", "--countries", "US") == 0
         assert ((a / "checkpoint.json").read_bytes()
                 == (b / "checkpoint.json").read_bytes())
         assert ((a / "trainlog.csv").read_bytes()
@@ -277,8 +277,8 @@ class TestTrainCommand:
 
     def test_no_queries_drops_attention(self, workspace, tmp_path):
         root, config = workspace
-        assert run(config, tmp_path, "train", "--mode", "single",
-                   "--countries", "US", "--no-queries") == 0
+        assert run(config, tmp_path, "train", "--countries", "US",
+                   "--no-queries") == 0
         ckpt = json.loads((tmp_path / "checkpoint.json"
                            ).read_text(encoding="utf-8"))
         assert not any("attention" in n or "query_encoder" in n
@@ -287,7 +287,7 @@ class TestTrainCommand:
 
     def test_multi_mode_covers_both_countries(self, workspace, tmp_path):
         root, config = workspace
-        assert run(config, tmp_path, "train", "--mode", "multi") == 0
+        assert run(config, tmp_path, "train") == 0
         ckpt = json.loads((tmp_path / "checkpoint.json"
                            ).read_text(encoding="utf-8"))
         assert ckpt["meta"]["countries"] == ["JP", "US"]
@@ -310,7 +310,7 @@ class TestTrainCommand:
         path.write_text("\n".join([lines[0]] + [
             ln.split(",")[0] + ",1.0" for ln in lines[1:]]) + "\n",
             encoding="utf-8")
-        assert run(config, tmp_path / "out", "train", "--mode", "multi") == 0
+        assert run(config, tmp_path / "out", "train") == 0
         ckpt = json.loads((tmp_path / "out" / "checkpoint.json"
                            ).read_text(encoding="utf-8"))
         assert ckpt["extra"]["queries.JP"] == QUERIES
@@ -411,7 +411,7 @@ def trained_multi(workspace, tmp_path_factory):
     """A multi-mode checkpoint plus its evaluate and forecast outputs."""
     root, config = workspace
     out = tmp_path_factory.mktemp("multi")
-    assert run(config, out, "train", "--mode", "multi") == 0
+    assert run(config, out, "train") == 0
     ckpt = str(out / "checkpoint.json")
     assert run(config, out / "evaluate", "evaluate", "--checkpoint", ckpt,
                "--with-baselines") == 0
@@ -448,8 +448,7 @@ class TestStoredPreprocessing:
     def test_training_range_edits_leave_outputs_unchanged(self, tmp_path):
         config = build_workspace(tmp_path)
         ckpt = tmp_path / "checkpoint.json"
-        assert run(config, tmp_path, "train", "--mode", "single",
-                   "--countries", "US") == 0
+        assert run(config, tmp_path, "train", "--countries", "US") == 0
 
         def outputs(name):
             out = tmp_path / name
@@ -499,8 +498,7 @@ class TestStoredPreprocessing:
         path.write_text("\n".join([lines[0]] + [
             ln.split(",")[0] + ",1.0" for ln in lines[1:]]) + "\n",
             encoding="utf-8")
-        assert run(config, tmp_path, "train", "--mode", "single",
-                   "--countries", "US") == 0
+        assert run(config, tmp_path, "train", "--countries", "US") == 0
         path.unlink()
         ckpt = str(tmp_path / "checkpoint.json")
         assert run(config, tmp_path / "eval", "evaluate", "--checkpoint",
@@ -543,7 +541,7 @@ class TestBadInput:
         "train.lr_grid"])
     def test_malformed_number(self, tmp_path, capsys, case):
         config = build_workspace(tmp_path)
-        argv = ["train", "--mode", "single", "--countries", "US"]
+        argv = ["train", "--countries", "US"]
         if case == "ili_rate":
             corrupt(tmp_path / "ili.csv", 5)
             argv, where = ["decompose"], "ili.csv:5:"
@@ -566,7 +564,7 @@ class TestBadInput:
     @pytest.mark.parametrize("case", ["ili", "trends"])
     def test_short_row(self, tmp_path, capsys, case):
         config = build_workspace(tmp_path)
-        argv = ["train", "--mode", "single", "--countries", "US"]
+        argv = ["train", "--countries", "US"]
         if case == "ili":
             path, argv = tmp_path / "ili.csv", ["decompose"]
         else:
@@ -623,8 +621,11 @@ class TestBadInput:
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: "not json {", "not a JSON checkpoint"),
         (lambda doc: {"a": 1}, "not a flucast checkpoint"),
-        (lambda doc: {**doc, "version": 99}, "checkpoint version 99 is not 2"),
-        (lambda doc: {**doc, "version": 1}, "checkpoint version 1 is not 2"),
+        (lambda doc: {**doc, "version": 99}, "checkpoint version 99 is not 3"),
+        (lambda doc: {**doc, "version": 1}, "checkpoint version 1 is not 3"),
+        (lambda doc: {**doc, "version": 2,
+                      "meta": {**doc["meta"], "standard_gru": True}},
+         "checkpoint version 2 is not 3"),
         (lambda doc: {**doc, "meta": {}}, "checkpoint meta lacks m, n_in"),
         (lambda doc: {**doc, "tensors": {
             k: v for k, v in doc["tensors"].items()
@@ -662,7 +663,7 @@ class TestBadInput:
         (lambda doc: {**doc, "extra": {
             **doc["extra"], "norm.US": doc["extra"]["norm.US"] * 2}},
          "checkpoint extra norm.US has 4 queries, the model takes 1 to 2")],
-        ids=["not_json", "other_format", "version", "version_1",
+        ids=["not_json", "other_format", "version", "version_1", "version_2",
              "empty_meta", "missing_tensor", "unexpected_tensor",
              "bad_arch", "short_data", "missing_norm", "nan_seasonal",
              "short_seasonal", "flat_stat", "short_stat", "extra_stats"])
@@ -687,8 +688,7 @@ class TestBadInput:
         cfg2 = tmp_path / "c.cfg"
         cfg2.write_text(config.read_text(encoding="utf-8")
                         + "model.arch = gru_baseline\n", encoding="utf-8")
-        assert run(cfg2, tmp_path, "train", "--mode", "single",
-                   "--countries", "US") == 0
+        assert run(cfg2, tmp_path, "train", "--countries", "US") == 0
         fewer = tmp_path / "fewer.txt"
         fewer.write_text(QUERIES[0] + "\n", encoding="utf-8")
         cfg2.write_text(cfg2.read_text(encoding="utf-8")
@@ -736,7 +736,7 @@ class TestBadInput:
         config.write_text(config.read_text(encoding="utf-8") + edit + "\n",
                           encoding="utf-8")
         argv = (["select-queries"] if edit.startswith("querysel.")
-                else ["train", "--mode", "single", "--countries", "US"])
+                else ["train", "--countries", "US"])
         assert run(config, tmp_path / "out", *argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -764,21 +764,46 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
 
-    @pytest.mark.parametrize("where", ["config", "ili", "trends"])
+    @pytest.mark.parametrize("where", ["config", "ili", "trends", "queries",
+                                       "embeddings", "stopwords", "mapping"])
     def test_non_utf8_byte_is_one_line(self, tmp_path, capsys, where):
         config = build_workspace(tmp_path)
-        argv = ["decompose"]
-        path = {"config": config, "ili": tmp_path / "ili.csv"}.get(where)
-        if where == "trends":
-            path = tmp_path / "trends" / "US" / "flu_fever.csv"
-            argv = ["train", "--mode", "single", "--countries", "US"]
+        config, _ = build_wt_inputs(tmp_path, config, tmp_path)
+        stop, mapping = tmp_path / "stop.txt", tmp_path / "map.csv"
+        stop.write_text("the\n", encoding="utf-8")
+        mapping.write_text("english,translated\nflu fever,gripe\n"
+                           "cold remedy,resfriado\n", encoding="utf-8")
+        config.write_text(config.read_text(encoding="utf-8")
+                          + f"querysel.source_stopwords = {stop}\n"
+                            f"querysel.mapping = {mapping}\n",
+                          encoding="utf-8")
+        train = ["train", "--countries", "US"]
+        path, argv = {
+            "config": (config, ["decompose"]),
+            "ili": (tmp_path / "ili.csv", ["decompose"]),
+            "trends": (tmp_path / "trends" / "US" / "flu_fever.csv", train),
+            "queries": (tmp_path / "queries.txt", train),
+            "embeddings": (tmp_path / "src.txt", ["select-queries"]),
+            "stopwords": (stop, ["select-queries"]),
+            "mapping": (mapping, ["select-queries", "--method", "mapping"]),
+        }[where]
         path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
         assert run(config, tmp_path / "out", *argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert "can't decode byte 0xe9" in err
 
-    @pytest.mark.filterwarnings("ignore:US. query")
+    def test_constant_ili_in_correlate_is_one_line(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        path = tmp_path / "ili.csv"
+        write_ili_csv(path, [(week, c, "0.0" if c == "JP" else rate)
+                             for week, c, rate in ili_rows(path)])
+        assert run(config, tmp_path / "out", "correlate") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: JP: ILI rate is constant over the "
+                              "overlapping weeks 2010-W01..")
+        assert err.count("\n") == 1
+
     def test_every_query_constant_is_data_error(self, tmp_path, capsys):
         config = build_workspace(tmp_path)
         for q in QUERIES:
@@ -788,8 +813,7 @@ class TestBadInput:
             path.write_text("\n".join([lines[0]] + [
                 ln.split(",")[0] + ",1.0" for ln in lines[1:]]) + "\n",
                 encoding="utf-8")
-        assert run(config, tmp_path / "out", "train", "--mode", "single",
-                   "--countries", "US") == 1
+        assert run(config, tmp_path / "out", "train", "--countries", "US") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: US: no query left")
 
@@ -805,7 +829,7 @@ class TestBadInput:
             encoding="utf-8")
         config.write_text(config.read_text(encoding="utf-8")
                           + "model.arch = gru_baseline\n", encoding="utf-8")
-        assert run(config, tmp_path / "out", "train", "--mode", "multi") == 1
+        assert run(config, tmp_path / "out", "train") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: gru_baseline") and err.count("\n") == 1
         assert "JP: L=1" in err and "US: L=2" in err
@@ -865,7 +889,7 @@ class TestBadInput:
         cfg2.write_text(config.read_text(encoding="utf-8")
                         + f"data.ili = {ili}\n", encoding="utf-8")
         argv = {"decompose": ["--countries", "US"],
-                "train": ["--mode", "single", "--countries", "US"],
+                "train": ["--countries", "US"],
                 "evaluate": ["--checkpoint", str(trained / "checkpoint.json")],
                 "forecast": ["--checkpoint", str(trained / "checkpoint.json")]
                 }.get(command, [])
@@ -897,3 +921,54 @@ class TestCorrelateCommand:
         base = (tmp_path / "a" / "correlations.csv").read_text("utf-8")
         shifted = (tmp_path / "b" / "correlations.csv").read_text("utf-8")
         assert base != shifted
+
+
+CONFIG_GETTERS = {"_get", "_get_num", "_get_list", "_get_bool"}
+
+
+def keys_cli_reads():
+    """The config keys cli.py passes to its getters, `<CC>` standing for
+    a country. A key passed by name must come from a `for` loop over
+    string literals; the getters forward their own `key` argument."""
+    with open(cli.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    looped = {node.target.id: [e.value for e in node.iter.elts]
+              for node in ast.walk(tree)
+              if isinstance(node, ast.For)
+              and isinstance(node.iter, ast.Tuple)}
+    keys = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name in CONFIG_GETTERS:
+            continue
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) in CONFIG_GETTERS):
+                continue
+            key = call.args[1]
+            if isinstance(key, ast.Constant):
+                keys.add(key.value)
+            elif isinstance(key, ast.JoinedStr):
+                keys.add("".join(p.value if isinstance(p, ast.Constant)
+                                 else "<CC>" for p in key.values))
+            else:
+                keys.update(looped[key.id])
+    return keys
+
+
+def keys_readme_lists():
+    """The backticked keys in the first column of README's config table."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    table = text.split("### Config reference", 1)[1].split("\n###", 1)[0]
+    rows = [ln.split("|")[1] for ln in table.splitlines()
+            if ln.startswith("| `")]
+    return {k for cell in rows for k in re.findall(r"`([^`]+)`", cell)}
+
+
+class TestReadmeConfigTable:
+    def test_lists_exactly_the_keys_cli_reads(self):
+        read = keys_cli_reads()
+        assert {"data.ili", "querysel.target_stopwords",
+                "correlate.shift.<CC>"} <= read
+        assert keys_readme_lists() == read

@@ -236,33 +236,56 @@ class TestStlDecompose:
             decompose.stl_decompose(series, period=52)
 
 
+def template_pair_oracle(seasonal, period, length):
+    """The extension as it was built from two steps: a template holding
+    the final fitted cycle by phase (position mod the period), then the
+    template read at each position past the fit."""
+    n = len(seasonal)
+    template = np.empty(period)
+    template[np.arange(n - period, n) % period] = seasonal[n - period:]
+    return np.concatenate([seasonal,
+                           template[np.arange(n, length) % period]])
+
+
 class TestExtendSeasonal:
     def test_periodic_indexing(self):
-        tpl = decompose.SeasonalTemplate(values=np.array([1.0, 2.0, 3.0]),
-                                         period=3)
-        out = decompose.extend_seasonal(tpl, from_index=0, steps=4)
-        assert np.array_equal(out, [2.0, 3.0, 1.0, 2.0])
+        rng = Rng(40)
+        for n, period, length in ((3, 3, 3), (4, 3, 8), (7, 3, 20),
+                                  (5, 5, 17)):
+            seasonal = rng.normal(0, 1, n)
+            out = decompose.extend_seasonal(seasonal, period, length)
+            want = template_pair_oracle(seasonal, period, length)
+            assert np.array_equal(out, want)
+        assert np.array_equal(decompose.extend_seasonal(
+            np.array([9.0, 1.0, 2.0, 3.0]), 3, 8),
+            [9.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0])
 
     def test_zero_steps_empty(self):
-        tpl = decompose.SeasonalTemplate(values=np.array([1.0, 2.0, 3.0]),
-                                         period=3)
-        assert len(decompose.extend_seasonal(tpl, 0, 0)) == 0
+        seasonal = np.array([4.0, 5.0, 6.0, 7.0])
+        out = decompose.extend_seasonal(seasonal, 3, 4)
+        assert np.array_equal(out, seasonal)
+        assert len(decompose.extend_seasonal(seasonal, 3, 0)) == 0
+        with pytest.raises(decompose.InsufficientDataError):
+            decompose.extend_seasonal(seasonal, 5, 9)
 
     def test_full_period_is_rotation(self):
-        tpl = decompose.SeasonalTemplate(
-            values=np.array([4.0, 5.0, 6.0, 7.0]), period=4)
-        out = decompose.extend_seasonal(tpl, from_index=1, steps=4)
-        assert np.array_equal(out, [6.0, 7.0, 4.0, 5.0])
+        # The first period past the fit repeats the final fitted cycle.
+        seasonal = Rng(41).normal(0, 1, 11)
+        out = decompose.extend_seasonal(seasonal, 4, 15)
+        assert np.array_equal(out[11:], seasonal[7:])
+        assert np.array_equal(out, template_pair_oracle(seasonal, 4, 15))
 
     def test_t_periodicity(self):
-        tpl = decompose.SeasonalTemplate(values=np.arange(5.0), period=5)
-        out = decompose.extend_seasonal(tpl, 2, 12)
-        for i in range(12 - 5):
+        seasonal = Rng(42).normal(0, 1, 12)
+        out = decompose.extend_seasonal(seasonal, 5, 30)
+        for i in range(12 - 5, 30 - 5):
             assert out[i] == out[i + 5]
 
     def test_template_from_final_cycle(self):
         t = np.arange(208, dtype=float)
         s = np.sin(2 * np.pi * t / 52)
         d = decompose.stl_decompose(s, period=52)
-        tpl = decompose.seasonal_template(d.seasonal, d.period)
-        assert np.array_equal(tpl.values, d.seasonal[-52:])
+        out = decompose.extend_seasonal(d.seasonal, d.period, 208 + 60)
+        assert np.array_equal(out[208:260], d.seasonal[-52:])
+        assert np.array_equal(out, template_pair_oracle(d.seasonal, 52,
+                                                        208 + 60))

@@ -226,7 +226,7 @@ class TestBatchedEvaluateModel:
     it replaced is the oracle."""
 
     @pytest.mark.parametrize("kw", [
-        {}, {"use_country_embedding": True, "standard_gru": True},
+        {}, {"use_country_embedding": True},
         {"arch": "gru_baseline"}, {"use_queries": False}],
         ids=["proposed", "embedded", "gru_baseline", "no_queries"])
     def test_matches_per_window_oracle(self, kw):

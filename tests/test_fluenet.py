@@ -4,6 +4,7 @@ import pytest
 from flucast import fluenet
 from flucast import numkit as nk
 from flucast.numkit import Rng, Tensor2
+from test_numkit import LITERAL
 
 
 def sigmoid(x):
@@ -27,14 +28,11 @@ def tape_sigmoid(a):
     return nk._emit(out, [a], lambda g: [g * out * (1.0 - out)], "sigmoid")
 
 
-def per_op_gru_cell(params, x, h_prev, standard=False):
+def per_op_gru_cell(params, x, h_prev):
     """Oracle: one GRU step built from elementwise tape ops."""
     r = tape_sigmoid(nk.add(nk.matmul(x, params.u_r),
                             nk.matmul(h_prev, params.w_r)))
-    if standard:
-        cand = nk.matmul(nk.mul(r, h_prev), params.w_h)
-    else:
-        cand = nk.mul(h_prev, nk.matmul(r, params.w_h))
+    cand = nk.mul(h_prev, nk.matmul(r, params.w_h))
     f = nk.tanh(nk.add(nk.matmul(x, params.u_h), cand))
     z = tape_sigmoid(nk.add(nk.matmul(x, params.u_z),
                             nk.matmul(h_prev, params.w_z)))
@@ -42,10 +40,10 @@ def per_op_gru_cell(params, x, h_prev, standard=False):
     return nk.add(nk.mul(nk.sub(one, z), h_prev), nk.mul(z, f))
 
 
-def per_op_encode(params, steps, h0, standard=False):
+def per_op_encode(params, steps, h0):
     h = h0
     for x in steps:
-        h = per_op_gru_cell(params, x, h, standard)
+        h = per_op_gru_cell(params, x, h)
     return h
 
 
@@ -63,29 +61,6 @@ class TestGruCell:
         z = sigmoid(x @ g.u_z.data + h @ g.w_z.data)
         want = (1.0 - z) * h + z * f
         assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_conventional_variant_oracle(self):
-        rng = Rng(12)
-        m, b = 3, 2
-        g = random_gru(rng, 1, m)
-        x = rng.normal(0, 1, (b, 1))
-        h = rng.normal(0, 1, (b, m))
-        got = fluenet.gru_cell(g, Tensor2(x), Tensor2(h), standard=True).data
-
-        r = sigmoid(x @ g.u_r.data + h @ g.w_r.data)
-        f = np.tanh(x @ g.u_h.data + (r * h) @ g.w_h.data)
-        z = sigmoid(x @ g.u_z.data + h @ g.w_z.data)
-        want = (1.0 - z) * h + z * f
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_variants_differ_generically(self):
-        rng = Rng(13)
-        g = random_gru(rng, 1, 3)
-        x = Tensor2(rng.normal(0, 1, (2, 1)))
-        h = Tensor2(rng.normal(0, 1, (2, 3)))
-        a = fluenet.gru_cell(g, x, h, standard=False).data
-        b = fluenet.gru_cell(g, x, h, standard=True).data
-        assert np.max(np.abs(a - b)) > 1e-6
 
     def test_all_zero_weights_halve_state(self):
         m = 3
@@ -108,8 +83,7 @@ class TestGruCell:
 class TestGruSequence:
     """The fused encoder against the per-op oracle loop."""
 
-    def states_and_grads(self, encode, params, embed, steps, b, standard,
-                         weights):
+    def states_and_grads(self, encode, params, embed, steps, b, weights):
         """Final state and the gradients of a weighted sum of it."""
         m = params.w_h.rows
         for t in list(vars(params).values()) + steps:
@@ -121,7 +95,7 @@ class TestGruSequence:
                 onehot = np.zeros((b, embed.rows))
                 onehot[:, 1] = 1.0
                 h0 = nk.matmul(Tensor2(onehot), embed)
-            h = encode(params, steps, h0, standard)
+            h = encode(params, steps, h0)
             loss = nk.mean_all(nk.mul(h, Tensor2(weights)))
         nk.backward(tape, loss)
         grads = {n: t.grad for n, t in vars(params).items()}
@@ -130,13 +104,12 @@ class TestGruSequence:
             grads["embed"] = embed.grad
         return h.data, grads
 
-    @pytest.mark.parametrize("standard", [False, True],
-                             ids=["literal", "standard"])
+    @LITERAL
     @pytest.mark.parametrize("in_dim", [1, 4], ids=["ili", "gru_baseline"])
     @pytest.mark.parametrize("t_len", [1, 26])
     @pytest.mark.parametrize("embedded", [True, False],
                              ids=["embedding", "zeros"])
-    def test_matches_per_op_loop(self, standard, in_dim, t_len, embedded):
+    def test_matches_per_op_loop(self, gate, in_dim, t_len, embedded):
         rng = Rng(70)
         b, m = 5, 4
         params = random_gru(rng, in_dim, m)
@@ -145,10 +118,9 @@ class TestGruSequence:
                  for _ in range(t_len)]
         weights = rng.normal(0, 1, (b, m))
         want, want_g = self.states_and_grads(per_op_encode, params, embed,
-                                             steps, b, standard, weights)
+                                             steps, b, weights)
         got, got_g = self.states_and_grads(fluenet.encode_sequence, params,
-                                           embed, steps, b, standard,
-                                           weights)
+                                           embed, steps, b, weights)
         assert np.max(np.abs(got - want)) < 1e-12
         assert set(got_g) == set(want_g)
         for name in want_g:
@@ -183,17 +155,16 @@ class TestGruSequence:
         assert len(tape) == 1
 
 
-def per_query_encode(params, q, h0, standard):
+def per_query_encode(params, q, h0):
     """Reference: one per-op GRU loop per query column."""
     n, l = q.shape[1], q.shape[2]
     return [per_op_encode(
-        params, [Tensor2(q[:, t, j:j + 1]) for t in range(n)], h0, standard)
+        params, [Tensor2(q[:, t, j:j + 1]) for t in range(n)], h0)
         for j in range(l)]
 
 
 class TestBatchedQueryEncoder:
-    def states_and_grads(self, encode, params, embed, q, standard,
-                         weights):
+    def states_and_grads(self, encode, params, embed, q, weights):
         """Final states and gradients of a weighted sum of them."""
         b, m = q.shape[0], params.w_h.rows
         for t in vars(params).values():
@@ -205,7 +176,7 @@ class TestBatchedQueryEncoder:
                 onehot = np.zeros((b, embed.rows))
                 onehot[:, 1] = 1.0
                 h0 = nk.matmul(Tensor2(onehot), embed)
-            states = encode(params, q, h0, standard)
+            states = encode(params, q, h0)
             loss = nk.mean_all(nk.mul(nk.hstack(states), Tensor2(weights)))
         nk.backward(tape, loss)
         grads = {n: t.grad for n, t in vars(params).items()}
@@ -213,11 +184,10 @@ class TestBatchedQueryEncoder:
             grads["embed"] = embed.grad
         return [h.data for h in states], grads
 
-    @pytest.mark.parametrize("standard", [False, True],
-                             ids=["literal", "standard"])
+    @LITERAL
     @pytest.mark.parametrize("embedded", [True, False],
                              ids=["embedding", "zeros"])
-    def test_matches_per_query_loop(self, standard, embedded):
+    def test_matches_per_query_loop(self, gate, embedded):
         rng = Rng(60)
         b, n, l, m = 5, 7, 4, 3
         params = random_gru(rng, 1, m)
@@ -225,9 +195,9 @@ class TestBatchedQueryEncoder:
         q = rng.uniform(0, 1, (b, n, l))
         weights = rng.normal(0, 1, (b, l * m))
         want, want_g = self.states_and_grads(per_query_encode, params,
-                                             embed, q, standard, weights)
+                                             embed, q, weights)
         got, got_g = self.states_and_grads(fluenet.encode_queries, params,
-                                           embed, q, standard, weights)
+                                           embed, q, weights)
         assert len(got) == l
         for a, w in zip(got, want):
             assert a.shape == (b, m)

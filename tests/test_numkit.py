@@ -4,6 +4,9 @@ import pytest
 from flucast import numkit as nk
 from flucast.numkit import Tensor2
 
+# The GRU has one gate form, the paper's literal one; the ids name it.
+LITERAL = pytest.mark.parametrize("gate", ["literal"])
+
 
 def triple_loop_matmul(a, b):
     out = np.zeros((a.shape[0], b.shape[1]))
@@ -261,9 +264,8 @@ class TestBackward:
         for t in [query] + maps + keys:
             assert_grad_close(t.grad, finite_difference(loss, t.data))
 
-    @pytest.mark.parametrize("standard", [False, True],
-                             ids=["literal", "standard"])
-    def test_gru_sequence_gradients(self, standard):
+    @LITERAL
+    def test_gru_sequence_gradients(self, gate):
         rng = nk.Rng(43)
         t_len, b, n_in, m = 4, 3, 2, 3
         steps = [Tensor2(rng.uniform(-1, 1, (b, n_in)))
@@ -274,7 +276,7 @@ class TestBackward:
         c = Tensor2(rng.uniform(-1, 1, (b, m)))
 
         def run():
-            h = nk.gru_sequence(steps, h0, *maps, standard)
+            h = nk.gru_sequence(steps, h0, *maps)
             return nk.mean_all(nk.mul(nk.mul(h, h), c))
 
         with nk.GradTape() as tape:
@@ -310,8 +312,7 @@ class TestBackward:
         assert abs(a.grad[0, 0] - 4.0) < 1e-12
 
 
-def oracle_gru_sequence(steps, h0, u_z, u_r, u_h, w_z, w_r, w_h,
-                        standard=False):
+def oracle_gru_sequence(steps, h0, u_z, u_r, u_h, w_z, w_r, w_h):
     """`gru_sequence` as it was before its buffers were pooled: fresh
     arrays every call, a (T, B, 3M) pre-activation block with the input
     projection as one GEMM, z|r in one (T, B, 2M) block, and one
@@ -326,7 +327,7 @@ def oracle_gru_sequence(steps, h0, u_z, u_r, u_h, w_z, w_r, w_h,
     pre = (x_all @ u_all).reshape(t_len, b, 3 * m)
     gates = np.empty((t_len, b, 2 * m))  # z | r
     cand = np.empty((t_len, b, m))  # f
-    mix = np.empty((t_len, b, m))  # r * h (standard) or r W_h (literal)
+    mix = np.empty((t_len, b, m))  # r W_h
     states = np.empty((t_len + 1, b, m))
     states[0] = h0.data
     for t in range(t_len):
@@ -334,12 +335,8 @@ def oracle_gru_sequence(steps, h0, u_z, u_r, u_h, w_z, w_r, w_h,
         a[:, :2 * m] += h @ w_zr
         gates[t] = 0.5 * np.tanh(0.5 * a[:, :2 * m]) + 0.5
         z, r = gates[t, :, :m], gates[t, :, m:]
-        if standard:
-            mix[t] = r * h
-            a[:, 2 * m:] += mix[t] @ w_h.data
-        else:
-            mix[t] = r @ w_h.data
-            a[:, 2 * m:] += h * mix[t]
+        mix[t] = r @ w_h.data
+        a[:, 2 * m:] += h * mix[t]
         cand[t] = np.tanh(a[:, 2 * m:])
         states[t + 1] = (1.0 - z) * h + z * cand[t]
     finite = np.isfinite(pre).reshape(t_len, -1).all(axis=1)
@@ -357,14 +354,9 @@ def oracle_gru_sequence(steps, h0, u_z, u_r, u_h, w_z, w_r, w_h,
             d_a[:, :m] = dh * (f - h) * z * (1.0 - z)
             d_a[:, 2 * m:] = dh * z * (1.0 - f * f)
             dh_prev = dh * (1.0 - z)
-            if standard:
-                d_rh = d_a[:, 2 * m:] @ w_h.data.T
-                d_a[:, m:2 * m] = d_rh * h * r * (1.0 - r)
-                dh_prev += d_rh * r
-            else:
-                dh_prev += d_a[:, 2 * m:] * mix[t]
-                d_a[:, m:2 * m] = ((d_a[:, 2 * m:] * h) @ w_h.data.T
-                                   * r * (1.0 - r))
+            dh_prev += d_a[:, 2 * m:] * mix[t]
+            d_a[:, m:2 * m] = ((d_a[:, 2 * m:] * h) @ w_h.data.T
+                               * r * (1.0 - r))
             dh_prev += d_a[:, :2 * m] @ w_zr.T
             dh = dh_prev
         d_flat = d_pre.reshape(-1, 3 * m)
@@ -372,11 +364,8 @@ def oracle_gru_sequence(steps, h0, u_z, u_r, u_h, w_z, w_r, w_h,
         d_x = d_flat @ u_all.T
         d_u = x_all.T @ d_flat
         d_wzr = h_flat.T @ d_flat[:, :2 * m]
-        if standard:
-            d_wh = mix.reshape(-1, m).T @ d_flat[:, 2 * m:]
-        else:
-            d_wh = (gates[:, :, m:].reshape(-1, m).T
-                    @ (d_flat[:, 2 * m:] * h_flat))
+        d_wh = (gates[:, :, m:].reshape(-1, m).T
+                @ (d_flat[:, 2 * m:] * h_flat))
         return [d_x[t * b:(t + 1) * b] for t in range(t_len)] + [
             dh, d_u[:, :m], d_u[:, m:2 * m], d_u[:, 2 * m:],
             d_wzr[:, :m], d_wzr[:, m:], d_wh]
@@ -398,16 +387,16 @@ def gru_case(seed, t_len, b, m, n_in):
     return xs, h0, maps, rng.normal(0.0, 1.0, (b, m))
 
 
-def gru_run(fn, case, standard, taped=True, as_array=False):
+def gru_run(fn, case, taped=True, as_array=False):
     """Final state of `fn` on a `gru_case`, and under a tape the gradients
     of mean(weights * h) for h0, the maps and (list input) every step."""
     xs, h0, maps, weights = case
     steps = xs.copy() if as_array else [Tensor2(x) for x in xs]
     h0, maps = Tensor2(h0), [Tensor2(a) for a in maps]
     if not taped:
-        return fn(steps, h0, *maps, standard).data, []
+        return fn(steps, h0, *maps).data, []
     with nk.GradTape() as tape:
-        h = fn(steps, h0, *maps, standard)
+        h = fn(steps, h0, *maps)
         loss = nk.mean_all(nk.mul(h, Tensor2(weights)))
     nk.backward(tape, loss)
     grads = [h0.grad] + [t.grad for t in maps]
@@ -422,9 +411,9 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def assert_matches_oracle(case, standard, taped, as_array):
-    want, want_g = gru_run(oracle_gru_sequence, case, standard)
-    got, got_g = gru_run(nk.gru_sequence, case, standard, taped, as_array)
+def assert_matches_oracle(case, taped, as_array):
+    want, want_g = gru_run(oracle_gru_sequence, case)
+    got, got_g = gru_run(nk.gru_sequence, case, taped, as_array)
     assert_same_bits(got, want)
     if taped:
         assert len(got_g) == len(want_g) - (len(case[0]) if as_array else 0)
@@ -435,31 +424,28 @@ def assert_matches_oracle(case, standard, taped, as_array):
 class TestGruSequenceMatchesOracle:
     """The pooled kernel against the fresh-array kernel it replaced."""
 
-    @pytest.mark.parametrize("standard", [False, True],
-                             ids=["literal", "standard"])
+    @LITERAL
     @pytest.mark.parametrize("n_in", [1, 3])
     @pytest.mark.parametrize("t_len", [1, 26])
     @pytest.mark.parametrize("taped", [True, False], ids=["tape", "no_tape"])
     @pytest.mark.parametrize("as_array", [False, True],
                              ids=["tensors", "array"])
-    def test_same_bits(self, standard, n_in, t_len, taped, as_array):
+    def test_same_bits(self, gate, n_in, t_len, taped, as_array):
         case = gru_case(80 + t_len + n_in, t_len, 7, 5, n_in)
         for _ in range(2):  # the second run takes its buffers from the pool
-            assert_matches_oracle(case, standard, taped, as_array)
+            assert_matches_oracle(case, taped, as_array)
 
-    @pytest.mark.parametrize("standard", [False, True],
-                             ids=["literal", "standard"])
-    def test_hidden_size_one(self, standard):
+    @LITERAL
+    def test_hidden_size_one(self, gate):
         # At M = 1 the W_h gradient is a dot product, whose summation
         # order follows the stride of its operands.
         for t_len, b in ((1, 1), (3, 1), (5, 300)):
-            assert_matches_oracle(gru_case(81, t_len, b, 1, 1), standard,
-                                  True, False)
+            assert_matches_oracle(gru_case(81, t_len, b, 1, 1), True, False)
 
     def test_two_live_tapes(self):
         a, b = gru_case(82, 26, 6, 4, 1), gru_case(83, 26, 6, 4, 1)
-        want_a = gru_run(oracle_gru_sequence, a, False)
-        want_b = gru_run(oracle_gru_sequence, b, False)
+        want_a = gru_run(oracle_gru_sequence, a)
+        want_b = gru_run(oracle_gru_sequence, b)
         runs = []
         for xs, h0, maps, weights in (a, b):
             h0, maps = Tensor2(h0), [Tensor2(t) for t in maps]
@@ -477,14 +463,14 @@ class TestGruSequenceMatchesOracle:
     def test_backward_after_later_forward(self):
         case = gru_case(84, 26, 6, 4, 1)
         xs, h0, maps, weights = case
-        want, want_g = gru_run(oracle_gru_sequence, case, True)
+        want, want_g = gru_run(oracle_gru_sequence, case)
         h0, maps = Tensor2(h0), [Tensor2(t) for t in maps]
         with nk.GradTape() as tape:
-            h = nk.gru_sequence(xs, h0, *maps, True)
+            h = nk.gru_sequence(xs, h0, *maps)
             loss = nk.mean_all(nk.mul(h, Tensor2(weights)))
         other = gru_case(85, 26, 6, 4, 1)
-        gru_run(nk.gru_sequence, other, True, taped=False, as_array=True)
-        gru_run(nk.gru_sequence, other, True, as_array=True)  # tape dropped
+        gru_run(nk.gru_sequence, other, taped=False, as_array=True)
+        gru_run(nk.gru_sequence, other, as_array=True)  # tape dropped
         nk.backward(tape, loss)
         assert_same_bits(h.data, want)
         for t, w in zip([h0] + maps, want_g):
@@ -497,29 +483,28 @@ class TestGruSequenceMatchesOracle:
         with nk.GradTape() as tape:
             nk.gru_sequence(xs, Tensor2(h0), *[Tensor2(t) for t in maps])
         assert history not in nk._FREE
-        gru_run(nk.gru_sequence, (xs, h0, maps, h0), False, as_array=True)
+        gru_run(nk.gru_sequence, (xs, h0, maps, h0), as_array=True)
         assert len(nk._FREE[history]) == 1  # the run above, not the tape's
         del tape
         assert len(nk._FREE[history]) == 2
 
     def test_pool_keeps_the_most_recent_shapes(self):
         for b in range(1, 2 * nk._FREE_SHAPES):
-            gru_run(nk.gru_sequence, gru_case(90, 2, b, 2, 1), False,
-                    taped=False)
+            gru_run(nk.gru_sequence, gru_case(90, 2, b, 2, 1), taped=False)
         assert len(nk._FREE) <= nk._FREE_SHAPES
         assert ((b, 4), (b, 4), (b, 2), (b, 2)) in nk._FREE
 
     def test_grads_do_not_alias_pooled_buffers(self):
         case = gru_case(86, 26, 6, 4, 1)
-        for standard in (False, True):
-            _, grads = gru_run(nk.gru_sequence, case, standard)
+        for _ in range(2):  # the second run takes its buffers from the pool
+            _, grads = gru_run(nk.gru_sequence, case)
             pooled = [buf for sets in nk._FREE.values() for bufs in sets
                       for buf in bufs]
             assert pooled
             assert not any(np.shares_memory(g, buf)
                            for g in grads for buf in pooled)
             kept = [g.copy() for g in grads]
-            gru_run(nk.gru_sequence, gru_case(87, 26, 6, 4, 1), standard)
+            gru_run(nk.gru_sequence, gru_case(87, 26, 6, 4, 1))
             for g, k in zip(grads, kept):
                 assert_same_bits(g, k)
 

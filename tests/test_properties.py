@@ -8,13 +8,14 @@ in CI replays locally with the same examples.
 import datetime
 import os
 import re
+import warnings
 
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from flucast import datahub
+from flucast import cli, datahub
 from flucast.numkit import Rng
 from test_numkit import assert_matches_oracle, gru_case
 
@@ -60,12 +61,10 @@ class TestGruSequenceBits:
     @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
                       t_len=st.integers(1, 9), b=st.integers(1, 6),
                       m=st.integers(1, 6), n_in=st.integers(1, 3),
-                      standard=st.booleans(), taped=st.booleans(),
-                      as_array=st.booleans())
-    def test_matches_oracle(self, seed, t_len, b, m, n_in, standard, taped,
-                            as_array):
-        assert_matches_oracle(gru_case(seed, t_len, b, m, n_in), standard,
-                              taped, as_array)
+                      taped=st.booleans(), as_array=st.booleans())
+    def test_matches_oracle(self, seed, t_len, b, m, n_in, taped, as_array):
+        assert_matches_oracle(gru_case(seed, t_len, b, m, n_in), taped,
+                              as_array)
 
 
 class TestWindowTable:
@@ -123,3 +122,70 @@ class TestWindowTable:
             assert got.shape == (len(rows),) + full.shape[1:], name
             for k, i in enumerate(rows):
                 assert np.array_equal(got[k], full[i]), name
+
+
+# Config text: a key holds no '=' or '#', a value no '#'; neither spans
+# lines (a carriage return ends one too).
+CONFIG_CHARS = st.characters(blacklist_categories=("Cs",),
+                             blacklist_characters="\n\r#")
+CONFIG_KEYS = st.text(CONFIG_CHARS.filter(lambda c: c != "="), min_size=1,
+                      max_size=12).filter(str.strip)
+CONFIG_PAD = st.sampled_from(["", " ", "\t", "  "])
+
+
+class TestConfigRoundTrip:
+    @hypothesis.settings(deadline=None, suppress_health_check=[
+        hypothesis.HealthCheck.function_scoped_fixture])
+    @hypothesis.given(data=st.data(), entries=st.lists(st.tuples(
+        CONFIG_KEYS, st.text(CONFIG_CHARS, max_size=12)), max_size=8))
+    def test_load_config_reads_back_what_was_written(self, tmp_path, data,
+                                                     entries):
+        lines, want = [], {}
+        for key, value in entries:
+            lines += data.draw(st.lists(st.one_of(
+                CONFIG_PAD, st.builds("{}# {}".format, CONFIG_PAD,
+                                      st.text(CONFIG_CHARS, max_size=10))),
+                max_size=2), label="comments and blanks")
+            pad = data.draw(st.lists(CONFIG_PAD, min_size=4, max_size=4),
+                            label="padding")
+            comment = data.draw(st.sampled_from(["", "# note", " #=#"]),
+                                label="comment")
+            lines.append(f"{pad[0]}{key}{pad[1]}={pad[2]}{value}{pad[3]}"
+                         f"{comment}")
+            want[key.strip()] = value.strip()  # a repeated key: the last
+        path = tmp_path / "drawn.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.load_config(str(path)) == want
+
+
+class TestMinmaxReplay:
+    """The stats `minmax_fit_apply` returns rebuild its panel exactly."""
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+                      l=st.integers(1, 5),
+                      scale=st.sampled_from([1e-3, 1.0, 1e6]))
+    def test_stored_stats_replay_the_fit(self, data, seed, l, scale):
+        length = data.draw(st.integers(2, 40), label="length")
+        lo = data.draw(st.integers(0, length - 2), label="lo")
+        hi = data.draw(st.integers(lo + 1, length - 1), label="hi")
+        flat = data.draw(st.lists(st.booleans(), min_size=l, max_size=l),
+                         label="constant on the training range")
+        matrix = Rng(seed).uniform(-scale, scale, (length, l))
+        matrix[lo:hi + 1, flat] = scale / 3
+        start = datahub.parse_week("2015-W01")
+        panel = datahub.QueryPanel(
+            country="US", queries=[f"q{j}" for j in range(l)], start=start,
+            matrix=matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # each dropped query warns
+            fitted, stats = datahub.minmax_fit_apply(
+                panel, (start + lo, start + hi))
+        assert [q for q, _, _ in stats] == [
+            f"q{j}" for j in range(l) if not flat[j]]
+        replayed = datahub.minmax_apply(panel, stats)
+        assert replayed.queries == fitted.queries
+        assert np.array_equal(replayed.matrix, fitted.matrix)
+        train = fitted.matrix[lo:hi + 1]
+        assert np.array_equal(train.min(axis=0), np.zeros(len(stats)))
+        assert np.array_equal(train.max(axis=0), np.ones(len(stats)))

@@ -114,23 +114,14 @@ class TestCountryBatches:
 
 
 class TestConfig:
-    def test_multi_needs_two_countries(self):
-        with pytest.raises(trainer.TrainingError):
-            trainer.TrainConfig(countries=["US"], mode="multi")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(trainer.TrainingError):
-            trainer.TrainConfig(countries=["US"], mode="both")
-
     def test_empty_grid_rejected(self):
         with pytest.raises(trainer.TrainingError):
-            trainer.TrainConfig(countries=["US"], lr_grid=())
+            trainer.TrainConfig(lr_grid=())
 
 
 def quick_config(**kw):
-    args = dict(countries=["US"], n_in=6, s_out=2, lr_grid=(0.01,),
-                m_grid=(8,), max_epochs=40, patience=40, batch_size=8,
-                seed=3, mode="single")
+    args = dict(n_in=6, s_out=2, lr_grid=(0.01,), m_grid=(8,),
+                max_epochs=40, patience=40, batch_size=8, seed=3)
     args.update(kw)
     return trainer.TrainConfig(**args)
 
@@ -201,8 +192,7 @@ class TestFit:
 
     def test_multi_mode_shares_and_specializes(self):
         data = make_data(["JP", "US"], n_train=8, n_val=4, seed=15)
-        config = quick_config(countries=["JP", "US"], mode="multi",
-                              max_epochs=5)
+        config = quick_config(max_epochs=5)
         model, log = trainer.fit(config, data)
         assert model.country_embed is not None
         assert set(model.attention) == {"JP", "US"}
@@ -229,10 +219,9 @@ class TestFit:
         trainer.fit(quick_config(max_epochs=2), make_data(["US"], seed=17))
         assert tapes == [0, 0]
 
-    def test_mode_data_mismatch_rejected(self):
-        data = make_data(["JP", "US"])
-        with pytest.raises(trainer.TrainingError):
-            trainer.fit(quick_config(max_epochs=2), data)
+    def test_no_country_rejected(self):
+        with pytest.raises(trainer.TrainingError, match="no country"):
+            trainer.fit(quick_config(max_epochs=2), {})
 
 
 class TestTrainLogCsv:
