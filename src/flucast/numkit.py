@@ -15,11 +15,16 @@ the backward. Its buffers come from a small pool keyed by shape: a set
 used only inside a call goes back at the end of the call, and a history
 set once the tape entry holding it is collected, so a later call never
 overwrites a history some tape can still read.
+
+`one_blas_thread` runs a block with the process's OpenBLAS on one
+thread, so processes that each run numpy do not oversubscribe the cores.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import weakref
 
 import numpy as np
@@ -605,3 +610,62 @@ class Adam:
             new = p.data - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
             p.data = _finite(new, "adam_step")
             p.grad = None
+
+
+# Thread-count calls that OpenBLAS builds export, by symbol prefix and
+# suffix: numpy's wheels link scipy-openblas with 64-bit integers.
+_OPENBLAS_THREAD_CALLS = [
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+
+
+def _mapped_files() -> list:
+    """Paths of the files mapped into this process; [] where the
+    process's memory map cannot be read (outside Linux)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            return [fields[5].rstrip("\n") for fields in
+                    (line.split(maxsplit=5) for line in f)
+                    if len(fields) == 6]
+    except OSError:
+        return []
+
+
+def _openblas_threads():
+    """(get, set) thread-count calls of the mapped OpenBLAS, or None."""
+    import ctypes
+
+    for path in dict.fromkeys(_mapped_files()):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                get, set_ = getattr(lib, get), getattr(lib, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread; restore the count after.
+
+    Yields True once the count is 1. Yields False, and changes nothing,
+    when no OpenBLAS with thread-count calls is mapped into the process.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield False
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)

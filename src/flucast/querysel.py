@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datahub import open_text
+from .datahub import DataError, _columns, _fields, _rows, open_text
 
 
 class OOVError(KeyError):
@@ -86,7 +86,11 @@ class EmbeddingTable:
 
 
 def load_embeddings(path: str, language: str) -> EmbeddingTable:
-    """Text format: word then floats per line; optional 'count dim' header."""
+    """Text format: word then floats per line; optional 'count dim' header.
+
+    A component that is not a number, or a row whose length differs from
+    the first row's, is a DataError naming `path:line`.
+    """
     words, vectors = [], []
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -95,8 +99,15 @@ def load_embeddings(path: str, language: str) -> EmbeddingTable:
                 continue  # header line
             if len(parts) < 2:
                 continue
+            try:
+                vector = list(map(float, parts[1:]))
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
+            if vectors and len(vector) != len(vectors[0]):
+                raise DataError(f"{path}:{lineno}: {len(vector)} components, "
+                                f"expected {len(vectors[0])}")
             words.append(parts[0])
-            vectors.append(list(map(float, parts[1:])))
+            vectors.append(vector)
     return EmbeddingTable(language, words, vectors)
 
 
@@ -228,11 +239,22 @@ def wt_select(english_queries, source: EmbeddingTable,
 
 
 def translation_select(mapping_path: str, english_queries) -> list:
-    """Return the user-supplied translation for each English query verbatim."""
+    """Return the user-supplied translation for each English query verbatim.
+
+    The mapping file is a CSV with `english` and `translated` columns.
+    """
+    names = ("english", "translated")
     mapping = {}
     with open_text(mapping_path, newline="") as f:
-        for row in csv.DictReader(f):
-            mapping[row["english"]] = row["translated"]
+        reader = csv.reader(f)
+        cols = _columns(next(reader, None), names)
+        absent = [n for n, c in zip(names, cols) if c is None]
+        if absent:
+            raise DataError(f"{mapping_path}: no {' or '.join(absent)} column")
+        for lineno, row in _rows(reader):
+            english, translated = _fields(mapping_path, lineno, row, cols,
+                                          names)
+            mapping[english] = translated
     missing = [q for q in english_queries if q not in mapping]
     if missing:
         raise MappingError(f"mapping file lacks rows for {missing}")

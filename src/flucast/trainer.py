@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -213,28 +214,132 @@ def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
     return model, log, best_val
 
 
+def _train_point(config, data, l_queries, points, gi):
+    """Grid point gi's (model, log, best val mse), or the NonFiniteError
+    that ended it."""
+    lr, m = points[gi]
+    try:
+        return _train_one(config, data, l_queries, lr, m, gi)
+    except nk.NonFiniteError as e:
+        return e
+
+
+def _drain(config, data, l_queries, points, next_point) -> dict:
+    """Train the grid points taken from the shared counter `next_point`
+    until none is left; returns {grid index: result}.
+
+    An error other than divergence is kept as the point's result and
+    empties the counter, so no process starts another point. Every point
+    before it in grid order was taken already and still finishes.
+    """
+    done = {}
+    while True:
+        with next_point.get_lock():
+            gi = next_point.value
+            next_point.value += 1
+        if gi >= len(points):
+            return done
+        try:
+            done[gi] = _train_point(config, data, l_queries, points, gi)
+        except Exception as e:  # re-raised by `fit` in grid order
+            done[gi] = e
+            with next_point.get_lock():
+                next_point.value = len(points)
+            return done
+
+
+def _send_drained(conn, *args) -> None:
+    """A child's work: send its `_drain` results, each error carrying the
+    child's traceback as its cause."""
+    from multiprocessing.pool import ExceptionWithTraceback
+
+    conn.send({gi: ExceptionWithTraceback(r, r.__traceback__)
+               if isinstance(r, Exception) else r
+               for gi, r in _drain(*args).items()})
+    conn.close()
+
+
+def _train_in_pool(config, data, l_queries, points, workers) -> dict:
+    """Train the grid in `workers` processes, this one included.
+
+    Children are forked, so they share the data without copying it, and
+    each sends its results back through a pipe. Every child is joined,
+    or terminated and joined, before this returns or raises.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    next_point = ctx.Value("q", 0)
+    children = []
+    try:
+        for _ in range(workers - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_drained, daemon=True, args=(
+                send, config, data, l_queries, points, next_point))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        done = _drain(config, data, l_queries, points, next_point)
+        for child, recv in children:
+            try:
+                done.update(recv.recv())
+            except EOFError:
+                child.join()
+                raise TrainingError(f"a grid-point process exited with code "
+                                    f"{child.exitcode}") from None
+            child.join()
+        return done
+    finally:
+        for child, recv in children:
+            recv.close()
+            child.terminate()  # a no-op once the child is joined
+            child.join()
+
+
+def _grid_results(config, data, l_queries, points):
+    """Each grid point's `_train_point` result, in grid order.
+
+    The points train in min(usable cores, points) processes, with
+    OpenBLAS on one thread while they run; an error other than
+    divergence is then returned as a point's result, and no later point
+    is listed. With one process, or no OpenBLAS to set, the points train
+    here one after another as the results are read.
+    """
+    workers = min(len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else 1, len(points))
+    if workers > 1:
+        with nk.one_blas_thread() as one_thread:
+            if one_thread:
+                done = _train_in_pool(config, data, l_queries, points,
+                                      workers)
+                return [done[gi] for gi in range(len(done))]
+    return (_train_point(config, data, l_queries, points, gi)
+            for gi in range(len(points)))
+
+
 def fit(config: TrainConfig, data: dict) -> tuple:
     """Grid search over (lr, M); returns the best (ModelParams, TrainLog).
 
     `data` maps country -> {"train": Windows, "val": Windows}.
     Divergent grid points (non-finite values during training) are skipped.
+    Points are compared in grid order, so the result does not depend on
+    how many processes trained them.
     """
     if not data:
         raise TrainingError("no country to train")
     l_queries = _query_count(config, data)
     start = time.monotonic()
+    points = list(itertools.product(config.lr_grid, config.m_grid))
     best = None
     diverged = []
-    for gi, (lr, m) in enumerate(itertools.product(config.lr_grid,
-                                                   config.m_grid)):
-        try:
-            model, log, val = _train_one(config, data, l_queries, lr, m,
-                                         gi)
-        except nk.NonFiniteError:
+    for (lr, m), result in zip(points,
+                               _grid_results(config, data, l_queries, points)):
+        if isinstance(result, nk.NonFiniteError):
             diverged.append({"lr": lr, "m": m})
-            continue
-        if best is None or val < best[2]:
-            best = (model, log, val)
+        elif isinstance(result, Exception):
+            raise result
+        elif best is None or result[2] < best[2]:
+            best = result
     if best is None:
         raise TrainingError("every grid point diverged")
     model, log, _ = best

@@ -698,6 +698,37 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: US: queries") and "differ" in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("oops 1.0 x 2.0 3.0", "could not convert string to float: 'x'"),
+        ("oops 1.0 2.0", "2 components, expected 4")],
+        ids=["component", "length"])
+    def test_malformed_embeddings_row_is_one_line(self, tmp_path, capsys,
+                                                  row, message):
+        config = build_workspace(tmp_path)
+        config, _ = build_wt_inputs(tmp_path, config, tmp_path)
+        path = tmp_path / "src.txt"
+        path.write_text(path.read_text(encoding="utf-8") + row + "\n",
+                        encoding="utf-8")
+        assert run(config, tmp_path / "out", "select-queries") == 1
+        assert capsys.readouterr().err == f"error: {path}:5: {message}\n"
+
+    @pytest.mark.parametrize("text, where", [
+        ("eng,translated\nflu fever,gripe\n", ": no english column"),
+        ("english,translated\nflu fever,gripe\ncold remedy\n",
+         ":3: row has no translated")], ids=["column", "short_row"])
+    def test_malformed_mapping_is_one_line(self, workspace, tmp_path, capsys,
+                                           text, where):
+        root, config = workspace
+        mapping = tmp_path / "map.csv"
+        mapping.write_text(text, encoding="utf-8")
+        cfg2 = tmp_path / "c.cfg"
+        cfg2.write_text(config.read_text(encoding="utf-8")
+                        + f"querysel.english_queries = {root}/queries.txt\n"
+                        f"querysel.mapping = {mapping}\n", encoding="utf-8")
+        assert run(cfg2, tmp_path, "select-queries", "--method",
+                   "mapping") == 1
+        assert capsys.readouterr().err == f"error: {mapping}{where}\n"
+
     def test_stopword_only_query_is_one_line(self, tmp_path, capsys):
         config = build_workspace(tmp_path)
         config, _ = build_wt_inputs(tmp_path, config, tmp_path)

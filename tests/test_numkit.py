@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from flucast import numkit as nk
+from flucast import numkit as nk, trainer
 from flucast.numkit import Tensor2
+from test_trainer import cores, fit_outcome, make_data, quick_config
 
 # The GRU has one gate form, the paper's literal one; the ids name it.
 LITERAL = pytest.mark.parametrize("gate", ["literal"])
@@ -611,3 +612,37 @@ class TestRng:
     def test_glorot_bounds(self):
         t = nk.glorot_uniform(nk.Rng(1), 8, 8)
         assert np.max(np.abs(t.data)) <= np.sqrt(6.0 / 16)
+
+
+class TestOneBlasThread:
+    def test_sets_one_thread_and_restores_the_count(self):
+        calls = nk._openblas_threads()
+        if calls is None:
+            pytest.skip("no OpenBLAS with thread-count calls is mapped")
+        get, set_ = calls
+        original = get()
+        set_(3)
+        try:
+            with pytest.raises(KeyError):
+                with nk.one_blas_thread() as one_thread:
+                    assert one_thread is True and get() == 1
+                    raise KeyError("left the block")
+            assert get() == 3
+        finally:
+            set_(original)
+
+    def test_reports_when_no_openblas_is_mapped(self, monkeypatch):
+        monkeypatch.setattr(nk, "_mapped_files", lambda: [])
+        with nk.one_blas_thread() as one_thread:
+            assert one_thread is False
+
+    def test_fit_then_trains_in_one_process(self, monkeypatch):
+        data = make_data(["US"], seed=23)
+        config = quick_config(lr_grid=(0.01, 0.02), max_epochs=4)
+        cores(monkeypatch, 1)
+        want = fit_outcome(config, data)
+        monkeypatch.setattr(nk, "_mapped_files", lambda: [])
+        monkeypatch.setattr(trainer.os, "fork",
+                            lambda: pytest.fail("a process started"))
+        cores(monkeypatch, 2)
+        assert fit_outcome(config, data) == want

@@ -1,4 +1,7 @@
 import gc
+import os
+import select
+import time
 
 import numpy as np
 import pytest
@@ -240,3 +243,129 @@ class TestTrainLogCsv:
         log.wall_time = 123.0
         log.write_csv(str(path), ["JP", "US"])
         assert path.read_text(encoding="utf-8") == text
+
+
+def cores(monkeypatch, n):
+    """Make `n` cores usable as trainer sees them."""
+    monkeypatch.setattr(trainer.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class ChildFirst:
+    """Children report each grid index they take through a pipe, and the
+    parent starts taking points only once a child has taken point 0.
+
+    `train_one` is the function children and parent train a point with.
+    """
+
+    def __init__(self, monkeypatch):
+        self.parent = os.getpid()
+        self.read, self.write = os.pipe()
+        self.first = b""
+        self.train_one = trainer._train_one
+        drain = trainer._drain
+
+        def reported(*args):
+            if os.getpid() != self.parent:
+                os.write(self.write, bytes([args[-1]]))
+            return self.train_one(*args)
+
+        def drain_after_child(*args):
+            if os.getpid() == self.parent:
+                ready, _, _ = select.select([self.read], [], [], 60)
+                assert ready, "no child took a grid point"
+                self.first += os.read(self.read, 1)
+            return drain(*args)
+
+        monkeypatch.setattr(trainer, "_train_one", reported)
+        monkeypatch.setattr(trainer, "_drain", drain_after_child)
+
+    def child_points(self) -> list:
+        """Grid indices the children trained, in the order they took them."""
+        os.close(self.write)
+        with os.fdopen(self.read, "rb") as f:
+            return list(self.first + f.read())
+
+
+@pytest.fixture
+def child_first(monkeypatch):
+    return ChildFirst(monkeypatch)
+
+
+def fit_outcome(config, data):
+    model, log = trainer.fit(config, data)
+    return ({n: t.data.tobytes() for n, t in model.named_params().items()},
+            log.entries, log.chosen_epoch, log.diverged_grid_points,
+            (log.lr, log.m))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+class TestGridPool:
+    """Grid points train in min(usable cores, points) processes."""
+
+    GRID = dict(lr_grid=(1e160, 0.01, 0.02), max_epochs=6, patience=6)
+
+    def test_one_and_two_workers_agree_bitwise(self, monkeypatch,
+                                                child_first):
+        data = make_data(["JP", "US"], n_train=16, seed=21)
+        config = quick_config(**self.GRID)
+        cores(monkeypatch, 1)
+        sequential = fit_outcome(config, data)
+        cores(monkeypatch, 2)
+        pooled = fit_outcome(config, data)
+        assert child_first.child_points()[0] == 0  # diverges in a child
+        assert sequential[3] == [{"lr": 1e160, "m": 8}]
+        assert pooled == sequential
+        assert list(pooled[0]) == list(sequential[0])
+        assert_no_child_left()
+
+    def test_child_error_reaches_the_caller(self, monkeypatch, child_first):
+        def fail(*args):
+            if os.getpid() != child_first.parent:
+                raise trainer.TrainingError("no data in this child")
+            raise nk.NonFiniteError("diverged in the parent")
+
+        child_first.train_one = fail
+        cores(monkeypatch, 2)
+        with pytest.raises(trainer.TrainingError) as caught:
+            trainer.fit(quick_config(**self.GRID), make_data(["US"]))
+        assert type(caught.value) is trainer.TrainingError
+        assert str(caught.value) == "no data in this child"
+        assert child_first.child_points()[0] == 0
+        assert_no_child_left()
+
+    def test_interrupted_parent_terminates_the_children(self, monkeypatch,
+                                                        child_first):
+        class Interrupt(BaseException):
+            pass
+
+        def stall_or_interrupt(*args):
+            if os.getpid() != child_first.parent:
+                time.sleep(60)
+            raise Interrupt()
+
+        child_first.train_one = stall_or_interrupt
+        cores(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(Interrupt):
+            trainer.fit(quick_config(**self.GRID), make_data(["US"]))
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_cores, lr_grid", [(2, (0.01,)),
+                                                  (1, (0.01, 0.02))],
+                             ids=["one_point", "one_core"])
+    def test_starts_no_process(self, monkeypatch, n_cores, lr_grid):
+        cores(monkeypatch, n_cores)
+        monkeypatch.setattr(trainer.os, "fork",
+                            lambda: pytest.fail("a process started"))
+        monkeypatch.setattr(nk, "one_blas_thread",
+                            lambda: pytest.fail("BLAS threads were set"))
+        _, log = trainer.fit(quick_config(lr_grid=lr_grid, max_epochs=2),
+                             make_data(["US"], seed=22))
+        assert len(log.entries) == 2
