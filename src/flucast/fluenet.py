@@ -188,25 +188,25 @@ def encode_ili(params: GruParams, x_des: np.ndarray, h0: Tensor2) -> Tensor2:
     return encode_sequence(params, x_des.T[:, :, None], h0)
 
 
-def encode_queries(params: GruParams, q: np.ndarray, h0: Tensor2) -> list:
+def encode_queries(params: GruParams, q: np.ndarray, h0: Tensor2) -> Tensor2:
     """Encode the L query columns with the shared GRU in one pass.
 
     q is (batch x N x L). The L columns run as one GRU over L*batch rows,
     where row j*batch + i holds query j of sample i; this is exact
-    because every column shares the weights. Returns a list of L
-    (batch x M) final states.
+    because every column shares the weights. Returns the (L*batch x M)
+    final states in that layout.
     """
     b, n, l = q.shape
     steps = q.transpose(1, 2, 0).reshape(n, l * b, 1)
-    h = encode_sequence(params, steps, nk.tile_rows(h0, l))
-    return [nk.row_block(h, j * b, (j + 1) * b) for j in range(l)]
+    return encode_sequence(params, steps, nk.tile_rows(h0, l))
 
 
 def attend(att: AttentionParams, h_tau: Tensor2, h_queries) -> tuple:
     """Unscaled dot-product attention over the L query encodings.
 
-    Returns (context (batch x M), weights (batch x L) tensor); the
-    weights carry no gradient.
+    h_queries is `encode_queries`' (L*batch x M) block. Returns (context
+    (batch x M), weights (batch x L) tensor); the weights carry no
+    gradient.
     """
     return nk.dot_attention(h_tau, att.w_q, att.w_k, att.w_v, h_queries)
 

@@ -11,10 +11,8 @@ hand-written BPTT backward as one entry.
 `gru_sequence` has two paths. With no active tape it runs the recurrence
 on one step's buffers and keeps no history. Under a tape it keeps the
 states and the z, r, f and mix terms as contiguous (T, B, M) blocks for
-the backward. Its buffers come from a small pool keyed by shape: a set
-used only inside a call goes back at the end of the call, and a history
-set once the tape entry holding it is collected, so a later call never
-overwrites a history some tape can still read.
+the backward. Each call allocates its own buffers, and a history lives
+as long as the tape entry whose backward reads it.
 
 `one_blas_thread` runs a block with the process's OpenBLAS on one
 thread, so processes that each run numpy do not oversubscribe the cores.
@@ -25,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
-import weakref
 
 import numpy as np
 
@@ -217,39 +214,25 @@ def tile_rows(a: Tensor2, k: int) -> Tensor2:
     return _emit(np.tile(a.data, (k, 1)), [a], bw, "tile_rows")
 
 
-def row_block(a: Tensor2, i0: int, i1: int) -> Tensor2:
-    """Rows i0..i1-1 of a."""
-    if not (0 <= i0 < i1 <= a.rows):
-        raise ShapeError(f"row_block [{i0}:{i1}] out of range for {a.shape}")
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[i0:i1] = g
-        return [full]
-
-    return _emit(a.data[i0:i1].copy(), [a], bw, "row_block")
-
-
 def dot_attention(query: Tensor2, w_q: Tensor2, w_k: Tensor2,
-                  w_v: Tensor2, keys) -> tuple:
-    """Unscaled dot-product attention of each row over L key tensors.
+                  w_v: Tensor2, keys: Tensor2) -> tuple:
+    """Unscaled dot-product attention of each row over L keys.
 
-    With H the (B, L, M) stack of the L (B x M) `keys`, q = query w_q,
-    K = H w_k and V = H w_v, the weights are softmax_j(q . K_j) and the
-    context is sum_j weight_j V_j. Returns (context, weights). Only the
-    context is recorded on the tape; the weights are a constant.
+    `keys` is an (L*B x M) block in the layout of `tile_rows`: row j*B + i
+    holds key j of row i. With H the (B, L, M) array of those keys,
+    q = query w_q, K = H w_k and V = H w_v, the weights are
+    softmax_j(q . K_j) and the context is sum_j weight_j V_j. Returns
+    (context, weights). Only the context is recorded on the tape; the
+    weights are a constant.
     """
-    keys = list(keys)
-    if not keys:
-        raise ContractError("dot_attention over no keys")
     b, m = query.shape
-    if any(k.shape != (b, m) for k in keys) or any(
-            w.shape != (m, m) for w in (w_q, w_k, w_v)):
+    if (keys.rows == 0 or keys.rows % b or keys.cols != m
+            or any(w.shape != (m, m) for w in (w_q, w_k, w_v))):
         raise ShapeError(
             f"dot_attention shape mismatch: query {query.shape}, maps "
-            f"{[w.shape for w in (w_q, w_k, w_v)]}, keys "
-            f"{[k.shape for k in keys]}")
-    h = np.stack([k.data for k in keys], axis=1)
+            f"{[w.shape for w in (w_q, w_k, w_v)]}, keys {keys.shape}")
+    h = np.ascontiguousarray(
+        keys.data.reshape(keys.rows // b, b, m).transpose(1, 0, 2))
     q = query.data @ w_q.data
     k_all = h @ w_k.data
     v_all = h @ w_v.data
@@ -267,10 +250,10 @@ def dot_attention(query: Tensor2, w_q: Tensor2, w_k: Tensor2,
         g_h = g_k @ w_k.data.T + g_v @ w_v.data.T
         return [g_q @ w_q.data.T, query.data.T @ g_q,
                 flat_h.T @ g_k.reshape(-1, m),
-                flat_h.T @ g_v.reshape(-1, m)] + [
-                    g_h[:, j] for j in range(len(keys))]
+                flat_h.T @ g_v.reshape(-1, m),
+                g_h.transpose(1, 0, 2).reshape(-1, m)]
 
-    out = _emit(ctx, [query, w_q, w_k, w_v] + keys, bw, "dot_attention")
+    out = _emit(ctx, [query, w_q, w_k, w_v, keys], bw, "dot_attention")
     return out, Tensor2(weights, copy=False)
 
 
@@ -284,35 +267,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     np.tanh(out, out=out)
     np.multiply(0.5, out, out=out)
     return np.add(out, 0.5, out=out)
-
-
-# Free buffer sets of `gru_sequence`, keyed by their tuple of shapes and
-# ordered from the least recently returned. A set is taken by one call
-# and given back when nothing can read it any more: at the end of the
-# call, or, for the history a tape entry keeps, when that entry is
-# collected. At most two sets are kept per key, and at most eight keys,
-# as many as one training step of the model uses (forward scratch,
-# history and backward sets of three GRUs, two of which share a batch
-# size). Keys that a training loop has stopped using, such as those of a
-# finished grid point, drop out first.
-_FREE = {}
-_FREE_PER_SHAPES = 2
-_FREE_SHAPES = 8
-
-
-def _take(shapes) -> list:
-    """float64 buffers of the given shapes, a free set if there is one."""
-    free = _FREE.pop(shapes, [])
-    if len(free) > 1:
-        _FREE[shapes] = free[1:]
-    return free[0] if free else [np.empty(s) for s in shapes]
-
-
-def _give(shapes, bufs) -> None:
-    """Hand back a set from `_take`."""
-    _FREE[shapes] = (_FREE.pop(shapes, []) + [bufs])[-_FREE_PER_SHAPES:]
-    if len(_FREE) > _FREE_SHAPES:
-        del _FREE[next(iter(_FREE))]
 
 
 def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
@@ -341,10 +295,9 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
     term r W_h are kept as contiguous (T, B, M) blocks, and the tape
     entry's backward is BPTT in one reverse loop into a (T, B, 3M) block
     of z|r|h pre-activation gradients, then one GEMM per weight gradient
-    over all steps. Buffers come from a pool keyed by shape: the history
-    set returns to it once the tape entry is collected, every other set
-    at the end of the call, so a training loop reuses the same memory.
-    Results never alias the pool.
+    over all steps. Each call allocates its own buffers; the history
+    lives as long as the tape entry's backward. The final state is a
+    copy, so an output never holds on to the whole history.
     """
     b, m = h0.shape
     n_in = u_z.rows
@@ -372,21 +325,15 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
     w_zr = np.concatenate([w_z.data, w_r.data], axis=1)
     taped = _ACTIVE_TAPE is not None
     keep = t_len if taped else 1
-    hist_shapes = ((keep + 1, b, m),) + ((keep, b, m),) * 4
-    hist = _take(hist_shapes)
-    try:
-        h_last = _gru_forward(xs, h0.data, u_all, w_zr, w_h.data, hist).copy()
-    except BaseException:
-        _give(hist_shapes, hist)
-        raise
+    hist = [np.empty((keep + 1, b, m))] + [np.empty((keep, b, m))
+                                           for _ in range(4)]
+    h_last = _gru_forward(xs, h0.data, u_all, w_zr, w_h.data, hist).copy()
     if not taped:
-        _give(hist_shapes, hist)
         return Tensor2(h_last, copy=False)
 
     def bw(g):
         return _gru_backward(g, xs, hist, u_all, w_zr, w_h.data, bool(steps))
 
-    weakref.finalize(bw, _give, hist_shapes, hist)
     return _record(h_last, steps + [h0, u_z, u_r, u_h, w_z, w_r, w_h], bw)
 
 
@@ -401,44 +348,41 @@ def _gru_forward(xs, h0, u_all, w_zr, w_h, hist) -> np.ndarray:
     m = w_h.shape[0]
     states, z, r, f, mix = hist
     keep = len(z)
-    scratch_shapes = ((b, 2 * m), (b, 2 * m), (b, m), (b, m))
-    pzr, hzr, ph, tmp = scratch = _take(scratch_shapes)
+    pzr, hzr = np.empty((b, 2 * m)), np.empty((b, 2 * m))
+    ph, tmp = np.empty((b, m)), np.empty((b, m))
     if n_in == 1:
         u_zr, u_h = u_all[:, :2 * m], u_all[:, 2 * m:]
     else:
         xu = (xs.reshape(-1, n_in) @ u_all).reshape(t_len, b, 3 * m)
     states[0] = h0
-    try:
-        for t in range(t_len):
-            h = states[t % (keep + 1)]
-            h_new = states[(t + 1) % (keep + 1)]
-            i = t % keep
-            z_t, r_t, f_t, mix_t = z[i], r[i], f[i], mix[i]
-            if n_in == 1:
-                # x U as the K = 1 GEMM gives it, +0 for a zero product;
-                # adding h W_zr below does the same for the z|r part.
-                x_zr = np.multiply(xs[t], u_zr, out=pzr)
-                x_h = np.add(np.multiply(xs[t], u_h, out=ph), 0.0, out=ph)
-            else:
-                x_zr, x_h = xu[t, :, :2 * m], xu[t, :, 2 * m:]
-            np.add(x_zr, np.matmul(h, w_zr, out=hzr), out=pzr)
-            _sigmoid(pzr, out=hzr)
-            z_t[...] = hzr[:, :m]
-            r_t[...] = hzr[:, m:]
-            np.matmul(r_t, w_h, out=mix_t)
-            np.multiply(h, mix_t, out=tmp)
-            np.add(x_h, tmp, out=ph)
-            if not (np.isfinite(pzr).all() and np.isfinite(ph).all()):
-                raise NonFiniteError(
-                    f"gru_sequence produced non-finite values at step "
-                    f"{t + 1} of {t_len}")
-            np.tanh(ph, out=f_t)
-            np.subtract(1.0, z_t, out=ph)
-            np.multiply(ph, h, out=ph)
-            np.multiply(z_t, f_t, out=tmp)
-            np.add(ph, tmp, out=h_new)
-    finally:
-        _give(scratch_shapes, scratch)
+    for t in range(t_len):
+        h = states[t % (keep + 1)]
+        h_new = states[(t + 1) % (keep + 1)]
+        i = t % keep
+        z_t, r_t, f_t, mix_t = z[i], r[i], f[i], mix[i]
+        if n_in == 1:
+            # x U as the K = 1 GEMM gives it, +0 for a zero product;
+            # adding h W_zr below does the same for the z|r part.
+            x_zr = np.multiply(xs[t], u_zr, out=pzr)
+            x_h = np.add(np.multiply(xs[t], u_h, out=ph), 0.0, out=ph)
+        else:
+            x_zr, x_h = xu[t, :, :2 * m], xu[t, :, 2 * m:]
+        np.add(x_zr, np.matmul(h, w_zr, out=hzr), out=pzr)
+        _sigmoid(pzr, out=hzr)
+        z_t[...] = hzr[:, :m]
+        r_t[...] = hzr[:, m:]
+        np.matmul(r_t, w_h, out=mix_t)
+        np.multiply(h, mix_t, out=tmp)
+        np.add(x_h, tmp, out=ph)
+        if not (np.isfinite(pzr).all() and np.isfinite(ph).all()):
+            raise NonFiniteError(
+                f"gru_sequence produced non-finite values at step "
+                f"{t + 1} of {t_len}")
+        np.tanh(ph, out=f_t)
+        np.subtract(1.0, z_t, out=ph)
+        np.multiply(ph, h, out=ph)
+        np.multiply(z_t, f_t, out=tmp)
+        np.add(ph, tmp, out=h_new)
     return h_new
 
 
@@ -455,54 +399,50 @@ def _gru_backward(g, xs, hist, u_all, w_zr, w_h, need_dx) -> list:
     t_len, b, n_in = xs.shape
     m = w_h.shape[0]
     states, z, r, f, mix = hist
-    shapes = ((t_len, b, 3 * m),) + ((b, m),) * 5 + ((t_len * b, m),)
-    bufs = _take(shapes)
-    d_pre, e1, e2, e3, dh_a, dh_b, dh_rows = bufs
-    try:
-        dh = g
-        for t in range(t_len - 1, -1, -1):
-            h, z_t, r_t, f_t, d_a = states[t], z[t], r[t], f[t], d_pre[t]
-            d_h = d_a[:, 2 * m:]
-            dh_prev = dh_b if dh is dh_a else dh_a
-            np.subtract(1.0, z_t, out=e1)
-            np.subtract(f_t, h, out=e2)
-            np.multiply(dh, e2, out=e2)
-            np.multiply(e2, z_t, out=e2)
-            np.multiply(e2, e1, out=d_a[:, :m])
-            np.multiply(f_t, f_t, out=e2)
-            np.subtract(1.0, e2, out=e2)
-            np.multiply(dh, z_t, out=e3)
-            np.multiply(e3, e2, out=d_h)
-            np.multiply(dh, e1, out=dh_prev)
-            np.subtract(1.0, r_t, out=e1)
-            np.multiply(d_h, h, out=e2)
-            np.matmul(e2, w_h.T, out=e3)
-            np.multiply(e3, r_t, out=e3)
-            np.multiply(e3, e1, out=d_a[:, m:2 * m])
-            np.multiply(d_h, mix[t], out=e2)
-            np.add(dh_prev, e2, out=dh_prev)
-            np.add(dh_prev, np.matmul(d_a[:, :2 * m], w_zr.T, out=e2),
-                   out=dh_prev)
-            dh = dh_prev
-        d_flat = d_pre.reshape(-1, 3 * m)
-        h_flat = states[:-1].reshape(-1, m)
-        d_u = xs.reshape(-1, n_in).T @ d_flat
-        d_wzr = h_flat.T @ d_flat[:, :2 * m]
-        r_rows = r.reshape(-1, m)
-        if m == 1:
-            # This product is then a dot, whose summation order follows
-            # r's stride: read r as a column of a z|r block, as the oracle
-            # lays it out.
-            r_rows = np.concatenate([z, r], axis=2).reshape(-1, 2)[:, 1:]
-        d_wh = r_rows.T @ np.multiply(d_flat[:, 2 * m:], h_flat, out=dh_rows)
-        d_x = []
-        if need_dx:
-            d_all = d_flat @ u_all.T
-            d_x = [d_all[t * b:(t + 1) * b] for t in range(t_len)]
-        return d_x + [dh.copy(), d_u[:, :m], d_u[:, m:2 * m], d_u[:, 2 * m:],
-                      d_wzr[:, :m], d_wzr[:, m:], d_wh]
-    finally:
-        _give(shapes, bufs)
+    d_pre = np.empty((t_len, b, 3 * m))
+    e1, e2, e3, dh_a, dh_b = (np.empty((b, m)) for _ in range(5))
+    dh = g
+    for t in range(t_len - 1, -1, -1):
+        h, z_t, r_t, f_t, d_a = states[t], z[t], r[t], f[t], d_pre[t]
+        d_h = d_a[:, 2 * m:]
+        dh_prev = dh_b if dh is dh_a else dh_a
+        np.subtract(1.0, z_t, out=e1)
+        np.subtract(f_t, h, out=e2)
+        np.multiply(dh, e2, out=e2)
+        np.multiply(e2, z_t, out=e2)
+        np.multiply(e2, e1, out=d_a[:, :m])
+        np.multiply(f_t, f_t, out=e2)
+        np.subtract(1.0, e2, out=e2)
+        np.multiply(dh, z_t, out=e3)
+        np.multiply(e3, e2, out=d_h)
+        np.multiply(dh, e1, out=dh_prev)
+        np.subtract(1.0, r_t, out=e1)
+        np.multiply(d_h, h, out=e2)
+        np.matmul(e2, w_h.T, out=e3)
+        np.multiply(e3, r_t, out=e3)
+        np.multiply(e3, e1, out=d_a[:, m:2 * m])
+        np.multiply(d_h, mix[t], out=e2)
+        np.add(dh_prev, e2, out=dh_prev)
+        np.add(dh_prev, np.matmul(d_a[:, :2 * m], w_zr.T, out=e2),
+               out=dh_prev)
+        dh = dh_prev
+    d_flat = d_pre.reshape(-1, 3 * m)
+    h_flat = states[:-1].reshape(-1, m)
+    d_u = xs.reshape(-1, n_in).T @ d_flat
+    d_wzr = h_flat.T @ d_flat[:, :2 * m]
+    r_rows = r.reshape(-1, m)
+    if m == 1:
+        # This product is then a dot, whose summation order follows
+        # r's stride: read r as a column of a z|r block, as the oracle
+        # lays it out.
+        r_rows = np.concatenate([z, r], axis=2).reshape(-1, 2)[:, 1:]
+    d_wh = r_rows.T @ (d_flat[:, 2 * m:] * h_flat)
+    d_x = []
+    if need_dx:
+        d_all = d_flat @ u_all.T
+        d_x = [d_all[t * b:(t + 1) * b] for t in range(t_len)]
+    return d_x + [dh, d_u[:, :m], d_u[:, m:2 * m], d_u[:, 2 * m:],
+                  d_wzr[:, :m], d_wzr[:, m:], d_wh]
 
 
 def mean_all(a: Tensor2) -> Tensor2:
@@ -614,9 +554,9 @@ class Adam:
 
 # Thread-count calls that OpenBLAS builds export, by symbol prefix and
 # suffix: numpy's wheels link scipy-openblas with 64-bit integers.
-_OPENBLAS_THREAD_CALLS = [
+_OPENBLAS_THREAD_CALLS = tuple(
     (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
 
 
 def _mapped_files() -> list:

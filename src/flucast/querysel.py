@@ -88,14 +88,17 @@ class EmbeddingTable:
 def load_embeddings(path: str, language: str) -> EmbeddingTable:
     """Text format: word then floats per line; optional 'count dim' header.
 
+    Line 1 is the header only when both its fields are integers.
+    Trailing whitespace, as fastText `.vec` rows have, adds no component.
     A component that is not a number, or a row whose length differs from
     the first row's, is a DataError naming `path:line`.
     """
     words, vectors = [], []
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if lineno == 1 and len(parts) == 2:
+            parts = line.rstrip().split(" ")
+            if lineno == 1 and len(parts) == 2 and all(
+                    p.isdecimal() for p in parts):
                 continue  # header line
             if len(parts) < 2:
                 continue
@@ -272,9 +275,16 @@ def write_selected(path: str, candidates) -> None:
 
 def read_selected(path: str) -> list:
     """Queries from a `write_selected` CSV (its 'selected' column), or
-    from a plain list with one query per line."""
+    from a plain list with one query per line.
+
+    A CSV row with no `selected` field is a DataError naming `path:line`.
+    """
     with open_text(path, newline="") as f:
-        lines = [line.strip() for line in f if line.strip()]
-    if lines and "selected" in [c.strip() for c in lines[0].split(",")]:
-        return [row["selected"] for row in csv.DictReader(lines)]
-    return lines
+        lines = [line.strip() for line in f]
+    rows = _rows(csv.reader(lines))
+    _, header = next(rows, (0, []))
+    cols = _columns([c.strip() for c in header], ["selected"])
+    if None in cols:
+        return [line for line in lines if line]
+    return [_fields(path, lineno, row, cols, ["selected"])[0]
+            for lineno, row in rows]

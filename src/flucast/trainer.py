@@ -155,7 +155,7 @@ def _train_step(model, adam, country, batch, eps, rng) -> float:
     """One Adam step on one batch; returns the batch loss.
 
     The tape goes out of scope on return, so the GRU histories it holds
-    go back to the buffer pool before validation runs.
+    are freed before validation runs.
     """
     with nk.GradTape() as tape:
         o_hat, _ = fluenet.forward_batch(model, country, batch.x_des,

@@ -101,12 +101,13 @@ class TestAttentionContract:
                 w_k=Tensor2(rng.normal(0, 1, (m, m))),
                 w_v=Tensor2(rng.normal(0, 1, (m, m))))
             h_tau = Tensor2(rng.normal(0, 1, (b, m)))
-            hqs = [Tensor2(rng.normal(0, 1, (b, m))) for _ in range(l)]
-            ctx, w = fluenet.attend(att, h_tau, hqs)
+            hqs = [rng.normal(0, 1, (b, m)) for _ in range(l)]
+            ctx, w = fluenet.attend(att, h_tau, Tensor2(np.concatenate(hqs)))
             assert np.all(w.data >= 0.0)
             assert np.max(np.abs(w.data.sum(axis=1) - 1.0)) <= 1e-9
             perm = list(rng.choice_without_replacement(l, l))
-            ctx_p, w_p = fluenet.attend(att, h_tau, [hqs[j] for j in perm])
+            ctx_p, w_p = fluenet.attend(
+                att, h_tau, Tensor2(np.concatenate([hqs[j] for j in perm])))
             assert np.max(np.abs(ctx_p.data - ctx.data)) <= 1e-12
             assert np.max(np.abs(w_p.data - w.data[:, perm])) <= 1e-12
 

@@ -712,6 +712,19 @@ class TestBadInput:
         assert run(config, tmp_path / "out", "select-queries") == 1
         assert capsys.readouterr().err == f"error: {path}:5: {message}\n"
 
+    def test_query_list_short_row_is_one_line(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        listed = tmp_path / "selected.csv"
+        listed.write_text("english,selected,theta_w,theta_t,score\n"
+                          "flu fever,flu fever,0.9,0.8,1.7\n"
+                          "cold remedy\n", encoding="utf-8")
+        config.write_text(config.read_text(encoding="utf-8")
+                          + f"queries.US = {listed}\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", "train", "--countries",
+                   "US") == 1
+        assert capsys.readouterr().err == (
+            f"error: {listed}:3: row has no selected\n")
+
     @pytest.mark.parametrize("text, where", [
         ("eng,translated\nflu fever,gripe\n", ": no english column"),
         ("english,translated\nflu fever,gripe\ncold remedy\n",

@@ -163,9 +163,17 @@ def per_query_encode(params, q, h0):
         for j in range(l)]
 
 
+def key_block(keys):
+    """L (B x M) keys as the (L*B x M) block `attend` takes: key j of
+    row i at row j*B + i."""
+    return Tensor2(np.concatenate([k.data for k in keys]))
+
+
 class TestBatchedQueryEncoder:
     def states_and_grads(self, encode, params, embed, q, weights):
-        """Final states and gradients of a weighted sum of them."""
+        """Final states as the (L*B x M) block, and the gradients of their
+        sum weighted by the (B x L*M) `weights`, query j in columns j*M
+        onward."""
         b, m = q.shape[0], params.w_h.rows
         for t in vars(params).values():
             t.grad = None
@@ -177,12 +185,20 @@ class TestBatchedQueryEncoder:
                 onehot[:, 1] = 1.0
                 h0 = nk.matmul(Tensor2(onehot), embed)
             states = encode(params, q, h0)
-            loss = nk.mean_all(nk.mul(nk.hstack(states), Tensor2(weights)))
+            if isinstance(states, list):  # the per-query reference
+                loss = nk.mean_all(nk.mul(nk.hstack(states),
+                                          Tensor2(weights)))
+                states = key_block(states)
+            else:
+                l = q.shape[2]
+                block = weights.reshape(b, l, m).transpose(1, 0, 2)
+                loss = nk.mean_all(nk.mul(
+                    states, Tensor2(block.reshape(l * b, m))))
         nk.backward(tape, loss)
         grads = {n: t.grad for n, t in vars(params).items()}
         if embed is not None:
             grads["embed"] = embed.grad
-        return [h.data for h in states], grads
+        return states.data, grads
 
     @LITERAL
     @pytest.mark.parametrize("embedded", [True, False],
@@ -198,10 +214,8 @@ class TestBatchedQueryEncoder:
                                              embed, q, weights)
         got, got_g = self.states_and_grads(fluenet.encode_queries, params,
                                            embed, q, weights)
-        assert len(got) == l
-        for a, w in zip(got, want):
-            assert a.shape == (b, m)
-            assert np.max(np.abs(a - w)) < 1e-12
+        assert got.shape == want.shape == (l * b, m)
+        assert np.max(np.abs(got - want)) < 1e-12
         assert set(got_g) == set(want_g)
         for name in want_g:
             assert np.any(want_g[name] != 0.0), name
@@ -228,7 +242,7 @@ class TestAttention:
         att = self.make_att(rng, 3)
         h_tau = Tensor2(rng.normal(0, 1, (2, 3)))
         h_q = Tensor2(rng.normal(0, 1, (2, 3)))
-        ctx, w = fluenet.attend(att, h_tau, [h_q])
+        ctx, w = fluenet.attend(att, h_tau, key_block([h_q]))
         assert np.max(np.abs(w.data - 1.0)) < 1e-15
         assert np.max(np.abs(ctx.data - h_q.data @ att.w_v.data)) < 1e-12
 
@@ -237,7 +251,7 @@ class TestAttention:
         att = self.make_att(rng, 3)
         h_tau = Tensor2(rng.normal(0, 1, (1, 3)))
         h_q = Tensor2(rng.normal(0, 1, (1, 3)))
-        _, w = fluenet.attend(att, h_tau, [h_q, h_q.copy(), h_q.copy()])
+        _, w = fluenet.attend(att, h_tau, key_block([h_q, h_q, h_q]))
         assert np.max(np.abs(w.data - 1.0 / 3.0)) < 1e-15
 
     def test_numpy_formula_oracle(self):
@@ -247,7 +261,7 @@ class TestAttention:
         h_tau = rng.normal(0, 1, (b, m))
         hqs = [rng.normal(0, 1, (b, m)) for _ in range(l)]
         ctx, w = fluenet.attend(att, Tensor2(h_tau),
-                                [Tensor2(h) for h in hqs])
+                                Tensor2(np.concatenate(hqs)))
 
         s_q = h_tau @ att.w_q.data
         logits = np.stack([np.sum(s_q * (h @ att.w_k.data), axis=1)
@@ -263,8 +277,9 @@ class TestAttention:
         rng = Rng(23)
         att = self.make_att(rng, 3)
         _, w = fluenet.attend(att, Tensor2(rng.normal(0, 1, (4, 3))),
-                              [Tensor2(rng.normal(0, 1, (4, 3)))
-                               for _ in range(6)])
+                              Tensor2(np.concatenate(
+                                  [rng.normal(0, 1, (4, 3))
+                                   for _ in range(6)])))
         assert np.max(np.abs(w.data.sum(axis=1) - 1.0)) < 1e-12
 
     def test_permuting_queries_permutes_weights_only(self):
@@ -273,8 +288,9 @@ class TestAttention:
         h_tau = Tensor2(rng.normal(0, 1, (2, 3)))
         hqs = [Tensor2(rng.normal(0, 1, (2, 3))) for _ in range(4)]
         perm = [2, 0, 3, 1]
-        ctx_a, w_a = fluenet.attend(att, h_tau, hqs)
-        ctx_b, w_b = fluenet.attend(att, h_tau, [hqs[j] for j in perm])
+        ctx_a, w_a = fluenet.attend(att, h_tau, key_block(hqs))
+        ctx_b, w_b = fluenet.attend(att, h_tau,
+                                    key_block([hqs[j] for j in perm]))
         assert np.max(np.abs(ctx_a.data - ctx_b.data)) < 1e-12
         assert np.max(np.abs(w_b.data - w_a.data[:, perm])) < 1e-12
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,34 +217,26 @@ class TestBackward:
         assert_grad_close(a.grad, finite_difference(loss, a.data))
         assert_grad_close(bias.grad, finite_difference(loss, bias.data))
 
-    def test_tile_rows_and_row_block_gradients(self):
+    def test_tile_rows_gradients(self):
         rng = nk.Rng(37)
         a = Tensor2(rng.uniform(-1, 1, (2, 3)))
         w = Tensor2(rng.uniform(-1, 1, (6, 3)))
 
-        def blocks():
-            y = nk.tanh(nk.mul(nk.tile_rows(a, 3), w))
-            return [nk.row_block(y, 2 * j, 2 * j + 2) for j in (0, 2)]
-
         def loss():
-            p, r = blocks()
-            return nk.mean_all(nk.mul(p, nk.add(r, p))).item()
+            y = nk.tanh(nk.mul(nk.tile_rows(a, 3), w))
+            return nk.mean_all(nk.mul(y, y)).item()
 
         with nk.GradTape() as tape:
-            p, r = blocks()
-            l = nk.mean_all(nk.mul(p, nk.add(r, p)))
+            y = nk.tanh(nk.mul(nk.tile_rows(a, 3), w))
+            l = nk.mean_all(nk.mul(y, y))
         nk.backward(tape, l)
         assert_grad_close(a.grad, finite_difference(loss, a.data))
         assert_grad_close(w.grad, finite_difference(loss, w.data))
-        assert np.all(w.grad[2:4] == 0.0)
 
-    def test_tile_rows_and_row_block_values(self):
+    def test_tile_rows_values(self):
         a = Tensor2([[1.0, 2.0], [3.0, 4.0]])
         t = nk.tile_rows(a, 3)
         assert np.array_equal(t.data, np.vstack([a.data] * 3))
-        assert np.array_equal(nk.row_block(t, 2, 4).data, a.data)
-        with pytest.raises(nk.ShapeError):
-            nk.row_block(t, 4, 7)
         with pytest.raises(nk.ShapeError):
             nk.add_bias(a, Tensor2([[1.0, 2.0, 3.0]]))
 
@@ -250,7 +245,8 @@ class TestBackward:
         b, m, l = 3, 4, 5
         query = Tensor2(rng.uniform(-1, 1, (b, m)))
         maps = [Tensor2(rng.uniform(-1, 1, (m, m))) for _ in range(3)]
-        keys = [Tensor2(rng.uniform(-1, 1, (b, m))) for _ in range(l)]
+        keys = Tensor2(np.concatenate([rng.uniform(-1, 1, (b, m))
+                                       for _ in range(l)]))
         c = Tensor2(rng.uniform(-1, 1, (b, m)))
 
         def loss():
@@ -262,7 +258,7 @@ class TestBackward:
             assert len(tape) == 1
             l_ = nk.mean_all(nk.mul(nk.mul(ctx, ctx), c))
         nk.backward(tape, l_)
-        for t in [query] + maps + keys:
+        for t in [query] + maps + [keys]:
             assert_grad_close(t.grad, finite_difference(loss, t.data))
 
     @LITERAL
@@ -314,11 +310,11 @@ class TestBackward:
 
 
 def oracle_gru_sequence(steps, h0, u_z, u_r, u_h, w_z, w_r, w_h):
-    """`gru_sequence` as it was before its buffers were pooled: fresh
-    arrays every call, a (T, B, 3M) pre-activation block with the input
-    projection as one GEMM, z|r in one (T, B, 2M) block, and one
-    finiteness check after the loop. The kernel must match it bit for
-    bit, outputs and gradients."""
+    """`gru_sequence` in plain numpy: a fresh array for every result, a
+    (T, B, 3M) pre-activation block with the input projection as one
+    GEMM, z|r in one (T, B, 2M) block, and one finiteness check after
+    the loop. The kernel must match it bit for bit, outputs and
+    gradients."""
     steps = list(steps)
     b, m = h0.shape
     t_len = len(steps)
@@ -423,7 +419,7 @@ def assert_matches_oracle(case, taped, as_array):
 
 
 class TestGruSequenceMatchesOracle:
-    """The pooled kernel against the fresh-array kernel it replaced."""
+    """The kernel, with its per-step buffers, against the plain oracle."""
 
     @LITERAL
     @pytest.mark.parametrize("n_in", [1, 3])
@@ -433,7 +429,7 @@ class TestGruSequenceMatchesOracle:
                              ids=["tensors", "array"])
     def test_same_bits(self, gate, n_in, t_len, taped, as_array):
         case = gru_case(80 + t_len + n_in, t_len, 7, 5, n_in)
-        for _ in range(2):  # the second run takes its buffers from the pool
+        for _ in range(2):  # a second run gives the same bits
             assert_matches_oracle(case, taped, as_array)
 
     @LITERAL
@@ -477,33 +473,26 @@ class TestGruSequenceMatchesOracle:
         for t, w in zip([h0] + maps, want_g):
             assert_same_bits(t.grad, w)
 
-    def test_history_is_pooled_once_its_tape_is_collected(self):
-        xs, h0, maps, _ = gru_case(89, 5, 3, 2, 1)
-        history = ((6, 3, 2),) + ((5, 3, 2),) * 4
-        nk._FREE.clear()
-        with nk.GradTape() as tape:
-            nk.gru_sequence(xs, Tensor2(h0), *[Tensor2(t) for t in maps])
-        assert history not in nk._FREE
-        gru_run(nk.gru_sequence, (xs, h0, maps, h0), as_array=True)
-        assert len(nk._FREE[history]) == 1  # the run above, not the tape's
-        del tape
-        assert len(nk._FREE[history]) == 2
+    def test_memory_is_returned_once_the_tape_is_dropped(self):
+        # A shape no other test runs, so no earlier call can have left
+        # buffers of it allocated before tracing starts.
+        t_len, b, m = 26, 41, 23
+        case = gru_case(89, t_len, b, m, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = gru_run(nk.gru_sequence, case, as_array=True)
+            del result
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert left < t_len * b * m * 8  # one (T, B, M) history block
 
-    def test_pool_keeps_the_most_recent_shapes(self):
-        for b in range(1, 2 * nk._FREE_SHAPES):
-            gru_run(nk.gru_sequence, gru_case(90, 2, b, 2, 1), taped=False)
-        assert len(nk._FREE) <= nk._FREE_SHAPES
-        assert ((b, 4), (b, 4), (b, 2), (b, 2)) in nk._FREE
-
-    def test_grads_do_not_alias_pooled_buffers(self):
+    def test_grads_unchanged_by_a_later_run(self):
         case = gru_case(86, 26, 6, 4, 1)
-        for _ in range(2):  # the second run takes its buffers from the pool
+        for _ in range(2):
             _, grads = gru_run(nk.gru_sequence, case)
-            pooled = [buf for sets in nk._FREE.values() for bufs in sets
-                      for buf in bufs]
-            assert pooled
-            assert not any(np.shares_memory(g, buf)
-                           for g in grads for buf in pooled)
             kept = [g.copy() for g in grads]
             gru_run(nk.gru_sequence, gru_case(87, 26, 6, 4, 1))
             for g, k in zip(grads, kept):

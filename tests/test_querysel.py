@@ -268,6 +268,22 @@ class TestEmbeddingIo:
         table = querysel.load_embeddings(str(path), "en")
         assert len(table) == 2
 
+    def test_one_dimensional_first_row_is_not_a_header(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("flu 1.0\nfever 2.0\n", encoding="utf-8")
+        table = querysel.load_embeddings(str(path), "en")
+        assert table.vocabulary() == ["flu", "fever"]
+        assert table.dim == 1
+
+    def test_trailing_space_adds_no_component(self, tmp_path):
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\nflu 1.0 2.0 \nfever 3.0 4.0 \n",
+                        encoding="utf-8")
+        table = querysel.load_embeddings(str(path), "en")
+        assert table.vocabulary() == ["flu", "fever"]
+        assert table.dim == 2
+        assert np.array_equal(table.vector("flu"), [1.0, 2.0])
+
     def test_vectors_are_rows_of_one_matrix(self):
         table = EmbeddingTable("xx", ["b", "a", "b", "c"],
                                [[1, 2], [3, 4], [5, 6], [7, 8]])

@@ -208,7 +208,7 @@ class TestFit:
         assert model.country_embed is None
 
     def test_no_tape_alive_during_validation(self, monkeypatch):
-        # A live tape keeps its GRU histories out of the buffer pool.
+        # A live tape keeps its GRU histories allocated.
         validation_mse = trainer._validation_mse
         tapes = []
 
