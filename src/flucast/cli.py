@@ -12,11 +12,11 @@ import sys
 
 import numpy as np
 
-from . import datahub, decompose, evalbench, fluenet, querysel, trainer
+from . import Error, datahub, decompose, evalbench, fluenet, querysel, trainer
 from . import numkit as nk
 
 
-class ConfigError(ValueError):
+class ConfigError(Error):
     pass
 
 
@@ -35,45 +35,38 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _get(cfg, key, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"missing config key {key!r}")
-    return default
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
-def _cast(key, raw, cast):
+def _get(cfg, key, default=..., cast=str):
+    """The value of config `key` read by `cast`, or `default` when the key
+    is absent; with no default the key is required.
+
+    `cast` is str, int, float or bool, or a one-type tuple such as
+    (float,) for a comma-separated list, read as a tuple. A boolean is
+    true, yes, on or 1, or false, no, off or 0, in any case. A value that
+    does not read is a ConfigError naming the key.
+    """
+    if key not in cfg:
+        if default is ...:
+            raise ConfigError(f"missing config key {key!r}")
+        return default
+    raw = cfg[key]
+    if isinstance(cast, tuple):
+        return tuple(_get({key: v.strip()}, key, cast=cast[0])
+                     for v in raw.split(",") if v.strip())
     try:
-        return cast(raw)
-    except ValueError:
+        return _BOOLS[raw.lower()] if cast is bool else cast(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"config key {key!r}: malformed {cast.__name__} "
                           f"{raw!r}") from None
-
-
-def _get_num(cfg, key, default, cast=int):
-    raw = _get(cfg, key)
-    return default if raw is None else _cast(key, raw, cast)
-
-
-def _get_list(cfg, key, default=None, cast=str):
-    raw = _get(cfg, key)
-    if raw is None:
-        return default
-    return [_cast(key, v.strip(), cast) for v in raw.split(",") if v.strip()]
-
-
-def _get_bool(cfg, key, default=False):
-    raw = _get(cfg, key)
-    if raw is None:
-        return default
-    return raw.lower() in ("1", "true", "yes", "on")
 
 
 def _load_ili(cfg, countries) -> dict:
     """The ILI series of each named country, in the given order; a
     country with no rows in the file is a DataError naming both."""
-    path = _get(cfg, "data.ili", required=True)
+    path = _get(cfg, "data.ili")
     series = datahub.load_ili(path)
     missing = [c for c in countries if c not in series]
     if missing:
@@ -83,22 +76,20 @@ def _load_ili(cfg, countries) -> dict:
 
 
 def _split(cfg, series) -> datahub.SplitPlan:
-    test_start = datahub.parse_week(_get(cfg, "split.test_start",
-                                         required=True))
-    test_len = _get_num(cfg, "split.test_len", 52)
+    test_start = datahub.parse_week(_get(cfg, "split.test_start"))
+    test_len = _get(cfg, "split.test_len", 52, int)
     if test_len < 1:
         raise ConfigError(f"split.test_len must be >= 1, got {test_len}")
     return datahub.split_plan(series, test_start, test_len)
 
 
 def _query_list(cfg, country) -> list:
-    return querysel.read_selected(_get(cfg, f"queries.{country}",
-                                       required=True))
+    return querysel.read_selected(_get(cfg, f"queries.{country}"))
 
 
 def _trends(cfg, series, queries) -> datahub.QueryPanel:
-    return datahub.load_trends(_get(cfg, "data.trends_dir", required=True),
-                               series.country, queries, series)
+    return datahub.load_trends(_get(cfg, "data.trends_dir"), series.country,
+                               queries, series)
 
 
 def _fit_country(cfg, series, use_queries) -> tuple:
@@ -219,10 +210,10 @@ def _prepare_trained(cfg, ckpt, model, extra) -> dict:
 def _countries(cfg, args):
     if getattr(args, "countries", None):
         return [c.strip() for c in args.countries.split(",")]
-    lst = _get_list(cfg, "countries")
-    if not lst:
+    countries = _get(cfg, "countries", (), (str,))
+    if not countries:
         raise ConfigError("missing config key 'countries'")
-    return lst
+    return countries
 
 
 def cmd_decompose(cfg, args) -> int:
@@ -248,12 +239,11 @@ def cmd_decompose(cfg, args) -> int:
 
 
 def cmd_select_queries(cfg, args) -> int:
-    english = querysel.read_selected(_get(cfg, "querysel.english_queries",
-                                          required=True))
+    english = querysel.read_selected(_get(cfg, "querysel.english_queries"))
     out_path = os.path.join(args.out, "selected_queries.csv")
     if args.method == "mapping":
         selected = querysel.translation_select(
-            _get(cfg, "querysel.mapping", required=True), english)
+            _get(cfg, "querysel.mapping"), english)
         cands = [querysel.QueryCandidate(english=e, candidate=s,
                                          theta_w=float("nan"),
                                          theta_t=float("nan"))
@@ -263,18 +253,18 @@ def cmd_select_queries(cfg, args) -> int:
         return 0
 
     source = querysel.load_embeddings(
-        _get(cfg, "querysel.source_embeddings", required=True), "source")
+        _get(cfg, "querysel.source_embeddings"), "source")
     target = querysel.load_embeddings(
-        _get(cfg, "querysel.target_embeddings", required=True), "target")
+        _get(cfg, "querysel.target_embeddings"), "target")
     stopwords = set()
     for key in ("querysel.source_stopwords", "querysel.target_stopwords"):
-        path = _get(cfg, key)
+        path = _get(cfg, key, None)
         if path:
             stopwords |= querysel.load_stopwords(path)
-    country = _get(cfg, "querysel.country", required=True)
+    country = _get(cfg, "querysel.country")
     series = _load_ili(cfg, [country])[country]
     fit_len = _split(cfg, series).train_len
-    cand_dir = _get(cfg, "querysel.candidates_dir", required=True)
+    cand_dir = _get(cfg, "querysel.candidates_dir")
 
     def provider(candidate):
         path = os.path.join(cand_dir, datahub.query_slug(candidate) + ".csv")
@@ -284,28 +274,33 @@ def cmd_select_queries(cfg, args) -> int:
 
     selected = querysel.wt_select(
         english, source, target, provider, series.values[:fit_len],
-        k=_get_num(cfg, "querysel.k", 100), stopwords=stopwords)
+        k=_get(cfg, "querysel.k", 100, int), stopwords=stopwords)
     querysel.write_selected(out_path, selected)
     print(f"wrote {out_path}")
     return 0
 
 
 def _train_config(cfg, args) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        n_in=_get_num(cfg, "model.n", 52),
-        s_out=_get_num(cfg, "model.s", 5),
-        lr_grid=tuple(_get_list(cfg, "train.lr_grid",
-                                [0.001, 0.01, 0.1, 1.0], float)),
-        m_grid=tuple(_get_list(cfg, "train.m_grid", [8, 16, 32, 64], int)),
-        max_epochs=_get_num(cfg, "train.max_epochs", 300),
-        patience=_get_num(cfg, "train.patience", 20),
-        batch_size=_get_num(cfg, "train.batch_size", 32),
+    """The training settings that are set, by a key or by --seed; the
+    TrainConfig defaults stand for the rest."""
+    settings = dict(
+        n_in=_get(cfg, "model.n", None, int),
+        s_out=_get(cfg, "model.s", None, int),
+        lr_grid=_get(cfg, "train.lr_grid", None, (float,)),
+        m_grid=_get(cfg, "train.m_grid", None, (int,)),
+        max_epochs=_get(cfg, "train.max_epochs", None, int),
+        patience=_get(cfg, "train.patience", None, int),
+        batch_size=_get(cfg, "train.batch_size", None, int),
         seed=args.seed if args.seed is not None
-        else _get_num(cfg, "seed", 0),
-        use_queries=not (args.no_queries or _get_bool(cfg, "no_queries")),
-        use_country_embedding=not (args.no_country_embedding
-                                   or _get_bool(cfg, "no_country_embedding")),
-        arch=_get(cfg, "model.arch", "proposed"))
+        else _get(cfg, "seed", None, int),
+        use_queries=not (args.no_queries
+                         or _get(cfg, "no_queries", False, bool)),
+        use_country_embedding=not (
+            args.no_country_embedding
+            or _get(cfg, "no_country_embedding", False, bool)),
+        arch=_get(cfg, "model.arch", None))
+    return trainer.TrainConfig(**{k: v for k, v in settings.items()
+                                  if v is not None})
 
 
 def cmd_train(cfg, args) -> int:
@@ -393,7 +388,7 @@ def cmd_forecast(cfg, args) -> int:
 
 def cmd_correlate(cfg, args) -> int:
     countries = _countries(cfg, args)
-    shifts = {c: _get_num(cfg, f"correlate.shift.{c}", 0)
+    shifts = {c: _get(cfg, f"correlate.shift.{c}", 0, int)
               for c in countries}
     matrix = evalbench.correlation_report(_load_ili(cfg, countries), shifts)
     path = os.path.join(args.out, "correlations.csv")
@@ -445,12 +440,7 @@ def main(argv=None) -> int:
             "correlate": cmd_correlate,
         }[args.command]
         return handler(cfg, args)
-    except (ConfigError, datahub.DataError, querysel.SelectionError,
-            querysel.MappingError, querysel.EmptyContentError,
-            evalbench.MetricError,
-            trainer.TrainingError, decompose.ParameterError,
-            decompose.InsufficientDataError, nk.ContractError,
-            nk.NonFiniteError, nk.ShapeError, OSError, KeyError) as e:
+    except (Error, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

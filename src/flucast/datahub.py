@@ -18,20 +18,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import Error
+
 WEEKS_PER_YEAR = 52
 
 _WEEK_RE = re.compile(r"^(\d{4})-W(\d{2})$")
 
 
-class DataError(ValueError):
-    pass
-
-
-class MissingWeekError(DataError):
-    pass
-
-
-class AlignmentError(DataError):
+class DataError(Error):
     pass
 
 
@@ -82,7 +76,7 @@ class WeeklySeries:
 
     def pos(self, week: int) -> int:
         if not self.start <= week <= self.end:
-            raise AlignmentError(
+            raise DataError(
                 f"{self.country}: week {format_week(week)} outside "
                 f"{format_week(self.start)}..{format_week(self.end)}")
         return week - self.start
@@ -163,6 +157,18 @@ def _columns(header, names) -> list:
     return [index.get(n) for n in names]
 
 
+@contextlib.contextmanager
+def _csv_reader(path: str, lines):
+    """A `csv.reader` over `lines`, read from the file at `path`; a row it
+    cannot read, such as one with a field over `csv.field_size_limit()`,
+    is a DataError naming `path:line`."""
+    reader = csv.reader(lines)
+    try:
+        yield reader
+    except csv.Error as e:
+        raise DataError(f"{path}:{reader.line_num}: {e}") from None
+
+
 def _rows(reader):
     """(line number, row) for each non-blank data row after the header.
 
@@ -187,8 +193,7 @@ def load_ili(path: str) -> dict:
     """Read ili.csv (iso_week,country,ili_rate) into per-country series."""
     rows = {}
     names = ("iso_week", "country", "ili_rate")
-    with open_text(path, newline="") as f:
-        reader = csv.reader(f)
+    with open_text(path, newline="") as f, _csv_reader(path, f) as reader:
         cols = _columns(next(reader, None), names)
         if None in cols:
             raise DataError(f"{path}: header must contain {sorted(names)}")
@@ -210,8 +215,7 @@ def load_ili(path: str) -> dict:
         missing = [format_week(w) for w in range(weeks[0], weeks[-1] + 1)
                    if w not in by_week]
         if missing:
-            raise MissingWeekError(
-                f"{country}: missing weeks {', '.join(missing)}")
+            raise DataError(f"{country}: missing weeks {', '.join(missing)}")
         out[country] = WeeklySeries(
             country=country, start=weeks[0],
             values=np.array([by_week[w] for w in weeks]))
@@ -234,8 +238,7 @@ def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
     """
     names = ("iso_week", "value")
     by_week = {}
-    with open_text(path, newline="") as f:
-        reader = csv.reader(f)
+    with open_text(path, newline="") as f, _csv_reader(path, f) as reader:
         cols = _columns(next(reader, None), names)
         for lineno, row in _rows(reader):
             week, value = _fields(path, lineno, row, cols, names)
@@ -281,7 +284,7 @@ def minmax_fit_apply(panel: QueryPanel, training_range) -> tuple:
     a = lo - panel.start
     b = hi - panel.start + 1
     if not (0 <= a < b <= panel.matrix.shape[0]):
-        raise AlignmentError(f"training range {training_range} outside panel")
+        raise DataError(f"training range {training_range} outside panel")
     stats = []
     for j, q in enumerate(panel.queries):
         col = panel.matrix[a:b, j]
@@ -317,10 +320,10 @@ def make_windows(series: WeeklySeries, panel, seasonal: np.ndarray,
         raise DataError(f"range {format_week(lo)}..{format_week(hi)} shorter "
                         f"than N+S = {n_in + n_out}")
     if len(seasonal) != len(series):
-        raise AlignmentError("seasonal array length mismatch")
+        raise DataError("seasonal array length mismatch")
     if panel is not None and (panel.start != series.start
                               or panel.matrix.shape[0] != len(series)):
-        raise AlignmentError("query panel not aligned to series")
+        raise DataError("query panel not aligned to series")
     t = np.arange(series.pos(lo) + n_in - 1, series.pos(hi) - n_out + 1)
     inp = t[:, None] + np.arange(1 - n_in, 1)  # (W, N) input positions
     out = t[:, None] + np.arange(1, n_out + 1)  # (W, S) target positions

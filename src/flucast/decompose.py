@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class ParameterError(ValueError):
-    pass
+from . import Error
 
 
-class InsufficientDataError(ValueError):
+class ParameterError(Error):
     pass
 
 
@@ -133,7 +131,7 @@ def stl_decompose(series, period: int) -> Decomposition:
     y = np.asarray(series, dtype=np.float64)
     n = len(y)
     if n < 2 * period:
-        raise InsufficientDataError(
+        raise ParameterError(
             f"need at least {2 * period} points for period {period}, got {n}")
     if np.any(~np.isfinite(y)):
         raise ParameterError("series contains missing or non-finite values")
@@ -192,7 +190,7 @@ def extend_seasonal(seasonal: np.ndarray, period: int, length: int
     fitted position in its phase (position mod the period)."""
     n = len(seasonal)
     if n < period:
-        raise InsufficientDataError("seasonal shorter than one period")
+        raise ParameterError("seasonal shorter than one period")
     i = np.arange(length)
     past = n - period + (i - n) % period
     return seasonal[np.where(i < n, i, past)]

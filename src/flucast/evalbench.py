@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datahub, fluenet
+from . import Error, datahub, fluenet
 from .querysel import pearson
 
 
-class MetricError(ValueError):
+class MetricError(Error):
     pass
 
 

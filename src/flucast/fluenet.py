@@ -32,10 +32,6 @@ from . import numkit as nk
 from .numkit import Tensor2
 
 
-class UnknownCountryError(KeyError):
-    pass
-
-
 ARCHS = ("proposed", "gru_baseline")
 
 
@@ -160,8 +156,8 @@ class ModelParams:
         try:
             return self.countries.index(country) + 1
         except ValueError:
-            raise UnknownCountryError(f"unregistered country {country!r}"
-                                      ) from None
+            raise nk.ContractError(f"unregistered country {country!r}"
+                                   ) from None
 
     def named_params(self) -> dict:
         """Every tensor by name, in walk order; the model's own dict."""

@@ -26,17 +26,16 @@ import os
 
 import numpy as np
 
-
-class ShapeError(ValueError):
-    """Operand shapes are inconsistent for the requested operation."""
+from . import Error
 
 
-class NonFiniteError(FloatingPointError):
+class NonFiniteError(Error):
     """An operation produced NaN or Inf."""
 
 
-class ContractError(ValueError):
-    """A caller violated an operation precondition."""
+class ContractError(Error):
+    """A caller violated an operation precondition, such as operand
+    shapes that do not fit the operation."""
 
 
 class Tensor2:
@@ -49,7 +48,8 @@ class Tensor2:
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
-            raise ShapeError(f"Tensor2 requires 2-D data, got ndim={arr.ndim}")
+            raise ContractError(
+                f"Tensor2 requires 2-D data, got ndim={arr.ndim}")
         self.data = arr
         self.grad = None  # filled in by backward()
 
@@ -131,7 +131,7 @@ def _emit(out_data, inputs, backward_fn, op: str) -> Tensor2:
 
 def matmul(a: Tensor2, b: Tensor2) -> Tensor2:
     if a.cols != b.rows:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+        raise ContractError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
     def bw(g):
         return [g @ b.data.T, a.data.T @ g]
@@ -141,19 +141,19 @@ def matmul(a: Tensor2, b: Tensor2) -> Tensor2:
 
 def add(a: Tensor2, b: Tensor2) -> Tensor2:
     if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
+        raise ContractError(f"add shape mismatch: {a.shape} vs {b.shape}")
     return _emit(a.data + b.data, [a, b], lambda g: [g, g], "add")
 
 
 def sub(a: Tensor2, b: Tensor2) -> Tensor2:
     if a.shape != b.shape:
-        raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
+        raise ContractError(f"sub shape mismatch: {a.shape} vs {b.shape}")
     return _emit(a.data - b.data, [a, b], lambda g: [g, -g], "sub")
 
 
 def mul(a: Tensor2, b: Tensor2) -> Tensor2:
     if a.shape != b.shape:
-        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
+        raise ContractError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     return _emit(a.data * b.data, [a, b],
                  lambda g: [g * b.data, g * a.data], "mul")
 
@@ -180,8 +180,8 @@ def hstack(tensors) -> Tensor2:
         raise ContractError("hstack of nothing")
     r = tensors[0].rows
     if any(t.rows != r for t in tensors):
-        raise ShapeError("hstack row mismatch: "
-                         + ", ".join(str(t.shape) for t in tensors))
+        raise ContractError("hstack row mismatch: "
+                            + ", ".join(str(t.shape) for t in tensors))
     widths = [t.cols for t in tensors]
 
     def bw(g):
@@ -198,7 +198,8 @@ def hstack(tensors) -> Tensor2:
 def add_bias(a: Tensor2, bias: Tensor2) -> Tensor2:
     """a + bias, with the 1 x cols bias broadcast over every row of a."""
     if bias.shape != (1, a.cols):
-        raise ShapeError(f"add_bias shape mismatch: {a.shape} + {bias.shape}")
+        raise ContractError(
+            f"add_bias shape mismatch: {a.shape} + {bias.shape}")
     return _emit(a.data + bias.data, [a, bias],
                  lambda g: [g, g.sum(axis=0, keepdims=True)], "add_bias")
 
@@ -228,7 +229,7 @@ def dot_attention(query: Tensor2, w_q: Tensor2, w_k: Tensor2,
     b, m = query.shape
     if (keys.rows == 0 or keys.rows % b or keys.cols != m
             or any(w.shape != (m, m) for w in (w_q, w_k, w_v))):
-        raise ShapeError(
+        raise ContractError(
             f"dot_attention shape mismatch: query {query.shape}, maps "
             f"{[w.shape for w in (w_q, w_k, w_v)]}, keys {keys.shape}")
     h = np.ascontiguousarray(
@@ -286,7 +287,8 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
     projection is x * [U_z|U_r|U_h] per step when in = 1 (an outer
     product), else one GEMM over all T steps. Each step's z|r and h
     pre-activations are checked for NaN and inf, which the sigmoid and
-    tanh would hide; the error names the first bad step. Every
+    tanh would hide; the error names the first bad step, so numpy's
+    overflow and invalid-value warnings are off for the run. Every
     elementwise op writes into a preallocated buffer with the operand
     order of the formulas, so no result depends on the buffer layout.
 
@@ -304,8 +306,8 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
     if isinstance(steps, np.ndarray):
         xs, steps = np.ascontiguousarray(steps, dtype=np.float64), []
         if xs.ndim != 3:
-            raise ShapeError(f"gru_sequence input array must be (T, B, in), "
-                             f"got shape {xs.shape}")
+            raise ContractError(f"gru_sequence input array must be (T, B, "
+                                f"in), got shape {xs.shape}")
         t_len, step_shapes = len(xs), {xs.shape[1:]}
     else:
         steps = list(steps)
@@ -315,7 +317,7 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
     if (step_shapes != {(b, n_in)}
             or any(u.shape != (n_in, m) for u in (u_z, u_r, u_h))
             or any(w.shape != (m, m) for w in (w_z, w_r, w_h))):
-        raise ShapeError(
+        raise ContractError(
             f"gru_sequence shape mismatch: h0 {h0.shape}, steps "
             f"{sorted(step_shapes)}, maps "
             f"{[t.shape for t in (u_z, u_r, u_h, w_z, w_r, w_h)]}")
@@ -327,7 +329,9 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
     keep = t_len if taped else 1
     hist = [np.empty((keep + 1, b, m))] + [np.empty((keep, b, m))
                                            for _ in range(4)]
-    h_last = _gru_forward(xs, h0.data, u_all, w_zr, w_h.data, hist).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_last = _gru_forward(xs, h0.data, u_all, w_zr, w_h.data,
+                              hist).copy()
     if not taped:
         return Tensor2(h_last, copy=False)
 
@@ -539,8 +543,9 @@ class Adam:
             m, v, t = self._states.get(name) or (
                 np.zeros(p.shape), np.zeros(p.shape), 0)
             if grad.shape != p.shape or m.shape != p.shape:
-                raise ShapeError(f"adam_step shape mismatch: param {p.shape}, "
-                                 f"grad {grad.shape}, state {m.shape}")
+                raise ContractError(
+                    f"adam_step shape mismatch: param {p.shape}, "
+                    f"grad {grad.shape}, state {m.shape}")
             t += 1
             m = _BETA1 * m + (1.0 - _BETA1) * grad
             v = _BETA2 * v + (1.0 - _BETA2) * grad * grad

@@ -21,26 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datahub import DataError, _columns, _fields, _rows, open_text
+from . import Error
+from .datahub import (DataError, _columns, _csv_reader, _fields, _rows,
+                      open_text)
 
 
-class OOVError(KeyError):
+class DegenerateInputError(Error):
     pass
 
 
-class DegenerateInputError(ValueError):
-    pass
-
-
-class EmptyContentError(ValueError):
-    pass
-
-
-class SelectionError(ValueError):
-    pass
-
-
-class MappingError(ValueError):
+class SelectionError(Error):
     pass
 
 
@@ -81,8 +71,8 @@ class EmbeddingTable:
         try:
             return self._table[word]
         except KeyError:
-            raise OOVError(f"{word!r} not in {self.language} vocabulary"
-                           ) from None
+            raise SelectionError(f"{word!r} not in {self.language} "
+                                 f"vocabulary") from None
 
 
 def load_embeddings(path: str, language: str) -> EmbeddingTable:
@@ -90,8 +80,9 @@ def load_embeddings(path: str, language: str) -> EmbeddingTable:
 
     Line 1 is the header only when both its fields are integers.
     Trailing whitespace, as fastText `.vec` rows have, adds no component.
-    A component that is not a number, or a row whose length differs from
-    the first row's, is a DataError naming `path:line`.
+    Blank lines are skipped. A word with no components, a component that
+    is not a number, or a row whose length differs from the first row's,
+    is a DataError naming `path:line`.
     """
     words, vectors = [], []
     with open_text(path) as f:
@@ -100,8 +91,11 @@ def load_embeddings(path: str, language: str) -> EmbeddingTable:
             if lineno == 1 and len(parts) == 2 and all(
                     p.isdecimal() for p in parts):
                 continue  # header line
+            if parts == [""]:
+                continue  # blank line
             if len(parts) < 2:
-                continue
+                raise DataError(f"{path}:{lineno}: word {parts[0]!r} has no "
+                                f"components")
             try:
                 vector = list(map(float, parts[1:]))
             except ValueError as e:
@@ -185,7 +179,7 @@ def pearson(a, b) -> float:
 def _content_tokens(query: str, stopwords: set) -> list:
     tokens = [t for t in query.split() if t and t not in stopwords]
     if not tokens:
-        raise EmptyContentError(f"query {query!r} has only stopwords")
+        raise SelectionError(f"query {query!r} has only stopwords")
     return tokens
 
 
@@ -248,8 +242,8 @@ def translation_select(mapping_path: str, english_queries) -> list:
     """
     names = ("english", "translated")
     mapping = {}
-    with open_text(mapping_path, newline="") as f:
-        reader = csv.reader(f)
+    with open_text(mapping_path, newline="") as f, \
+            _csv_reader(mapping_path, f) as reader:
         cols = _columns(next(reader, None), names)
         absent = [n for n, c in zip(names, cols) if c is None]
         if absent:
@@ -260,7 +254,7 @@ def translation_select(mapping_path: str, english_queries) -> list:
             mapping[english] = translated
     missing = [q for q in english_queries if q not in mapping]
     if missing:
-        raise MappingError(f"mapping file lacks rows for {missing}")
+        raise SelectionError(f"mapping file lacks rows for {missing}")
     return [mapping[q] for q in english_queries]
 
 
@@ -281,10 +275,11 @@ def read_selected(path: str) -> list:
     """
     with open_text(path, newline="") as f:
         lines = [line.strip() for line in f]
-    rows = _rows(csv.reader(lines))
-    _, header = next(rows, (0, []))
-    cols = _columns([c.strip() for c in header], ["selected"])
-    if None in cols:
-        return [line for line in lines if line]
-    return [_fields(path, lineno, row, cols, ["selected"])[0]
-            for lineno, row in rows]
+    with _csv_reader(path, lines) as reader:
+        rows = _rows(reader)
+        _, header = next(rows, (0, []))
+        cols = _columns([c.strip() for c in header], ["selected"])
+        if None in cols:
+            return [line for line in lines if line]
+        return [_fields(path, lineno, row, cols, ["selected"])[0]
+                for lineno, row in rows]

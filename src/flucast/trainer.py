@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fluenet
+from . import Error, fluenet
 from . import numkit as nk
 from .numkit import Tensor2
 
 
-class TrainingError(ValueError):
+class TrainingError(Error):
     pass
 
 
@@ -85,7 +85,7 @@ def mse_loss(o_hat: Tensor2, o: np.ndarray) -> Tensor2:
     """Mean over batch and horizon of squared error, as a 1x1 tensor."""
     target = Tensor2(o)
     if o_hat.shape != target.shape:
-        raise nk.ShapeError(
+        raise nk.ContractError(
             f"mse_loss shape mismatch: {o_hat.shape} vs {target.shape}")
     d = nk.sub(o_hat, target)
     return nk.mean_all(nk.mul(d, d))
@@ -216,10 +216,12 @@ def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
 
 def _train_point(config, data, l_queries, points, gi):
     """Grid point gi's (model, log, best val mse), or the NonFiniteError
-    that ended it."""
+    that ended it. numpy's overflow warnings are off: the forward ops'
+    own checks report a divergence, wherever the overflow started."""
     lr, m = points[gi]
     try:
-        return _train_one(config, data, l_queries, lr, m, gi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _train_one(config, data, l_queries, lr, m, gi)
     except nk.NonFiniteError as e:
         return e
 

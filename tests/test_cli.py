@@ -1,7 +1,10 @@
+import argparse
 import ast
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -179,6 +182,18 @@ class TestConfigParsing:
         path.write_text("not a pair\n", encoding="utf-8")
         with pytest.raises(cli.ConfigError, match=":1:"):
             cli.load_config(str(path))
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("Yes", True), ("ON", True), ("1", True),
+        ("false", False), ("No", False), ("off", False), ("0", False)])
+    def test_boolean_spellings(self, text, value):
+        assert cli._get({"no_queries": text}, "no_queries", False,
+                        bool) is value
+
+    def test_unset_training_keys_take_the_train_config_defaults(self):
+        args = argparse.Namespace(seed=None, no_queries=False,
+                                  no_country_embedding=False)
+        assert cli._train_config({}, args) == trainer.TrainConfig()
 
     def test_missing_required_key_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
@@ -596,9 +611,8 @@ class TestBadInput:
     @pytest.mark.parametrize("name, edit, message", [
         ("shared.decoder.w_h", put_nan,
          "checkpoint tensor shared.decoder.w_h holds non-finite values"),
-        pytest.param("shared.ili_encoder.u_h", put_huge,
-                     "gru_sequence produced non-finite values",
-                     marks=pytest.mark.filterwarnings("ignore:overflow")),
+        ("shared.ili_encoder.u_h", put_huge,
+         "gru_sequence produced non-finite values"),
         ("shared.decoder.w_h", flatten,
          "checkpoint tensor shared.decoder.w_h shape mismatch")],
         ids=["nan", "overflow", "reshaped"])
@@ -941,6 +955,120 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             f"error: {ili}: no rows for country US\n")
 
+    def test_malformed_boolean_is_refused(self, tmp_path, capsys,
+                                          monkeypatch):
+        """A boolean outside true false yes no on off 1 0 is an error, not
+        false: `no_queries = ture` would train with queries."""
+        monkeypatch.setattr(trainer, "_train_one", lambda *a: pytest.fail(
+            "a grid point trained"))
+        config = build_workspace(tmp_path)
+        config.write_text(config.read_text(encoding="utf-8")
+                          + "no_queries = ture\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", "train", "--countries",
+                   "US") == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'no_queries': malformed bool 'ture'\n")
+
+    def test_out_of_vocabulary_word_is_one_line(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        config, _ = build_wt_inputs(tmp_path, config, tmp_path)
+        (tmp_path / "english.txt").write_text("flu fever\nzzz\n",
+                                              encoding="utf-8")
+        assert run(config, tmp_path / "out", "select-queries") == 1
+        assert capsys.readouterr().err == (
+            "error: 'zzz' not in source vocabulary\n")
+
+    @pytest.mark.parametrize("case", [
+        "ili", "ili_header", "trends", "query_list", "mapping"])
+    def test_oversized_csv_field_is_one_line(self, tmp_path, capsys, case):
+        """A field over csv's size limit is a DataError naming the line,
+        in a header or a data row."""
+        config = build_workspace(tmp_path)
+        argv, lineno = ["train", "--countries", "US"], 6
+        if case.startswith("ili"):
+            path, argv = tmp_path / "ili.csv", ["decompose"]
+            lineno = 1 if case == "ili_header" else lineno
+        elif case == "trends":
+            path = tmp_path / "trends" / "US" / "flu_fever.csv"
+        elif case == "query_list":
+            path, lineno = tmp_path / "queries.txt", 1
+        else:
+            path, lineno = tmp_path / "map.csv", 3
+            path.write_text("english,translated\nflu fever,gripe\n"
+                            "cold remedy,remedio\n", encoding="utf-8")
+            config.write_text(config.read_text(encoding="utf-8")
+                              + f"querysel.english_queries = "
+                                f"{tmp_path / 'queries.txt'}\n"
+                                f"querysel.mapping = {path}\n",
+                              encoding="utf-8")
+            argv = ["select-queries", "--method", "mapping"]
+        limit = csv.field_size_limit()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[lineno - 1] = "1" * (limit + 1)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", *argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{lineno}: field larger than field limit "
+            f"({limit})\n")
+
+    def test_word_only_embeddings_row_is_one_line(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        config, _ = build_wt_inputs(tmp_path, config, tmp_path)
+        path = tmp_path / "tgt.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.insert(2, "gripa")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", "select-queries") == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: word 'gripa' has no components\n")
+
+    def test_diverged_grid_point_leaves_stderr_clean(self, tmp_path):
+        """A grid point that overflows is reported by the kernel's own
+        check, so no numpy RuntimeWarning reaches stderr, in the grid
+        point's process or another."""
+        config = build_workspace(tmp_path)
+        config.write_text(config.read_text(encoding="utf-8")
+                          + "train.lr_grid = 1e300,0.01\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "flucast.cli", "--config", str(config),
+             "--out", str(tmp_path / "out"), "train"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0
+        assert "lr=0.01" in done.stdout
+        assert done.stderr == ""
+
+    def test_a_bug_is_a_traceback_not_an_error_line(self, tmp_path,
+                                                    monkeypatch):
+        """Only flucast errors and OSError become `error:` lines; a
+        KeyError from a bug keeps its traceback."""
+        def bug(cfg, args):
+            raise KeyError("name")
+
+        monkeypatch.setattr(cli, "cmd_decompose", bug)
+        config = build_workspace(tmp_path)
+        with pytest.raises(KeyError):
+            run(config, tmp_path / "out", "decompose")
+
+
+def test_every_exception_class_derives_from_the_base():
+    """Each exception class a flucast module defines is a flucast.Error,
+    so `cli.main` reports it as one line."""
+    import flucast
+
+    defined = {}
+    for info in pkgutil.iter_modules(flucast.__path__):
+        module = importlib.import_module(f"flucast.{info.name}")
+        defined.update({f"{module.__name__}.{name}": obj
+                        for name, obj in vars(module).items()
+                        if isinstance(obj, type)
+                        and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__})
+    assert "flucast.numkit.ContractError" in defined
+    assert [n for n, cls in defined.items()
+            if not issubclass(cls, flucast.Error)] == []
+
 
 class TestCorrelateCommand:
     def test_matrix_shape_and_diagonal(self, workspace, tmp_path):
@@ -967,13 +1095,13 @@ class TestCorrelateCommand:
         assert base != shifted
 
 
-CONFIG_GETTERS = {"_get", "_get_num", "_get_list", "_get_bool"}
+CONFIG_READER = "_get"
 
 
 def keys_cli_reads():
-    """The config keys cli.py passes to its getters, `<CC>` standing for
-    a country. A key passed by name must come from a `for` loop over
-    string literals; the getters forward their own `key` argument."""
+    """The config keys cli.py passes to its config reader, `<CC>` standing
+    for a country. A key passed by name must come from a `for` loop over
+    string literals; the reader forwards its own `key` argument."""
     with open(cli.__file__, encoding="utf-8") as f:
         tree = ast.parse(f.read())
     looped = {node.target.id: [e.value for e in node.iter.elts]
@@ -982,11 +1110,11 @@ def keys_cli_reads():
               and isinstance(node.iter, ast.Tuple)}
     keys = set()
     for fn in ast.walk(tree):
-        if not isinstance(fn, ast.FunctionDef) or fn.name in CONFIG_GETTERS:
+        if not isinstance(fn, ast.FunctionDef) or fn.name == CONFIG_READER:
             continue
         for call in ast.walk(fn):
             if not (isinstance(call, ast.Call)
-                    and getattr(call.func, "id", None) in CONFIG_GETTERS):
+                    and getattr(call.func, "id", None) == CONFIG_READER):
                 continue
             key = call.args[1]
             if isinstance(key, ast.Constant):

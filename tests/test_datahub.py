@@ -232,7 +232,7 @@ class TestLoadIli:
         path = tmp_path / "ili.csv"
         write_ili_csv(path, [("2015-W01", "US", 1.0),
                              ("2015-W04", "US", 2.0)])
-        with pytest.raises(datahub.MissingWeekError,
+        with pytest.raises(datahub.DataError,
                            match="2015-W02, 2015-W03"):
             datahub.load_ili(str(path))
 

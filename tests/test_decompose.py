@@ -226,7 +226,7 @@ class TestStlDecompose:
         assert np.max(np.abs(d.seasonal)) < 0.05 * series.std()
 
     def test_too_short_rejected(self):
-        with pytest.raises(decompose.InsufficientDataError):
+        with pytest.raises(decompose.ParameterError):
             decompose.stl_decompose(np.ones(80), period=52)
 
     def test_missing_values_rejected(self):
@@ -265,7 +265,7 @@ class TestExtendSeasonal:
         out = decompose.extend_seasonal(seasonal, 3, 4)
         assert np.array_equal(out, seasonal)
         assert len(decompose.extend_seasonal(seasonal, 3, 0)) == 0
-        with pytest.raises(decompose.InsufficientDataError):
+        with pytest.raises(decompose.ParameterError):
             decompose.extend_seasonal(seasonal, 5, 9)
 
     def test_full_period_is_rotation(self):

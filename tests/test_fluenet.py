@@ -390,7 +390,7 @@ class TestModel:
 
     def test_unknown_country_rejected(self):
         model = small_model()
-        with pytest.raises(fluenet.UnknownCountryError):
+        with pytest.raises(nk.ContractError):
             model.country_id("FR")
 
     def test_country_ids_are_one_based(self):

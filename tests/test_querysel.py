@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from flucast import querysel
+from flucast.datahub import DataError
 from flucast.numkit import Rng
 from flucast.querysel import EmbeddingTable
 
@@ -44,7 +47,7 @@ class TestCosineTopk:
 
     def test_oov_error_names_word(self):
         src, tgt = make_tables()
-        with pytest.raises(querysel.OOVError, match="sneeze"):
+        with pytest.raises(querysel.SelectionError, match="sneeze"):
             querysel.cosine_topk("sneeze", src, tgt, 2)
 
 
@@ -219,7 +222,7 @@ class TestWtSelect:
         assert -2.0 <= out.score <= 2.0
 
     def test_all_stopwords_rejected(self):
-        with pytest.raises(querysel.EmptyContentError):
+        with pytest.raises(querysel.SelectionError):
             querysel.wt_select(["the of"], self.src, self.tgt, self.provider,
                                self.ili, k=4, stopwords={"the", "of"})
 
@@ -248,7 +251,7 @@ class TestTranslationSelect:
         path = tmp_path / "map.csv"
         path.write_text("english,translated\nthe flu,la grippe\n",
                         encoding="utf-8")
-        with pytest.raises(querysel.MappingError, match="fever"):
+        with pytest.raises(querysel.SelectionError, match="fever"):
             querysel.translation_select(str(path), ["the flu", "fever"])
 
 
@@ -283,6 +286,20 @@ class TestEmbeddingIo:
         assert table.vocabulary() == ["flu", "fever"]
         assert table.dim == 2
         assert np.array_equal(table.vector("flu"), [1.0, 2.0])
+
+    def test_word_without_components_is_data_error(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("flu 1.0 2.0\nfever\ncough 3.0 4.0\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:2: word 'fever' has no components")):
+            querysel.load_embeddings(str(path), "en")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("flu 1.0\n\nfever 2.0\n \n", encoding="utf-8")
+        table = querysel.load_embeddings(str(path), "en")
+        assert table.vocabulary() == ["flu", "fever"]
 
     def test_vectors_are_rows_of_one_matrix(self):
         table = EmbeddingTable("xx", ["b", "a", "b", "c"],
