@@ -6,6 +6,7 @@ prefixes; all randomness flows from a single seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -207,6 +208,16 @@ def _prepare_trained(cfg, ckpt, model, extra) -> dict:
             for c, s in _load_ili(cfg, model.countries).items()}
 
 
+@contextlib.contextmanager
+def _naming(ckpt):
+    """A non-finite value in the forward pass of checkpoint `ckpt`'s model
+    is an error naming the file."""
+    try:
+        yield
+    except nk.NonFiniteError as e:
+        raise nk.NonFiniteError(f"{ckpt}: {e}") from None
+
+
 def _countries(cfg, args):
     if getattr(args, "countries", None):
         return [c.strip() for c in args.countries.split(",")]
@@ -314,6 +325,8 @@ def cmd_train(cfg, args) -> int:
         data[c] = {part: _windows(p, part, tc.n_in, tc.s_out)
                    for part in ("train", "val")}
     model, log = trainer.fit(tc, data)
+    for point in log.diverged_grid_points:
+        print(f"grid point lr={point['lr']} M={point['m']} diverged, skipped")
     ckpt = os.path.join(args.out, "checkpoint.json")
     fluenet.save_checkpoint(ckpt, model, extra)
     log_path = os.path.join(args.out, "trainlog.csv")
@@ -331,8 +344,9 @@ def cmd_evaluate(cfg, args) -> int:
     reports = []
     for c, p in prepared.items():
         test = _windows(p, "test", model.n_in, model.s_out)
-        reports.append(evalbench.evaluate_model(model, test, c, "proposed",
-                                                term))
+        with _naming(args.checkpoint):
+            reports.append(evalbench.evaluate_model(model, test, c,
+                                                    "proposed", term))
         if args.with_baselines:
             reports.append(evalbench.evaluate(
                 evalbench.seasonal_naive(test), test, "seasonal_naive", c,
@@ -371,7 +385,8 @@ def cmd_forecast(cfg, args) -> int:
         last = datahub.make_windows(
             series, p["panel"], p["seasonal"], model.n_in, 0,
             (series.end - model.n_in + 1, series.end))
-        o_hat, _ = fluenet.forward_batch(model, c, last.x_des, last.q)
+        with _naming(args.checkpoint):
+            o_hat, _ = fluenet.forward_batch(model, c, last.x_des, last.q)
         y_hat = o_hat.data[0] + decompose.extend_seasonal(
             p["seasonal"], 52, len(series) + model.s_out)[len(series):]
         for h in range(model.s_out):

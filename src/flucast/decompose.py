@@ -8,11 +8,15 @@ position; calendar handling lives in datahub.
 Every LOESS smoother runs on contiguous windows: on equally spaced x the
 q nearest neighbours of a point are a window clamped at the series ends,
 so all points are smoothed at once with array operations, with results
-bitwise equal to per-point nearest-neighbour LOESS.
+bitwise equal to per-point nearest-neighbour LOESS. The windows and their
+tricube weights depend only on the series length and the span, so they
+are built once and cached for a few lengths: STL's later passes, and
+each further country of the same length, reuse them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +39,19 @@ class Decomposition:
         return self.trend + self.seasonal + self.remainder
 
 
-def _loess_rows(ys: np.ndarray, rw: np.ndarray, x0s: np.ndarray, q: int,
-                degree: int) -> np.ndarray:
-    """Tricube LOESS of each row of ys (R, m) at the integer points x0s.
+@functools.lru_cache(maxsize=8)
+def _window(m: int, q: int, lo: int, hi: int) -> tuple:
+    """The q-point LOESS windows of the points x0 = lo..hi-1 on x = 0..m-1:
+    (idx, tri), the (K, q) neighbour indices and their tricube weights.
 
     On x = 0..m-1 the q nearest neighbours of x0 are the contiguous window
     starting at clip(x0 - q//2, 0, m - q). Each window is ordered by
     distance, ties to the lower index, so every weighted sum adds the same
     terms in the same order as a nearest-neighbour sort of the whole row.
-    Returns the (R, K) estimates for the K points.
+    STL smooths with at most four kinds of window per series length.
+    Both arrays are read-only, as every caller shares them.
     """
-    m = ys.shape[1]
+    x0s = np.arange(lo, hi)
     start = np.clip(x0s - q // 2, 0, m - q)
     win = start[:, None] + np.arange(q)
     d = np.abs(win - x0s[:, None]).astype(np.float64)
@@ -56,6 +62,18 @@ def _loess_rows(ys: np.ndarray, rw: np.ndarray, x0s: np.ndarray, q: int,
     # a row with h <= 0 has every distance 0, so dividing it by 1 instead
     # gives it unit tricube weights
     tri = np.clip(1.0 - (dq / np.where(h > 0, h, 1.0)) ** 3, 0.0, None) ** 3
+    idx.flags.writeable = False
+    tri.flags.writeable = False
+    return idx, tri
+
+
+def _loess_rows(ys: np.ndarray, rw: np.ndarray, lo: int, hi: int, q: int,
+                degree: int) -> np.ndarray:
+    """Tricube LOESS of each row of ys (R, m) at the integer points
+    x0 = lo..hi-1, over the windows of `_window`. Returns the (R, K)
+    estimates for the K = hi - lo points.
+    """
+    idx, tri = _window(ys.shape[1], q, lo, hi)
     w = tri * rw[:, idx]
     w = np.where(w.sum(axis=-1, keepdims=True) <= 0, 1.0, w)
     yw = ys[:, idx]
@@ -70,7 +88,8 @@ def _loess_rows(ys: np.ndarray, rw: np.ndarray, x0s: np.ndarray, q: int,
     flat = sxx <= 1e-300
     slope = (np.sum(w * (xw - xm) * (yw - ym), axis=-1, keepdims=True)
              / np.where(flat, 1.0, sxx))
-    return np.where(flat, ym, ym + slope * (x0s[:, None] - xm))[..., 0]
+    x0s = np.arange(lo, hi)[:, None]
+    return np.where(flat, ym, ym + slope * (x0s - xm))[..., 0]
 
 
 def loess_smooth(series, span: int, degree: int,
@@ -92,7 +111,7 @@ def loess_smooth(series, span: int, degree: int,
           else np.asarray(robustness_weights, dtype=np.float64))
     if len(rw) != n:
         raise ParameterError("robustness weights length mismatch")
-    return _loess_rows(ys[None], rw[None], np.arange(n), span, degree)[0]
+    return _loess_rows(ys[None], rw[None], 0, n, span, degree)[0]
 
 
 def _next_odd(x: float) -> int:
@@ -106,7 +125,11 @@ def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
 
 
 def _bisquare(resid: np.ndarray) -> np.ndarray:
-    m = np.median(np.abs(resid))
+    # np.median's value and bits, without the ~10 ms import of numpy.ma
+    # that np.median makes on its first call in a process
+    a = np.sort(np.abs(resid))
+    k = len(a) // 2
+    m = a[k] if len(a) % 2 else (a[k - 1] + a[k]) / 2
     if m <= 0:
         return np.ones_like(resid)
     u = np.abs(resid) / (6.0 * m)
@@ -152,15 +175,15 @@ def stl_decompose(series, period: int) -> Decomposition:
             if span > m:
                 span = max(m if m % 2 == 1 else m - 1, 1)
             groups.append((phases[:, None] + period * np.arange(m), span,
-                           phases[:, None] + period * np.arange(m + 2),
-                           np.arange(-1, m + 1)))
+                           phases[:, None] + period * np.arange(m + 2)))
 
     for outer in range(_OUTER_ITERS + 1):
         for _ in range(_INNER_ITERS):
             detrended = y - trend
             c = np.zeros(n + 2 * period)
-            for sub, span, out, ks in groups:
-                c[out] = _loess_rows(detrended[sub], rho[sub], ks, span, 0)
+            for sub, span, out in groups:
+                c[out] = _loess_rows(detrended[sub], rho[sub], -1,
+                                     sub.shape[1] + 1, span, 0)
             # low-pass: MA(T) twice, MA(3), then degree-1 loess
             lp = _moving_average(c, period)
             lp = _moving_average(lp, period)

@@ -252,6 +252,9 @@ def initial_state(model: ModelParams, country: str, batch: int) -> Tensor2:
     return nk.matmul(Tensor2(onehot, copy=False), model.country_embed)
 
 
+# every op checks its own output, so a NonFiniteError reports an overflow
+# without numpy's warning
+@np.errstate(over="ignore", invalid="ignore")
 def forward_batch(model: ModelParams, country: str, x_des: np.ndarray,
                   q: np.ndarray, teacher: np.ndarray = None,
                   eps: float = 0.0, rng=None) -> tuple:
@@ -303,13 +306,14 @@ def save_checkpoint(path: str, model: ModelParams, extra: dict = None
         "extra": extra or {},
         "tensors": {
             name: {"shape": [t.rows, t.cols],
-                   "data": [float(f"{v:.17g}") for v in t.data.ravel()]}
+                   "data": t.data.ravel().tolist()}
             for name, t in model.named_params().items()
         },
     }
+    # json.dumps runs the C encoder, where json.dump streams through the
+    # pure-Python one; both write the same bytes
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str) -> tuple:

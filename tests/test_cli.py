@@ -1037,7 +1037,33 @@ class TestBadInput:
             text=True, timeout=120)
         assert done.returncode == 0
         assert "lr=0.01" in done.stdout
+        assert done.stdout.splitlines()[0] == (
+            "grid point lr=1e+300 M=4 diverged, skipped")
         assert done.stderr == ""
+
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    def test_inference_overflow_is_one_line_naming_the_file(
+            self, trained_single, tmp_path, command):
+        """A checkpoint whose fusion weights overflow a matmul ends in one
+        `error:` line naming the checkpoint, and no numpy RuntimeWarning,
+        outside pytest's warning filters too."""
+        config, trained = trained_single
+        doc = json.loads((trained / "checkpoint.json"
+                          ).read_text(encoding="utf-8"))
+        entry = doc["tensors"]["shared.fusion.w1"]
+        entry["data"] = [1e308] * len(entry["data"])
+        ckpt = tmp_path / "huge.json"
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "flucast.cli", "--config", str(config),
+             "--out", str(tmp_path / "out"), command,
+             "--checkpoint", str(ckpt)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == (f"error: {ckpt}: matmul produced non-finite "
+                               f"values\n")
 
     def test_a_bug_is_a_traceback_not_an_error_line(self, tmp_path,
                                                     monkeypatch):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -140,6 +144,97 @@ class TestContiguousWindowKernel:
         assert np.array_equal(d.trend, trend)
         assert np.array_equal(d.seasonal, seasonal)
         assert np.array_equal(d.remainder, remainder)
+
+
+def stl_input(rng, n, period=52):
+    t = np.arange(n, dtype=float)
+    y = (np.abs(rng.normal(5, 2, n)).cumsum() / 50
+         + np.sin(2 * np.pi * t / period) + rng.normal(0, 0.3, n))
+    y[rng.integers(0, n, 3)] += 4.0  # outliers for the robustness pass
+    return y
+
+
+class TestWindowCache:
+    """The LOESS windows are built once per series length and span; a warm
+    cache gives the oracles' bits."""
+
+    def test_warm_cache_matches_oracles(self):
+        rng = Rng(17)
+        # lengths out of order and revisited, each time with other data
+        for n in (157, 104, 157, 233, 104, 157):
+            y = stl_input(rng, n)
+            d = decompose.stl_decompose(y, period=52)
+            trend, seasonal, remainder = oracle_stl(y, 52)
+            assert np.array_equal(d.trend, trend)
+            assert np.array_equal(d.seasonal, seasonal)
+            assert np.array_equal(d.remainder, remainder)
+            rw = rng.uniform(0, 1, n) * rng.bernoulli(0.8, n)
+            for span, degree in ((7, 0), (53, 1), (101, 1)):
+                for weights in (None, rw):
+                    assert np.array_equal(
+                        decompose.loess_smooth(y, span, degree, weights),
+                        oracle_loess_smooth(y, span, degree, weights))
+
+    def test_cached_arrays_are_read_only(self):
+        decompose.loess_smooth(np.arange(30.0), 7, 1)
+        idx, tri = decompose._window(30, 7, 0, 30)
+        with pytest.raises(ValueError):
+            idx[0, 0] = 5
+        with pytest.raises(ValueError):
+            tri[0, 0] = 0.0
+
+    def test_cache_is_bounded(self):
+        limit = decompose._window.cache_info().maxsize
+        assert limit is not None
+        for n in range(20, 20 + 2 * limit):
+            decompose.loess_smooth(np.arange(float(n)), 5, 1)
+        assert decompose._window.cache_info().currsize == limit
+
+    def test_second_stl_of_a_length_builds_no_window(self):
+        rng = Rng(18)
+        decompose.stl_decompose(stl_input(rng, 261), period=52)
+        before = decompose._window.cache_info()
+        decompose.stl_decompose(stl_input(rng, 261), period=52)
+        after = decompose._window.cache_info()
+        assert after.misses == before.misses
+        # 2 inner x 2 outer passes, each with two subseries groups, the
+        # low-pass and the trend
+        assert after.hits - before.hits == 16
+
+
+def median_bisquare(resid):
+    """Bisquare robustness weights from np.median, as STL computed them."""
+    m = np.median(np.abs(resid))
+    if m <= 0:
+        return np.ones_like(resid)
+    u = np.abs(resid) / (6.0 * m)
+    return np.where(u < 1.0, (1.0 - u ** 2) ** 2, 0.0)
+
+
+class TestBisquare:
+    def test_matches_the_median_oracle(self):
+        rng = Rng(19)
+        for n in (1, 2, 3, 4, 7, 104, 157, 312):
+            resid = rng.normal(0, 1, n)
+            for r in (resid, np.round(resid, 1), np.zeros(n),
+                      np.where(rng.bernoulli(0.7, n), 0.0, resid)):
+                assert np.array_equal(decompose._bisquare(r),
+                                      median_bisquare(r)), n
+
+    def test_stl_imports_no_masked_arrays(self):
+        """np.median imports numpy.ma on its first call; STL does not."""
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from flucast import decompose\n"
+                "y = np.sin(np.arange(160) / 3.0) + np.arange(160) / 50\n"
+                "decompose.stl_decompose(y, period=52)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(decompose.__file__))
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestLoessSmooth:

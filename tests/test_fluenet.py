@@ -528,7 +528,41 @@ class TestInitOrder:
             assert np.array_equal(t.data, want[name]), name
 
 
+def streamed_checkpoint(model, extra):
+    """The checkpoint text as save_checkpoint wrote it with one `.17g`
+    round trip per value and json.dump's pure-Python encoder, kept as the
+    byte oracle for the C-encoder write."""
+    import io
+    import json
+    doc = {
+        "format": "flucast-checkpoint",
+        "version": 3,
+        "meta": {k: getattr(model, k) for k in fluenet._META_KEYS},
+        "extra": extra,
+        "tensors": {
+            name: {"shape": [t.rows, t.cols],
+                   "data": [float(f"{v:.17g}") for v in t.data.ravel()]}
+            for name, t in model.named_params().items()},
+    }
+    buf = io.StringIO()
+    json.dump(doc, buf, sort_keys=True)
+    return buf.getvalue() + "\n"
+
+
 class TestCheckpoint:
+    def test_bytes_match_the_streamed_encoder(self, tmp_path):
+        model = small_model(use_country_embedding=True)
+        edge = [-0.0, 5e-324, 1.7976931348623157e308, 0.1,
+                -1.7976931348623157e308, -5e-324, 1.0, 1e-300]
+        for i, t in enumerate(model.named_params().values()):
+            flat = t.data.reshape(-1)
+            flat[:] = np.resize(np.roll(edge, i), flat.size)
+        extra = {"seasonal.JP": [0.1, -0.0, 5e-324], "term": "flu"}
+        path = tmp_path / "ck.json"
+        fluenet.save_checkpoint(str(path), model, extra)
+        assert path.read_bytes() == streamed_checkpoint(
+            model, extra).encode("utf-8")
+
     def test_roundtrip_is_bit_faithful(self, tmp_path):
         model = small_model(use_country_embedding=True)
         path = str(tmp_path / "ck.json")
