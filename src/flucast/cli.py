@@ -210,12 +210,12 @@ def _prepare_trained(cfg, ckpt, model, extra) -> dict:
 
 @contextlib.contextmanager
 def _naming(ckpt):
-    """A non-finite value in the forward pass of checkpoint `ckpt`'s model
-    is an error naming the file."""
+    """A non-finite value in the forward pass of checkpoint `ckpt`'s model,
+    or in a metric of its forecasts, is an error naming the file."""
     try:
         yield
-    except nk.NonFiniteError as e:
-        raise nk.NonFiniteError(f"{ckpt}: {e}") from None
+    except (nk.NonFiniteError, evalbench.NonFiniteMetricError) as e:
+        raise type(e)(f"{ckpt}: {e}") from None
 
 
 def _countries(cfg, args):

@@ -11,6 +11,7 @@ import contextlib
 import csv
 import datetime
 import functools
+import math
 import os
 import re
 import warnings
@@ -222,9 +223,15 @@ def load_ili(path: str) -> dict:
     return out
 
 
+# Characters a query slug drops: every one but 0-9, a-z, '_' and
+# U+0080..U+FFFF, written as the ranges it removes, which compile in a
+# fraction of a millisecond where the negated class takes several. It is
+# compiled on first use, by `re`'s cache, so an import pays nothing.
+_SLUG_DROP = r"[\x00-/:-^`{-\x7f\U00010000-\U0010ffff]"
+
+
 def query_slug(query: str) -> str:
-    s = query.lower().replace(" ", "_")
-    return re.sub(r"[^0-9a-z_-￿]", "", s)
+    return re.sub(_SLUG_DROP, "", query.lower().replace(" ", "_"))
 
 
 def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
@@ -235,6 +242,8 @@ def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
     0.0 when there is none: file weeks before `series.start` are never
     carried in, so leading gaps are zero even when the file starts
     earlier. A repeated week keeps its last value; week 53 is dropped.
+    A value that is not finite (`nan`, `inf`) is a DataError naming
+    `path:line`.
     """
     names = ("iso_week", "value")
     by_week = {}
@@ -247,6 +256,8 @@ def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
                 value = float(value)
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: non-finite value {value}")
             if idx >= 0:
                 by_week[idx] = value
     weeks = sorted(w for w in by_week if w >= series.start)

@@ -22,16 +22,31 @@ class MetricError(Error):
     pass
 
 
+class NonFiniteMetricError(MetricError):
+    """A metric of finite forecasts that overflows."""
+
+
+def _finite(name: str, value: float) -> float:
+    if not np.isfinite(value):
+        raise NonFiniteMetricError(
+            f"{name} is {value}: the forecast errors overflow")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def rmse(y, y_hat) -> float:
+    """Root mean squared error; a MetricError when it is not finite."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape or y.size == 0:
         raise MetricError(f"rmse needs equal nonzero lengths, got "
                           f"{y.shape} and {y_hat.shape}")
-    return float(np.sqrt(np.mean((y - y_hat) ** 2)))
+    return _finite("rmse", float(np.sqrt(np.mean((y - y_hat) ** 2))))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def r2(y, y_hat) -> float:
+    """Coefficient of determination; a MetricError when it is not finite."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape or y.size < 2:
@@ -41,7 +56,7 @@ def r2(y, y_hat) -> float:
     if sst <= 0:
         raise MetricError("r2 undefined: zero variance in y")
     sse = float(np.sum((y - y_hat) ** 2))
-    return 1.0 - sse / sst
+    return _finite("r2", 1.0 - sse / sst)
 
 
 @dataclass

@@ -16,7 +16,9 @@ bitwise those of a scan over the whole vocabulary.
 from __future__ import annotations
 
 import csv
+import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,8 @@ class EmbeddingTable:
         # One (V, d) matrix in vocabulary order; `_table` maps each word
         # to a row view of it.
         self._matrix = matrix
-        self._norms = np.linalg.norm(matrix, axis=1)
+        with np.errstate(over="ignore"):
+            self._norms = np.linalg.norm(matrix, axis=1)
         self._table = dict(zip(rows, matrix))
 
     def __contains__(self, word):
@@ -81,8 +84,8 @@ def load_embeddings(path: str, language: str) -> EmbeddingTable:
     Line 1 is the header only when both its fields are integers.
     Trailing whitespace, as fastText `.vec` rows have, adds no component.
     Blank lines are skipped. A word with no components, a component that
-    is not a number, or a row whose length differs from the first row's,
-    is a DataError naming `path:line`.
+    is not a finite number, or a row whose length differs from the first
+    row's, is a DataError naming `path:line`.
     """
     words, vectors = [], []
     with open_text(path) as f:
@@ -100,6 +103,11 @@ def load_embeddings(path: str, language: str) -> EmbeddingTable:
                 vector = list(map(float, parts[1:]))
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
+            if not math.isfinite(sum(vector)):  # a nan, an inf or overflow
+                bad = [x for x in vector if not math.isfinite(x)]
+                if bad:
+                    raise DataError(
+                        f"{path}:{lineno}: non-finite component {bad[0]}")
             if vectors and len(vector) != len(vectors[0]):
                 raise DataError(f"{path}:{lineno}: {len(vector)} components, "
                                 f"expected {len(vectors[0])}")
@@ -146,22 +154,45 @@ def cosine_topk(word: str, source: EmbeddingTable, target: EmbeddingTable,
     than the slack, so the shortlist holds every word of the exact top
     k and every word tied with its last one, and the result is the
     exhaustive scan's, bit for bit.
+
+    A vector whose norm is not finite (a nan or inf component, or one so
+    large that its square overflows) is a SelectionError naming the word,
+    whatever k is. Finite norms bound every dot product, so the cosines
+    are finite; each is still checked, since a NaN would rank wherever
+    the sort left it and stall the best-first enumeration.
     """
     v = source.vector(word)
     words = target.vocabulary()
+    with np.errstate(over="ignore"):
+        nv = np.linalg.norm(v)
+    if not np.isfinite(nv):
+        raise SelectionError(f"{source.language} {word!r} has a vector "
+                             f"whose norm is not finite")
+    bad = np.flatnonzero(~np.isfinite(target._norms))
+    if len(bad):
+        raise SelectionError(f"{target.language} {words[bad[0]]!r} has a "
+                             f"vector whose norm is not finite")
     if 0 < k < len(words):
-        denom = target._norms * np.linalg.norm(v)
+        denom = target._norms * nv
         approx = np.zeros(len(words))
         np.divide(target._matrix @ v, denom, out=approx, where=denom > 0)
         kth = np.partition(approx, len(words) - k)[len(words) - k]
         words = [words[i]
                  for i in np.flatnonzero(approx >= kth - _SHORTLIST_SLACK)]
     scored = [(w, cosine(v, target.vector(w))) for w in words]
+    for w, s in scored:
+        if not math.isfinite(s):
+            raise SelectionError(f"cosine of {source.language} {word!r} and "
+                                 f"{target.language} {w!r} is not finite")
     scored.sort(key=lambda p: (-p[1], p[0]))
     return scored[:k]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pearson(a, b) -> float:
+    """Pearson correlation in [-1, 1]. Input that is constant, not
+    finite, or so large that the variances overflow is a
+    DegenerateInputError."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 3:
@@ -172,7 +203,10 @@ def pearson(a, b) -> float:
     va, vb = np.dot(da, da), np.dot(db, db)
     if va <= 0 or vb <= 0:
         raise DegenerateInputError("pearson input has zero variance")
-    r = float(np.dot(da, db) / np.sqrt(va * vb))
+    scale = np.sqrt(va * vb)
+    r = float(np.dot(da, db) / scale)
+    if not (np.isfinite(r) and np.isfinite(scale)):
+        raise DegenerateInputError("pearson input is not finite or overflows")
     return max(-1.0, min(1.0, r))
 
 
@@ -188,6 +222,47 @@ def _content_tokens(query: str, stopwords: set) -> list:
 _MAX_CANDIDATES = 200
 
 
+def _ranked(per_token):
+    """(text, theta_w) of the compositions of the per-token (word, cosine)
+    lists, in the order of the whole product sorted by (-theta_w, text),
+    each text at its best theta_w, without building the product.
+
+    Best-first over index tuples (Eppstein 1998): a heap on -theta_w whose
+    successors each advance one index. Rounded addition and division by a
+    constant are monotone, so no successor beats its parent, and tuples
+    leave the heap in non-increasing theta_w. Each group of equal theta_w
+    is drained before its texts are sorted. A text met again (target
+    words may hold spaces) keeps its first, best theta_w.
+    """
+    if not all(per_token):
+        return
+
+    def theta_w(idx):
+        return float(np.mean([per_token[j][i][1] for j, i in enumerate(idx)]))
+
+    start = (0,) * len(per_token)
+    heap = [(-theta_w(start), start)]
+    seen = {start}
+    taken = set()
+    while heap:
+        top = heap[0][0]
+        group = []
+        while heap and heap[0][0] == top:
+            _, idx = heapq.heappop(heap)
+            group.append(" ".join(per_token[j][i][0]
+                                  for j, i in enumerate(idx)))
+            for j, i in enumerate(idx):
+                nxt = idx[:j] + (i + 1,) + idx[j + 1:]
+                if i + 1 < len(per_token[j]) and nxt not in seen:
+                    seen.add(nxt)
+                    heapq.heappush(heap, (-theta_w(nxt), nxt))
+        group.sort()
+        for text in group:
+            if text not in taken:
+                taken.add(text)
+                yield text, -top
+
+
 def wt_select(english_queries, source: EmbeddingTable,
               target: EmbeddingTable, trends_provider, ili_values,
               k: int, stopwords: set) -> list:
@@ -196,7 +271,10 @@ def wt_select(english_queries, source: EmbeddingTable,
     `trends_provider(candidate) -> 1-D array or None` supplies the
     candidate's trends series over the same training weeks as ili_values.
     Candidates are cartesian compositions of the k nearest target words
-    per content token, capped at `_MAX_CANDIDATES` by theta_w.
+    per content token, looked up best theta_w first and capped at
+    `_MAX_CANDIDATES`. `pearson` caps theta_t at 1, so the lookups stop
+    once theta_w + 1 falls below the best score: no later candidate can
+    reach it, and the pick is that of trying all of them.
     """
     if k < 1:
         raise SelectionError(f"k must be >= 1, got {k}")
@@ -205,16 +283,11 @@ def wt_select(english_queries, source: EmbeddingTable,
     for query in english_queries:
         tokens = _content_tokens(query, stopwords)
         per_token = [cosine_topk(t, source, target, k) for t in tokens]
-        candidates = {}
-        for combo in itertools.product(*per_token):
-            text = " ".join(w for w, _ in combo)
-            theta_w = float(np.mean([s for _, s in combo]))
-            if text not in candidates or theta_w > candidates[text]:
-                candidates[text] = theta_w
-        ordered = sorted(candidates.items(), key=lambda p: (-p[1], p[0]))
-        ordered = ordered[:_MAX_CANDIDATES]
         best = None
-        for text, theta_w in ordered:
+        for text, theta_w in itertools.islice(_ranked(per_token),
+                                              _MAX_CANDIDATES):
+            if best is not None and theta_w + 1.0 < best.score:
+                break
             series = trends_provider(text)
             if series is None:
                 continue

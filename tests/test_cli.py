@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from flucast import cli, datahub, decompose, querysel, trainer
+from flucast import cli, datahub, decompose, evalbench, querysel, trainer
 from flucast.numkit import Rng
 from ili_csv import series_rows, write_ili_csv
 
@@ -1064,6 +1064,54 @@ class TestBadInput:
         assert done.returncode == 1
         assert done.stderr == (f"error: {ckpt}: matmul produced non-finite "
                                f"values\n")
+
+    def test_forecast_error_overflow_is_one_line_naming_the_file(
+            self, trained_single, tmp_path):
+        """Forecasts that are finite but huge overflow the squared errors:
+        `evaluate` ends in one `error:` line naming the checkpoint, with
+        no numpy RuntimeWarning, and writes no report."""
+        config, trained = trained_single
+        doc = json.loads((trained / "checkpoint.json"
+                          ).read_text(encoding="utf-8"))
+        entry = doc["tensors"]["country.US.output.b2"]
+        entry["data"] = [1e200] * len(entry["data"])
+        ckpt = tmp_path / "huge_bias.json"
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "flucast.cli", "--config", str(config),
+             "--out", str(tmp_path / "out"), "evaluate",
+             "--checkpoint", str(ckpt)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == (f"error: {ckpt}: rmse is inf: the forecast "
+                               f"errors overflow\n")
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_only_an_overflowing_metric_is_named_after_the_checkpoint(self):
+        """Other metric errors are about the data, not the checkpoint."""
+        with pytest.raises(evalbench.MetricError) as info:
+            with cli._naming("ckpt.json"):
+                raise evalbench.MetricError("no test windows")
+        assert str(info.value) == "no test windows"
+        with pytest.raises(evalbench.NonFiniteMetricError,
+                           match="^ckpt.json: rmse is inf"):
+            with cli._naming("ckpt.json"):
+                evalbench.rmse([0.0, 1e200], [0.0, -1e200])
+
+    def test_non_finite_candidate_value_is_one_line(self, tmp_path, capsys):
+        """A `nan` in a candidate's trends file is refused where it is
+        read, not scored as a perfect correlation."""
+        config = build_workspace(tmp_path)
+        config, _ = build_wt_inputs(tmp_path, config, tmp_path)
+        path = tmp_path / "candidates" / "tos_remedio.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[8] = lines[8].split(",")[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", "select-queries") == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:9: non-finite value nan\n")
 
     def test_a_bug_is_a_traceback_not_an_error_line(self, tmp_path,
                                                     monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,31 @@ class TestLoadTrends:
     def test_slug(self):
         assert datahub.query_slug("The Flu!") == "the_flu"
         assert datahub.query_slug("symptoms of flu") == "symptoms_of_flu"
+
+    def test_slug_drops_the_negated_class_on_every_code_point(self):
+        """The removed ranges drop exactly what the negated class they
+        replace drops, on a string of all 0x110000 code points."""
+        every = "".join(map(chr, range(0x110000)))
+        oracle = re.compile(r"[^0-9a-z_\x80-\uffff]")
+        assert (re.sub(datahub._SLUG_DROP, "", every)
+                == oracle.sub("", every))
+        lowered = every.lower().replace(" ", "_")
+        assert datahub.query_slug(every) == oracle.sub("", lowered)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN",
+                                       "1e999"])
+    def test_non_finite_value_names_path_line(self, tmp_path, value):
+        """A trends value that is not finite would poison min-max and
+        correlations; it is refused where it is read."""
+        path = tmp_path / "trends" / "US" / "the_flu.csv"
+        path.parent.mkdir(parents=True)
+        path.write_text("iso_week,value\n2015-W01,1.0\n"
+                        f"2015-W02,{value}\n2015-W03,2.0\n",
+                        encoding="utf-8")
+        with pytest.raises(datahub.DataError, match=re.escape(
+                f"{path}:3: non-finite value")):
+            datahub.load_trends(str(tmp_path / "trends"), "US",
+                                ["the flu"], self.make_series())
 
 
 class TestMinmax:

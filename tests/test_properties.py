@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from flucast import cli, datahub
 from flucast.numkit import Rng
 from test_numkit import assert_matches_oracle, gru_case
+from test_querysel import SHAPES, selection_case
+from test_querysel import assert_matches_oracle as assert_selects_as_oracle
 
 hypothesis.settings.register_profile("ci", derandomize=True)
 hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE",
@@ -189,3 +191,20 @@ class TestMinmaxReplay:
         train = fitted.matrix[lo:hi + 1]
         assert np.array_equal(train.min(axis=0), np.zeros(len(stats)))
         assert np.array_equal(train.max(axis=0), np.ones(len(stats)))
+
+
+class TestWtSelectBestFirst:
+    """Best-first wt selection against the whole product, sorted."""
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+                      shape=st.sampled_from(SHAPES), d=st.integers(1, 4),
+                      ties=st.booleans(), spaces=st.booleans())
+    def test_matches_product_oracle(self, data, seed, shape, d, ties,
+                                    spaces):
+        n_tokens, v_max = shape
+        v = data.draw(st.integers(1, v_max), label="V")
+        k = data.draw(st.integers(1, v + 3), label="k")
+        case = selection_case(seed, v, d, n_tokens, ties=ties,
+                              spaces=spaces)
+        assert_selects_as_oracle(case, k, seed)

@@ -1,4 +1,6 @@
+import itertools
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -161,6 +163,14 @@ class TestPearson:
         with pytest.raises(querysel.DegenerateInputError):
             querysel.pearson([1, 1, 1], [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_non_finite_input_rejected(self, bad):
+        """A NaN result is not clamped to 1.0, and an overflowing
+        variance is not read as a zero correlation; numpy warns
+        nothing."""
+        with pytest.raises(querysel.DegenerateInputError, match="pearson"):
+            querysel.pearson([1.0, bad, 3.0, 2.0], [1.0, 2.0, 4.0, 3.0])
+
     def test_shift_scale_invariance_and_symmetry(self):
         rng = Rng(13)
         for _ in range(20):
@@ -231,6 +241,277 @@ class TestWtSelect:
             querysel.wt_select(["flu"], self.src, self.tgt, lambda c: None,
                                self.ili, k=4, stopwords=set())
 
+    def test_nan_series_is_skipped_not_perfect(self):
+        """A provider's NaN series has no correlation: it is skipped, and
+        the pick is the best finite one, not a perfect NaN score."""
+        trends = dict(self.trends, a=np.full(30, np.nan))
+        out = querysel.wt_select(["flu"], self.src, self.tgt, trends.get,
+                                 self.ili, k=4, stopwords=set())[0]
+        assert (out.candidate, out.theta_t) == (
+            "b", querysel.pearson(self.trends["b"], self.ili))
+
+
+def oracle_candidates(per_token):
+    """The candidate list `wt_select` built before its best-first
+    enumeration: the whole product, each text at its best theta_w, sorted
+    by (-theta_w, text) and cut at the cap."""
+    candidates = {}
+    for combo in itertools.product(*per_token):
+        text = " ".join(w for w, _ in combo)
+        theta_w = float(np.mean([s for _, s in combo]))
+        if text not in candidates or theta_w > candidates[text]:
+            candidates[text] = theta_w
+    ordered = sorted(candidates.items(), key=lambda p: (-p[1], p[0]))
+    return ordered[:querysel._MAX_CANDIDATES]
+
+
+def oracle_wt_select(english_queries, source, target, trends_provider,
+                     ili_values, k, stopwords):
+    """`wt_select` as it was before its best-first enumeration: every
+    candidate of `oracle_candidates` is looked up, in order."""
+    ili_values = np.asarray(ili_values, dtype=np.float64)
+    results = []
+    for query in english_queries:
+        tokens = querysel._content_tokens(query, stopwords)
+        per_token = [querysel.cosine_topk(t, source, target, k)
+                     for t in tokens]
+        best = None
+        for text, theta_w in oracle_candidates(per_token):
+            series = trends_provider(text)
+            if series is None:
+                continue
+            try:
+                theta_t = querysel.pearson(series, ili_values)
+            except querysel.DegenerateInputError:
+                continue
+            cand = querysel.QueryCandidate(english=query, candidate=text,
+                                           theta_w=theta_w, theta_t=theta_t)
+            if (best is None or cand.score > best.score
+                    or (cand.score == best.score
+                        and cand.candidate < best.candidate)):
+                best = cand
+        if best is None:
+            raise querysel.SelectionError(
+                f"no candidate with trends data for query {query!r}")
+        results.append(best)
+    return results
+
+
+# Target words with spaces: "a b" + "c" and "a" + "b c" compose the same
+# text.
+LETTERS = "abcde"
+SPACED = [f"{x} {y}" for x in LETTERS for y in LETTERS]
+
+
+def selection_case(seed, v, d, n_tokens, ties=False, spaces=False):
+    """(source, target, query, ili) for one English query of n_tokens
+    content words over a V-word target table.
+
+    `ties` draws vectors in {-1, 0, 1} and scales copies by powers of
+    two, so cosines, theta_w and scores tie often. `spaces` names the
+    target words from LETTERS and SPACED, so different index tuples
+    compose the same text.
+    """
+    rng = Rng(seed)
+
+    def vector():
+        if ties:
+            return np.round(rng.uniform(-1.5, 1.5, d))
+        return rng.uniform(-1, 1, d)
+
+    base = [vector() for _ in range(max(1, v // 3 if ties else v))]
+    vectors = [base[i % len(base)] * 2.0 ** (i % 3) for i in range(v)]
+    words = [f"t{i:03d}" for i in range(v)]
+    if spaces:
+        names = [*LETTERS, *SPACED]
+        order = rng.choice_without_replacement(len(names), len(names))
+        words = [names[i] for i in order][:v] + words[len(names):]
+    source_words = [f"s{j}" for j in range(n_tokens)]
+    source = EmbeddingTable("en", source_words,
+                            [vector() for _ in source_words])
+    target = EmbeddingTable("xx", words, vectors)
+    return source, target, " ".join(source_words), rng.uniform(0, 5, 20)
+
+
+class Trends:
+    """A trends provider that records its calls. Each text's answer
+    depends on the text and the seed only: no series, noise, a scaled
+    copy of the ILI series (theta_t ties at its top), a mix, or a
+    constant series (skipped)."""
+
+    def __init__(self, seed, ili):
+        self.seed, self.ili, self.calls = seed, ili, []
+
+    def __call__(self, text):
+        self.calls.append(text)
+        h = zlib.crc32(text.encode("utf-8")) ^ self.seed
+        kind, rng = h % 5, Rng(h)
+        if kind == 0:
+            return None
+        if kind == 1:
+            return rng.normal(0, 1, len(self.ili))
+        if kind == 2:
+            return self.ili * 2.0 ** (h % 3)
+        if kind == 3:
+            return self.ili + rng.normal(0, 1, len(self.ili))
+        return np.full(len(self.ili), 2.0)
+
+
+def outcome(select, case, k, trends):
+    """What `select` returns for the case's query, as exact reprs, or the
+    SelectionError message."""
+    source, target, query, ili = case
+    try:
+        picked = select([query], source, target, trends, ili, k, set())
+    except querysel.SelectionError as e:
+        return str(e)
+    return [(c.english, c.candidate, repr(c.theta_w), repr(c.theta_t))
+            for c in picked]
+
+
+def assert_matches_oracle(case, k, seed):
+    """Same pick, same candidate list, and a provider call sequence that
+    is a prefix of the oracle's."""
+    source, target, query, ili = case
+    got_trends, want_trends = Trends(seed, ili), Trends(seed, ili)
+    assert (outcome(querysel.wt_select, case, k, got_trends)
+            == outcome(oracle_wt_select, case, k, want_trends))
+    assert got_trends.calls == want_trends.calls[:len(got_trends.calls)]
+    per_token = [querysel.cosine_topk(t, source, target, k)
+                 for t in query.split()]
+    got = itertools.islice(querysel._ranked(per_token),
+                           querysel._MAX_CANDIDATES)
+    assert [(t, repr(w)) for t, w in got] == [
+        (t, repr(w)) for t, w in oracle_candidates(per_token)]
+
+
+# (content words, V): the oracle builds V ** n tuples.
+SHAPES = [(1, 40), (2, 40), (3, 14), (4, 8)]
+
+
+class TestBestFirstMatchesProduct:
+    """`wt_select` against the product-and-sort oracle above."""
+
+    @pytest.mark.parametrize("n_tokens,v", SHAPES)
+    @pytest.mark.parametrize("kind", ["random", "ties", "spaces",
+                                      "ties+spaces"])
+    def test_every_k(self, n_tokens, v, kind):
+        for seed in range(2):
+            case = selection_case(seed, v, 3, n_tokens, ties="ties" in kind,
+                                  spaces="spaces" in kind)
+            for k in sorted({1, 2, v // 2, v - 1, v, v + 3}):
+                assert_matches_oracle(case, k, seed)
+
+    def test_spaced_words_compose_one_text_twice(self):
+        """The spaces case reaches the best-theta_w-per-text rule."""
+        source, target, query, _ = selection_case(0, 30, 3, 2, spaces=True)
+        per_token = [querysel.cosine_topk(t, source, target, 30)
+                     for t in query.split()]
+        texts = [" ".join(w for w, _ in combo)
+                 for combo in itertools.product(*per_token)]
+        assert len(set(texts)) < len(texts)
+
+    def test_four_words_at_k_100_evaluate_few_theta_w(self, monkeypatch):
+        """The product would be 10^8 tuples; best-first evaluates theta_w
+        (one np.mean each) for at most a few per candidate."""
+        source, target, query, ili = selection_case(3, 500, 8, 4)
+        calls = []
+        mean = np.mean
+
+        def counted_mean(*args, **kwargs):
+            calls.append(args)
+            return mean(*args, **kwargs)
+
+        monkeypatch.setattr(np, "mean", counted_mean)
+        with pytest.raises(querysel.SelectionError, match=re.escape(
+                "no candidate with trends data for query 's0 s1 s2 s3'")):
+            querysel.wt_select([query], source, target, lambda t: None, ili,
+                               k=100, stopwords=set())
+        assert querysel._MAX_CANDIDATES <= len(calls) <= 2000
+
+    def test_stop_once_no_candidate_can_win(self):
+        """A perfectly correlated first candidate scores theta_w + 1, which
+        no candidate with a lower theta_w reaches: the provider is asked
+        once and never for a later candidate."""
+        source, target, query, ili = selection_case(4, 300, 8, 2)
+        asked = []
+
+        def provider(text):
+            assert not asked, f"asked for {text!r} after {asked}"
+            asked.append(text)
+            return ili * 3.0
+
+        out = querysel.wt_select([query], source, target, provider, ili,
+                                 k=100, stopwords=set())[0]
+        assert asked == [out.candidate] and out.theta_t == 1.0
+
+    def test_stop_is_strict_so_a_tied_score_still_wins_by_text(self):
+        """'b' has the higher theta_w, but theta_w + 1 rounds to the same
+        score for 'a'. Both correlate perfectly, so they tie, and 'a'
+        wins by text: the stop must not fire at equality."""
+        source = EmbeddingTable("en", ["flu"], [[1.0, 0.0]])
+        target = EmbeddingTable("xx", ["a", "b"], [[0.6, 0.8000000000000008],
+                                                   [0.6, 0.8000000000000006]])
+        (_, theta_a), (_, theta_b) = sorted(
+            querysel.cosine_topk("flu", source, target, 2))
+        assert theta_a < theta_b and theta_a + 1.0 == theta_b + 1.0
+        ili = np.arange(6.0) % 4
+        case = (source, target, "flu", ili)
+        want = outcome(oracle_wt_select, case, 2, lambda t: ili * 2.0)
+        assert want[0][1] == "a"
+        assert outcome(querysel.wt_select, case, 2,
+                       lambda t: ili * 2.0) == want
+
+    def test_stop_cuts_the_lookups_below_the_cap(self):
+        source, target, query, ili = selection_case(5, 300, 8, 2)
+        case = (source, target, query, ili)
+        got, want = Trends(5, ili), Trends(5, ili)
+        assert (outcome(querysel.wt_select, case, 100, got)
+                == outcome(oracle_wt_select, case, 100, want))
+        assert len(want.calls) == querysel._MAX_CANDIDATES
+        assert 0 < len(got.calls) < querysel._MAX_CANDIDATES
+        assert got.calls == want.calls[:len(got.calls)]
+
+    def test_nan_vector_is_an_error_not_a_stall(self):
+        """A NaN cosine has no place in the theta_w order: at k = V it
+        would reach the heap and stall the enumeration, and below V the
+        shortlist would drop it. Every k refuses the table instead."""
+        source = EmbeddingTable("en", ["flu"], [[1.0, 0.0]])
+        target = EmbeddingTable("xx", ["a", "b", "c", "d"],
+                                [[1.0, 0.0], [np.nan, 1.0], [1.0, 1.0],
+                                 [0.0, 1.0]])
+        for k in (1, 2, 4):
+            with pytest.raises(querysel.SelectionError, match=re.escape(
+                    "xx 'b' has a vector whose norm is not finite")):
+                querysel.wt_select(["flu"], source, target,
+                                   lambda t: np.arange(5.0), np.arange(5.0),
+                                   k=k, stopwords=set())
+
+    def test_overflowing_norm_is_an_error(self):
+        source = EmbeddingTable("en", ["flu"], [[1e160, 1e160]])
+        target = EmbeddingTable("xx", ["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(querysel.SelectionError, match=re.escape(
+                "en 'flu' has a vector whose norm is not finite")):
+            querysel.cosine_topk("flu", source, target, 1)
+
+    def test_non_finite_cosine_is_an_error(self, monkeypatch):
+        """The last guard before the heap: a cosine that is not finite."""
+        source, target = make_tables()
+        cosine = querysel.cosine
+        monkeypatch.setattr(querysel, "cosine", lambda u, v: (
+            np.nan if v is target.vector("toux") else cosine(u, v)))
+        with pytest.raises(querysel.SelectionError, match=re.escape(
+                "cosine of en 'flu' and fr 'toux' is not finite")):
+            querysel.cosine_topk("flu", source, target, 5)
+
+    def test_empty_target_vocabulary_has_no_candidate(self):
+        source = EmbeddingTable("en", ["flu"], [[1.0, 0.0]])
+        target = EmbeddingTable("xx", [], [])
+        with pytest.raises(querysel.SelectionError, match=re.escape(
+                "no candidate with trends data for query 'flu'")):
+            querysel.wt_select(["flu"], source, target, lambda t: None,
+                               np.arange(5.0), k=3, stopwords=set())
+
 
 class TestTranslationSelect:
     def test_identity_mapping(self, tmp_path):
@@ -293,6 +574,14 @@ class TestEmbeddingIo:
                         encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(
                 f"{path}:2: word 'fever' has no components")):
+            querysel.load_embeddings(str(path), "en")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_component_is_data_error(self, tmp_path, bad):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"flu 1.0 2.0\nfever {bad} 1.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:2: non-finite component {float(bad)}")):
             querysel.load_embeddings(str(path), "en")
 
     def test_blank_lines_are_skipped(self, tmp_path):
