@@ -191,7 +191,11 @@ def _fields(path: str, lineno: int, row: list, cols, names) -> list:
 
 
 def load_ili(path: str) -> dict:
-    """Read ili.csv (iso_week,country,ili_rate) into per-country series."""
+    """Read ili.csv (iso_week,country,ili_rate) into per-country series.
+
+    A negative or non-finite (`nan`, `inf`) rate is a DataError naming
+    `path:line`; week 53 is dropped before either check.
+    """
     rows = {}
     names = ("iso_week", "country", "ili_rate")
     with open_text(path, newline="") as f, _csv_reader(path, f) as reader:
@@ -207,6 +211,8 @@ def load_ili(path: str) -> dict:
                 raise DataError(f"{path}:{lineno}: {e}") from None
             if idx < 0:
                 continue  # week 53 dropped
+            if not math.isfinite(rate):
+                raise DataError(f"{path}:{lineno}: non-finite ili_rate {rate}")
             if rate < 0:
                 raise DataError(f"{path}:{lineno}: negative ili_rate {rate}")
             rows.setdefault(country, {})[idx] = rate

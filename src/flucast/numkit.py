@@ -10,9 +10,11 @@ hand-written BPTT backward as one entry.
 
 `gru_sequence` has two paths. With no active tape it runs the recurrence
 on one step's buffers and keeps no history. Under a tape it keeps the
-states and the z, r, f and mix terms as contiguous (T, B, M) blocks for
-the backward. Each call allocates its own buffers, and a history lives
-as long as the tape entry whose backward reads it.
+states and r as contiguous (T, B, M) blocks, and z, the mix term and f in
+one (T, 3, B, M) block, which the backward overwrites with its gate
+gradients as it consumes each step. Each call allocates its own buffers;
+a history lives until the tape entry's backward has run, which it may do
+once.
 
 `one_blas_thread` runs a block with the process's OpenBLAS on one
 thread, so processes that each run numpy do not oversubscribe the cores.
@@ -293,12 +295,15 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
     order of the formulas, so no result depends on the buffer layout.
 
     With no active tape the recurrence runs on one step's buffers and
-    keeps no history. Under a tape, the states and z, r, f and the mix
-    term r W_h are kept as contiguous (T, B, M) blocks, and the tape
-    entry's backward is BPTT in one reverse loop into a (T, B, 3M) block
-    of z|r|h pre-activation gradients, then one GEMM per weight gradient
-    over all steps. Each call allocates its own buffers; the history
-    lives as long as the tape entry's backward. The final state is a
+    keeps no history. Under a tape, the states and r are kept as
+    contiguous (T, B, M) blocks, and z, the mix term r W_h and f as one
+    (T, 3, B, M) block whose step slices are contiguous. The tape entry's
+    backward is BPTT in one reverse loop, which writes each step's z|r|h
+    pre-activation gradients over that step's z, mix and f once it has
+    read them, then one GEMM per weight gradient over all steps. So the
+    backward consumes the history: a second backward through the same
+    entry is a ContractError, and the history is freed once the first
+    returns. Each call allocates its own buffers. The final state is a
     copy, so an output never holds on to the whole history.
     """
     b, m = h0.shape
@@ -327,15 +332,21 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
     w_zr = np.concatenate([w_z.data, w_r.data], axis=1)
     taped = _ACTIVE_TAPE is not None
     keep = t_len if taped else 1
-    hist = [np.empty((keep + 1, b, m))] + [np.empty((keep, b, m))
-                                           for _ in range(4)]
+    hist = (np.empty((keep + 1, b, m)), np.empty((keep, b, m)),
+            np.empty((keep, 3, b, m)))
     with np.errstate(over="ignore", invalid="ignore"):
         h_last = _gru_forward(xs, h0.data, u_all, w_zr, w_h.data,
                               hist).copy()
     if not taped:
         return Tensor2(h_last, copy=False)
+    saved = [(xs, hist)]
 
     def bw(g):
+        if not saved:
+            raise ContractError(
+                "gru_sequence: backward already ran through this tape "
+                "entry and consumed its history")
+        xs, hist = saved.pop()
         return _gru_backward(g, xs, hist, u_all, w_zr, w_h.data, bool(steps))
 
     return _record(h_last, steps + [h0, u_z, u_r, u_h, w_z, w_r, w_h], bw)
@@ -344,14 +355,15 @@ def gru_sequence(steps, h0: Tensor2, u_z: Tensor2, u_r: Tensor2,
 def _gru_forward(xs, h0, u_all, w_zr, w_h, hist) -> np.ndarray:
     """Run the recurrence into `hist`; returns the final state's buffer.
 
-    hist is (states, z, r, f, mix). With T steps of room, step t writes
-    block t and states[t + 1]. With one step of room, every step writes
-    block 0 and the states alternate between two rows.
+    hist is (states, r, zmf): zmf[t] holds z, mix and f as three (B, M)
+    slices. With T steps of room, step t writes r[t], zmf[t] and
+    states[t + 1]. With one step of room, every step writes slot 0 and
+    the states alternate between two rows.
     """
     t_len, b, n_in = xs.shape
     m = w_h.shape[0]
-    states, z, r, f, mix = hist
-    keep = len(z)
+    states, r, zmf = hist
+    keep = len(r)
     pzr, hzr = np.empty((b, 2 * m)), np.empty((b, 2 * m))
     ph, tmp = np.empty((b, m)), np.empty((b, m))
     if n_in == 1:
@@ -363,7 +375,7 @@ def _gru_forward(xs, h0, u_all, w_zr, w_h, hist) -> np.ndarray:
         h = states[t % (keep + 1)]
         h_new = states[(t + 1) % (keep + 1)]
         i = t % keep
-        z_t, r_t, f_t, mix_t = z[i], r[i], f[i], mix[i]
+        (z_t, mix_t, f_t), r_t = zmf[i], r[i]
         if n_in == 1:
             # x U as the K = 1 GEMM gives it, +0 for a zero product;
             # adding h W_zr below does the same for the z|r part.
@@ -396,19 +408,24 @@ def _gru_backward(g, xs, hist, u_all, w_zr, w_h, need_dx) -> list:
     The per-step products keep the operand order of the formulas
         d_z = dh (f - h) z (1 - z),  d_h = dh z (1 - f f),
         d_r = ((d_h h) W_h^T) r (1 - r),
-    and each GEMM multiplies the same operands, and over the same (T, B,
-    3M) gradient block, as the plain-array oracle in tests/test_numkit.py,
-    so the gradients are bitwise that oracle's.
+    into a (B, 3M) d_z|d_r|d_h scratch. Once step t is done its z, mix
+    and f are dead, so the scratch is copied over their 3BM floats, read
+    as a (B, 3M) block: after the loop the zmf history is the (T, B, 3M)
+    gradient block, and d_h h is formed in place over its d_h columns
+    once the other GEMMs have read them. Each GEMM multiplies the same
+    operands as the plain-array oracle in tests/test_numkit.py, so the
+    gradients are bitwise that oracle's. The history is consumed.
     """
     t_len, b, n_in = xs.shape
     m = w_h.shape[0]
-    states, z, r, f, mix = hist
-    d_pre = np.empty((t_len, b, 3 * m))
+    states, r, zmf = hist
+    d_pre = zmf.reshape(t_len, b, 3 * m)
+    d_a = np.empty((b, 3 * m))
+    d_h = d_a[:, 2 * m:]
     e1, e2, e3, dh_a, dh_b = (np.empty((b, m)) for _ in range(5))
     dh = g
     for t in range(t_len - 1, -1, -1):
-        h, z_t, r_t, f_t, d_a = states[t], z[t], r[t], f[t], d_pre[t]
-        d_h = d_a[:, 2 * m:]
+        h, r_t, (z_t, mix_t, f_t) = states[t], r[t], zmf[t]
         dh_prev = dh_b if dh is dh_a else dh_a
         np.subtract(1.0, z_t, out=e1)
         np.subtract(f_t, h, out=e2)
@@ -425,26 +442,30 @@ def _gru_backward(g, xs, hist, u_all, w_zr, w_h, need_dx) -> list:
         np.matmul(e2, w_h.T, out=e3)
         np.multiply(e3, r_t, out=e3)
         np.multiply(e3, e1, out=d_a[:, m:2 * m])
-        np.multiply(d_h, mix[t], out=e2)
+        np.multiply(d_h, mix_t, out=e2)
         np.add(dh_prev, e2, out=dh_prev)
         np.add(dh_prev, np.matmul(d_a[:, :2 * m], w_zr.T, out=e2),
                out=dh_prev)
+        d_pre[t] = d_a
         dh = dh_prev
     d_flat = d_pre.reshape(-1, 3 * m)
     h_flat = states[:-1].reshape(-1, m)
     d_u = xs.reshape(-1, n_in).T @ d_flat
     d_wzr = h_flat.T @ d_flat[:, :2 * m]
-    r_rows = r.reshape(-1, m)
-    if m == 1:
-        # This product is then a dot, whose summation order follows
-        # r's stride: read r as a column of a z|r block, as the oracle
-        # lays it out.
-        r_rows = np.concatenate([z, r], axis=2).reshape(-1, 2)[:, 1:]
-    d_wh = r_rows.T @ (d_flat[:, 2 * m:] * h_flat)
     d_x = []
     if need_dx:
         d_all = d_flat @ u_all.T
         d_x = [d_all[t * b:(t + 1) * b] for t in range(t_len)]
+    if m == 1:
+        # This product is then a dot, whose summation order follows the
+        # stride of its operands: keep d_h h contiguous, and read r as a
+        # stride-2 column, as the oracle lays out z|r.
+        r_rows = np.empty((t_len * b, 2))
+        r_rows[:, 1] = r.ravel()
+        d_wh = r_rows[:, 1:].T @ (d_flat[:, 2:] * h_flat)
+    else:
+        dh_h = np.multiply(d_flat[:, 2 * m:], h_flat, out=d_flat[:, 2 * m:])
+        d_wh = r.reshape(-1, m).T @ dh_h
     return d_x + [dh, d_u[:, :m], d_u[:, m:2 * m], d_u[:, 2 * m:],
                   d_wzr[:, :m], d_wzr[:, m:], d_wh]
 

@@ -592,6 +592,20 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{path.name}:6:" in err
 
+    @pytest.mark.parametrize("command", ["decompose", "train"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_ili_rate(self, tmp_path, capsys, command, value):
+        """Refused where it is read, with its line, not later as a series
+        with missing or non-finite values."""
+        config = build_workspace(tmp_path)
+        path = tmp_path / "ili.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[6] = lines[6].rsplit(",", 1)[0] + "," + value
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", command) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:7: non-finite ili_rate {value}\n")
+
     @pytest.mark.parametrize("command", ["evaluate", "forecast"])
     def test_reordered_queries_refused(self, trained_single, tmp_path,
                                        capsys, command):

@@ -489,6 +489,40 @@ class TestGruSequenceMatchesOracle:
             tracemalloc.stop()
         assert left < t_len * b * m * 8  # one (T, B, M) history block
 
+    def test_backward_writes_over_the_history(self):
+        # The taped backward writes its (T, B, 3M) gate gradients over
+        # the z, mix and f it has read and forms d_h h in place, so past
+        # its scratch it allocates less than one (T, B, M) block. The
+        # scratch is eight (B, M) buffers (d_z|d_r|d_h, three temporaries,
+        # two dh) and, for the strided in-place d_h h, numpy's ufunc
+        # buffers of np.getbufsize() elements per operand.
+        t_len, b, m = 31, 43, 29
+        xs, h0, maps, weights = gru_case(90, t_len, b, m, 1)
+        h0, maps = Tensor2(h0), [Tensor2(t) for t in maps]
+        with nk.GradTape() as tape:
+            h = nk.gru_sequence(xs, h0, *maps)
+            loss = nk.mean_all(nk.mul(h, Tensor2(weights)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nk.backward(tape, loss)
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        scratch = (8 * b * m + 2 * np.getbufsize()) * 8
+        assert rise < scratch + t_len * b * m * 8
+
+    def test_second_backward_is_refused(self):
+        xs, h0, maps, weights = gru_case(91, 5, 3, 4, 1)
+        h0, maps = Tensor2(h0), [Tensor2(t) for t in maps]
+        with nk.GradTape() as tape:
+            h = nk.gru_sequence(xs, h0, *maps)
+            loss = nk.mean_all(nk.mul(h, Tensor2(weights)))
+        nk.backward(tape, loss)
+        with pytest.raises(nk.ContractError,
+                           match="^gru_sequence: backward already ran"):
+            nk.backward(tape, loss)
+
     def test_grads_unchanged_by_a_later_run(self):
         case = gru_case(86, 26, 6, 4, 1)
         for _ in range(2):

@@ -68,6 +68,18 @@ class TestGruSequenceBits:
         assert_matches_oracle(gru_case(seed, t_len, b, m, n_in), taped,
                               as_array)
 
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                      t_len=st.integers(1, 30), b=st.integers(1, 40),
+                      m=st.integers(1, 24), n_in=st.sampled_from([1, 3]),
+                      as_array=st.booleans())
+    def test_taped_matches_oracle_at_training_shapes(self, seed, t_len, b,
+                                                     m, n_in, as_array):
+        """Wider shapes, taped: the backward forms d_h h in place over
+        the gradient block, and the W_h gradient GEMM reads it strided."""
+        assert_matches_oracle(gru_case(seed, t_len, b, m, n_in), True,
+                              as_array)
+
 
 class TestWindowTable:
     """make_windows against per-window slices, and take against rows."""
