@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import os
 import sys
 
@@ -77,7 +76,13 @@ def _load_ili(cfg, countries) -> dict:
 
 
 def _split(cfg, series) -> datahub.SplitPlan:
-    test_start = datahub.parse_week(_get(cfg, "split.test_start"))
+    raw = _get(cfg, "split.test_start")
+    try:
+        test_start = datahub.parse_week(raw)
+    except datahub.DataError as e:
+        raise ConfigError(f"config key 'split.test_start': {e}") from None
+    if test_start < 0:
+        raise ConfigError("config key 'split.test_start': week 53 is dropped")
     test_len = _get(cfg, "split.test_len", 52, int)
     if test_len < 1:
         raise ConfigError(f"split.test_len must be >= 1, got {test_len}")
@@ -219,11 +224,17 @@ def _naming(ckpt):
 
 
 def _countries(cfg, args):
-    if getattr(args, "countries", None):
-        return [c.strip() for c in args.countries.split(",")]
-    countries = _get(cfg, "countries", (), (str,))
+    """The list of --countries, or else of config key `countries`; an
+    empty list, or a country named twice, is a ConfigError."""
+    flag = getattr(args, "countries", None)
+    where = "--countries" if flag else "config key 'countries'"
+    countries = _get({"countries": flag} if flag else cfg, "countries",
+                     cast=(str,))
     if not countries:
-        raise ConfigError("missing config key 'countries'")
+        raise ConfigError(f"{where} names no country")
+    twice = sorted({c for c in countries if countries.count(c) > 1})
+    if twice:
+        raise ConfigError(f"{where} names {', '.join(twice)} twice")
     return countries
 
 
@@ -235,16 +246,12 @@ def cmd_decompose(cfg, args) -> int:
         if np.max(np.abs(recon - series.values)) > 1e-9:
             raise ConfigError(f"{country}: reconstruction identity violated")
         path = os.path.join(out, f"decomp_{country}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["iso_week", "observed", "trend", "seasonal",
-                        "remainder"])
-            for i, week in enumerate(series.weeks()):
-                w.writerow([datahub.format_week(week),
-                            repr(float(series.values[i])),
-                            repr(float(d.trend[i])),
-                            repr(float(d.seasonal[i])),
-                            repr(float(d.remainder[i]))])
+        datahub.write_csv(
+            path, ["iso_week", "observed", "trend", "seasonal", "remainder"],
+            ([datahub.format_week(week)]
+             + [repr(float(a[i])) for a in (series.values, d.trend,
+                                            d.seasonal, d.remainder)]
+             for i, week in enumerate(series.weeks())))
         print(f"wrote {path}")
     return 0
 
@@ -389,14 +396,12 @@ def cmd_forecast(cfg, args) -> int:
             o_hat, _ = fluenet.forward_batch(model, c, last.x_des, last.q)
         y_hat = o_hat.data[0] + decompose.extend_seasonal(
             p["seasonal"], 52, len(series) + model.s_out)[len(series):]
-        for h in range(model.s_out):
-            rows.append((series.end + 1 + h, c, h + 1, float(y_hat[h])))
+        rows += [[datahub.format_week(series.end + h), c, h,
+                  repr(float(y_hat[h - 1]))]
+                 for h in range(1, model.s_out + 1)]
     path = os.path.join(args.out, "forecasts.csv")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["iso_week", "country", "horizon", "y_pred"])
-        for week, c, h, v in rows:
-            w.writerow([datahub.format_week(week), c, h, repr(v)])
+    datahub.write_csv(path, ["iso_week", "country", "horizon", "y_pred"],
+                      rows)
     print(f"wrote {path}")
     return 0
 

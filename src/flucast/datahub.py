@@ -92,10 +92,6 @@ class QueryPanel:
     start: int
     matrix: np.ndarray  # weeks x L
 
-    @property
-    def n_queries(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class Windows:
@@ -147,6 +143,15 @@ def open_text(path: str, newline: str = None):
             yield f
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: not UTF-8 text: {e}") from None
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write `header`, then each of `rows`, to the CSV file at `path`:
+    UTF-8, '\\n' line ends and the `csv` module's minimal quoting."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _columns(header, names) -> list:

@@ -8,7 +8,6 @@ autoregressive model with same-week query values as exogenous inputs
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -88,7 +87,6 @@ class ArExogModel:
 
     order: int
     coefficients: np.ndarray  # p lags, then L query terms, then intercept
-    n_queries: int
 
     def predict_one(self, lags: np.ndarray, q_next: np.ndarray) -> float:
         """Forecast y_{t+1} from [y_t .. y_{t-p+1}] and q_{t+1}."""
@@ -123,7 +121,7 @@ def fit_ar_exog(y: np.ndarray, q: np.ndarray, p: int) -> ArExogModel:
         coef = np.linalg.solve(g, design.T @ target)
     else:
         coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return ArExogModel(order=p, coefficients=coef, n_queries=l)
+    return ArExogModel(order=p, coefficients=coef)
 
 
 def evaluate(y_hat, windows, model_name: str, country: str,
@@ -209,41 +207,30 @@ def correlation_report(series_by_country: dict, shifts: dict = None
 
 
 def write_report(path, reports) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["model", "country", "term", "horizon", "rmse", "r2"])
-        for r in reports:
-            for s in r.scores:
-                w.writerow([r.model_name, r.country, r.term, s.horizon,
-                            repr(s.rmse), repr(s.r2)])
+    datahub.write_csv(
+        path, ["model", "country", "term", "horizon", "rmse", "r2"],
+        ([r.model_name, r.country, r.term, s.horizon, repr(s.rmse),
+          repr(s.r2)] for r in reports for s in r.scores))
 
 
 def write_forecasts(path, reports) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["iso_week", "country", "horizon", "y_true", "y_pred"])
-        for r in reports:
-            for week, h, y, y_hat in r.traces:
-                w.writerow([datahub.format_week(week), r.country, h,
-                            repr(y), repr(y_hat)])
+    datahub.write_csv(
+        path, ["iso_week", "country", "horizon", "y_true", "y_pred"],
+        ([datahub.format_week(week), r.country, h, repr(y), repr(y_hat)]
+         for r in reports for week, h, y, y_hat in r.traces))
 
 
 def write_attention(path, reports, queries) -> None:
     """Attention rows of every report; `queries` maps a country to the
     query list its attention indices refer to."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["iso_week", "country", "query", "weight"])
-        for r in reports:
-            for week, j, weight in r.attention:
-                w.writerow([datahub.format_week(week), r.country,
-                            queries[r.country][j], repr(weight)])
+    datahub.write_csv(
+        path, ["iso_week", "country", "query", "weight"],
+        ([datahub.format_week(week), r.country, queries[r.country][j],
+          repr(weight)] for r in reports for week, j, weight in r.attention))
 
 
 def write_correlations(path, matrix) -> None:
     countries = sorted({a for a, _ in matrix})
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["country"] + countries)
-        for a in countries:
-            w.writerow([a] + [repr(matrix[(a, b)]) for b in countries])
+    datahub.write_csv(
+        path, ["country"] + countries,
+        ([a] + [repr(matrix[(a, b)]) for b in countries] for a in countries))

@@ -15,7 +15,6 @@ bitwise those of a scan over the whole vocabulary.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import itertools
 import math
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import Error
 from .datahub import (DataError, _columns, _csv_reader, _fields, _rows,
-                      open_text)
+                      open_text, write_csv)
 
 
 class DegenerateInputError(Error):
@@ -60,9 +59,6 @@ class EmbeddingTable:
         with np.errstate(over="ignore"):
             self._norms = np.linalg.norm(matrix, axis=1)
         self._table = dict(zip(rows, matrix))
-
-    def __contains__(self, word):
-        return word in self._table
 
     def __len__(self):
         return len(self._table)
@@ -332,12 +328,10 @@ def translation_select(mapping_path: str, english_queries) -> list:
 
 
 def write_selected(path: str, candidates) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["english", "selected", "theta_w", "theta_t", "score"])
-        for c in candidates:
-            w.writerow([c.english, c.candidate, repr(c.theta_w),
-                        repr(c.theta_t), repr(c.score)])
+    write_csv(
+        path, ["english", "selected", "theta_w", "theta_t", "score"],
+        ([c.english, c.candidate, repr(c.theta_w), repr(c.theta_t),
+          repr(c.score)] for c in candidates))
 
 
 def read_selected(path: str) -> list:

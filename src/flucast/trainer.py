@@ -10,16 +10,14 @@ embedding seeds both encoders' initial state.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import Error, fluenet
+from . import Error, datahub, fluenet
 from . import numkit as nk
 from .numkit import Tensor2
 
@@ -68,17 +66,14 @@ class TrainLog:
     m: int = 0
     entries: list = field(default_factory=list)  # per-epoch dicts
     chosen_epoch: int = 0
-    wall_time: float = 0.0
     diverged_grid_points: list = field(default_factory=list)
 
     def write_csv(self, path: str, countries) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["epoch", "train_mse"]
-                       + [f"val_mse_{c}" for c in countries])
-            for e in self.entries:
-                w.writerow([e["epoch"], repr(e["train_mse"])]
-                           + [repr(e["val_mse"][c]) for c in countries])
+        datahub.write_csv(
+            path, ["epoch", "train_mse"] + [f"val_mse_{c}" for c in countries],
+            ([e["epoch"], repr(e["train_mse"])]
+             + [repr(e["val_mse"][c]) for c in countries]
+             for e in self.entries))
 
 
 def mse_loss(o_hat: Tensor2, o: np.ndarray) -> Tensor2:
@@ -330,7 +325,6 @@ def fit(config: TrainConfig, data: dict) -> tuple:
     if not data:
         raise TrainingError("no country to train")
     l_queries = _query_count(config, data)
-    start = time.monotonic()
     points = list(itertools.product(config.lr_grid, config.m_grid))
     best = None
     diverged = []
@@ -346,5 +340,4 @@ def fit(config: TrainConfig, data: dict) -> tuple:
         raise TrainingError("every grid point diverged")
     model, log, _ = best
     log.diverged_grid_points = diverged
-    log.wall_time = time.monotonic() - start
     return model, log

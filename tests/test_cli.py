@@ -217,6 +217,20 @@ class TestDecomposeCommand:
             assert abs(total - float(row["observed"])) < 1e-9
 
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_trailing_comma_in_countries_is_ignored(self, tmp_path, source):
+        """--countries is read by the config's list reader, so `US,` names
+        US alone either way."""
+        config = build_workspace(tmp_path)
+        argv = ["--countries", "US,"]
+        if source == "config":
+            config.write_text(config.read_text(encoding="utf-8")
+                              + "countries = US,\n", encoding="utf-8")
+            argv = []
+        assert run(config, tmp_path / "out", "decompose", *argv) == 0
+        assert os.listdir(tmp_path / "out") == ["decomp_US.csv"]
+
+
 class TestSelectQueriesCommand:
     def test_mapping_method(self, workspace, tmp_path):
         root, config = workspace
@@ -1138,6 +1152,61 @@ class TestBadInput:
         config = build_workspace(tmp_path)
         with pytest.raises(KeyError):
             run(config, tmp_path / "out", "decompose")
+
+    @pytest.mark.parametrize("command", ["decompose", "train"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_country_is_refused(self, tmp_path, capsys,
+                                         monkeypatch, command, source):
+        """A country named twice would train its task twice and write its
+        trainlog column twice; it is refused before any data is read."""
+        monkeypatch.setattr(datahub, "load_ili", lambda path: pytest.fail(
+            "data was read"))
+        config = build_workspace(tmp_path)
+        argv, where = ["--countries", "US,JP,US"], "--countries"
+        if source == "config":
+            config.write_text(config.read_text(encoding="utf-8")
+                              + "countries = US,JP,US\n", encoding="utf-8")
+            argv, where = [], "config key 'countries'"
+        assert run(config, tmp_path / "out", command, *argv) == 1
+        assert capsys.readouterr().err == f"error: {where} names US twice\n"
+
+    def test_countries_flag_naming_no_country_is_refused(self, tmp_path,
+                                                         capsys):
+        config = build_workspace(tmp_path)
+        assert run(config, tmp_path / "out", "decompose",
+                   "--countries", " , ") == 1
+        assert capsys.readouterr().err == (
+            "error: --countries names no country\n")
+
+    @pytest.mark.parametrize("week, problem", [
+        ("2015-13", "malformed iso_week '2015-13', expected YYYY-Www"),
+        ("2015-W53", "week 53 is dropped")])
+    def test_bad_test_start_names_its_key(self, tmp_path, capsys, week,
+                                          problem):
+        """Week 53 is dropped from every series, so it cannot start the
+        test range."""
+        config = build_workspace(tmp_path)
+        config.write_text(config.read_text(encoding="utf-8")
+                          + f"split.test_start = {week}\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", "train", "--countries",
+                   "US") == 1
+        assert capsys.readouterr().err == (
+            f"error: config key 'split.test_start': {problem}\n")
+
+
+def test_only_datahub_writes_csv():
+    """Every CSV output goes through `datahub.write_csv`, so its format
+    (encoding, line end, quoting) is decided in one module."""
+    import flucast
+
+    writers = []
+    for info in pkgutil.iter_modules(flucast.__path__):
+        path = os.path.join(flucast.__path__[0], f"{info.name}.py")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        if "csv.writer" in text or "lineterminator" in text:
+            writers.append(info.name)
+    assert writers == ["datahub"]
 
 
 def test_every_exception_class_derives_from_the_base():

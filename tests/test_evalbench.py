@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from flucast import datahub, evalbench, fluenet
+from flucast import datahub, evalbench, fluenet, querysel
 from flucast.numkit import Rng
 
 
@@ -127,8 +129,7 @@ class TestArExog:
     def test_predict_one_matches_dot_product(self):
         model = evalbench.ArExogModel(order=2,
                                       coefficients=np.array(
-                                          [0.5, 0.25, 2.0, -1.0]),
-                                      n_queries=1)
+                                          [0.5, 0.25, 2.0, -1.0]))
         got = model.predict_one(np.array([4.0, 2.0]), np.array([0.5]))
         assert got == 0.5 * 4 + 0.25 * 2 + 2.0 * 0.5 - 1.0
 
@@ -334,3 +335,21 @@ class TestWriters:
         evalbench.write_correlations(str(path), matrix)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines == ["country,A,B", "A,1.0,0.5", "B,0.5,1.0"]
+
+    def test_query_needing_quotes_reads_back(self, tmp_path):
+        """A selected query holding a comma and a double quote comes back
+        exactly from selected_queries.csv and from its attention row."""
+        query = 'grippe, "aviaire"'
+        selected = tmp_path / "selected_queries.csv"
+        querysel.write_selected(str(selected), [
+            querysel.QueryCandidate("bird flu", query, 0.9, 0.7)])
+        assert querysel.read_selected(str(selected)) == [query]
+        report = evalbench.EvalReport(
+            model_name="net", country="FR", term="", scores=[],
+            attention=[(datahub.parse_week("2017-W40"), 0, 0.25)])
+        path = tmp_path / "attention.csv"
+        evalbench.write_attention(str(path), [report], {"FR": [query]})
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert rows == [{"iso_week": "2017-W40", "country": "FR",
+                         "query": query, "weight": "0.25"}]

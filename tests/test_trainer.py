@@ -238,7 +238,6 @@ class TestTrainLogCsv:
         lines = text.split("\n")
         assert lines[0] == "epoch,train_mse,val_mse_JP,val_mse_US"
         assert lines[1] == "1,0.5,0.25,0.125"
-        log.wall_time = 123.0
         log.write_csv(str(path), ["JP", "US"])
         assert path.read_text(encoding="utf-8") == text
 
