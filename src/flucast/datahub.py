@@ -11,6 +11,7 @@ import contextlib
 import csv
 import datetime
 import functools
+import itertools
 import math
 import os
 import re
@@ -147,11 +148,17 @@ def open_text(path: str, newline: str = None):
 
 def write_csv(path: str, header, rows) -> None:
     """Write `header`, then each of `rows`, to the CSV file at `path`:
-    UTF-8, '\\n' line ends and the `csv` module's minimal quoting."""
+    UTF-8, '\\n' line ends and the `csv` module's minimal quoting.
+
+    That quoting leaves a bare '\\r' bare, and a reader would end the
+    line there, so a row holding one has every field quoted.
+    """
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        minimal = csv.writer(f, lineterminator="\n")
+        quoted = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in itertools.chain([header], rows):
+            (quoted if any("\r" in str(c) for c in row)
+             else minimal).writerow(row)
 
 
 def _columns(header, names) -> list:

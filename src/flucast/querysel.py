@@ -338,15 +338,17 @@ def read_selected(path: str) -> list:
     """Queries from a `write_selected` CSV (its 'selected' column), or
     from a plain list with one query per line.
 
-    A CSV row with no `selected` field is a DataError naming `path:line`.
+    The CSV is parsed from the file itself, so a quoted query keeps the
+    line breaks it holds. Lines of only whitespace are skipped. A CSV
+    row with no `selected` field is a DataError naming `path:line`.
     """
-    with open_text(path, newline="") as f:
-        lines = [line.strip() for line in f]
-    with _csv_reader(path, lines) as reader:
-        rows = _rows(reader)
+    with open_text(path, newline="") as f, _csv_reader(path, f) as reader:
+        rows = ((n, row) for n, row in _rows(reader)
+                if len(row) > 1 or row[0].strip())
         _, header = next(rows, (0, []))
         cols = _columns([c.strip() for c in header], ["selected"])
-        if None in cols:
-            return [line for line in lines if line]
-        return [_fields(path, lineno, row, cols, ["selected"])[0]
-                for lineno, row in rows]
+        if None not in cols:
+            return [_fields(path, lineno, row, cols, ["selected"])[0]
+                    for lineno, row in rows]
+        f.seek(0)
+        return [line.strip() for line in f if line.strip()]

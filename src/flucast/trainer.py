@@ -10,9 +10,11 @@ embedding seeds both encoders' initial state.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +58,11 @@ class TrainConfig:
                             ("batch_size", self.batch_size)):
             if value < 1:
                 raise TrainingError(f"{name} must be >= 1, got {value}")
+        # 8x the largest the paper grid (M = 64) and perfbench (512) use
+        for name, value, most in (("m_grid", max(self.m_grid), 512),
+                                  ("batch_size", self.batch_size, 4096)):
+            if value > most:
+                raise TrainingError(f"{name} must be <= {most}, got {value}")
         if self.arch not in fluenet.ARCHS:
             raise TrainingError(f"unknown arch {self.arch!r}")
 
@@ -209,25 +216,16 @@ def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
     return model, log, best_val
 
 
-def _train_point(config, data, l_queries, points, gi):
-    """Grid point gi's (model, log, best val mse), or the NonFiniteError
-    that ended it. numpy's overflow warnings are off: the forward ops'
-    own checks report a divergence, wherever the overflow started."""
-    lr, m = points[gi]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _train_one(config, data, l_queries, lr, m, gi)
-    except nk.NonFiniteError as e:
-        return e
-
-
 def _drain(config, data, l_queries, points, next_point) -> dict:
-    """Train the grid points taken from the shared counter `next_point`
-    until none is left; returns {grid index: result}.
+    """Train the grid points taken from the counter `next_point` until
+    none is left; returns {grid index: result}.
 
-    An error other than divergence is kept as the point's result and
-    empties the counter, so no process starts another point. Every point
-    before it in grid order was taken already and still finishes.
+    A result is the point's (model, log, best val mse), or the
+    NonFiniteError that ended it. numpy's overflow warnings are off: the
+    forward ops' own checks report a divergence, wherever the overflow
+    started. Any other error is kept as the point's result and empties
+    the counter, so no process starts another point. Every point before
+    it in grid order was taken already and still finishes.
     """
     done = {}
     while True:
@@ -236,8 +234,12 @@ def _drain(config, data, l_queries, points, next_point) -> dict:
             next_point.value += 1
         if gi >= len(points):
             return done
+        lr, m = points[gi]
         try:
-            done[gi] = _train_point(config, data, l_queries, points, gi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                done[gi] = _train_one(config, data, l_queries, lr, m, gi)
+        except nk.NonFiniteError as e:  # its frames hold the point's tape
+            done[gi] = e.with_traceback(None)
         except Exception as e:  # re-raised by `fit` in grid order
             done[gi] = e
             with next_point.get_lock():
@@ -293,25 +295,24 @@ def _train_in_pool(config, data, l_queries, points, workers) -> dict:
             child.join()
 
 
-def _grid_results(config, data, l_queries, points):
-    """Each grid point's `_train_point` result, in grid order.
+def _grid_results(config, data, l_queries, points) -> dict:
+    """{grid index: `_drain` result}; after an error other than
+    divergence, later points may be missing.
 
     The points train in min(usable cores, points) processes, with
-    OpenBLAS on one thread while they run; an error other than
-    divergence is then returned as a point's result, and no later point
-    is listed. With one process, or no OpenBLAS to set, the points train
-    here one after another as the results are read.
+    OpenBLAS on one thread while they run. With one process, or no
+    OpenBLAS to set, `_drain` runs here alone on a plain counter: no
+    process starts and `multiprocessing` is not imported.
     """
     workers = min(len(os.sched_getaffinity(0))
                   if hasattr(os, "sched_getaffinity") else 1, len(points))
     if workers > 1:
         with nk.one_blas_thread() as one_thread:
             if one_thread:
-                done = _train_in_pool(config, data, l_queries, points,
+                return _train_in_pool(config, data, l_queries, points,
                                       workers)
-                return [done[gi] for gi in range(len(done))]
-    return (_train_point(config, data, l_queries, points, gi)
-            for gi in range(len(points)))
+    return _drain(config, data, l_queries, points, types.SimpleNamespace(
+        value=0, get_lock=contextlib.nullcontext))
 
 
 def fit(config: TrainConfig, data: dict) -> tuple:
@@ -328,8 +329,9 @@ def fit(config: TrainConfig, data: dict) -> tuple:
     points = list(itertools.product(config.lr_grid, config.m_grid))
     best = None
     diverged = []
-    for (lr, m), result in zip(points,
-                               _grid_results(config, data, l_queries, points)):
+    done = _grid_results(config, data, l_queries, points)
+    for gi in range(len(done)):  # taken in grid order, so no gap
+        (lr, m), result = points[gi], done[gi]
         if isinstance(result, nk.NonFiniteError):
             diverged.append({"lr": lr, "m": m})
         elif isinstance(result, Exception):

@@ -801,6 +801,10 @@ class TestBadInput:
         ("train.lr_grid = 0.01,-0.1",
          "learning rates must be positive, got [0.01, -0.1]"),
         ("train.m_grid = 0", "m_grid must be >= 1, got 0"),
+        ("train.m_grid = 8,1099511627776",
+         "m_grid must be <= 512, got 1099511627776"),
+        ("train.batch_size = 1099511627776",
+         "batch_size must be <= 4096, got 1099511627776"),
         ("train.max_epochs = 0", "max_epochs must be >= 1, got 0"),
         ("model.n = 0", "n_in must be >= 1, got 0"),
         ("model.s = 0", "s_out must be >= 1, got 0"),
@@ -810,8 +814,8 @@ class TestBadInput:
          "learning rates must be finite, got [0.01, inf]"),
         ("split.test_len = 0", "split.test_len must be >= 1, got 0"),
         ("split.test_len = -5", "split.test_len must be >= 1, got -5")],
-        ids=["lr", "m", "max_epochs", "n", "s", "k", "arch", "lr_inf",
-             "test_len_0", "test_len_negative"])
+        ids=["lr", "m", "m_huge", "batch_huge", "max_epochs", "n", "s", "k",
+             "arch", "lr_inf", "test_len_0", "test_len_negative"])
     def test_out_of_range_setting_is_one_line(self, tmp_path, capsys,
                                               monkeypatch, edit, message):
         """Refused before any grid point trains."""
@@ -899,7 +903,11 @@ class TestBadInput:
             path.write_text("\n".join([lines[0]] + [
                 ln.split(",")[0] + ",1.0" for ln in lines[1:]]) + "\n",
                 encoding="utf-8")
-        assert run(config, tmp_path / "out", "train", "--countries", "US") == 1
+        with pytest.warns(UserWarning, match="constant on training range, "
+                          "dropped") as caught:
+            assert run(config, tmp_path / "out", "train", "--countries",
+                       "US") == 1
+        assert len(caught) == len(QUERIES) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: US: no query left")
 

@@ -609,3 +609,23 @@ class TestEmbeddingIo:
         cands = [querysel.QueryCandidate("the flu", "grippe", 0.9, 0.7)]
         querysel.write_selected(str(path), cands)
         assert querysel.read_selected(str(path)) == ["grippe"]
+
+    def test_selected_line_breaks_roundtrip(self, tmp_path):
+        """A query holding '\\r', '\\n' or '\\r\\n' reads back whole; a row
+        without '\\r' keeps the minimal quoting."""
+        path = tmp_path / "selected_queries.csv"
+        queries = ["grippe", "a\rb", "a\nb", "a\r\nb"]
+        querysel.write_selected(str(path), [
+            querysel.QueryCandidate("flu", q, 0.5, 0.25) for q in queries])
+        assert querysel.read_selected(str(path)) == queries
+        text = path.read_bytes().decode("utf-8")
+        assert text.split("\n")[:2] == [
+            "english,selected,theta_w,theta_t,score",
+            "flu,grippe,0.5,0.25,0.75"]
+        assert '"flu","a\rb","0.5","0.25","0.75"\n' in text
+
+    def test_plain_query_list_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "queries.txt"
+        path.write_bytes(b"grippe\r\n  \r\n fievre \rtoux\n\n")
+        assert querysel.read_selected(str(path)) == [
+            "grippe", "fievre", "toux"]

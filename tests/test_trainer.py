@@ -1,6 +1,8 @@
 import gc
 import os
 import select
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -254,8 +256,9 @@ def assert_no_child_left():
 
 
 class ChildFirst:
-    """Children report each grid index they take through a pipe, and the
-    parent starts taking points only once a child has taken point 0.
+    """Children report each grid index they take through a pipe, and once
+    children were started, the parent starts taking points only after a
+    child has taken point 0. A lone process drains without waiting.
 
     `train_one` is the function children and parent train a point with.
     """
@@ -264,16 +267,24 @@ class ChildFirst:
         self.parent = os.getpid()
         self.read, self.write = os.pipe()
         self.first = b""
+        self.pooled = False
         self.train_one = trainer._train_one
-        drain = trainer._drain
+        drain, pool = trainer._drain, trainer._train_in_pool
 
         def reported(*args):
             if os.getpid() != self.parent:
                 os.write(self.write, bytes([args[-1]]))
             return self.train_one(*args)
 
+        def in_pool(*args):
+            self.pooled = True
+            try:
+                return pool(*args)
+            finally:
+                self.pooled = False
+
         def drain_after_child(*args):
-            if os.getpid() == self.parent:
+            if os.getpid() == self.parent and self.pooled:
                 ready, _, _ = select.select([self.read], [], [], 60)
                 assert ready, "no child took a grid point"
                 self.first += os.read(self.read, 1)
@@ -281,6 +292,7 @@ class ChildFirst:
 
         monkeypatch.setattr(trainer, "_train_one", reported)
         monkeypatch.setattr(trainer, "_drain", drain_after_child)
+        monkeypatch.setattr(trainer, "_train_in_pool", in_pool)
 
     def child_points(self) -> list:
         """Grid indices the children trained, in the order they took them."""
@@ -352,6 +364,41 @@ class TestGridPool:
             trainer.fit(quick_config(**self.GRID), make_data(["US"]))
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+    def test_one_core_error_stops_the_grid(self, monkeypatch):
+        taken = []
+
+        def fail(*args):
+            taken.append(args[-1])
+            raise trainer.TrainingError("no data at the first point")
+
+        monkeypatch.setattr(trainer, "_train_one", fail)
+        cores(monkeypatch, 1)
+        with pytest.raises(trainer.TrainingError) as caught:
+            trainer.fit(quick_config(**self.GRID), make_data(["US"]))
+        assert type(caught.value) is trainer.TrainingError
+        assert str(caught.value) == "no data at the first point"
+        assert taken == [0]
+
+    def test_one_core_imports_no_multiprocessing(self):
+        code = "\n".join([
+            "import os, sys",
+            "import numpy as np",
+            "from flucast import datahub, trainer",
+            "os.sched_getaffinity = lambda pid: {0}",
+            "rng = np.random.default_rng(0)",
+            "def windows(n):",
+            "    x, o = rng.normal(size=(n, 6)), rng.normal(size=(n, 2))",
+            "    q = rng.uniform(size=(n, 6, 1))",
+            "    return datahub.Windows('US', np.arange(n), x, x, q, o, o, o)",
+            "config = trainer.TrainConfig(n_in=6, s_out=2, m_grid=(4,),",
+            "    lr_grid=(0.01, 0.02), max_epochs=1, batch_size=4)",
+            "data = {'US': {'train': windows(8), 'val': windows(4)}}",
+            "trainer.fit(config, data)",
+            "print('multiprocessing' in sys.modules)"])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout == "False\n"
 
     @pytest.mark.parametrize("n_cores, lr_grid", [(2, (0.01,)),
                                                   (1, (0.01, 0.02))],
