@@ -1,19 +1,23 @@
 """Command-line orchestration: decompose, select-queries, train, forecast,
 evaluate, correlate. Config is flat key=value text with dotted section
 prefixes; all randomness flows from a single seed.
+
+Each command runs in its own process, so the flucast modules beyond
+`datahub` are imported inside the functions that use them: a process
+loads only what its command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 
 import numpy as np
 
-from . import Error, datahub, decompose, evalbench, fluenet, querysel, trainer
-from . import numkit as nk
+from . import Error, datahub
 
 
 class ConfigError(Error):
@@ -90,6 +94,7 @@ def _split(cfg, series) -> datahub.SplitPlan:
 
 
 def _query_list(cfg, country) -> list:
+    from . import querysel
     return querysel.read_selected(_get(cfg, f"queries.{country}"))
 
 
@@ -105,6 +110,7 @@ def _fit_country(cfg, series, use_queries) -> tuple:
     the fit, the STL seasonal over the training range, and the query
     panel min-max normalized on that range (None without queries).
     """
+    from . import decompose
     c = series.country
     plan = _split(cfg, series)
     seasonal = decompose.stl_decompose(series.values[:plan.train_len],
@@ -132,6 +138,7 @@ def _stored_fit(ckpt, extra, cfg, series, model) -> tuple:
     ConfigError; a missing or malformed entry is a ContractError naming
     the checkpoint and the key.
     """
+    from . import numkit as nk
     c = series.country
 
     def stored(key):
@@ -190,6 +197,7 @@ def _stored_fit(ckpt, extra, cfg, series, model) -> tuple:
 def _apply_country(cfg, series, seasonal_fit, panel) -> dict:
     """One country's split and full-length seasonal array, from its
     training-range seasonal and its normalized query panel."""
+    from . import decompose
     return {"series": series, "plan": _split(cfg, series),
             "seasonal": decompose.extend_seasonal(seasonal_fit, 52,
                                                   len(series)),
@@ -217,9 +225,10 @@ def _prepare_trained(cfg, ckpt, model, extra) -> dict:
 def _naming(ckpt):
     """A non-finite value in the forward pass of checkpoint `ckpt`'s model,
     or in a metric of its forecasts, is an error naming the file."""
+    from .numkit import NonFiniteError
     try:
         yield
-    except (nk.NonFiniteError, evalbench.NonFiniteMetricError) as e:
+    except NonFiniteError as e:
         raise type(e)(f"{ckpt}: {e}") from None
 
 
@@ -239,6 +248,7 @@ def _countries(cfg, args):
 
 
 def cmd_decompose(cfg, args) -> int:
+    from . import decompose
     out = args.out
     for country, series in _load_ili(cfg, _countries(cfg, args)).items():
         d = decompose.stl_decompose(series.values, period=52)
@@ -257,6 +267,7 @@ def cmd_decompose(cfg, args) -> int:
 
 
 def cmd_select_queries(cfg, args) -> int:
+    from . import querysel
     english = querysel.read_selected(_get(cfg, "querysel.english_queries"))
     out_path = os.path.join(args.out, "selected_queries.csv")
     if args.method == "mapping":
@@ -301,6 +312,7 @@ def cmd_select_queries(cfg, args) -> int:
 def _train_config(cfg, args) -> trainer.TrainConfig:
     """The training settings that are set, by a key or by --seed; the
     TrainConfig defaults stand for the rest."""
+    from . import trainer
     settings = dict(
         n_in=_get(cfg, "model.n", None, int),
         s_out=_get(cfg, "model.s", None, int),
@@ -322,6 +334,7 @@ def _train_config(cfg, args) -> trainer.TrainConfig:
 
 
 def cmd_train(cfg, args) -> int:
+    from . import fluenet, trainer
     countries = _countries(cfg, args)
     tc = _train_config(cfg, args)
     extra, data = {"term": _get(cfg, "term", "")}, {}
@@ -345,6 +358,7 @@ def cmd_train(cfg, args) -> int:
 
 
 def cmd_evaluate(cfg, args) -> int:
+    from . import evalbench, fluenet
     model, extra = fluenet.load_checkpoint(args.checkpoint)
     term = extra.get("term", "")
     prepared = _prepare_trained(cfg, args.checkpoint, model, extra)
@@ -384,6 +398,7 @@ def cmd_evaluate(cfg, args) -> int:
 
 def cmd_forecast(cfg, args) -> int:
     """Forecast S weeks past the end of each country's series."""
+    from . import decompose, fluenet
     model, extra = fluenet.load_checkpoint(args.checkpoint)
     rows = []
     for c, p in _prepare_trained(cfg, args.checkpoint, model,
@@ -407,6 +422,7 @@ def cmd_forecast(cfg, args) -> int:
 
 
 def cmd_correlate(cfg, args) -> int:
+    from . import evalbench
     countries = _countries(cfg, args)
     shifts = {c: _get(cfg, f"correlate.shift.{c}", 0, int)
               for c in countries}
@@ -465,5 +481,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The process entry, of `python -m flucast.cli` and the `flucast`
+    script: run `main`, then exit with its code.
+
+    Every object still alive then lives until exit, so they are frozen
+    first, and the interpreter's collections at shutdown skip them. An
+    in-process caller of `main` keeps its collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -137,9 +137,10 @@ class SplitPlan:
 
 @contextlib.contextmanager
 def open_text(path: str, newline: str = None):
-    """The file at `path`, open for reading as UTF-8 text; a byte that is
-    not UTF-8 is a DataError naming the file."""
-    with open(path, encoding="utf-8", newline=newline) as f:
+    """The file at `path`, open for reading as UTF-8 text after any
+    byte-order mark; a byte that is not UTF-8 is a DataError naming the
+    file."""
+    with open(path, encoding="utf-8-sig", newline=newline) as f:
         try:
             yield f
         except UnicodeDecodeError as e:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import Error, datahub, fluenet
+from .numkit import NonFiniteError
 from .querysel import pearson
 
 
@@ -21,7 +22,7 @@ class MetricError(Error):
     pass
 
 
-class NonFiniteMetricError(MetricError):
+class NonFiniteMetricError(MetricError, NonFiniteError):
     """A metric of finite forecasts that overflows."""
 
 

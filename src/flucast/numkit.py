@@ -23,7 +23,6 @@ thread, so processes that each run numpy do not oversubscribe the cores.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 
 import numpy as np
@@ -513,6 +512,7 @@ class Rng:
 
     def spawn(self, name: str) -> "Rng":
         """Derive an independent child stream keyed by (seed, name)."""
+        import hashlib
         h = hashlib.sha256(f"{self.seed}/{name}".encode("utf-8")).digest()
         return Rng(int.from_bytes(h[:8], "big"))
 

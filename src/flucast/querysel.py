@@ -15,7 +15,6 @@ bitwise those of a scan over the whole vocabulary.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -230,6 +229,7 @@ def _ranked(per_token):
     is drained before its texts are sorted. A text met again (target
     words may hold spaces) keeps its first, best theta_w.
     """
+    import heapq
     if not all(per_token):
         return
 

@@ -265,6 +265,10 @@ def _train_in_pool(config, data, l_queries, points, workers) -> dict:
     each sends its results back through a pipe. Every child is joined,
     or terminated and joined, before this returns or raises.
     """
+    # Children seed their streams through Rng.spawn, which imports
+    # hashlib; loaded before the fork, it is shared rather than loaded
+    # (with OpenSSL) by each child, ~1-2 MB of resident memory apiece.
+    import hashlib
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")

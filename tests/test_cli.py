@@ -202,6 +202,37 @@ class TestConfigParsing:
         assert "data.ili" in capsys.readouterr().err
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize("where", ["config", "ili", "queries"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, where):
+        """An input may start with the UTF-8 byte-order mark that Excel
+        and Notepad write; outputs start without one."""
+        config = build_workspace(tmp_path)
+        english = tmp_path / "queries.txt"
+        mapping = tmp_path / "map.csv"
+        mapping.write_text("english,translated\nflu fever,gripe\n"
+                           "cold remedy,resfriado\n", encoding="utf-8")
+        config.write_text(config.read_text(encoding="utf-8")
+                          + f"querysel.english_queries = {english}\n"
+                            f"querysel.mapping = {mapping}\n",
+                          encoding="utf-8")
+        path, argv, output = {
+            "config": (config, ["decompose"], "decomp_US.csv"),
+            "ili": (tmp_path / "ili.csv", ["decompose"], "decomp_US.csv"),
+            "queries": (english, ["select-queries", "--method", "mapping"],
+                        "selected_queries.csv"),
+        }[where]
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(config, tmp_path / "out", *argv) == 0
+        text = (tmp_path / "out" / output).read_text(encoding="utf-8")
+        if where == "queries":
+            assert querysel.read_selected(str(english)) == QUERIES
+            assert text.splitlines()[1].startswith("flu fever,gripe,")
+        else:
+            assert text.startswith("iso_week,")
+            assert len(text.splitlines()) == WEEKS + 1
+
+
 class TestDecomposeCommand:
     def test_components_reassemble_observed(self, workspace, tmp_path):
         root, config = workspace
@@ -396,26 +427,95 @@ class TestEvaluateCommand:
             assert float(r["y_true"]) == series.values[series.pos(week)]
 
 
-class TestInferenceDrawsNothing:
-    @pytest.mark.parametrize("argv", [["evaluate", "--with-baselines"],
-                                      ["forecast"]])
-    def test_no_numpy_random_in_a_fresh_interpreter(self, trained_single,
-                                                    tmp_path, argv):
-        """Loading a checkpoint reads its tensors and draws no weights,
-        so inference never imports numpy.random."""
+# What each command must not load. numpy alone loads none of hashlib,
+# multiprocessing and numpy.random; only `train` draws random weights.
+NOT_LOADED = {
+    "decompose": ["flucast.querysel", "flucast.numkit", "flucast.fluenet",
+                  "flucast.evalbench", "flucast.trainer"],
+    "select-queries": ["flucast.decompose", "flucast.numkit",
+                       "flucast.fluenet", "flucast.evalbench",
+                       "flucast.trainer"],
+    "train": ["flucast.evalbench"],
+    "evaluate": ["flucast.trainer"],
+    "forecast": ["flucast.trainer", "flucast.evalbench"],
+}
+TRAIN_ONLY = ["hashlib", "multiprocessing", "numpy.random"]
+
+
+class TestImportSets:
+    @pytest.mark.parametrize("command", list(NOT_LOADED))
+    def test_each_command_loads_only_what_it_runs(self, trained_single,
+                                                  tmp_path, command):
+        """Run in a fresh interpreter, a command imports the flucast
+        modules it calls and no other; inference and data preparation
+        draw nothing, so they never import numpy.random."""
         config, trained = trained_single
+        ckpt = ["--checkpoint", str(trained / "checkpoint.json")]
+        argv = {"decompose": ["decompose"],
+                "select-queries": ["select-queries", "--method", "wt"],
+                "train": ["train", "--countries", "US"],
+                "evaluate": ["evaluate", "--with-baselines", *ckpt],
+                "forecast": ["forecast", *ckpt]}[command]
+        if command == "select-queries":
+            config, _ = build_wt_inputs(config.parent, config, tmp_path)
         probe = ("import sys; from flucast import cli; "
                  "assert cli.main(sys.argv[1:]) == 0; "
-                 "print([m for m in sys.modules "
-                 "if m.startswith('numpy.random')])")
+                 "print(*sorted(sys.modules), sep='\\n', file=sys.stderr)")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         done = subprocess.run(
             [sys.executable, "-c", probe, "--config", str(config), "--out",
-             str(tmp_path), argv[0], "--checkpoint",
-             str(trained / "checkpoint.json"), *argv[1:]],
+             str(tmp_path), *argv],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True, check=True, timeout=120)
-        assert done.stdout.splitlines()[-1] == "[]"
+        loaded = set(done.stderr.splitlines())
+        assert "flucast.datahub" in loaded
+        unwanted = NOT_LOADED[command]
+        if command != "train":
+            unwanted = unwanted + TRAIN_ONLY
+        assert sorted(loaded & set(unwanted)) == []
+
+
+class TestProcessEntry:
+    def test_module_run_exits_with_the_command_code(self, workspace,
+                                                    tmp_path):
+        """`python -m flucast.cli` prints what a command wrote and exits 0,
+        or prints one `error:` line and exits 1."""
+        _, config = workspace
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+
+        def module_run(config, *argv):
+            return subprocess.run(
+                [sys.executable, "-m", "flucast.cli", "--config",
+                 str(config), "--out", str(tmp_path), *argv],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                text=True, timeout=120)
+
+        done = module_run(config, "decompose")
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.splitlines() == [
+            f"wrote {tmp_path / f'decomp_{c}.csv'}" for c in ("JP", "US")]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("countries = US\n", encoding="utf-8")
+        done = module_run(bad, "decompose")
+        assert done.returncode == 1
+        assert done.stderr == "error: missing config key 'data.ili'\n"
+
+    def test_console_script_is_the_module_entry(self):
+        """The `flucast` script and `python -m flucast.cli` start the same
+        function."""
+        with open(cli.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        block, = [node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+        call, = block.body
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "pyproject.toml"),
+                  encoding="utf-8") as f:
+            scripts = f.read().split("[project.scripts]", 1)[1]
+        module, name = re.search(r'^flucast\s*=\s*"([^"]+)"', scripts,
+                                 re.M).group(1).split(":")
+        assert module == "flucast.cli"
+        assert ast.unparse(call) == f"{name}()"
 
 
 class TestForecastCommand:
