@@ -167,7 +167,7 @@ def _stored_fit(ckpt, extra, cfg, series, model) -> tuple:
                               f"{fit_len}")
 
     trained = stored("queries")
-    configured = _query_list(cfg, c) if model.use_queries else []
+    configured = _query_list(cfg, c) if model.l_queries > 0 else []
     if configured != trained:
         raise ConfigError(f"{c}: queries {configured} differ from the "
                           f"{trained} the checkpoint was trained on")
@@ -183,12 +183,12 @@ def _stored_fit(ckpt, extra, cfg, series, model) -> tuple:
         if not (np.isfinite(mn) and np.isfinite(mx) and mn < mx):
             raise bad("norm", f"query {q!r} has min {mn!r} and max {mx!r}, "
                               f"not finite with min < max")
-    lo = 1 if model.use_queries else 0
+    lo = 1 if model.l_queries > 0 else 0
     if not lo <= len(stats) <= model.l_queries:
         raise bad("norm", f"has {len(stats)} queries, the model takes "
                           f"{lo} to {model.l_queries}")
     panel = None
-    if model.use_queries:
+    if model.l_queries > 0:
         panel = datahub.minmax_apply(
             _trends(cfg, series, [q for q, _, _ in stats]), stats)
     return seasonal, panel
@@ -281,15 +281,16 @@ def cmd_select_queries(cfg, args) -> int:
         print(f"wrote {out_path}")
         return 0
 
+    # source stopwords leave the English queries, target ones the vocabulary
+    stop = {}
+    for key in ("querysel.source_stopwords", "querysel.target_stopwords"):
+        path = _get(cfg, key, None)
+        stop[key] = querysel.load_stopwords(path) if path else set()
     source = querysel.load_embeddings(
         _get(cfg, "querysel.source_embeddings"), "source")
     target = querysel.load_embeddings(
-        _get(cfg, "querysel.target_embeddings"), "target")
-    stopwords = set()
-    for key in ("querysel.source_stopwords", "querysel.target_stopwords"):
-        path = _get(cfg, key, None)
-        if path:
-            stopwords |= querysel.load_stopwords(path)
+        _get(cfg, "querysel.target_embeddings"), "target",
+        skip=stop["querysel.target_stopwords"])
     country = _get(cfg, "querysel.country")
     series = _load_ili(cfg, [country])[country]
     fit_len = _split(cfg, series).train_len
@@ -303,7 +304,8 @@ def cmd_select_queries(cfg, args) -> int:
 
     selected = querysel.wt_select(
         english, source, target, provider, series.values[:fit_len],
-        k=_get(cfg, "querysel.k", 100, int), stopwords=stopwords)
+        k=_get(cfg, "querysel.k", 100, int),
+        stopwords=stop["querysel.source_stopwords"])
     querysel.write_selected(out_path, selected)
     print(f"wrote {out_path}")
     return 0
@@ -323,8 +325,6 @@ def _train_config(cfg, args) -> trainer.TrainConfig:
         batch_size=_get(cfg, "train.batch_size", None, int),
         seed=args.seed if args.seed is not None
         else _get(cfg, "seed", None, int),
-        use_queries=not (args.no_queries
-                         or _get(cfg, "no_queries", False, bool)),
         use_country_embedding=not (
             args.no_country_embedding
             or _get(cfg, "no_country_embedding", False, bool)),
@@ -337,9 +337,11 @@ def cmd_train(cfg, args) -> int:
     from . import fluenet, trainer
     countries = _countries(cfg, args)
     tc = _train_config(cfg, args)
+    use_queries = not (args.no_queries
+                       or _get(cfg, "no_queries", False, bool))
     extra, data = {"term": _get(cfg, "term", "")}, {}
     for c, series in _load_ili(cfg, countries).items():
-        stored, seasonal, panel = _fit_country(cfg, series, tc.use_queries)
+        stored, seasonal, panel = _fit_country(cfg, series, use_queries)
         extra.update(stored)
         p = _apply_country(cfg, series, seasonal, panel)
         data[c] = {part: _windows(p, part, tc.n_in, tc.s_out)

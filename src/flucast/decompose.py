@@ -33,7 +33,6 @@ class Decomposition:
     trend: np.ndarray
     seasonal: np.ndarray
     remainder: np.ndarray
-    period: int
 
     def reconstruct(self) -> np.ndarray:
         return self.trend + self.seasonal + self.remainder
@@ -202,8 +201,7 @@ def stl_decompose(series, period: int) -> Decomposition:
         trend[start:stop] += m
 
     remainder = y - trend - seasonal
-    return Decomposition(trend=trend, seasonal=seasonal,
-                         remainder=remainder, period=period)
+    return Decomposition(trend=trend, seasonal=seasonal, remainder=remainder)
 
 
 def extend_seasonal(seasonal: np.ndarray, period: int, length: int

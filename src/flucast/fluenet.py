@@ -85,7 +85,8 @@ class ModelParams:
     GRUs and the fusion MLP are shared across countries; attention and the
     output MLP are country-specific. The country embedding (one-hot -> M
     linear map) supplies the initial hidden state of both encoders when
-    the model covers more than one country.
+    the model covers more than one country. The model takes queries
+    exactly when its query count `l_queries` (L) is above 0.
 
     The constructor is the only list of the tensors. It walks them in the
     Glorot draw order, getting each from `make(name, rows, cols, stream)`;
@@ -93,20 +94,18 @@ class ModelParams:
     """
 
     def __init__(self, m: int, n_in: int, s_out: int, l_queries: int,
-                 countries, seed: int, use_queries: bool = True,
-                 use_country_embedding: bool = False,
+                 countries, seed: int, use_country_embedding: bool = False,
                  arch: str = "proposed", make=None):
         if arch not in ARCHS:
             raise ValueError(f"unknown arch {arch!r}")
-        if use_queries and arch == "proposed" and l_queries < 1:
-            raise ValueError("l_queries must be >= 1 when queries are used")
+        if l_queries < 0:
+            raise ValueError(f"l_queries must be >= 0, got {l_queries}")
         self.m = m
         self.n_in = n_in
         self.s_out = s_out
-        self.l_queries = l_queries if use_queries else 0
+        self.l_queries = l_queries
         self.countries = list(countries)
         self.seed = seed
-        self.use_queries = use_queries
         self.use_country_embedding = use_country_embedding
         self.arch = arch
 
@@ -150,7 +149,7 @@ class ModelParams:
 
     @property
     def has_attention(self) -> bool:
-        return self.use_queries and self.arch == "proposed"
+        return self.l_queries > 0 and self.arch == "proposed"
 
     def country_id(self, country: str) -> int:
         try:
@@ -267,7 +266,7 @@ def forward_batch(model: ModelParams, country: str, x_des: np.ndarray,
     b = x_des.shape[0]
     h0 = initial_state(model, country, b)
 
-    if model.arch == "gru_baseline" and model.use_queries:
+    if model.arch == "gru_baseline":
         joined = np.concatenate([x_des.T[:, :, None], q.transpose(1, 0, 2)],
                                 axis=2)
         h_tau = encode_sequence(model.ili_encoder, joined, h0)
@@ -289,7 +288,7 @@ def forward_batch(model: ModelParams, country: str, x_des: np.ndarray,
 
 # The ModelParams arguments a checkpoint's `meta` holds.
 _META_KEYS = ("m", "n_in", "s_out", "l_queries", "countries", "seed",
-              "use_queries", "use_country_embedding", "arch")
+              "use_country_embedding", "arch")
 
 
 def save_checkpoint(path: str, model: ModelParams, extra: dict = None
@@ -297,7 +296,7 @@ def save_checkpoint(path: str, model: ModelParams, extra: dict = None
     """Versioned JSON checkpoint; float data round-trips bit-exactly.
 
     `meta.l_queries` is the model's L, the largest query count of any
-    country; the query list of each country belongs in `extra`.
+    country, 0 for no queries; each country's query list is in `extra`.
     """
     doc = {
         "format": "flucast-checkpoint",
@@ -322,7 +321,8 @@ def load_checkpoint(path: str) -> tuple:
     The tensors are read in the model layout's walk; nothing is drawn.
     Only what `save_checkpoint` writes is accepted. Anything else is a
     ContractError naming the file and the key or tensor: a file that is
-    not JSON, another format or version, a missing `meta` key, a tensor
+    not JSON, another format or version, a missing `meta` key (a key it
+    does not read, such as one older files hold, is ignored), a tensor
     missing, unexpected or of another shape than the model layout, or a
     tensor holding NaN or inf.
     """

@@ -71,9 +71,6 @@ class Tensor2:
             raise ContractError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
 
-    def copy(self) -> "Tensor2":
-        return Tensor2(self.data.copy(), copy=False)
-
     def __repr__(self):
         return f"Tensor2(shape={self.shape})"
 
@@ -478,11 +475,8 @@ def mean_all(a: Tensor2) -> Tensor2:
     return _emit(np.array([[a.data.mean()]]), [a], bw, "mean_all")
 
 
-def backward(tape: GradTape, loss: Tensor2) -> dict:
-    """Reverse sweep over the tape; fills .grad on every visited tensor.
-
-    Returns a mapping id(tensor) -> gradient array for convenience.
-    """
+def backward(tape: GradTape, loss: Tensor2) -> None:
+    """Reverse sweep over the tape; fills .grad on every visited tensor."""
     if loss.shape != (1, 1):
         raise ContractError(f"loss must be scalar 1x1, got {loss.shape}")
     grads = {id(loss): np.ones((1, 1))}
@@ -500,7 +494,6 @@ def backward(tape: GradTape, loss: Tensor2) -> dict:
             tensors[key] = inp
     for key, t in tensors.items():
         t.grad = grads[key]
-    return grads
 
 
 class Rng:

@@ -73,16 +73,18 @@ class EmbeddingTable:
                                  f"vocabulary") from None
 
 
-def load_embeddings(path: str, language: str) -> EmbeddingTable:
+def load_embeddings(path: str, language: str, skip=frozenset()
+                    ) -> EmbeddingTable:
     """Text format: word then floats per line; optional 'count dim' header.
 
     Line 1 is the header only when both its fields are integers.
     Trailing whitespace, as fastText `.vec` rows have, adds no component.
-    Blank lines are skipped. A word with no components, a component that
-    is not a finite number, or a row whose length differs from the first
-    row's, is a DataError naming `path:line`.
+    Blank lines are skipped, and so are the rows of the words in `skip`
+    once checked. A word with no components, a component that is not a
+    finite number, or a row whose length differs from the first row's,
+    is a DataError naming `path:line`.
     """
-    words, vectors = [], []
+    words, vectors, dim = [], [], None
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.rstrip().split(" ")
@@ -103,11 +105,13 @@ def load_embeddings(path: str, language: str) -> EmbeddingTable:
                 if bad:
                     raise DataError(
                         f"{path}:{lineno}: non-finite component {bad[0]}")
-            if vectors and len(vector) != len(vectors[0]):
+            dim = dim or len(vector)
+            if len(vector) != dim:
                 raise DataError(f"{path}:{lineno}: {len(vector)} components, "
-                                f"expected {len(vectors[0])}")
-            words.append(parts[0])
-            vectors.append(vector)
+                                f"expected {dim}")
+            if parts[0] not in skip:
+                words.append(parts[0])
+                vectors.append(vector)
     return EmbeddingTable(language, words, vectors)
 
 

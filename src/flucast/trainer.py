@@ -38,7 +38,6 @@ class TrainConfig:
     patience: int = 20
     batch_size: int = 32
     seed: int = 0
-    use_queries: bool = True
     use_country_embedding: bool = True
     arch: str = "proposed"
 
@@ -139,13 +138,13 @@ def _restore(model, snap):
 
 
 def _query_count(config: TrainConfig, data: dict) -> int:
-    """The largest L of any country; gru_baseline needs one L for all."""
+    """The largest L of any country, the model's L (0: no queries);
+    gru_baseline needs one L for all."""
     for c in sorted(data):
         if not data[c]["train"]:
             raise TrainingError(f"no training samples for country {c}")
     counts = {c: d["train"].q.shape[2] for c, d in data.items()}
-    if (config.arch == "gru_baseline" and config.use_queries
-            and len(set(counts.values())) > 1):
+    if config.arch == "gru_baseline" and len(set(counts.values())) > 1:
         raise TrainingError(
             "gru_baseline needs the same number of queries in every "
             "country, got " + ", ".join(f"{c}: L={counts[c]}"
@@ -176,7 +175,6 @@ def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
     model = fluenet.ModelParams(
         m=m, n_in=config.n_in, s_out=config.s_out, l_queries=l_queries,
         countries=sorted(data), seed=root.spawn("init").seed,
-        use_queries=config.use_queries,
         use_country_embedding=len(data) > 1 and config.use_country_embedding,
         arch=config.arch)
     adam = nk.Adam(lr)

@@ -148,7 +148,7 @@ class TestScheduledSamplingLimits:
         h0 = Tensor2(rng.normal(0, 1, (3, 4)))
         x_last = rng.normal(0, 1, (3,))
         a = fluenet.decode(dec, out, h0, x_last, 5)
-        b = fluenet.decode(dec, out, h0.copy(), x_last, 5,
+        b = fluenet.decode(dec, out, Tensor2(h0.data), x_last, 5,
                            teacher=rng.normal(0, 100, (3, 5)), eps=0.0)
         assert np.array_equal(a.data, b.data)
 

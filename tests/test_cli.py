@@ -191,8 +191,7 @@ class TestConfigParsing:
                         bool) is value
 
     def test_unset_training_keys_take_the_train_config_defaults(self):
-        args = argparse.Namespace(seed=None, no_queries=False,
-                                  no_country_embedding=False)
+        args = argparse.Namespace(seed=None, no_country_embedding=False)
         assert cli._train_config({}, args) == trainer.TrainConfig()
 
     def test_missing_required_key_exits_nonzero(self, tmp_path, capsys):
@@ -292,6 +291,23 @@ class TestSelectQueriesCommand:
             assert float(r["theta_w"]) == pytest.approx(theta_w, abs=1e-12)
             assert float(r["theta_t"]) == pytest.approx(theta_t, abs=1e-12)
 
+    @pytest.mark.parametrize("stop, picked", [
+        ("influenza\n", "gripe fiebre"), ("fever\n", "influenza fiebre")],
+        ids=["target_word", "source_word"])
+    def test_target_stopwords_filter_only_target_words(
+            self, workspace, tmp_path, stop, picked):
+        """A target stopword is no candidate's word; an English word in
+        the target set leaves the English query whole."""
+        root, config = workspace
+        cfg2, expected = build_wt_inputs(root, config, tmp_path)
+        (tmp_path / "stop.txt").write_text(stop, encoding="utf-8")
+        cfg2.write_text(cfg2.read_text(encoding="utf-8")
+                        + f"querysel.target_stopwords = "
+                          f"{tmp_path / 'stop.txt'}\n", encoding="utf-8")
+        assert run(cfg2, tmp_path, "select-queries", "--method", "wt") == 0
+        got = querysel.read_selected(str(tmp_path / "selected_queries.csv"))
+        assert got == [picked, expected[1][1]]
+
 
 @pytest.fixture(scope="module")
 def trained_single(workspace, tmp_path_factory):
@@ -344,6 +360,43 @@ class TestTrainCommand:
         assert not any("attention" in n or "query_encoder" in n
                        for n in ckpt["tensors"])
         assert ckpt["extra"]["queries.US"] == []
+
+    def test_seed_flag_is_the_seed_key(self, workspace, tmp_path):
+        root, config = workspace
+        text = config.read_text(encoding="utf-8")
+        assert "seed = 1\n" in text
+        outs = {}
+        for name, seed_key, argv in (("flag", "seed = 1", ["--seed", "5"]),
+                                     ("key", "seed = 5", []),
+                                     ("zero", "seed = 0", [])):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text.replace("seed = 1", seed_key),
+                           encoding="utf-8")
+            outs[name] = tmp_path / name
+            assert run(cfg, outs[name], *argv, "train", "--countries",
+                       "US") == 0
+        ckpt = {name: (out / "checkpoint.json").read_bytes()
+                for name, out in outs.items()}
+        assert ckpt["flag"] == ckpt["key"]
+        assert ckpt["flag"] != ckpt["zero"]
+        assert (json.loads(ckpt["flag"])["tensors"]
+                != json.loads(ckpt["zero"])["tensors"])
+
+    def test_no_country_embedding_flag_is_the_key(self, workspace,
+                                                  tmp_path):
+        root, config = workspace
+        cfg2 = tmp_path / "c.cfg"
+        cfg2.write_text(config.read_text(encoding="utf-8")
+                        + "no_country_embedding = true\n", encoding="utf-8")
+        a, b = tmp_path / "flag", tmp_path / "key"
+        assert run(config, a, "train", "--no-country-embedding") == 0
+        assert run(cfg2, b, "train") == 0
+        assert ((a / "checkpoint.json").read_bytes()
+                == (b / "checkpoint.json").read_bytes())
+        ckpt = json.loads((a / "checkpoint.json").read_text(encoding="utf-8"))
+        assert ckpt["meta"]["countries"] == ["JP", "US"]
+        assert ckpt["meta"]["use_country_embedding"] is False
+        assert "shared.country_embed" not in ckpt["tensors"]
 
     def test_multi_mode_covers_both_countries(self, workspace, tmp_path):
         root, config = workspace
@@ -547,6 +600,35 @@ def trained_multi(workspace, tmp_path_factory):
     assert run(config, out / "forecast", "forecast", "--checkpoint",
                ckpt) == 0
     return config, out
+
+
+class TestOlderCheckpoint:
+    """A version-3 checkpoint whose `meta` holds `use_queries`, as files
+    written before L alone decided it do, reads the same."""
+
+    @pytest.mark.parametrize("flags", [[], ["--no-queries"]],
+                             ids=["queries", "no_queries"])
+    def test_meta_use_queries_is_ignored(self, workspace, tmp_path, flags):
+        root, config = workspace
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert run(config, new, "train", *flags) == 0
+        doc = json.loads((new / "checkpoint.json").read_text(encoding="utf-8"))
+        assert "use_queries" not in doc["meta"]
+        doc["meta"]["use_queries"] = doc["meta"]["l_queries"] > 0
+        old.mkdir()
+        (old / "checkpoint.json").write_text(
+            json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+        for out in (new, old):
+            ckpt = str(out / "checkpoint.json")
+            assert run(config, out / "evaluate", "evaluate", "--checkpoint",
+                       ckpt, "--with-baselines") == 0
+            assert run(config, out / "forecast", "forecast", "--checkpoint",
+                       ckpt) == 0
+        for name in ("report.csv", "forecasts.csv", "attention.csv"):
+            assert ((new / "evaluate" / name).read_bytes()
+                    == (old / "evaluate" / name).read_bytes())
+        assert ((new / "forecast" / "forecasts.csv").read_bytes()
+                == (old / "forecast" / "forecasts.csv").read_bytes())
 
 
 class TestCheckpointWindowSizes:
@@ -779,6 +861,8 @@ class TestBadInput:
          "unexpected ['shared.extra']"),
         (lambda doc: {**doc, "meta": {**doc["meta"], "arch": "rnn"}},
          "checkpoint meta: unknown arch 'rnn'"),
+        (lambda doc: {**doc, "meta": {**doc["meta"], "l_queries": -1}},
+         "checkpoint meta: l_queries must be >= 0, got -1"),
         (lambda doc: {**doc, "tensors": {
             **doc["tensors"], "shared.fusion.b1": {
                 **doc["tensors"]["shared.fusion.b1"], "data": [0.5]}}},
@@ -807,8 +891,9 @@ class TestBadInput:
          "checkpoint extra norm.US has 4 queries, the model takes 1 to 2")],
         ids=["not_json", "other_format", "version", "version_1", "version_2",
              "empty_meta", "missing_tensor", "unexpected_tensor",
-             "bad_arch", "short_data", "missing_norm", "nan_seasonal",
-             "short_seasonal", "flat_stat", "short_stat", "extra_stats"])
+             "bad_arch", "negative_l_queries", "short_data", "missing_norm",
+             "nan_seasonal", "short_seasonal", "flat_stat", "short_stat",
+             "extra_stats"])
     def test_malformed_checkpoint_is_one_line(self, trained_single, tmp_path,
                                               capsys, command, edit,
                                               message):

@@ -380,7 +380,7 @@ class TestExtendSeasonal:
         t = np.arange(208, dtype=float)
         s = np.sin(2 * np.pi * t / 52)
         d = decompose.stl_decompose(s, period=52)
-        out = decompose.extend_seasonal(d.seasonal, d.period, 208 + 60)
+        out = decompose.extend_seasonal(d.seasonal, 52, 208 + 60)
         assert np.array_equal(out[208:260], d.seasonal[-52:])
         assert np.array_equal(out, template_pair_oracle(d.seasonal, 52,
                                                         208 + 60))

@@ -228,11 +228,13 @@ class TestBatchedEvaluateModel:
 
     @pytest.mark.parametrize("kw", [
         {}, {"use_country_embedding": True},
-        {"arch": "gru_baseline"}, {"use_queries": False}],
+        {"arch": "gru_baseline"}, {"l_queries": 0}],
         ids=["proposed", "embedded", "gru_baseline", "no_queries"])
     def test_matches_per_window_oracle(self, kw):
-        model = fluenet.ModelParams(m=5, n_in=6, s_out=3, l_queries=2,
-                                    countries=["JP", "US"], seed=4, **kw)
+        args = dict(m=5, n_in=6, s_out=3, l_queries=2,
+                    countries=["JP", "US"], seed=4)
+        args.update(kw)
+        model = fluenet.ModelParams(**args)
         rng = Rng(10)
         windows = windows_table("US", 400, *stacked(
             (rng.normal(0, 1, 6), rng.normal(0, 1, 3), rng.uniform(1, 5, 3),

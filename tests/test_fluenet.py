@@ -310,7 +310,7 @@ class TestDecode:
         h = Tensor2(rng.normal(0, 1, (2, 3)))
         x_last = rng.normal(0, 1, (2,))
         a = fluenet.decode(dec, out, h, x_last, 4)
-        b = fluenet.decode(dec, out, h.copy(), x_last, 4,
+        b = fluenet.decode(dec, out, Tensor2(h.data), x_last, 4,
                            teacher=np.full((2, 4), 99.0), eps=0.0)
         assert np.array_equal(a.data, b.data)
 
@@ -383,10 +383,33 @@ class TestModel:
         assert any(n.startswith("shared.") for n in us)
 
     def test_no_query_model_has_no_attention_tensors(self):
-        model = small_model(use_queries=False)
+        model = small_model(l_queries=0)
         assert not model.has_attention
         assert not any("attention" in n or "query_encoder" in n
                        for n in model.named_params())
+
+    def test_no_query_archs_are_one_model(self):
+        """At L = 0 both archs are the GRU over the ILI window alone:
+        the same tensors, forecasts and gradients, bit for bit."""
+        models = [small_model(l_queries=0, arch=arch, seed=3,
+                              use_country_embedding=True)
+                  for arch in fluenet.ARCHS]
+        params = [m.named_params() for m in models]
+        assert list(params[0]) == list(params[1])
+        for name in params[0]:
+            assert np.array_equal(params[0][name].data,
+                                  params[1][name].data), name
+        x_des, q = sample_batch(Rng(8), 5, 8, 0)
+        outs = []
+        for model in models:
+            with nk.GradTape() as tape:
+                o_hat, weights = fluenet.forward_batch(model, "US", x_des, q)
+                nk.backward(tape, nk.mean_all(nk.mul(o_hat, o_hat)))
+            assert weights is None
+            outs.append([o_hat.data] + [t.grad for t in
+                                        model.named_params().values()])
+        for a, b in zip(*outs):
+            assert np.array_equal(a, b)
 
     def test_unknown_country_rejected(self):
         model = small_model()
@@ -465,8 +488,7 @@ class TestModel:
         assert abs(weights[0].sum() - 1.0) < 1e-12
 
 
-def oracle_init(m, l_queries, countries, seed, use_queries,
-                use_country_embedding, arch):
+def oracle_init(m, l_queries, countries, seed, use_country_embedding, arch):
     """Every tensor drawn straight from `Rng`, group by group: ILI
     encoder, decoder, query encoder and fusion on `model-init`, then each
     country's attention and output on `country/<C>`, then the embedding
@@ -491,9 +513,8 @@ def oracle_init(m, l_queries, countries, seed, use_queries,
         glorot(stream, f"{prefix}.w2", m, out_dim)
         out[f"{prefix}.b2"] = np.zeros((1, out_dim))
 
-    attention = use_queries and arch == "proposed"
-    joint = arch == "gru_baseline" and use_queries
-    gru("ili_encoder", 1 + l_queries if joint else 1)
+    attention = l_queries > 0 and arch == "proposed"
+    gru("ili_encoder", 1 + l_queries if arch == "gru_baseline" else 1)
     gru("decoder", 1)
     if attention:
         gru("query_encoder", 1)
@@ -512,14 +533,13 @@ def oracle_init(m, l_queries, countries, seed, use_queries,
 
 class TestInitOrder:
     @pytest.mark.parametrize("arch", fluenet.ARCHS)
-    @pytest.mark.parametrize("use_queries", [True, False],
+    @pytest.mark.parametrize("l_queries", [2, 0],
                              ids=["queries", "no_queries"])
     @pytest.mark.parametrize("embed", [True, False],
                              ids=["embed", "no_embed"])
-    def test_draws_match_oracle_bit_for_bit(self, arch, use_queries, embed):
-        args = dict(m=3, l_queries=2, countries=["BR", "JP", "US"], seed=11,
-                    use_queries=use_queries, use_country_embedding=embed,
-                    arch=arch)
+    def test_draws_match_oracle_bit_for_bit(self, arch, l_queries, embed):
+        args = dict(m=3, l_queries=l_queries, countries=["BR", "JP", "US"],
+                    seed=11, use_country_embedding=embed, arch=arch)
         model = fluenet.ModelParams(n_in=5, s_out=2, **args)
         want = oracle_init(**args)
         got = model.named_params()

@@ -590,6 +590,19 @@ class TestEmbeddingIo:
         table = querysel.load_embeddings(str(path), "en")
         assert table.vocabulary() == ["flu", "fever"]
 
+    def test_skipped_words_are_checked_then_left_out(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("la 1.0 2.0\ngripe 3.0 4.0\nde 5.0\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:3: 1 components, expected 2")):
+            querysel.load_embeddings(str(path), "es", skip={"la", "de"})
+        path.write_text("la 1.0 2.0\ngripe 3.0 4.0\nde 5.0 6.0\n",
+                        encoding="utf-8")
+        table = querysel.load_embeddings(str(path), "es", skip={"la", "de"})
+        assert table.vocabulary() == ["gripe"]
+        assert np.array_equal(table.vector("gripe"), [3.0, 4.0])
+
     def test_vectors_are_rows_of_one_matrix(self):
         table = EmbeddingTable("xx", ["b", "a", "b", "c"],
                                [[1, 2], [3, 4], [5, 6], [7, 8]])
