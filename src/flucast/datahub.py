@@ -1,5 +1,8 @@
 """CSV ingestion, calendar alignment, normalization, and training windows.
 
+Every CSV input is parsed by `csv_rows` and, under one header policy,
+`read_csv`; every CSV output is written by `write_csv`.
+
 Weeks use the ISO calendar with week 53 dropped at load time, so every
 year has exactly 52 weeks and a week maps to a single integer index
 (year * 52 + week - 1). Seasonal phase is that index modulo 52.
@@ -162,45 +165,45 @@ def write_csv(path: str, header, rows) -> None:
              else minimal).writerow(row)
 
 
-def _columns(header, names) -> list:
-    """Index of each named column in a CSV header, None where absent.
+def csv_rows(path: str):
+    """(line number, row) for each CSV row of the file at `path` that is
+    not blank (empty, or one field of whitespace), read by `open_text`.
+    The number is the physical line the row ends on; a row the `csv`
+    module cannot read (say, a field over `csv.field_size_limit()`) is a
+    DataError naming `path:line`."""
+    with open_text(path, newline="") as f:
+        reader = csv.reader(f)
+        try:
+            for row in reader:
+                if len(row) > 1 or row and row[0].strip():
+                    yield reader.line_num, row
+        except csv.Error as e:
+            raise DataError(f"{path}:{reader.line_num}: {e}") from None
 
-    A repeated name gives its last column, as `csv.DictReader` does.
+
+def read_csv(path: str, names):
+    """(line number, [its fields of `names`]) for each data row of the
+    CSV file at `path`, as `csv_rows` reads it.
+
+    The header is the first row, its names stripped; a repeated name is
+    read from its last column, as `csv.DictReader` reads it. A name the
+    header lacks is a DataError naming the file before any row is read,
+    and a row too short for a named column is one naming `path:line`.
     """
-    index = {name: i for i, name in enumerate(header or ())}
-    return [index.get(n) for n in names]
-
-
-@contextlib.contextmanager
-def _csv_reader(path: str, lines):
-    """A `csv.reader` over `lines`, read from the file at `path`; a row it
-    cannot read, such as one with a field over `csv.field_size_limit()`,
-    is a DataError naming `path:line`."""
-    reader = csv.reader(lines)
-    try:
-        yield reader
-    except csv.Error as e:
-        raise DataError(f"{path}:{reader.line_num}: {e}") from None
-
-
-def _rows(reader):
-    """(line number, row) for each non-blank data row after the header.
-
-    Blank lines are skipped as `csv.DictReader` skips them. The number is
-    the reader's `line_num`, the physical line the row ends on.
-    """
-    return ((reader.line_num, row) for row in reader if row)
-
-
-def _fields(path: str, lineno: int, row: list, cols, names) -> list:
-    """The fields at `cols` of one CSV row; a short row is a DataError."""
-    try:
-        return [row[c] for c in cols]
-    except (IndexError, TypeError):  # past the row's end, or no column
-        missing = [n for n, c in zip(names, cols)
-                   if c is None or c >= len(row)]
-        raise DataError(f"{path}:{lineno}: row has no {', '.join(missing)}"
-                        ) from None
+    rows = csv_rows(path)
+    _, header = next(rows, (0, ()))
+    index = {name.strip(): i for i, name in enumerate(header)}
+    absent = [n for n in names if n not in index]
+    if absent:
+        raise DataError(f"{path}: no {' or '.join(absent)} column")
+    cols = [index[n] for n in names]
+    last = max(cols)
+    for lineno, row in rows:
+        if len(row) <= last:
+            missing = [n for n, c in zip(names, cols) if c >= len(row)]
+            raise DataError(f"{path}:{lineno}: row has no "
+                            f"{', '.join(missing)}")
+        yield lineno, [row[c] for c in cols]
 
 
 def load_ili(path: str) -> dict:
@@ -210,25 +213,20 @@ def load_ili(path: str) -> dict:
     `path:line`; week 53 is dropped before either check.
     """
     rows = {}
-    names = ("iso_week", "country", "ili_rate")
-    with open_text(path, newline="") as f, _csv_reader(path, f) as reader:
-        cols = _columns(next(reader, None), names)
-        if None in cols:
-            raise DataError(f"{path}: header must contain {sorted(names)}")
-        for lineno, row in _rows(reader):
-            week, country, rate = _fields(path, lineno, row, cols, names)
-            try:
-                idx = parse_week(week)
-                rate = float(rate)
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
-            if idx < 0:
-                continue  # week 53 dropped
-            if not math.isfinite(rate):
-                raise DataError(f"{path}:{lineno}: non-finite ili_rate {rate}")
-            if rate < 0:
-                raise DataError(f"{path}:{lineno}: negative ili_rate {rate}")
-            rows.setdefault(country, {})[idx] = rate
+    for lineno, (week, country, rate) in read_csv(
+            path, ("iso_week", "country", "ili_rate")):
+        try:
+            idx = parse_week(week)
+            rate = float(rate)
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
+        if idx < 0:
+            continue  # week 53 dropped
+        if not math.isfinite(rate):
+            raise DataError(f"{path}:{lineno}: non-finite ili_rate {rate}")
+        if rate < 0:
+            raise DataError(f"{path}:{lineno}: negative ili_rate {rate}")
+        rows.setdefault(country, {})[idx] = rate
     out = {}
     for country, by_week in rows.items():
         weeks = sorted(by_week)
@@ -262,23 +260,22 @@ def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
     carried in, so leading gaps are zero even when the file starts
     earlier. A repeated week keeps its last value; week 53 is dropped.
     A value that is not finite (`nan`, `inf`) is a DataError naming
-    `path:line`.
+    `path:line`, and so is a file with no data row, which would read as
+    all zeros.
     """
-    names = ("iso_week", "value")
-    by_week = {}
-    with open_text(path, newline="") as f, _csv_reader(path, f) as reader:
-        cols = _columns(next(reader, None), names)
-        for lineno, row in _rows(reader):
-            week, value = _fields(path, lineno, row, cols, names)
-            try:
-                idx = parse_week(week)
-                value = float(value)
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
-            if not math.isfinite(value):
-                raise DataError(f"{path}:{lineno}: non-finite value {value}")
-            if idx >= 0:
-                by_week[idx] = value
+    by_week, lineno = {}, None
+    for lineno, (week, value) in read_csv(path, ("iso_week", "value")):
+        try:
+            idx = parse_week(week)
+            value = float(value)
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite value {value}")
+        if idx >= 0:
+            by_week[idx] = value
+    if lineno is None:
+        raise DataError(f"{path}: no data row")
     weeks = sorted(w for w in by_week if w >= series.start)
     filled = np.array([0.0] + [by_week[w] for w in weeks])
     at = np.searchsorted(np.array(weeks, dtype=np.int64), series.weeks(),

@@ -521,9 +521,6 @@ class Rng:
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         return self._gen.choice(n, size=k, replace=False)
 
-    def normal(self, loc: float, scale: float, shape) -> np.ndarray:
-        return self._gen.normal(loc, scale, size=shape)
-
 
 def glorot_uniform(rng: Rng, rows: int, cols: int) -> Tensor2:
     """Uniform init in +-sqrt(6/(fan_in+fan_out))."""

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import Error
-from .datahub import (DataError, _columns, _csv_reader, _fields, _rows,
-                      open_text, write_csv)
+from .datahub import DataError, csv_rows, open_text, read_csv, write_csv
 
 
 class DegenerateInputError(Error):
@@ -313,18 +312,8 @@ def translation_select(mapping_path: str, english_queries) -> list:
 
     The mapping file is a CSV with `english` and `translated` columns.
     """
-    names = ("english", "translated")
-    mapping = {}
-    with open_text(mapping_path, newline="") as f, \
-            _csv_reader(mapping_path, f) as reader:
-        cols = _columns(next(reader, None), names)
-        absent = [n for n, c in zip(names, cols) if c is None]
-        if absent:
-            raise DataError(f"{mapping_path}: no {' or '.join(absent)} column")
-        for lineno, row in _rows(reader):
-            english, translated = _fields(mapping_path, lineno, row, cols,
-                                          names)
-            mapping[english] = translated
+    mapping = dict(fields for _, fields in read_csv(
+        mapping_path, ("english", "translated")))
     missing = [q for q in english_queries if q not in mapping]
     if missing:
         raise SelectionError(f"mapping file lacks rows for {missing}")
@@ -342,17 +331,13 @@ def read_selected(path: str) -> list:
     """Queries from a `write_selected` CSV (its 'selected' column), or
     from a plain list with one query per line.
 
-    The CSV is parsed from the file itself, so a quoted query keeps the
-    line breaks it holds. Lines of only whitespace are skipped. A CSV
-    row with no `selected` field is a DataError naming `path:line`.
+    The file is a CSV when the stripped fields of its first row that is
+    not blank, read as `datahub.csv_rows` reads it, include `selected`;
+    it is then read by `read_csv`, so a quoted query keeps the line
+    breaks it holds. Lines of only whitespace are skipped.
     """
-    with open_text(path, newline="") as f, _csv_reader(path, f) as reader:
-        rows = ((n, row) for n, row in _rows(reader)
-                if len(row) > 1 or row[0].strip())
-        _, header = next(rows, (0, []))
-        cols = _columns([c.strip() for c in header], ["selected"])
-        if None not in cols:
-            return [_fields(path, lineno, row, cols, ["selected"])[0]
-                    for lineno, row in rows]
-        f.seek(0)
+    _, header = next(csv_rows(path), (0, ()))
+    if "selected" in (name.strip() for name in header):
+        return [query for _, (query,) in read_csv(path, ("selected",))]
+    with open_text(path) as f:
         return [line.strip() for line in f if line.strip()]

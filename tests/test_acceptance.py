@@ -26,7 +26,7 @@ class TestGradientFidelity:
         model = fluenet.ModelParams(m=m, n_in=n, s_out=s, l_queries=l,
                                     countries=["US"], seed=17,
                                     use_country_embedding=True)
-        rng = Rng(18)
+        rng = np.random.default_rng(18)
         x = rng.normal(0, 1, (b, n))
         q = rng.uniform(0, 1, (b, n, l))
         o = rng.normal(0, 1, (b, s))
@@ -70,7 +70,7 @@ class TestDecompositionIdentities:
     """Exact reconstruction and sinusoid seasonal recovery."""
 
     def test_reconstruction_on_random_series(self):
-        rng = Rng(25)
+        rng = np.random.default_rng(25)
         for trial in range(20):
             series = (5.0 + np.cumsum(rng.normal(0, 0.2, 208))
                       + 2.0 * np.sin(2 * np.pi * np.arange(208) / 52.0)
@@ -91,7 +91,7 @@ class TestAttentionContract:
     """Simplex weights and query-permutation equivariance."""
 
     def test_hundred_random_models(self):
-        rng = Rng(33)
+        rng = np.random.default_rng(33)
         for _ in range(100):
             m = int(rng.integers(2, 7))
             l = int(rng.integers(1, 6))
@@ -105,7 +105,7 @@ class TestAttentionContract:
             ctx, w = fluenet.attend(att, h_tau, Tensor2(np.concatenate(hqs)))
             assert np.all(w.data >= 0.0)
             assert np.max(np.abs(w.data.sum(axis=1) - 1.0)) <= 1e-9
-            perm = list(rng.choice_without_replacement(l, l))
+            perm = list(rng.choice(l, l, replace=False))
             ctx_p, w_p = fluenet.attend(
                 att, h_tau, Tensor2(np.concatenate([hqs[j] for j in perm])))
             assert np.max(np.abs(ctx_p.data - ctx.data)) <= 1e-12
@@ -125,7 +125,7 @@ class TestScheduledSamplingLimits:
         return dec, out
 
     def test_eps_one_matches_independent_rollout(self):
-        rng = Rng(41)
+        rng = np.random.default_rng(41)
         dec, out = self.make_parts(rng, 4)
         h0 = rng.normal(0, 1, (3, 4))
         x_last = rng.normal(0, 1, (3,))
@@ -143,7 +143,7 @@ class TestScheduledSamplingLimits:
         assert np.max(np.abs(got.data - want)) <= 1e-12
 
     def test_eps_zero_is_teacher_invariant_bitwise(self):
-        rng = Rng(42)
+        rng = np.random.default_rng(42)
         dec, out = self.make_parts(rng, 4)
         h0 = Tensor2(rng.normal(0, 1, (3, 4)))
         x_last = rng.normal(0, 1, (3,))
@@ -156,7 +156,7 @@ class TestScheduledSamplingLimits:
 def synth_countries(n_countries=5, weeks=330, l=3, rho=0.8, seed=77):
     """Shared 52-week seasonal, country-specific deseasonalized signals,
     and query series correlated (about rho) with those signals."""
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     i = np.arange(weeks)
     seasonal = 3.0 * np.sin(2 * np.pi * i / 52.0)
     out = {}
@@ -276,7 +276,7 @@ class TestArBaseline:
         assert np.max(np.abs(model.coefficients - true)) < 1e-6
 
     def test_multi_step_horizons_absent(self):
-        rng = Rng(52)
+        rng = np.random.default_rng(52)
         windows = windows_from_arrays(
             "US", rng.normal(0, 1, 60), np.zeros(60),
             rng.uniform(0, 1, (60, 1)), 10, 3, (9, 40))
@@ -304,7 +304,7 @@ class TestQuerySelectionOracle:
 
     def test_argmax_and_reorder_determinism(self):
         source, words, vecs = self.fixture()
-        rng = Rng(61)
+        rng = np.random.default_rng(61)
         ili = 5.0 + np.sin(np.arange(40) / 3.0) + 0.1 * rng.normal(0, 1, 40)
         trends = {
             "gripe fiebre": 0.3 * ili + rng.normal(0, 1.0, 40),
@@ -336,7 +336,7 @@ class TestReproducibility:
     """Identical config and seed give identical artifacts."""
 
     def test_cli_train_twice_bitwise(self, tmp_path):
-        rng = Rng(71)
+        rng = np.random.default_rng(71)
         start = datahub.parse_week("2012-W01")
         values = np.maximum(
             5.0 + 2.0 * np.sin(2 * np.pi * np.arange(260) / 52.0)

@@ -6,6 +6,7 @@ import json
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 
@@ -30,7 +31,7 @@ def synth_series(rng, weeks, phase=0.0):
 
 def build_workspace(root):
     """ILI + query-trend CSVs, query lists, and a config for two countries."""
-    rng = Rng(99)
+    rng = np.random.default_rng(99)
     start = datahub.parse_week(START)
     ili = {}
     for country, phase in (("JP", 0.1), ("US", 0.0)):
@@ -788,6 +789,26 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{path.name}:6:" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "no iso_week or value column"),
+        ("iso_week,value\n", "no data row")], ids=["empty", "header_only"])
+    def test_trends_file_with_no_data_row(self, trained_single, tmp_path,
+                                          capsys, text, message):
+        """A trends file emptied after training would read as zeros and
+        move every forecast; it is refused where it is read."""
+        config, trained = trained_single
+        trends = tmp_path / "trends"
+        shutil.copytree(cli.load_config(str(config))["data.trends_dir"],
+                        trends)
+        path = trends / "US" / "flu_fever.csv"
+        path.write_text(text, encoding="utf-8")
+        cfg2 = tmp_path / "c.cfg"
+        cfg2.write_text(config.read_text(encoding="utf-8")
+                        + f"data.trends_dir = {trends}\n", encoding="utf-8")
+        assert run(cfg2, tmp_path / "out", "evaluate", "--checkpoint",
+                   str(trained / "checkpoint.json")) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("command", ["decompose", "train"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_ili_rate(self, tmp_path, capsys, command, value):
@@ -1387,19 +1408,38 @@ class TestBadInput:
             f"error: config key 'split.test_start': {problem}\n")
 
 
-def test_only_datahub_writes_csv():
-    """Every CSV output goes through `datahub.write_csv`, so its format
-    (encoding, line end, quoting) is decided in one module."""
+def flucast_trees():
+    """(module name, parsed source) of each flucast module."""
     import flucast
 
-    writers = []
     for info in pkgutil.iter_modules(flucast.__path__):
         path = os.path.join(flucast.__path__[0], f"{info.name}.py")
         with open(path, encoding="utf-8") as f:
-            text = f.read()
-        if "csv.writer" in text or "lineterminator" in text:
-            writers.append(info.name)
-    assert writers == ["datahub"]
+            yield info.name, ast.parse(f.read())
+
+
+def test_only_datahub_writes_csv():
+    """Every CSV input and output goes through `datahub`, the one module
+    that imports `csv`: `read_csv` reads each input and `write_csv` writes
+    each output, so the format (encoding, header, line end, quoting) is
+    decided in one module."""
+    users = [name for name, tree in flucast_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             and "csv" in (alias.name for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "csv"]
+    assert users == ["datahub"]
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    """A flucast module takes only public names from another one, so a
+    private helper can change with its own module."""
+    private = [f"{name}: {alias.name}" for name, tree in flucast_trees()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (
+                   node.level or (node.module or "").startswith("flucast"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_every_exception_class_derives_from_the_base():

@@ -31,19 +31,30 @@ class TestWeeks:
                 == datahub.parse_week("2017-W52") + 1)
 
 
-def dictreader_fields(path, names, header_required=False):
-    """(line number, fields) of each row as the readers took them from
-    csv.DictReader before they read rows with csv.reader, numbered by the
-    reader's `line_num`: blank lines count."""
+def dictreader_fields(path, names):
+    """(line number, fields) of each row, read with csv.DictReader under
+    `datahub.read_csv`'s header rule, numbered by the reader's
+    `line_num`: blank lines count.
+
+    The header is the first row that is not blank, its names stripped,
+    and a name it lacks is refused before any row.
+    """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
-        if header_required and (
-                reader.fieldnames is None
-                or not set(names) <= set(reader.fieldnames)):
+        while (reader.fieldnames is not None and len(reader.fieldnames) < 2
+               and not "".join(reader.fieldnames).strip()):
+            reader.fieldnames = None  # a blank row: read the next one
+        header = [n.strip() for n in reader.fieldnames or ()]
+        absent = [n for n in names if n not in header]
+        if absent:
             raise datahub.DataError(
-                f"{path}: header must contain {sorted(names)}")
+                f"{path}: no {' or '.join(absent)} column")
+        reader.fieldnames = header
         for row in reader:
             lineno = reader.line_num
+            given = [v for v in row.values() if v is not None]
+            if None not in row and len(given) == 1 and not given[0].strip():
+                continue  # one field of whitespace
             missing = [n for n in names if row.get(n) is None]
             if missing:
                 raise datahub.DataError(
@@ -53,8 +64,9 @@ def dictreader_fields(path, names, header_required=False):
 
 def dictreader_read_trend(path, series):
     """`read_trend` before this reader: DictReader rows and a loop over
-    the series weeks that forward-fills from the file weeks it meets."""
-    by_week = {}
+    the series weeks that forward-fills from the file weeks it meets. A
+    file with no data row is refused; it once read as all zeros."""
+    by_week, lineno = {}, None
     for lineno, (week, value) in dictreader_fields(path,
                                                    ("iso_week", "value")):
         try:
@@ -64,6 +76,8 @@ def dictreader_read_trend(path, series):
             raise datahub.DataError(f"{path}:{lineno}: {e}") from None
         if idx >= 0:
             by_week[idx] = value
+    if lineno is None:
+        raise datahub.DataError(f"{path}: no data row")
     values, last = np.zeros(len(series)), 0.0
     for i, week in enumerate(series.weeks()):
         if week in by_week:
@@ -76,7 +90,7 @@ def dictreader_ili_rates(path):
     """The {country: {week: rate}} that `load_ili` read with DictReader."""
     rows = {}
     for lineno, (week, country, rate) in dictreader_fields(
-            path, ("iso_week", "country", "ili_rate"), header_required=True):
+            path, ("iso_week", "country", "ili_rate")):
         try:
             idx = datahub.parse_week(week)
             rate = float(rate)
@@ -115,6 +129,8 @@ TREND_FILES = {
     "malformed_value": "iso_week,value\n2015-W01,1.0\n2015-W02,n/a\n",
     "malformed_week": "iso_week,value\n2015-W01,1.0\n2015-W60,2.0\n",
     "week53_bad_year": "iso_week,value\n2016-W53,2.0\n",
+    "padded_header_whitespace_rows": "  \n iso_week ,\tvalue \n \n"
+                                     "2015-W01,1.0\n\t\n2015-W03,2.0\n",
 }
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from flucast import decompose
-from flucast.numkit import Rng
 
 
 def wls_loess_oracle(ys, span, degree):
@@ -113,14 +112,14 @@ class TestContiguousWindowKernel:
 
     @pytest.mark.parametrize("n", [2, 3, 12, 53, 104, 157])
     def test_loess_smooth_bitwise(self, n):
-        rng = Rng(n)
+        rng = np.random.default_rng(n)
         for span in [1, 3, 5, 7, 13, 51, 53, 101, 155, 201]:
             for degree in (0, 1):
                 if span < degree + 1:
                     continue
                 ys = rng.normal(0, 1, n)
                 rounded = np.round(ys, 1)  # ties in y
-                some_zero = rng.uniform(0, 1, n) * rng.bernoulli(0.6, n)
+                some_zero = rng.uniform(0, 1, n) * (rng.random(n) < 0.6)
                 # weights near 1e-305 make sxx <= 1e-300 in some windows
                 for y, rw in ((ys, None), (rounded, None), (ys, some_zero),
                               (rounded, some_zero), (ys, np.zeros(n)),
@@ -134,7 +133,7 @@ class TestContiguousWindowKernel:
     @pytest.mark.parametrize("n, period", [(104, 52), (105, 52), (233, 52),
                                            (312, 52), (520, 52), (12, 5)])
     def test_stl_decompose_bitwise(self, n, period):
-        rng = Rng(n)
+        rng = np.random.default_rng(n)
         t = np.arange(n, dtype=float)
         y = (np.abs(rng.normal(5, 2, n)).cumsum() / 50
              + np.sin(2 * np.pi * t / period) + rng.normal(0, 0.3, n))
@@ -159,7 +158,7 @@ class TestWindowCache:
     cache gives the oracles' bits."""
 
     def test_warm_cache_matches_oracles(self):
-        rng = Rng(17)
+        rng = np.random.default_rng(17)
         # lengths out of order and revisited, each time with other data
         for n in (157, 104, 157, 233, 104, 157):
             y = stl_input(rng, n)
@@ -168,7 +167,7 @@ class TestWindowCache:
             assert np.array_equal(d.trend, trend)
             assert np.array_equal(d.seasonal, seasonal)
             assert np.array_equal(d.remainder, remainder)
-            rw = rng.uniform(0, 1, n) * rng.bernoulli(0.8, n)
+            rw = rng.uniform(0, 1, n) * (rng.random(n) < 0.8)
             for span, degree in ((7, 0), (53, 1), (101, 1)):
                 for weights in (None, rw):
                     assert np.array_equal(
@@ -191,7 +190,7 @@ class TestWindowCache:
         assert decompose._window.cache_info().currsize == limit
 
     def test_second_stl_of_a_length_builds_no_window(self):
-        rng = Rng(18)
+        rng = np.random.default_rng(18)
         decompose.stl_decompose(stl_input(rng, 261), period=52)
         before = decompose._window.cache_info()
         decompose.stl_decompose(stl_input(rng, 261), period=52)
@@ -213,11 +212,11 @@ def median_bisquare(resid):
 
 class TestBisquare:
     def test_matches_the_median_oracle(self):
-        rng = Rng(19)
+        rng = np.random.default_rng(19)
         for n in (1, 2, 3, 4, 7, 104, 157, 312):
             resid = rng.normal(0, 1, n)
             for r in (resid, np.round(resid, 1), np.zeros(n),
-                      np.where(rng.bernoulli(0.7, n), 0.0, resid)):
+                      np.where(rng.random(n) < 0.7, 0.0, resid)):
                 assert np.array_equal(decompose._bisquare(r),
                                       median_bisquare(r)), n
 
@@ -253,7 +252,7 @@ class TestLoessSmooth:
             assert np.max(np.abs(out - ys)) < 1e-9
 
     def test_matches_wls_oracle_on_noisy_sine(self):
-        rng = Rng(42)
+        rng = np.random.default_rng(42)
         t = np.arange(60, dtype=float)
         ys = np.sin(2 * np.pi * t / 20) + rng.normal(0, 0.2, 60)
         for degree in (0, 1):
@@ -300,14 +299,14 @@ class TestStlDecompose:
         assert abs(slope - 0.02) / 0.02 < 0.05
 
     def test_reconstruction_identity_random(self):
-        rng = Rng(5)
+        rng = np.random.default_rng(5)
         for k in range(5):
             series = np.abs(rng.normal(5, 2, 208)).cumsum() / 50
             d = decompose.stl_decompose(series, period=52)
             assert np.max(np.abs(d.reconstruct() - series)) <= 1e-9
 
     def test_per_cycle_seasonal_means_vanish(self):
-        rng = Rng(9)
+        rng = np.random.default_rng(9)
         t = np.arange(208, dtype=float)
         series = 2 + np.sin(2 * np.pi * t / 52) + rng.normal(0, 0.1, 208)
         d = decompose.stl_decompose(series, period=52)
@@ -344,7 +343,7 @@ def template_pair_oracle(seasonal, period, length):
 
 class TestExtendSeasonal:
     def test_periodic_indexing(self):
-        rng = Rng(40)
+        rng = np.random.default_rng(40)
         for n, period, length in ((3, 3, 3), (4, 3, 8), (7, 3, 20),
                                   (5, 5, 17)):
             seasonal = rng.normal(0, 1, n)
@@ -365,13 +364,13 @@ class TestExtendSeasonal:
 
     def test_full_period_is_rotation(self):
         # The first period past the fit repeats the final fitted cycle.
-        seasonal = Rng(41).normal(0, 1, 11)
+        seasonal = np.random.default_rng(41).normal(0, 1, 11)
         out = decompose.extend_seasonal(seasonal, 4, 15)
         assert np.array_equal(out[11:], seasonal[7:])
         assert np.array_equal(out, template_pair_oracle(seasonal, 4, 15))
 
     def test_t_periodicity(self):
-        seasonal = Rng(42).normal(0, 1, 12)
+        seasonal = np.random.default_rng(42).normal(0, 1, 12)
         out = decompose.extend_seasonal(seasonal, 5, 30)
         for i in range(12 - 5, 30 - 5):
             assert out[i] == out[i + 5]

@@ -16,7 +16,7 @@ class TestRmse:
         assert evalbench.rmse([1.5, 2.5], [1.5, 2.5]) == 0.0
 
     def test_scale_equivariance(self):
-        rng = Rng(1)
+        rng = np.random.default_rng(1)
         y, y_hat = rng.normal(0, 1, 20), rng.normal(0, 1, 20)
         assert abs(evalbench.rmse(3 * y, 3 * y_hat)
                    - 3 * evalbench.rmse(y, y_hat)) < 1e-12
@@ -39,7 +39,7 @@ class TestR2:
         assert evalbench.r2([0.0, 2.0], [2.0, 0.0]) == -3.0
 
     def test_affine_invariance_of_sign(self):
-        rng = Rng(2)
+        rng = np.random.default_rng(2)
         y = rng.normal(0, 1, 30)
         y_hat = y + rng.normal(0, 0.1, 30)
         base = evalbench.r2(y, y_hat)
@@ -111,7 +111,7 @@ class TestArExog:
         assert abs(model.coefficients[2]) < 1e-6  # intercept
 
     def test_residuals_orthogonal_to_design(self):
-        rng = Rng(5)
+        rng = np.random.default_rng(5)
         n, p, l = 300, 3, 2
         y = rng.normal(0, 1, n)
         q = rng.uniform(0, 1, (n, l))
@@ -140,7 +140,7 @@ class TestArExog:
 
 class TestEvaluate:
     def make_windows(self):
-        rng = Rng(6)
+        rng = np.random.default_rng(6)
         rows = []
         for _ in range(6):
             y = rng.uniform(1, 5, 3)
@@ -164,7 +164,7 @@ class TestEvaluate:
 
     def test_matches_direct_metric_computation(self):
         windows = self.make_windows()
-        rng = Rng(7)
+        rng = np.random.default_rng(7)
         noise = [rng.normal(0, 0.3, 3) for _ in range(len(windows))]
         report = evalbench.evaluate(windows.y_raw + np.stack(noise),
                                     windows, "m", "US")
@@ -191,7 +191,7 @@ class TestEvaluate:
     def test_evaluate_model_collects_attention(self):
         model = fluenet.ModelParams(m=3, n_in=4, s_out=3, l_queries=2,
                                     countries=["US"], seed=9)
-        rng = Rng(8)
+        rng = np.random.default_rng(8)
         windows = windows_table("US", 300, *stacked(
             (rng.normal(0, 1, 4), rng.normal(0, 1, 3), rng.uniform(1, 5, 3),
              rng.uniform(0, 1, (4, 2))) for _ in range(4)))
@@ -235,7 +235,7 @@ class TestBatchedEvaluateModel:
                     countries=["JP", "US"], seed=4)
         args.update(kw)
         model = fluenet.ModelParams(**args)
-        rng = Rng(10)
+        rng = np.random.default_rng(10)
         windows = windows_table("US", 400, *stacked(
             (rng.normal(0, 1, 6), rng.normal(0, 1, 3), rng.uniform(1, 5, 3),
              rng.uniform(0, 1, (6, 2))) for _ in range(9)))

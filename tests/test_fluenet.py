@@ -49,7 +49,7 @@ def per_op_encode(params, steps, h0):
 
 class TestGruCell:
     def test_numpy_transcription_oracle(self):
-        rng = Rng(11)
+        rng = np.random.default_rng(11)
         m, b = 4, 3
         g = random_gru(rng, 2, m)
         x = rng.normal(0, 1, (b, 2))
@@ -70,7 +70,7 @@ class TestGruCell:
         assert np.max(np.abs(out.data - 0.5 * h)) < 1e-15
 
     def test_encode_sequence_matches_manual_fold(self):
-        rng = Rng(14)
+        rng = np.random.default_rng(14)
         g = random_gru(rng, 1, 3)
         xs = rng.normal(0, 1, (2, 5))
         h = nk.zeros(2, 3)
@@ -110,7 +110,7 @@ class TestGruSequence:
     @pytest.mark.parametrize("embedded", [True, False],
                              ids=["embedding", "zeros"])
     def test_matches_per_op_loop(self, gate, in_dim, t_len, embedded):
-        rng = Rng(70)
+        rng = np.random.default_rng(70)
         b, m = 5, 4
         params = random_gru(rng, in_dim, m)
         embed = Tensor2(rng.normal(0, 0.5, (2, m))) if embedded else None
@@ -129,7 +129,7 @@ class TestGruSequence:
             assert np.max(np.abs(got_g[name] - want_g[name])) < 1e-12, name
 
     def test_hidden_inf_at_middle_step_raises(self):
-        rng = Rng(71)
+        rng = np.random.default_rng(71)
         params = random_gru(rng, 1, 3)
         xs = rng.normal(0, 1, (2, 26))
         xs[1, 13] = np.inf
@@ -147,7 +147,7 @@ class TestGruSequence:
             fluenet.encode_ili(params, xs, nk.zeros(2, 3))
 
     def test_encoder_adds_one_tape_entry(self):
-        rng = Rng(72)
+        rng = np.random.default_rng(72)
         params = random_gru(rng, 1, 3)
         with nk.GradTape() as tape:
             fluenet.encode_ili(params, rng.normal(0, 1, (2, 9)),
@@ -204,7 +204,7 @@ class TestBatchedQueryEncoder:
     @pytest.mark.parametrize("embedded", [True, False],
                              ids=["embedding", "zeros"])
     def test_matches_per_query_loop(self, gate, embedded):
-        rng = Rng(60)
+        rng = np.random.default_rng(60)
         b, n, l, m = 5, 7, 4, 3
         params = random_gru(rng, 1, m)
         embed = Tensor2(rng.normal(0, 0.5, (2, m))) if embedded else None
@@ -222,7 +222,7 @@ class TestBatchedQueryEncoder:
             assert np.max(np.abs(got_g[name] - want_g[name])) < 1e-12, name
 
     def test_inf_in_one_query_column_raises(self):
-        rng = Rng(61)
+        rng = np.random.default_rng(61)
         params = random_gru(rng, 1, 3)
         q = rng.uniform(0, 1, (4, 6, 3))
         q[2, 3, 1] = np.inf
@@ -238,7 +238,7 @@ class TestAttention:
             w_v=Tensor2(rng.normal(0, 0.5, (m, m))))
 
     def test_single_query_gets_full_weight(self):
-        rng = Rng(20)
+        rng = np.random.default_rng(20)
         att = self.make_att(rng, 3)
         h_tau = Tensor2(rng.normal(0, 1, (2, 3)))
         h_q = Tensor2(rng.normal(0, 1, (2, 3)))
@@ -247,7 +247,7 @@ class TestAttention:
         assert np.max(np.abs(ctx.data - h_q.data @ att.w_v.data)) < 1e-12
 
     def test_identical_queries_split_evenly(self):
-        rng = Rng(21)
+        rng = np.random.default_rng(21)
         att = self.make_att(rng, 3)
         h_tau = Tensor2(rng.normal(0, 1, (1, 3)))
         h_q = Tensor2(rng.normal(0, 1, (1, 3)))
@@ -255,7 +255,7 @@ class TestAttention:
         assert np.max(np.abs(w.data - 1.0 / 3.0)) < 1e-15
 
     def test_numpy_formula_oracle(self):
-        rng = Rng(22)
+        rng = np.random.default_rng(22)
         m, b, l = 4, 3, 5
         att = self.make_att(rng, m)
         h_tau = rng.normal(0, 1, (b, m))
@@ -274,7 +274,7 @@ class TestAttention:
         assert np.max(np.abs(ctx.data - context)) < 1e-12
 
     def test_weights_sum_to_one(self):
-        rng = Rng(23)
+        rng = np.random.default_rng(23)
         att = self.make_att(rng, 3)
         _, w = fluenet.attend(att, Tensor2(rng.normal(0, 1, (4, 3))),
                               Tensor2(np.concatenate(
@@ -283,7 +283,7 @@ class TestAttention:
         assert np.max(np.abs(w.data.sum(axis=1) - 1.0)) < 1e-12
 
     def test_permuting_queries_permutes_weights_only(self):
-        rng = Rng(24)
+        rng = np.random.default_rng(24)
         att = self.make_att(rng, 3)
         h_tau = Tensor2(rng.normal(0, 1, (2, 3)))
         hqs = [Tensor2(rng.normal(0, 1, (2, 3))) for _ in range(4)]
@@ -305,7 +305,7 @@ class TestDecode:
         return dec, out
 
     def test_teacher_ignored_when_eps_zero(self):
-        rng = Rng(30)
+        rng = np.random.default_rng(30)
         dec, out = self.make_parts(rng, 3)
         h = Tensor2(rng.normal(0, 1, (2, 3)))
         x_last = rng.normal(0, 1, (2,))
@@ -315,7 +315,7 @@ class TestDecode:
         assert np.array_equal(a.data, b.data)
 
     def test_eps_one_is_pure_teacher_forcing(self):
-        rng = Rng(31)
+        rng = np.random.default_rng(31)
         dec, out = self.make_parts(rng, 3)
         h0 = rng.normal(0, 1, (2, 3))
         x_last = rng.normal(0, 1, (2,))
@@ -333,21 +333,21 @@ class TestDecode:
         assert np.max(np.abs(got.data - want)) < 1e-15
 
     def test_single_step_needs_no_sampling(self):
-        rng = Rng(32)
+        rng = np.random.default_rng(32)
         dec, out = self.make_parts(rng, 2)
         h = Tensor2(rng.normal(0, 1, (1, 2)))
         got = fluenet.decode(dec, out, h, np.array([0.3]), 1)
         assert got.shape == (1, 1)
 
     def test_eps_without_teacher_rejected(self):
-        rng = Rng(33)
+        rng = np.random.default_rng(33)
         dec, out = self.make_parts(rng, 2)
         h = Tensor2(rng.normal(0, 1, (1, 2)))
         with pytest.raises(nk.ContractError):
             fluenet.decode(dec, out, h, np.array([0.3]), 3, eps=0.5)
 
     def test_eps_out_of_range_rejected(self):
-        rng = Rng(34)
+        rng = np.random.default_rng(34)
         dec, out = self.make_parts(rng, 2)
         h = Tensor2(rng.normal(0, 1, (1, 2)))
         with pytest.raises(nk.ContractError):
@@ -399,7 +399,7 @@ class TestModel:
         for name in params[0]:
             assert np.array_equal(params[0][name].data,
                                   params[1][name].data), name
-        x_des, q = sample_batch(Rng(8), 5, 8, 0)
+        x_des, q = sample_batch(np.random.default_rng(8), 5, 8, 0)
         outs = []
         for model in models:
             with nk.GradTape() as tape:
@@ -435,7 +435,7 @@ class TestModel:
 
     def test_forward_shapes_and_weight_rows(self):
         model = small_model()
-        x, q = sample_batch(Rng(40), 5, 8, 2)
+        x, q = sample_batch(np.random.default_rng(40), 5, 8, 2)
         o_hat, w = fluenet.forward_batch(model, "US", x, q)
         assert o_hat.shape == (5, 3)
         assert w.shape == (5, 2)
@@ -443,7 +443,7 @@ class TestModel:
 
     def test_gru_baseline_consumes_queries_jointly(self):
         model = small_model(arch="gru_baseline")
-        x, q = sample_batch(Rng(41), 2, 8, 2)
+        x, q = sample_batch(np.random.default_rng(41), 2, 8, 2)
         o_hat, w = fluenet.forward_batch(model, "US", x, q)
         assert w is None
         o2, _ = fluenet.forward_batch(model, "US", x, q * 2.0)
@@ -451,7 +451,7 @@ class TestModel:
 
     def test_gradients_reach_every_active_tensor(self):
         model = small_model(use_country_embedding=True)
-        x, q = sample_batch(Rng(42), 3, 8, 2)
+        x, q = sample_batch(np.random.default_rng(42), 3, 8, 2)
         with nk.GradTape() as tape:
             o_hat, _ = fluenet.forward_batch(model, "US", x, q)
             target = Tensor2(np.zeros((3, 3)))
@@ -475,7 +475,7 @@ class TestModel:
     def test_forecast_reseasonalization_identity(self):
         from flucast import datahub
         model = small_model()
-        rng = Rng(43)
+        rng = np.random.default_rng(43)
         window = datahub.Windows(
             country="US", last_week=np.array([500]),
             x_raw=rng.uniform(0, 5, (1, 8)), x_des=rng.normal(0, 1, (1, 8)),
@@ -598,7 +598,7 @@ class TestCheckpoint:
 
     def test_forecasts_survive_roundtrip(self, tmp_path):
         model = small_model()
-        x, q = sample_batch(Rng(50), 1, 8, 2)
+        x, q = sample_batch(np.random.default_rng(50), 1, 8, 2)
         before = fluenet.forward_batch(model, "JP", x, q)
         path = str(tmp_path / "ck.json")
         fluenet.save_checkpoint(path, model)

@@ -263,7 +263,7 @@ class TestBackward:
 
     @LITERAL
     def test_gru_sequence_gradients(self, gate):
-        rng = nk.Rng(43)
+        rng = np.random.default_rng(43)
         t_len, b, n_in, m = 4, 3, 2, 3
         steps = [Tensor2(rng.uniform(-1, 1, (b, n_in)))
                  for _ in range(t_len)]
@@ -592,7 +592,7 @@ class TestAdam:
         # "every" gets a gradient on each of 6 steps, "odd" only on steps
         # 1, 3 and 5 (a country drawn every other batch); each must follow
         # the hand formula with its own step count, bit for bit.
-        rng = nk.Rng(77)
+        rng = np.random.default_rng(77)
         params = {"every": Tensor2(rng.normal(0, 1, (2, 3))),
                   "odd": Tensor2(rng.normal(0, 1, (3, 1)))}
         grads = {n: [rng.normal(0, 1, p.shape) for _ in range(6)]

@@ -92,7 +92,7 @@ class TestWindowTable:
         length = data.draw(st.integers(n + s, n + s + 40), label="length")
         lo = data.draw(st.integers(0, length - n - s), label="lo")
         hi = data.draw(st.integers(lo + n + s - 1, length - 1), label="hi")
-        rng = Rng(seed)
+        rng = np.random.default_rng(seed)
         start = datahub.parse_week("2015-W01")
         series = datahub.WeeklySeries(country="US", start=start,
                                       values=rng.uniform(0, 5, length))

@@ -188,7 +188,7 @@ class TestWtSelect:
         self.tgt = EmbeddingTable("xx", ["a", "b", "c", "d"],
                                   [[1.0, 0.0], [0.9, np.sqrt(1 - 0.81)],
                                    [0.8, 0.6], [0.0, 1.0]])
-        rng = Rng(77)
+        rng = np.random.default_rng(77)
         self.ili = np.sin(np.arange(30) / 3.0) + 2
         noise = rng.normal(0, 1, 30)
         self.trends = {
@@ -345,7 +345,7 @@ class Trends:
     def __call__(self, text):
         self.calls.append(text)
         h = zlib.crc32(text.encode("utf-8")) ^ self.seed
-        kind, rng = h % 5, Rng(h)
+        kind, rng = h % 5, np.random.default_rng(h)
         if kind == 0:
             return None
         if kind == 1:

@@ -31,7 +31,7 @@ def make_windows(rng, country, count, n_in=6, s_out=2, l=1,
 
 
 def make_data(countries, n_train=12, n_val=4, seed=0, **kw):
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     return {c: {"train": make_windows(rng, c, n_train, **kw),
                 "val": make_windows(rng, c, n_val, **kw)}
             for c in countries}
@@ -113,9 +113,9 @@ class TestCountryBatches:
             assert abs(counts[c] - n * p) < 5 * sigma
 
     def test_empty_pool_rejected(self):
+        empty = make_windows(np.random.default_rng(0), "US", 1).take([])
         with pytest.raises(trainer.TrainingError):
-            trainer.sample_country_batch(
-                Rng(0), {"US": make_windows(Rng(0), "US", 1).take([])}, 2)
+            trainer.sample_country_batch(Rng(0), {"US": empty}, 2)
 
 
 class TestConfig:
@@ -133,7 +133,7 @@ def quick_config(**kw):
 
 class TestFit:
     def test_overfits_a_learnable_toy_problem(self):
-        rng = Rng(0)
+        rng = np.random.default_rng(0)
         samples = make_windows(rng, "US", 8, learnable=True)
         data = {"US": {"train": samples, "val": samples}}
         config = quick_config(max_epochs=250, patience=250)
