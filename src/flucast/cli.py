@@ -251,7 +251,10 @@ def cmd_decompose(cfg, args) -> int:
     from . import decompose
     out = args.out
     for country, series in _load_ili(cfg, _countries(cfg, args)).items():
-        d = decompose.stl_decompose(series.values, period=52)
+        try:
+            d = decompose.stl_decompose(series.values, period=52)
+        except decompose.ParameterError as e:
+            raise decompose.ParameterError(f"{country}: {e}") from None
         recon = d.reconstruct()
         if np.max(np.abs(recon - series.values)) > 1e-9:
             raise ConfigError(f"{country}: reconstruction identity violated")

@@ -67,13 +67,16 @@ class Mlp:
 def _glorot(seed):
     """The default `make`: a bias (stream None) starts at zero; a weight is
     drawn from `model-init` or from its child stream of that name."""
-    streams = {"model-init": nk.Rng(seed).spawn("model-init")}
+    init = nk.derive_seed(seed, "model-init")
+    streams = {}
 
     def make(name, rows, cols, stream):
         if stream is None:
             return nk.zeros(rows, cols)
         if stream not in streams:
-            streams[stream] = streams["model-init"].spawn(stream)
+            streams[stream] = np.random.default_rng(
+                init if stream == "model-init"
+                else nk.derive_seed(init, stream))
         return nk.glorot_uniform(streams[stream], rows, cols)
 
     return make
@@ -230,7 +233,7 @@ def decode(decoder: GruParams, output_mlp: Mlp, h_enc: Tensor2,
     for i in range(1, s_out):
         prev = outputs[-1]
         if eps > 0.0:
-            mask = rng.bernoulli(eps, (b, 1))
+            mask = (rng.random((b, 1)) < eps).astype(np.float64)
             t_col = Tensor2(teacher[:, i - 1:i])
             inp = nk.add(nk.mul(Tensor2(mask), t_col),
                          nk.mul(Tensor2(1.0 - mask), prev))

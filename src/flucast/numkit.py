@@ -1,4 +1,4 @@
-"""Dense 2-D float64 tensors with reverse-mode gradients, a seeded RNG, and Adam.
+"""Dense 2-D float64 tensors with reverse-mode gradients, seed paths, and Adam.
 
 All higher-level model code computes on `Tensor2` values. Gradients are
 recorded on an explicit `GradTape` at tensor-operation granularity: each
@@ -496,33 +496,23 @@ def backward(tape: GradTape, loss: Tensor2) -> None:
         t.grad = grads[key]
 
 
-class Rng:
-    """Deterministic seeded RNG; identical seed gives identical draws."""
+def derive_seed(seed: int, *names: str) -> int:
+    """The seed of the stream at path `names` under `seed`, for
+    `np.random.default_rng`; equal paths give equal streams.
 
-    def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def spawn(self, name: str) -> "Rng":
-        """Derive an independent child stream keyed by (seed, name)."""
-        import hashlib
-        h = hashlib.sha256(f"{self.seed}/{name}".encode("utf-8")).digest()
-        return Rng(int.from_bytes(h[:8], "big"))
-
-    def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
-
-    def bernoulli(self, p: float, shape) -> np.ndarray:
-        return (self._gen.random(size=shape) < p).astype(np.float64)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
-        return self._gen.choice(n, size=k, replace=False)
+    The root seed is masked to 64 bits. Each name then replaces the seed
+    s by the first 8 bytes, big-endian, of sha256(f"{s}/{name}").
+    """
+    import hashlib
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    for name in names:
+        h = hashlib.sha256(f"{seed}/{name}".encode("utf-8")).digest()
+        seed = int.from_bytes(h[:8], "big")
+    return seed
 
 
-def glorot_uniform(rng: Rng, rows: int, cols: int) -> Tensor2:
+def glorot_uniform(rng: np.random.Generator, rows: int, cols: int
+                   ) -> Tensor2:
     """Uniform init in +-sqrt(6/(fan_in+fan_out))."""
     limit = np.sqrt(6.0 / (rows + cols))
     return Tensor2(rng.uniform(-limit, limit, (rows, cols)), copy=False)

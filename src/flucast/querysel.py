@@ -37,18 +37,21 @@ class EmbeddingTable:
     """Word -> fixed-dimension vector table for one language."""
 
     def __init__(self, language: str, words, vectors):
+        """`vectors` holds one row of floats per word: rows of one length,
+        or a (V, d) float64 matrix, which the table keeps without a copy.
+        """
         self.language = language
-        vectors = list(vectors)
-        dims = {len(v) for v in vectors}
-        if len(dims) > 1:
-            raise ValueError(
-                f"inconsistent embedding dimensions: {sorted(dims)}")
-        self.dim = dims.pop() if dims else 0
+        try:
+            matrix = np.asarray(vectors, dtype=np.float64)
+        except ValueError:  # rows of several lengths
+            raise ValueError(f"inconsistent embedding dimensions: "
+                             f"{sorted({len(v) for v in vectors})}") from None
+        if matrix.ndim == 1:  # no word
+            matrix = matrix.reshape(len(matrix), 0)
+        self.dim = matrix.shape[1]
         # Row of each word; a repeated word keeps its first place and its
         # last vector.
-        rows = {w: i for i, w in zip(range(len(vectors)), words)}
-        matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors),
-                                                             self.dim)
+        rows = {w: i for i, w in zip(range(len(matrix)), words)}
         if len(rows) < len(matrix):
             matrix = matrix[list(rows.values())]
         # One (V, d) matrix in vocabulary order; `_table` maps each word
@@ -96,14 +99,14 @@ def load_embeddings(path: str, language: str, skip=frozenset()
                 raise DataError(f"{path}:{lineno}: word {parts[0]!r} has no "
                                 f"components")
             try:
-                vector = list(map(float, parts[1:]))
+                vector = np.fromiter(map(float, parts[1:]), np.float64,
+                                     len(parts) - 1)
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
-            if not math.isfinite(sum(vector)):  # a nan, an inf or overflow
-                bad = [x for x in vector if not math.isfinite(x)]
-                if bad:
-                    raise DataError(
-                        f"{path}:{lineno}: non-finite component {bad[0]}")
+            if not np.isfinite(vector).all():
+                bad = vector[~np.isfinite(vector)]
+                raise DataError(
+                    f"{path}:{lineno}: non-finite component {bad[0]}")
             dim = dim or len(vector)
             if len(vector) != dim:
                 raise DataError(f"{path}:{lineno}: {len(vector)} components, "
@@ -111,7 +114,9 @@ def load_embeddings(path: str, language: str, skip=frozenset()
             if parts[0] not in skip:
                 words.append(parts[0])
                 vectors.append(vector)
-    return EmbeddingTable(language, words, vectors)
+    matrix = np.array(vectors)
+    vectors.clear()  # free the rows before the table takes its norms
+    return EmbeddingTable(language, words, matrix)
 
 
 def load_stopwords(path: str) -> set:
@@ -334,10 +339,15 @@ def read_selected(path: str) -> list:
     The file is a CSV when the stripped fields of its first row that is
     not blank, read as `datahub.csv_rows` reads it, include `selected`;
     it is then read by `read_csv`, so a quoted query keeps the line
-    breaks it holds. Lines of only whitespace are skipped.
+    breaks it holds. Lines of only whitespace are skipped. A file that
+    yields no query is a DataError naming it.
     """
     _, header = next(csv_rows(path), (0, ()))
     if "selected" in (name.strip() for name in header):
-        return [query for _, (query,) in read_csv(path, ("selected",))]
-    with open_text(path) as f:
-        return [line.strip() for line in f if line.strip()]
+        queries = [query for _, (query,) in read_csv(path, ("selected",))]
+    else:
+        with open_text(path) as f:
+            queries = [line.strip() for line in f if line.strip()]
+    if not queries:
+        raise DataError(f"{path}: no query")
+    return queries

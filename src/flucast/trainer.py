@@ -92,8 +92,8 @@ def mse_loss(o_hat: Tensor2, o: np.ndarray) -> Tensor2:
     return nk.mean_all(nk.mul(d, d))
 
 
-def sample_country_batch(rng: nk.Rng, datasets: dict, batch_size: int
-                         ) -> tuple:
+def sample_country_batch(rng: np.random.Generator, datasets: dict,
+                         batch_size: int) -> tuple:
     """Uniform country, then a single-country batch without replacement."""
     countries = sorted(datasets)
     for c in countries:
@@ -102,7 +102,7 @@ def sample_country_batch(rng: nk.Rng, datasets: dict, batch_size: int
     c = countries[int(rng.integers(0, len(countries)))]
     pool = datasets[c]
     if len(pool) >= batch_size:
-        idx = rng.choice_without_replacement(len(pool), batch_size)
+        idx = rng.choice(len(pool), batch_size, replace=False)
     else:
         idx = rng.integers(0, len(pool), size=batch_size)
     return c, pool.take(idx)
@@ -171,15 +171,16 @@ def _train_step(model, adam, country, batch, eps, rng) -> float:
 def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
                m: int, grid_index: int) -> tuple:
     """Train a single grid point; returns (model, log, best val mse)."""
-    root = nk.Rng(config.seed).spawn(f"grid/{grid_index}")
+    root = nk.derive_seed(config.seed, f"grid/{grid_index}")
     model = fluenet.ModelParams(
         m=m, n_in=config.n_in, s_out=config.s_out, l_queries=l_queries,
-        countries=sorted(data), seed=root.spawn("init").seed,
+        countries=sorted(data), seed=nk.derive_seed(root, "init"),
         use_country_embedding=len(data) > 1 and config.use_country_embedding,
         arch=config.arch)
     adam = nk.Adam(lr)
-    batch_rng = root.spawn("batches")
-    sample_rng = root.spawn("scheduled-sampling")
+    batch_rng = np.random.default_rng(nk.derive_seed(root, "batches"))
+    sample_rng = np.random.default_rng(
+        nk.derive_seed(root, "scheduled-sampling"))
     train_sets = {c: data[c]["train"] for c in sorted(data)}
     total = sum(len(v) for v in train_sets.values())
     steps_per_epoch = max(1, math.ceil(total / config.batch_size))
@@ -263,7 +264,7 @@ def _train_in_pool(config, data, l_queries, points, workers) -> dict:
     each sends its results back through a pipe. Every child is joined,
     or terminated and joined, before this returns or raises.
     """
-    # Children seed their streams through Rng.spawn, which imports
+    # Children seed their streams through nk.derive_seed, which imports
     # hashlib; loaded before the fork, it is shared rather than loaded
     # (with OpenSSL) by each child, ~1-2 MB of resident memory apiece.
     import hashlib

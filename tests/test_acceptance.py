@@ -12,7 +12,7 @@ import pytest
 from flucast import (cli, datahub, decompose, evalbench, fluenet, querysel,
                      trainer)
 from flucast import numkit as nk
-from flucast.numkit import Rng, Tensor2
+from flucast.numkit import Tensor2
 from ili_csv import series_rows, write_ili_csv
 from test_numkit import LITERAL
 
@@ -132,7 +132,7 @@ class TestScheduledSamplingLimits:
         teacher = rng.normal(0, 1, (3, 5))
         got = fluenet.decode(dec, out, Tensor2(h0), x_last, 5,
                              teacher=teacher, eps=1.0,
-                             rng=Rng(0).spawn("ss"))
+                             rng=np.random.default_rng(0))
         h = fluenet.gru_cell(dec, Tensor2(x_last.reshape(3, 1)),
                              Tensor2(h0))
         cols = [fluenet._mlp_apply(out, h)]
@@ -263,7 +263,7 @@ class TestArBaseline:
     """Coefficient recovery and absent multi-step horizons."""
 
     def test_noiseless_recovery(self):
-        rng = Rng(51)
+        rng = np.random.default_rng(51)
         n, l = 500, 2
         q = rng.uniform(0, 1, (n, l))
         true = np.array([0.55, -0.15, 1.2, -0.4, 0.25])

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from flucast import cli, datahub, decompose, evalbench, querysel, trainer
-from flucast.numkit import Rng
 from ili_csv import series_rows, write_ili_csv
 
 START = "2010-W01"
@@ -109,7 +108,7 @@ def build_wt_inputs(root, config, out):
     series = datahub.load_ili(cfg["data.ili"])["US"]
     weeks = series.weeks()
     fit_len = datahub.parse_week(cfg["split.test_start"]) - 52 - series.start
-    rng = Rng(5)
+    rng = np.random.default_rng(5)
     cand = out / "candidates"
     cand.mkdir()
 
@@ -972,6 +971,38 @@ class TestBadInput:
                    "US") == 1
         assert capsys.readouterr().err == (
             f"error: {listed}:3: row has no selected\n")
+
+    @pytest.mark.parametrize("command", ["select-queries", "train"])
+    @pytest.mark.parametrize("text", [
+        " \n\n", "english,selected,theta_w,theta_t,score\n"],
+        ids=["empty_list", "header_only_csv"])
+    def test_query_file_with_no_query(self, tmp_path, capsys, command,
+                                      text):
+        """Refused where it is read: select-queries would write a
+        header-only list, and train would blame the trends."""
+        config = build_workspace(tmp_path)
+        listed = tmp_path / "listed.csv"
+        listed.write_text(text, encoding="utf-8")
+        config.write_text(config.read_text(encoding="utf-8")
+                          + f"queries.US = {listed}\n"
+                          f"querysel.english_queries = {listed}\n"
+                          f"querysel.mapping = {listed}\n", encoding="utf-8")
+        argv = (["select-queries", "--method", "mapping"]
+                if command == "select-queries"
+                else ["train", "--countries", "US"])
+        assert run(config, tmp_path / "out", *argv) == 1
+        assert capsys.readouterr().err == f"error: {listed}: no query\n"
+
+    def test_short_series_names_its_country(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        path = tmp_path / "ili.csv"
+        rows = [r for r in ili_rows(path) if r[1] == "US"][:60]
+        write_ili_csv(path, rows)
+        config.write_text(config.read_text(encoding="utf-8")
+                          + "countries = US\n", encoding="utf-8")
+        assert run(config, tmp_path / "out", "decompose") == 1
+        assert capsys.readouterr().err == (
+            "error: US: need at least 104 points for period 52, got 60\n")
 
     @pytest.mark.parametrize("text, where", [
         ("eng,translated\nflu fever,gripe\n", ": no english column"),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from flucast import datahub, decompose
-from flucast.numkit import Rng
 from ili_csv import series_rows, write_ili_csv
 
 
@@ -261,7 +260,7 @@ class TestLoadIli:
             datahub.load_ili(str(path))
 
     def test_roundtrip(self, tmp_path):
-        rng = Rng(3)
+        rng = np.random.default_rng(3)
         series = datahub.WeeklySeries(
             country="JP", start=datahub.parse_week("2014-W10"),
             values=rng.uniform(0, 30, 120))
@@ -358,7 +357,7 @@ class TestMinmax:
     def test_apply_with_saved_stats_matches_fit(self):
         """Stats saved at fit time rebuild the normalized panel bit for bit
         from a panel that holds only the kept queries."""
-        rng = Rng(9)
+        rng = np.random.default_rng(9)
         matrix = rng.uniform(0, 4, (20, 3))
         matrix[:, 1] = 2.0
         panel = datahub.QueryPanel(country="US", queries=["a", "flat", "b"],
@@ -372,7 +371,7 @@ class TestMinmax:
         assert np.array_equal(again.matrix, norm.matrix)
 
     def test_invertibility(self):
-        rng = Rng(8)
+        rng = np.random.default_rng(8)
         panel = self.make_panel(rng.uniform(3, 9, 20))
         norm, stats = datahub.minmax_fit_apply(panel, (100, 119))
         _, mn, mx = stats[0]
@@ -381,7 +380,7 @@ class TestMinmax:
 
 
 def make_windowing_fixture(length=130, n=52, s=5):
-    rng = Rng(21)
+    rng = np.random.default_rng(21)
     start = datahub.parse_week("2014-W01")
     series = datahub.WeeklySeries(country="US", start=start,
                                   values=rng.uniform(1, 10, length))

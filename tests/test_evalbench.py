@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flucast import datahub, evalbench, fluenet, querysel
-from flucast.numkit import Rng
 
 
 class TestRmse:
@@ -86,7 +85,7 @@ class TestSeasonalNaive:
 
 class TestArExog:
     def test_recovers_true_coefficients(self):
-        rng = Rng(3)
+        rng = np.random.default_rng(3)
         n, p, l = 400, 2, 2
         q = rng.uniform(0, 1, (n, l))
         true = np.array([0.6, -0.2, 1.5, -0.7, 0.3])
@@ -104,7 +103,7 @@ class TestArExog:
         y[0] = 1.0
         for t in range(199):
             y[t + 1] = 0.5 * y[t]
-        q = Rng(4).uniform(0, 1, (200, 1))
+        q = np.random.default_rng(4).uniform(0, 1, (200, 1))
         model = evalbench.fit_ar_exog(y, q, 1)
         assert abs(model.coefficients[0] - 0.5) < 1e-6
         assert abs(model.coefficients[1]) < 1e-6  # query term unused
@@ -269,13 +268,13 @@ class TestCorrelationReport:
                                     values=np.asarray(values, dtype=float))
 
     def test_self_correlation_is_one(self):
-        rng = Rng(10)
+        rng = np.random.default_rng(10)
         s = self.make_series("US", 100, rng.uniform(0, 5, 30))
         out = evalbench.correlation_report({"US": s})
         assert out[("US", "US")] == 1.0
 
     def test_identical_series_fully_correlated(self):
-        rng = Rng(11)
+        rng = np.random.default_rng(11)
         vals = rng.uniform(0, 5, 30)
         out = evalbench.correlation_report(
             {"A": self.make_series("A", 100, vals),
@@ -284,7 +283,7 @@ class TestCorrelationReport:
         assert out[("A", "B")] == out[("B", "A")]
 
     def test_scale_and_offset_invariance(self):
-        rng = Rng(12)
+        rng = np.random.default_rng(12)
         vals = rng.uniform(0, 5, 30)
         out = evalbench.correlation_report(
             {"A": self.make_series("A", 100, vals),
@@ -292,7 +291,7 @@ class TestCorrelationReport:
         assert abs(out[("A", "B")] - 1.0) < 1e-12
 
     def test_shift_realigns_lagged_series(self):
-        rng = Rng(13)
+        rng = np.random.default_rng(13)
         vals = rng.uniform(0, 5, 60)
         a = self.make_series("A", 100, vals[:40])
         b = self.make_series("B", 100, vals[22:])  # B runs 22 weeks early

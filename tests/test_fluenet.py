@@ -3,7 +3,7 @@ import pytest
 
 from flucast import fluenet
 from flucast import numkit as nk
-from flucast.numkit import Rng, Tensor2
+from flucast.numkit import Tensor2
 from test_numkit import LITERAL
 
 
@@ -322,7 +322,7 @@ class TestDecode:
         teacher = rng.normal(0, 1, (2, 4))
         got = fluenet.decode(dec, out, Tensor2(h0), x_last, 4,
                              teacher=teacher, eps=1.0,
-                             rng=Rng(0).spawn("ss"))
+                             rng=np.random.default_rng(0))
 
         h = fluenet.gru_cell(dec, Tensor2(x_last.reshape(2, 1)), Tensor2(h0))
         cols = [fluenet._mlp_apply(out, h)]
@@ -353,7 +353,7 @@ class TestDecode:
         with pytest.raises(nk.ContractError):
             fluenet.decode(dec, out, h, np.array([0.3]), 3,
                            teacher=np.zeros((1, 3)), eps=1.5,
-                           rng=Rng(0))
+                           rng=np.random.default_rng(0))
 
 
 def small_model(**kw):
@@ -489,12 +489,17 @@ class TestModel:
 
 
 def oracle_init(m, l_queries, countries, seed, use_country_embedding, arch):
-    """Every tensor drawn straight from `Rng`, group by group: ILI
-    encoder, decoder, query encoder and fusion on `model-init`, then each
-    country's attention and output on `country/<C>`, then the embedding
-    on `country-embed`. Same-seed checkpoints keep their bytes only
-    while `ModelParams` draws in this order."""
-    rng = Rng(seed).spawn("model-init")
+    """Every tensor drawn straight from a numpy Generator, group by
+    group: ILI encoder, decoder, query encoder and fusion on
+    `model-init`, then each country's attention and output on its child
+    stream `country/<C>`, then the embedding on `country-embed`.
+    Same-seed checkpoints keep their bytes only while `ModelParams` draws
+    in this order."""
+    def stream(*names):
+        return np.random.default_rng(
+            nk.derive_seed(seed, "model-init", *names))
+
+    rng = stream()
     out = {}
 
     def glorot(stream, name, rows, cols):
@@ -520,13 +525,13 @@ def oracle_init(m, l_queries, countries, seed, use_country_embedding, arch):
         gru("query_encoder", 1)
     mlp(rng, "shared.fusion", 2 * m if attention else m, m)
     for c in countries:
-        crng = rng.spawn(f"country/{c}")
+        crng = stream(f"country/{c}")
         if attention:
             for w in ("w_q", "w_k", "w_v"):
                 glorot(crng, f"country.{c}.attention.{w}", m, m)
         mlp(crng, f"country.{c}.output", m, 1)
     if use_country_embedding:
-        glorot(rng.spawn("country-embed"), "shared.country_embed",
+        glorot(stream("country-embed"), "shared.country_embed",
                len(countries), m)
     return out
 

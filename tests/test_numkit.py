@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ class TestMatmul:
         assert out.data[0, 0] == 11
 
     def test_matches_triple_loop_oracle(self):
-        rng = nk.Rng(7)
+        rng = np.random.default_rng(7)
         a = rng.uniform(-2, 2, (3, 4))
         b = rng.uniform(-2, 2, (4, 2))
         out = nk.matmul(Tensor2(a), Tensor2(b))
@@ -42,7 +43,7 @@ class TestMatmul:
             nk.matmul(Tensor2(np.zeros((2, 3))), Tensor2(np.zeros((2, 2))))
 
     def test_associativity_on_random_chains(self):
-        rng = nk.Rng(11)
+        rng = np.random.default_rng(11)
         for _ in range(20):
             a, b, c = (Tensor2(rng.uniform(-1, 1, (2, 2)))
                        for _ in range(3))
@@ -100,7 +101,7 @@ class TestSoftmaxRow:
         assert np.max(np.abs(out - [[0.25, 0.75]])) < 1e-12
 
     def test_rows_sum_to_one_and_shift_invariance(self):
-        rng = nk.Rng(3)
+        rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.uniform(-5, 5, (4, 6))
             out = nk._softmax(x)
@@ -136,7 +137,7 @@ class TestBackward:
     @pytest.mark.parametrize("op", [nk.add, nk.sub, nk.mul],
                              ids=["add", "sub", "mul"])
     def test_binary_primitives_match_finite_differences(self, op):
-        rng = nk.Rng(17)
+        rng = np.random.default_rng(17)
         a = Tensor2(rng.uniform(-1, 1, (3, 4)))
         b = Tensor2(rng.uniform(-1, 1, (3, 4)))
 
@@ -152,7 +153,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("op", [nk.tanh], ids=["tanh"])
     def test_unary_primitives_match_finite_differences(self, op):
-        rng = nk.Rng(19)
+        rng = np.random.default_rng(19)
         a = Tensor2(rng.uniform(-2, 2, (3, 4)))
 
         def loss():
@@ -166,14 +167,14 @@ class TestBackward:
         assert_grad_close(a.grad, finite_difference(loss, a.data))
 
     def test_sigmoid_derivative_matches_finite_differences(self):
-        x = nk.Rng(19).uniform(-4, 4, (3, 4))
+        x = np.random.default_rng(19).uniform(-4, 4, (3, 4))
         s = nk._sigmoid(x)
         step = 1e-6
         fd = (nk._sigmoid(x + step) - nk._sigmoid(x - step)) / (2 * step)
         assert_grad_close(s * (1.0 - s), fd)
 
     def test_softmax_grad_matches_finite_differences(self):
-        rng = nk.Rng(23)
+        rng = np.random.default_rng(23)
         x = rng.uniform(-1, 1, (2, 4))
         c = rng.uniform(-1, 1, (2, 4))
 
@@ -185,7 +186,7 @@ class TestBackward:
         assert_grad_close(analytic, finite_difference(loss, x))
 
     def test_hstack_gradients(self):
-        rng = nk.Rng(29)
+        rng = np.random.default_rng(29)
         a = Tensor2(rng.uniform(-1, 1, (2, 2)))
         b = Tensor2(rng.uniform(-1, 1, (2, 3)))
         c = Tensor2(rng.uniform(-1, 1, (2, 5)))
@@ -202,7 +203,7 @@ class TestBackward:
         assert_grad_close(b.grad, finite_difference(loss, b.data))
 
     def test_add_bias_gradients(self):
-        rng = nk.Rng(31)
+        rng = np.random.default_rng(31)
         a = Tensor2(rng.uniform(-1, 1, (4, 3)))
         bias = Tensor2(rng.uniform(-1, 1, (1, 3)))
 
@@ -218,7 +219,7 @@ class TestBackward:
         assert_grad_close(bias.grad, finite_difference(loss, bias.data))
 
     def test_tile_rows_gradients(self):
-        rng = nk.Rng(37)
+        rng = np.random.default_rng(37)
         a = Tensor2(rng.uniform(-1, 1, (2, 3)))
         w = Tensor2(rng.uniform(-1, 1, (6, 3)))
 
@@ -241,7 +242,7 @@ class TestBackward:
             nk.add_bias(a, Tensor2([[1.0, 2.0, 3.0]]))
 
     def test_dot_attention_gradients(self):
-        rng = nk.Rng(41)
+        rng = np.random.default_rng(41)
         b, m, l = 3, 4, 5
         query = Tensor2(rng.uniform(-1, 1, (b, m)))
         maps = [Tensor2(rng.uniform(-1, 1, (m, m))) for _ in range(3)]
@@ -619,21 +620,28 @@ class TestAdam:
             assert np.array_equal(p.data, want[name]), name
 
 
-class TestRng:
-    def test_same_seed_identical_draws(self):
-        a = nk.Rng(123).uniform(0, 1, 10_000)
-        b = nk.Rng(123).uniform(0, 1, 10_000)
-        assert np.array_equal(a, b)
+class TestDeriveSeed:
+    def test_chain_of_sha256_prefixes(self):
+        seed = 2 ** 64 - 5
+        for name in ("grid/3", "batches"):
+            digest = hashlib.sha256(f"{seed}/{name}".encode()).digest()
+            seed = int.from_bytes(digest[:8], "big")
+        assert nk.derive_seed(-5, "grid/3", "batches") == seed
+        assert nk.derive_seed(nk.derive_seed(-5, "grid/3"),
+                              "batches") == seed
 
-    def test_spawn_streams_differ_by_name(self):
-        root = nk.Rng(5)
-        a = root.spawn("a").uniform(0, 1, 10)
-        b = root.spawn("b").uniform(0, 1, 10)
+    def test_root_is_masked_to_64_bits(self):
+        assert nk.derive_seed(-1) == nk.derive_seed(2 ** 64 - 1)
+        assert nk.derive_seed(-1) == 2 ** 64 - 1
+        assert nk.derive_seed(2 ** 64 + 7, "a") == nk.derive_seed(7, "a")
+
+    def test_streams_differ_by_name(self):
+        a, b = (np.random.default_rng(nk.derive_seed(5, name)).random(10)
+                for name in "ab")
         assert not np.array_equal(a, b)
-        assert np.array_equal(a, nk.Rng(5).spawn("a").uniform(0, 1, 10))
 
     def test_glorot_bounds(self):
-        t = nk.glorot_uniform(nk.Rng(1), 8, 8)
+        t = nk.glorot_uniform(np.random.default_rng(1), 8, 8)
         assert np.max(np.abs(t.data)) <= np.sqrt(6.0 / 16)
 
 

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import strategies as st
 
 from flucast import cli, datahub
-from flucast.numkit import Rng
 from test_numkit import assert_matches_oracle, gru_case
 from test_querysel import SHAPES, selection_case
 from test_querysel import assert_matches_oracle as assert_selects_as_oracle
@@ -185,7 +184,8 @@ class TestMinmaxReplay:
         hi = data.draw(st.integers(lo + 1, length - 1), label="hi")
         flat = data.draw(st.lists(st.booleans(), min_size=l, max_size=l),
                          label="constant on the training range")
-        matrix = Rng(seed).uniform(-scale, scale, (length, l))
+        matrix = np.random.default_rng(seed).uniform(-scale, scale,
+                                                     (length, l))
         matrix[lo:hi + 1, flat] = scale / 3
         start = datahub.parse_week("2015-W01")
         panel = datahub.QueryPanel(

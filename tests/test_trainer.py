@@ -10,7 +10,7 @@ import pytest
 
 from flucast import datahub, trainer
 from flucast import numkit as nk
-from flucast.numkit import Rng, Tensor2
+from flucast.numkit import Tensor2
 
 
 def make_windows(rng, country, count, n_in=6, s_out=2, l=1,
@@ -83,7 +83,7 @@ class TestCountryBatches:
     def test_batch_never_mixes_countries(self):
         data = make_data(["AU", "JP", "US"], n_train=20)
         sets = {c: data[c]["train"] for c in data}
-        rng = Rng(5).spawn("batches")
+        rng = np.random.default_rng(nk.derive_seed(5, "batches"))
         for _ in range(50):
             c, batch = trainer.sample_country_batch(rng, sets, 8)
             assert batch.country == c
@@ -94,14 +94,14 @@ class TestCountryBatches:
     def test_no_repeats_when_pool_is_large_enough(self):
         data = make_data(["US"], n_train=30)
         sets = {"US": data["US"]["train"]}
-        rng = Rng(6).spawn("batches")
+        rng = np.random.default_rng(nk.derive_seed(6, "batches"))
         _, batch = trainer.sample_country_batch(rng, sets, 10)
         assert len(set(batch.last_week.tolist())) == 10
 
     def test_country_draw_is_uniform(self):
         data = make_data(["AU", "JP", "US"], n_train=4)
         sets = {c: data[c]["train"] for c in data}
-        rng = Rng(7).spawn("batches")
+        rng = np.random.default_rng(nk.derive_seed(7, "batches"))
         n = 10000
         counts = {c: 0 for c in sets}
         for _ in range(n):
@@ -115,7 +115,8 @@ class TestCountryBatches:
     def test_empty_pool_rejected(self):
         empty = make_windows(np.random.default_rng(0), "US", 1).take([])
         with pytest.raises(trainer.TrainingError):
-            trainer.sample_country_batch(Rng(0), {"US": empty}, 2)
+            trainer.sample_country_batch(np.random.default_rng(0),
+                                         {"US": empty}, 2)
 
 
 class TestConfig:
@@ -311,6 +312,40 @@ def fit_outcome(config, data):
     return ({n: t.data.tobytes() for n, t in model.named_params().items()},
             log.entries, log.chosen_epoch, log.diverged_grid_points,
             (log.lr, log.m))
+
+
+class TestSeedChain:
+    """Grid point 0's init seed and the first draw of its `batches` and
+    `scheduled-sampling` streams, recorded once, as the training loop
+    sees them: an edit that moves a draw fails here."""
+
+    PINNED = {
+        0: (17739463486159703637, 4215005529268449423, 1179892060925228672),
+        -1: (16915221829365036993, 4220305149549939773, 579736143230485064),
+    }
+
+    @pytest.mark.parametrize("seed", [0, -1])
+    def test_first_draws_of_grid_point_zero(self, monkeypatch, seed):
+        class Seen(Exception):
+            pass
+
+        seen = []
+
+        def first_batch(rng, datasets, batch_size):
+            seen.append(int(rng.integers(0, 2 ** 62)))
+            return "JP", None
+
+        def first_step(model, adam, country, batch, eps, rng):
+            seen[:0] = [model.seed]
+            seen.append(int(rng.integers(0, 2 ** 62)))
+            raise Seen()
+
+        monkeypatch.setattr(trainer, "sample_country_batch", first_batch)
+        monkeypatch.setattr(trainer, "_train_step", first_step)
+        cores(monkeypatch, 1)
+        with pytest.raises(Seen):
+            trainer.fit(quick_config(seed=seed), make_data(["JP", "US"]))
+        assert tuple(seen) == self.PINNED[seed]
 
 
 class TestGridPool:
