@@ -99,8 +99,7 @@ def _query_list(cfg, country) -> list:
 
 
 def _trends(cfg, series, queries) -> datahub.QueryPanel:
-    return datahub.load_trends(_get(cfg, "data.trends_dir"), series.country,
-                               queries, series)
+    return datahub.load_trends(_get(cfg, "data.trends_dir"), queries, series)
 
 
 def _fit_country(cfg, series, use_queries) -> tuple:
@@ -119,7 +118,7 @@ def _fit_country(cfg, series, use_queries) -> tuple:
     if use_queries:
         queries = _query_list(cfg, c)
         panel, stats = datahub.minmax_fit_apply(
-            _trends(cfg, series, queries), plan.train)
+            _trends(cfg, series, queries), plan.train_len)
         if not stats:
             raise datahub.DataError(
                 f"{c}: no query left after dropping those constant on the "
@@ -204,14 +203,11 @@ def _apply_country(cfg, series, seasonal_fit, panel) -> dict:
             "panel": panel}
 
 
-def _windows(p, part, n_in, s_out) -> list:
-    """Windows of n_in input and s_out target weeks for one part of a
-    prepared country's split: all of them inside the training range, or
-    those whose targets lie in the validation or test range."""
-    make = (datahub.make_windows if part == "train"
-            else datahub.make_target_windows)
-    return make(p["series"], p["panel"], p["seasonal"], n_in, s_out,
-                getattr(p["plan"], part))
+def _windows(p, part, n_in, s_out) -> datahub.Windows:
+    """The windows of n_in input and s_out target weeks whose targets lie
+    in one part ("train", "val" or "test") of a prepared country's split."""
+    return datahub.make_windows(p["series"], p["panel"], p["seasonal"], n_in,
+                                s_out, getattr(p["plan"], part))
 
 
 def _prepare_trained(cfg, ckpt, model, extra) -> dict:
@@ -236,9 +232,9 @@ def _countries(cfg, args):
     """The list of --countries, or else of config key `countries`; an
     empty list, or a country named twice, is a ConfigError."""
     flag = getattr(args, "countries", None)
-    where = "--countries" if flag else "config key 'countries'"
-    countries = _get({"countries": flag} if flag else cfg, "countries",
-                     cast=(str,))
+    where = "--countries" if flag is not None else "config key 'countries'"
+    countries = _get(cfg if flag is None else {"countries": flag},
+                     "countries", cast=(str,))
     if not countries:
         raise ConfigError(f"{where} names no country")
     twice = sorted({c for c in countries if countries.count(c) > 1})
@@ -255,9 +251,6 @@ def cmd_decompose(cfg, args) -> int:
             d = decompose.stl_decompose(series.values, period=52)
         except decompose.ParameterError as e:
             raise decompose.ParameterError(f"{country}: {e}") from None
-        recon = d.reconstruct()
-        if np.max(np.abs(recon - series.values)) > 1e-9:
-            raise ConfigError(f"{country}: reconstruction identity violated")
         path = os.path.join(out, f"decomp_{country}.csv")
         datahub.write_csv(
             path, ["iso_week", "observed", "trend", "seasonal", "remainder"],
@@ -370,6 +363,9 @@ def cmd_evaluate(cfg, args) -> int:
     reports = []
     for c, p in prepared.items():
         test = _windows(p, "test", model.n_in, model.s_out)
+        if len(test) < 2:  # R² needs two
+            raise ConfigError(f"{c}: one test window; split.test_len must be "
+                              f"at least S + 1 = {model.s_out + 1}")
         with _naming(args.checkpoint):
             reports.append(evalbench.evaluate_model(model, test, c,
                                                     "proposed", term))
@@ -384,7 +380,7 @@ def cmd_evaluate(cfg, args) -> int:
                                            panel.matrix[:fit_len],
                                            p=model.n_in)
                 y_hat = np.full(test.y_raw.shape, np.nan)
-                q_next = panel.matrix[test.last_week + 1 - panel.start]
+                q_next = panel.matrix[test.last_week + 1 - p["series"].start]
                 lags = test.x_raw[:, ::-1][:, :ar.order]
                 for i in range(len(test)):
                     y_hat[i, 0] = ar.predict_one(lags[i], q_next[i])
@@ -411,7 +407,7 @@ def cmd_forecast(cfg, args) -> int:
         series = p["series"]
         last = datahub.make_windows(
             series, p["panel"], p["seasonal"], model.n_in, 0,
-            (series.end - model.n_in + 1, series.end))
+            (series.end + 1, series.end + model.s_out))
         with _naming(args.checkpoint):
             o_hat, _ = fluenet.forward_batch(model, c, last.x_des, last.q)
         y_hat = o_hat.data[0] + decompose.extend_seasonal(

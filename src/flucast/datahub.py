@@ -79,13 +79,6 @@ class WeeklySeries:
     def weeks(self) -> np.ndarray:
         return np.arange(self.start, self.start + len(self.values))
 
-    def pos(self, week: int) -> int:
-        if not self.start <= week <= self.end:
-            raise DataError(
-                f"{self.country}: week {format_week(week)} outside "
-                f"{format_week(self.start)}..{format_week(self.end)}")
-        return week - self.start
-
 
 @dataclass
 class QueryPanel:
@@ -93,8 +86,7 @@ class QueryPanel:
 
     country: str
     queries: list
-    start: int
-    matrix: np.ndarray  # weeks x L
+    matrix: np.ndarray  # series weeks x L
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,6 @@ class Windows:
     """One country's supervised windows, one row each: N input weeks up to
     the final input week (time t), then S target weeks."""
 
-    country: str
     last_week: np.ndarray  # (W,) week index of each final input week
     x_raw: np.ndarray  # (W, N) raw ILI values
     x_des: np.ndarray  # (W, N) deseasonalized values
@@ -116,8 +107,7 @@ class Windows:
 
     def take(self, rows) -> "Windows":
         """The windows at the integer indices `rows`, in that order."""
-        return Windows(self.country, *(getattr(self, f.name)[rows]
-                                       for f in fields(self)[1:]))
+        return Windows(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -283,10 +273,11 @@ def read_trend(path: str, series: WeeklySeries) -> np.ndarray:
     return filled[at]
 
 
-def load_trends(trends_dir: str, country: str, queries,
-                series: WeeklySeries) -> QueryPanel:
-    """Load one CSV per query (see `read_trend`) into a query panel."""
-    queries = list(queries)
+def load_trends(trends_dir: str, queries, series: WeeklySeries
+                ) -> QueryPanel:
+    """Load one CSV per query (see `read_trend`) into the query panel of
+    the series' country."""
+    country, queries = series.country, list(queries)
     slugs = [query_slug(q) for q in queries]
     if len(set(slugs)) != len(slugs):
         raise DataError(f"{country}: query slug collision in {slugs}")
@@ -297,24 +288,21 @@ def load_trends(trends_dir: str, country: str, queries,
     matrix = np.zeros((len(series), len(queries)))
     for j, path in enumerate(paths):
         matrix[:, j] = read_trend(path, series)
-    return QueryPanel(country=country, queries=queries, start=series.start,
-                      matrix=matrix)
+    return QueryPanel(country=country, queries=queries, matrix=matrix)
 
 
-def minmax_fit_apply(panel: QueryPanel, training_range) -> tuple:
-    """Min-max normalize on the training range; apply everywhere.
+def minmax_fit_apply(panel: QueryPanel, train_len: int) -> tuple:
+    """Min-max normalize on the training range, the first `train_len`
+    weeks; apply everywhere.
 
     Returns (normalized panel, list of (query, min, max)). Queries that
     are constant on the training range are dropped with a warning.
     """
-    lo, hi = training_range
-    a = lo - panel.start
-    b = hi - panel.start + 1
-    if not (0 <= a < b <= panel.matrix.shape[0]):
-        raise DataError(f"training range {training_range} outside panel")
+    if not 0 < train_len <= panel.matrix.shape[0]:
+        raise DataError(f"training length {train_len} outside panel")
     stats = []
     for j, q in enumerate(panel.queries):
-        col = panel.matrix[a:b, j]
+        col = panel.matrix[:train_len, j]
         mn, mx = col.min(), col.max()
         if mx <= mn:
             warnings.warn(f"{panel.country}: query {q!r} constant on "
@@ -331,49 +319,44 @@ def minmax_apply(panel: QueryPanel, stats) -> QueryPanel:
     mn = np.array([s[1] for s in stats])
     mx = np.array([s[2] for s in stats])
     return QueryPanel(country=panel.country,
-                      queries=[q for q, _, _ in stats], start=panel.start,
+                      queries=[q for q, _, _ in stats],
                       matrix=(panel.matrix[:, cols] - mn) / (mx - mn))
 
 
 def make_windows(series: WeeklySeries, panel, seasonal: np.ndarray,
-                 n_in: int, n_out: int, week_range) -> Windows:
-    """All stride-1 windows whose N inputs and S targets fit in the range.
+                 n_in: int, n_out: int, targets) -> Windows:
+    """Every stride-1 window whose N input weeks lie in the series and
+    whose S target weeks lie in the series and in the week range
+    `targets` (first, last), inclusive.
 
-    `seasonal` is the full-length seasonal array aligned to the series
-    (STL fit over training, periodic extension past it).
+    The targets are the S weeks after the last input week, and that next
+    week may not precede the range: at S = 0 the range (series.end + 1,
+    series.end + S) gives the one window that ends the series, the input
+    of a forecast. `seasonal` (the STL fit over training, periodically
+    extended past it) and the panel hold one row per series week. No
+    window at all is a DataError naming the country, N, S and the range.
     """
-    lo, hi = week_range
-    if hi - lo + 1 < n_in + n_out:
-        raise DataError(f"range {format_week(lo)}..{format_week(hi)} shorter "
-                        f"than N+S = {n_in + n_out}")
+    lo, hi = targets
     if len(seasonal) != len(series):
         raise DataError("seasonal array length mismatch")
-    if panel is not None and (panel.start != series.start
-                              or panel.matrix.shape[0] != len(series)):
+    if panel is not None and panel.matrix.shape[0] != len(series):
         raise DataError("query panel not aligned to series")
-    t = np.arange(series.pos(lo) + n_in - 1, series.pos(hi) - n_out + 1)
+    # the series position of each window's last input week
+    t = np.arange(max(lo - series.start - 1, n_in - 1),
+                  min(hi, series.end) - series.start - n_out + 1)
+    if len(t) == 0:
+        raise DataError(f"{series.country}: no window of N={n_in}, "
+                        f"S={n_out} has its targets in "
+                        f"{format_week(lo)}..{format_week(hi)}")
     inp = t[:, None] + np.arange(1 - n_in, 1)  # (W, N) input positions
     out = t[:, None] + np.arange(1, n_out + 1)  # (W, S) target positions
     return Windows(
-        country=series.country, last_week=series.start + t,
+        last_week=series.start + t,
         x_raw=series.values[inp], x_des=(series.values - seasonal)[inp],
         q=(panel.matrix[inp] if panel is not None
            else np.zeros((len(t), n_in, 0))),
         y_raw=series.values[out],
         o=series.values[out] - seasonal[out], x_seas=seasonal[out])
-
-
-def make_target_windows(series: WeeklySeries, panel, seasonal: np.ndarray,
-                        n_in: int, n_out: int, target_range) -> Windows:
-    """Windows whose S targets all lie in target_range; inputs may reach
-    back into earlier weeks (validation/test usage)."""
-    lo, hi = target_range
-    if hi - lo + 1 < n_out or lo - n_in < series.start:
-        raise DataError(
-            f"target range {format_week(lo)}..{format_week(hi)} unusable "
-            f"for N={n_in}, S={n_out}")
-    return make_windows(series, panel, seasonal, n_in, n_out,
-                        (lo - n_in, hi))
 
 
 # Validation takes the year before the test range; training needs three

@@ -32,10 +32,7 @@ class ParameterError(Error):
 class Decomposition:
     trend: np.ndarray
     seasonal: np.ndarray
-    remainder: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.trend + self.seasonal + self.remainder
+    remainder: np.ndarray  # series - trend - seasonal
 
 
 @functools.lru_cache(maxsize=8)

@@ -76,7 +76,8 @@ class TestDecompositionIdentities:
                       + 2.0 * np.sin(2 * np.pi * np.arange(208) / 52.0)
                       + rng.normal(0, 0.3, 208))
             d = decompose.stl_decompose(series, period=52)
-            err = np.max(np.abs(d.reconstruct() - series))
+            err = np.max(np.abs(d.trend + d.seasonal + d.remainder
+                                - series))
             assert err <= 1e-9, f"trial {trial}: {err}"
 
     def test_pure_sinusoid_recovery(self):
@@ -176,7 +177,7 @@ def synth_countries(n_countries=5, weeks=330, l=3, rho=0.8, seed=77):
     return out
 
 
-def windows_from_arrays(name, x_des, seasonal, q, n, s, t_range):
+def windows_from_arrays(x_des, seasonal, q, n, s, t_range):
     """The windows whose last input week t is in t_range, stacked from
     per-window slices."""
     rows = []
@@ -187,7 +188,7 @@ def windows_from_arrays(name, x_des, seasonal, q, n, s, t_range):
                      x_des[t - n + 1:t + 1] + seasonal[t - n + 1:t + 1],
                      x_des[t - n + 1:t + 1], q[t - n + 1:t + 1],
                      o + x_seas, o, x_seas))
-    return datahub.Windows(name, *(np.stack(a) for a in zip(*rows)))
+    return datahub.Windows(*(np.stack(a) for a in zip(*rows)))
 
 
 def r2_by_horizon(model, test_w, country):
@@ -203,7 +204,7 @@ class TestSyntheticForecasting:
     def splits(self, data, name):
         d = data[name]
         mk = lambda rng_: windows_from_arrays(
-            name, d["x_des"], d["seasonal"], d["q"], self.N, self.S, rng_)
+            d["x_des"], d["seasonal"], d["q"], self.N, self.S, rng_)
         return {"train": mk((self.N - 1, 265)), "val": mk((265, 295)),
                 "test": mk((295, 325))}
 
@@ -278,7 +279,7 @@ class TestArBaseline:
     def test_multi_step_horizons_absent(self):
         rng = np.random.default_rng(52)
         windows = windows_from_arrays(
-            "US", rng.normal(0, 1, 60), np.zeros(60),
+            rng.normal(0, 1, 60), np.zeros(60),
             rng.uniform(0, 1, (60, 1)), 10, 3, (9, 40))
 
         one_step = np.full((len(windows), 3), np.nan)

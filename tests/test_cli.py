@@ -246,6 +246,26 @@ class TestDecomposeCommand:
                      + float(row["remainder"]))
             assert abs(total - float(row["observed"])) < 1e-9
 
+    def test_weekly_counts_decompose(self, tmp_path):
+        """Values of order 10^7 (weekly counts, not rates) decompose: the
+        remainder is the series less trend and seasonal, so the three sum
+        back to it up to a rounding that grows with the values."""
+        config = build_workspace(tmp_path)
+        path = tmp_path / "ili.csv"
+        write_ili_csv(path, [(w, c, 1e7 * float(r))
+                             for w, c, r in ili_rows(path)])
+        assert run(config, tmp_path / "out", "decompose", "--countries",
+                   "US") == 0
+        with open(tmp_path / "out" / "decomp_US.csv", newline="",
+                  encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == WEEKS
+        for row in rows:
+            observed = float(row["observed"])
+            total = (float(row["trend"]) + float(row["seasonal"])
+                     + float(row["remainder"]))
+            assert abs(total - observed) <= 1e-12 * abs(observed)
+
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_trailing_comma_in_countries_is_ignored(self, tmp_path, source):
@@ -477,7 +497,7 @@ class TestEvaluateCommand:
             cli.load_config(str(config))["data.ili"])["US"]
         for r in rows[:20]:
             week = datahub.parse_week(r["iso_week"])
-            assert float(r["y_true"]) == series.values[series.pos(week)]
+            assert float(r["y_true"]) == series.values[week - series.start]
 
 
 # What each command must not load. numpy alone loads none of hashlib,
@@ -1422,6 +1442,33 @@ class TestBadInput:
                    "--countries", " , ") == 1
         assert capsys.readouterr().err == (
             "error: --countries names no country\n")
+
+    def test_one_test_window_is_refused(self, tmp_path, capsys):
+        """R² needs two test windows, and S = 4 target weeks in a 4-week
+        test range make one."""
+        config = build_workspace(tmp_path)
+        config.write_text(config.read_text(encoding="utf-8")
+                          + "split.test_len = 4\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(config, out, "train", "--countries", "US") == 0
+        capsys.readouterr()
+        assert run(config, out, "evaluate", "--checkpoint",
+                   str(out / "checkpoint.json")) == 1
+        assert capsys.readouterr().err == (
+            "error: US: one test window; split.test_len must be at least "
+            "S + 1 = 5\n")
+
+    @pytest.mark.parametrize("command", ["decompose", "train", "correlate"])
+    def test_empty_countries_flag_is_refused(self, tmp_path, capsys,
+                                             command):
+        """An empty --countries is given, so it names no country; it does
+        not fall back to the config's `countries`."""
+        config = build_workspace(tmp_path)
+        assert run(config, tmp_path / "out", command, "--countries",
+                   "") == 1
+        assert capsys.readouterr().err == (
+            "error: --countries names no country\n")
+        assert os.listdir(tmp_path / "out") == []
 
     @pytest.mark.parametrize("week, problem", [
         ("2015-13", "malformed iso_week '2015-13', expected YYYY-Www"),

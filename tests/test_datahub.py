@@ -283,15 +283,15 @@ class TestLoadTrends:
         d.mkdir(parents=True)
         (d / "the_flu.csv").write_text(
             "iso_week,value\n2015-W02,1.0\n2015-W04,4.0\n", encoding="utf-8")
-        panel = datahub.load_trends(str(tmp_path / "trends"), "US",
+        panel = datahub.load_trends(str(tmp_path / "trends"),
                                     ["the flu"], series)
         assert np.array_equal(panel.matrix[:, 0], [0.0, 1.0, 1.0, 4.0, 4.0])
 
     def test_missing_file_lists_queries(self, tmp_path):
         (tmp_path / "trends" / "US").mkdir(parents=True)
         with pytest.raises(datahub.DataError, match="flu shot"):
-            datahub.load_trends(str(tmp_path / "trends"), "US",
-                                ["flu shot"], self.make_series())
+            datahub.load_trends(str(tmp_path / "trends"), ["flu shot"],
+                                self.make_series())
 
     def test_slug(self):
         assert datahub.query_slug("The Flu!") == "the_flu"
@@ -319,38 +319,38 @@ class TestLoadTrends:
                         encoding="utf-8")
         with pytest.raises(datahub.DataError, match=re.escape(
                 f"{path}:3: non-finite value")):
-            datahub.load_trends(str(tmp_path / "trends"), "US",
-                                ["the flu"], self.make_series())
+            datahub.load_trends(str(tmp_path / "trends"), ["the flu"],
+                                self.make_series())
 
 
 class TestMinmax:
     def make_panel(self, values):
-        return datahub.QueryPanel(country="US", queries=["q"], start=100,
+        return datahub.QueryPanel(country="US", queries=["q"],
                                   matrix=np.array(values, dtype=float
                                                   ).reshape(-1, 1))
 
     def test_direct_formula(self):
         panel = self.make_panel([2, 4, 6])
-        norm, stats = datahub.minmax_fit_apply(panel, (100, 102))
+        norm, stats = datahub.minmax_fit_apply(panel, 3)
         assert np.allclose(norm.matrix[:, 0], [0, 0.5, 1])
         assert stats[0][1:] == (2.0, 6.0)
 
     def test_no_clipping_outside_training(self):
         panel = self.make_panel([2, 4, 6, 8])
-        norm, _ = datahub.minmax_fit_apply(panel, (100, 102))
+        norm, _ = datahub.minmax_fit_apply(panel, 3)
         assert abs(norm.matrix[3, 0] - 1.5) < 1e-12
 
     def test_already_unit_interval_fixed_point(self):
         panel = self.make_panel([0.0, 0.25, 1.0])
-        norm, _ = datahub.minmax_fit_apply(panel, (100, 102))
+        norm, _ = datahub.minmax_fit_apply(panel, 3)
         assert np.max(np.abs(norm.matrix[:, 0] - [0.0, 0.25, 1.0])) < 1e-12
 
     def test_constant_query_dropped_with_warning(self):
         panel = datahub.QueryPanel(
-            country="US", queries=["flat", "q"], start=100,
+            country="US", queries=["flat", "q"],
             matrix=np.array([[1.0, 2.0], [1.0, 4.0], [1.0, 6.0]]))
         with pytest.warns(UserWarning, match="flat"):
-            norm, stats = datahub.minmax_fit_apply(panel, (100, 102))
+            norm, stats = datahub.minmax_fit_apply(panel, 3)
         assert norm.queries == ["q"]
         assert norm.matrix.shape == (3, 1)
 
@@ -361,11 +361,11 @@ class TestMinmax:
         matrix = rng.uniform(0, 4, (20, 3))
         matrix[:, 1] = 2.0
         panel = datahub.QueryPanel(country="US", queries=["a", "flat", "b"],
-                                   start=100, matrix=matrix)
+                                   matrix=matrix)
         with pytest.warns(UserWarning, match="flat"):
-            norm, stats = datahub.minmax_fit_apply(panel, (100, 109))
+            norm, stats = datahub.minmax_fit_apply(panel, 10)
         kept = datahub.QueryPanel(country="US", queries=["a", "b"],
-                                  start=100, matrix=matrix[:, [0, 2]])
+                                  matrix=matrix[:, [0, 2]])
         again = datahub.minmax_apply(kept, stats)
         assert again.queries == norm.queries == ["a", "b"]
         assert np.array_equal(again.matrix, norm.matrix)
@@ -373,7 +373,7 @@ class TestMinmax:
     def test_invertibility(self):
         rng = np.random.default_rng(8)
         panel = self.make_panel(rng.uniform(3, 9, 20))
-        norm, stats = datahub.minmax_fit_apply(panel, (100, 119))
+        norm, stats = datahub.minmax_fit_apply(panel, 20)
         _, mn, mx = stats[0]
         back = norm.matrix[:, 0] * (mx - mn) + mn
         assert np.max(np.abs(back - panel.matrix[:, 0])) < 1e-12
@@ -385,7 +385,6 @@ def make_windowing_fixture(length=130, n=52, s=5):
     series = datahub.WeeklySeries(country="US", start=start,
                                   values=rng.uniform(1, 10, length))
     panel = datahub.QueryPanel(country="US", queries=["a", "b"],
-                               start=start,
                                matrix=rng.uniform(0, 1, (length, 2)))
     seasonal = rng.uniform(-1, 1, length)
     return series, panel, seasonal
@@ -424,16 +423,29 @@ class TestMakeWindows:
 
     def test_range_too_short_rejected(self):
         series, panel, seasonal = make_windowing_fixture(length=60)
-        with pytest.raises(datahub.DataError):
+        with pytest.raises(datahub.DataError, match=re.escape(
+                "US: no window of N=52, S=5 has its targets in "
+                "2014-W01..2014-W51")):
             datahub.make_windows(series, panel, seasonal, 52, 5,
                                  (series.start, series.start + 50))
+
+    def test_forecast_range_gives_the_window_that_ends_the_series(self):
+        """With S = 0, targets just past the series select its last N
+        weeks, the input of a forecast."""
+        series, panel, seasonal = make_windowing_fixture(length=130)
+        last = datahub.make_windows(series, panel, seasonal, 52, 0,
+                                    (series.end + 1, series.end + 5))
+        assert last.last_week.tolist() == [series.end]
+        assert np.array_equal(last.x_raw[0], series.values[-52:])
+        assert np.array_equal(last.q[0], panel.matrix[-52:])
+        assert last.y_raw.shape == (1, 0)
 
     def test_target_windows_cover_exactly_target_range(self):
         series, panel, seasonal = make_windowing_fixture(length=130)
         lo = series.start + 100
         hi = series.end
-        samples = datahub.make_target_windows(series, panel, seasonal,
-                                              52, 5, (lo, hi))
+        samples = datahub.make_windows(series, panel, seasonal, 52, 5,
+                                       (lo, hi))
         firsts = samples.last_week + 1
         assert min(firsts) == lo
         assert max(samples.last_week + 5) == hi

@@ -50,7 +50,7 @@ class TestR2:
             evalbench.r2([2.0, 2.0], [1.0, 3.0])
 
 
-def windows_table(country, last_week, x_des, x_seas, y_raw, q=None):
+def windows_table(last_week, x_des, x_seas, y_raw, q=None):
     """Windows from (W, N) inputs and (W, S) seasonal values and raw
     targets, row i ending at week last_week + i; without q every window
     has one all-zero query."""
@@ -59,8 +59,7 @@ def windows_table(country, last_week, x_des, x_seas, y_raw, q=None):
     x_seas = np.asarray(x_seas, dtype=float)
     if q is None:
         q = np.zeros(x_des.shape + (1,))
-    return datahub.Windows(country=country,
-                           last_week=last_week + np.arange(len(x_des)),
+    return datahub.Windows(last_week=last_week + np.arange(len(x_des)),
                            x_raw=x_des + 1.0, x_des=x_des, q=q,
                            y_raw=y_raw, o=y_raw - x_seas, x_seas=x_seas)
 
@@ -72,13 +71,13 @@ def stacked(rows):
 
 class TestSeasonalNaive:
     def test_persists_last_deseasonalized_value(self):
-        w = windows_table("US", 100, [[0.1, 0.2, 0.7]], [[1.0, 2.0]],
+        w = windows_table(100, [[0.1, 0.2, 0.7]], [[1.0, 2.0]],
                           [[9.0, 9.0]])
         assert np.array_equal(evalbench.seasonal_naive(w),
                               [[1.7, 2.7]])
 
     def test_horizon_one_equals_last_raw_when_season_flat(self):
-        w = windows_table("US", 100, [[3.0, 4.0]], [[0.0, 0.0]],
+        w = windows_table(100, [[3.0, 4.0]], [[0.0, 0.0]],
                           [[5.0, 6.0]])
         assert evalbench.seasonal_naive(w)[0, 0] == 4.0
 
@@ -144,7 +143,7 @@ class TestEvaluate:
         for _ in range(6):
             y = rng.uniform(1, 5, 3)
             rows.append((rng.normal(0, 1, 4), rng.normal(0, 1, 3), y))
-        return windows_table("US", 200, *stacked(rows))
+        return windows_table(200, *stacked(rows))
 
     def test_perfect_predictor_scores_perfectly(self):
         windows = self.make_windows()
@@ -191,7 +190,7 @@ class TestEvaluate:
         model = fluenet.ModelParams(m=3, n_in=4, s_out=3, l_queries=2,
                                     countries=["US"], seed=9)
         rng = np.random.default_rng(8)
-        windows = windows_table("US", 300, *stacked(
+        windows = windows_table(300, *stacked(
             (rng.normal(0, 1, 4), rng.normal(0, 1, 3), rng.uniform(1, 5, 3),
              rng.uniform(0, 1, (4, 2))) for _ in range(4)))
         report = evalbench.evaluate_model(model, windows, "US", "net")
@@ -235,7 +234,7 @@ class TestBatchedEvaluateModel:
         args.update(kw)
         model = fluenet.ModelParams(**args)
         rng = np.random.default_rng(10)
-        windows = windows_table("US", 400, *stacked(
+        windows = windows_table(400, *stacked(
             (rng.normal(0, 1, 6), rng.normal(0, 1, 3), rng.uniform(1, 5, 3),
              rng.uniform(0, 1, (6, 2))) for _ in range(9)))
         got = evalbench.evaluate_model(model, windows, "US", "net")

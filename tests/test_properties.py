@@ -81,16 +81,17 @@ class TestGruSequenceBits:
 
 
 class TestWindowTable:
-    """make_windows against per-window slices, and take against rows."""
+    """make_windows against the one window rule and per-window slices, and
+    take against rows."""
 
     @hypothesis.settings(deadline=None)
     @hypothesis.given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
-                      n=st.integers(1, 8), s=st.integers(1, 5),
+                      n=st.integers(1, 8), s=st.integers(0, 5),
                       l=st.sampled_from([0, 1, 3]))
     def test_rows_match_slices(self, data, seed, n, s, l):
         length = data.draw(st.integers(n + s, n + s + 40), label="length")
-        lo = data.draw(st.integers(0, length - n - s), label="lo")
-        hi = data.draw(st.integers(lo + n + s - 1, length - 1), label="hi")
+        lo = data.draw(st.integers(-3, length + 1), label="lo")
+        hi = data.draw(st.integers(lo - 1, length + 6), label="hi")
         rng = np.random.default_rng(seed)
         start = datahub.parse_week("2015-W01")
         series = datahub.WeeklySeries(country="US", start=start,
@@ -100,35 +101,48 @@ class TestWindowTable:
         if l:
             panel = datahub.QueryPanel(
                 country="US", queries=[f"q{j}" for j in range(l)],
-                start=start, matrix=rng.uniform(0, 1, (length, l)))
+                matrix=rng.uniform(0, 1, (length, l)))
 
-        w = datahub.make_windows(series, panel, seasonal, n, s,
-                                 (start + lo, start + hi))
-        assert len(w) == hi - lo + 2 - n - s
-        target = datahub.make_target_windows(series, panel, seasonal, n, s,
-                                             (start + lo + n, start + hi))
-        assert len(target) == hi - (lo + n) + 2 - s
+        def windows(lo, hi, s):
+            return datahub.make_windows(series, panel, seasonal, n, s,
+                                        (start + lo, start + hi))
+
+        # The rule, window by window at last input position t: the N
+        # inputs and S targets lie in the series, the targets end by hi,
+        # and the week after the inputs is not before lo.
+        ends = [t for t in range(length) if t - n + 1 >= 0
+                and t + s <= min(hi, length - 1) and t + 1 >= lo]
+        if not ends:
+            with pytest.raises(datahub.DataError, match=re.escape(
+                    f"US: no window of N={n}, S={s} has its targets in "
+                    f"{datahub.format_week(start + lo)}..")):
+                windows(lo, hi, s)
+            ends = [length - 1]  # the forecast window below
+            lo, hi, s = length, length + s, 0
+        w = windows(lo, hi, s)
 
         v = series.values
-        for table in (w, target):
-            assert table.country == "US"
-            for i in range(len(table)):
-                t = lo + n - 1 + i
-                inp, out = slice(t - n + 1, t + 1), slice(t + 1, t + 1 + s)
-                q = panel.matrix[inp] if l else np.zeros((n, 0))
-                want = {"x_raw": v[inp], "x_des": v[inp] - seasonal[inp],
-                        "q": q, "y_raw": v[out],
-                        "o": v[out] - seasonal[out], "x_seas": seasonal[out]}
-                assert table.last_week[i] == start + t
-                for name, value in want.items():
-                    assert np.array_equal(getattr(table, name)[i], value), \
-                        name
+        assert w.last_week.tolist() == [start + t for t in ends]
+        for i, t in enumerate(ends):
+            inp, out = slice(t - n + 1, t + 1), slice(t + 1, t + 1 + s)
+            q = panel.matrix[inp] if l else np.zeros((n, 0))
+            want = {"x_raw": v[inp], "x_des": v[inp] - seasonal[inp],
+                    "q": q, "y_raw": v[out],
+                    "o": v[out] - seasonal[out], "x_seas": seasonal[out]}
+            for name, value in want.items():
+                assert np.array_equal(getattr(w, name)[i], value), name
+
+        # With S = 0, targets past the series end give its last window.
+        last = windows(length, length + data.draw(st.integers(1, 5),
+                                                  label="horizon"), 0)
+        assert last.last_week.tolist() == [start + length - 1]
+        assert np.array_equal(last.x_raw[0], v[length - n:])
 
         rows = np.array(data.draw(st.lists(st.integers(0, len(w) - 1),
                                            max_size=12), label="rows"),
                         dtype=np.int64)
         taken = w.take(rows)
-        assert taken.country == w.country and len(taken) == len(rows)
+        assert len(taken) == len(rows)
         for name in ("last_week", "x_raw", "x_des", "q", "y_raw", "o",
                      "x_seas"):
             got, full = getattr(taken, name), getattr(w, name)
@@ -180,27 +194,24 @@ class TestMinmaxReplay:
                       scale=st.sampled_from([1e-3, 1.0, 1e6]))
     def test_stored_stats_replay_the_fit(self, data, seed, l, scale):
         length = data.draw(st.integers(2, 40), label="length")
-        lo = data.draw(st.integers(0, length - 2), label="lo")
-        hi = data.draw(st.integers(lo + 1, length - 1), label="hi")
+        train_len = data.draw(st.integers(2, length), label="train_len")
         flat = data.draw(st.lists(st.booleans(), min_size=l, max_size=l),
                          label="constant on the training range")
         matrix = np.random.default_rng(seed).uniform(-scale, scale,
                                                      (length, l))
-        matrix[lo:hi + 1, flat] = scale / 3
-        start = datahub.parse_week("2015-W01")
+        matrix[:train_len, flat] = scale / 3
         panel = datahub.QueryPanel(
-            country="US", queries=[f"q{j}" for j in range(l)], start=start,
+            country="US", queries=[f"q{j}" for j in range(l)],
             matrix=matrix)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # each dropped query warns
-            fitted, stats = datahub.minmax_fit_apply(
-                panel, (start + lo, start + hi))
+            fitted, stats = datahub.minmax_fit_apply(panel, train_len)
         assert [q for q, _, _ in stats] == [
             f"q{j}" for j in range(l) if not flat[j]]
         replayed = datahub.minmax_apply(panel, stats)
         assert replayed.queries == fitted.queries
         assert np.array_equal(replayed.matrix, fitted.matrix)
-        train = fitted.matrix[lo:hi + 1]
+        train = fitted.matrix[:train_len]
         assert np.array_equal(train.min(axis=0), np.zeros(len(stats)))
         assert np.array_equal(train.max(axis=0), np.ones(len(stats)))
 

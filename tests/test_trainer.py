@@ -13,7 +13,7 @@ from flucast import numkit as nk
 from flucast.numkit import Tensor2
 
 
-def make_windows(rng, country, count, n_in=6, s_out=2, l=1,
+def make_windows(rng, count, n_in=6, s_out=2, l=1,
                  learnable=False):
     rows = []
     for _ in range(count):
@@ -26,14 +26,14 @@ def make_windows(rng, country, count, n_in=6, s_out=2, l=1,
         rows.append((x, q, o))
     x, q, o = (np.stack(a) for a in zip(*rows))
     return datahub.Windows(
-        country=country, last_week=1000 + np.arange(count), x_raw=x + 3.0,
+        last_week=1000 + np.arange(count), x_raw=x + 3.0,
         x_des=x, q=q, y_raw=o + 0.5, o=o, x_seas=np.full(o.shape, 0.5))
 
 
 def make_data(countries, n_train=12, n_val=4, seed=0, **kw):
     rng = np.random.default_rng(seed)
-    return {c: {"train": make_windows(rng, c, n_train, **kw),
-                "val": make_windows(rng, c, n_val, **kw)}
+    return {c: {"train": make_windows(rng, n_train, **kw),
+                "val": make_windows(rng, n_val, **kw)}
             for c in countries}
 
 
@@ -86,7 +86,6 @@ class TestCountryBatches:
         rng = np.random.default_rng(nk.derive_seed(5, "batches"))
         for _ in range(50):
             c, batch = trainer.sample_country_batch(rng, sets, 8)
-            assert batch.country == c
             assert len(batch) == 8
             assert all((sets[c].x_des == row).all(axis=1).any()
                        for row in batch.x_des)
@@ -113,7 +112,7 @@ class TestCountryBatches:
             assert abs(counts[c] - n * p) < 5 * sigma
 
     def test_empty_pool_rejected(self):
-        empty = make_windows(np.random.default_rng(0), "US", 1).take([])
+        empty = make_windows(np.random.default_rng(0), 1).take([])
         with pytest.raises(trainer.TrainingError):
             trainer.sample_country_batch(np.random.default_rng(0),
                                          {"US": empty}, 2)
@@ -135,7 +134,7 @@ def quick_config(**kw):
 class TestFit:
     def test_overfits_a_learnable_toy_problem(self):
         rng = np.random.default_rng(0)
-        samples = make_windows(rng, "US", 8, learnable=True)
+        samples = make_windows(rng, 8, learnable=True)
         data = {"US": {"train": samples, "val": samples}}
         config = quick_config(max_epochs=250, patience=250)
         model, log = trainer.fit(config, data)
@@ -425,7 +424,7 @@ class TestGridPool:
             "def windows(n):",
             "    x, o = rng.normal(size=(n, 6)), rng.normal(size=(n, 2))",
             "    q = rng.uniform(size=(n, 6, 1))",
-            "    return datahub.Windows('US', np.arange(n), x, x, q, o, o, o)",
+            "    return datahub.Windows(np.arange(n), x, x, q, o, o, o)",
             "config = trainer.TrainConfig(n_in=6, s_out=2, m_grid=(4,),",
             "    lr_grid=(0.01, 0.02), max_epochs=1, batch_size=4)",
             "data = {'US': {'train': windows(8), 'val': windows(4)}}",
