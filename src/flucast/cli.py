@@ -87,10 +87,14 @@ def _split(cfg, series) -> datahub.SplitPlan:
         raise ConfigError(f"config key 'split.test_start': {e}") from None
     if test_start < 0:
         raise ConfigError("config key 'split.test_start': week 53 is dropped")
+    return datahub.split_plan(series, test_start, _test_len(cfg))
+
+
+def _test_len(cfg) -> int:
     test_len = _get(cfg, "split.test_len", 52, int)
     if test_len < 1:
         raise ConfigError(f"split.test_len must be >= 1, got {test_len}")
-    return datahub.split_plan(series, test_start, test_len)
+    return test_len
 
 
 def _query_list(cfg, country) -> list:
@@ -333,6 +337,10 @@ def cmd_train(cfg, args) -> int:
     from . import fluenet, trainer
     countries = _countries(cfg, args)
     tc = _train_config(cfg, args)
+    test_len = _test_len(cfg)
+    if test_len < tc.s_out + 1:  # `evaluate` needs two test windows
+        raise ConfigError(f"split.test_len must be at least S + 1 = "
+                          f"{tc.s_out + 1}, got {test_len}")
     use_queries = not (args.no_queries
                        or _get(cfg, "no_queries", False, bool))
     extra, data = {"term": _get(cfg, "term", "")}, {}
@@ -373,19 +381,11 @@ def cmd_evaluate(cfg, args) -> int:
             reports.append(evalbench.evaluate(
                 evalbench.seasonal_naive(test), test, "seasonal_naive", c,
                 term))
-            panel = p["panel"]
-            if panel is not None:
-                fit_len = p["plan"].train_len
-                ar = evalbench.fit_ar_exog(p["series"].values[:fit_len],
-                                           panel.matrix[:fit_len],
-                                           p=model.n_in)
-                y_hat = np.full(test.y_raw.shape, np.nan)
-                q_next = panel.matrix[test.last_week + 1 - p["series"].start]
-                lags = test.x_raw[:, ::-1][:, :ar.order]
-                for i in range(len(test)):
-                    y_hat[i, 0] = ar.predict_one(lags[i], q_next[i])
-                reports.append(evalbench.evaluate(y_hat, test, "ar_exog", c,
-                                                  term))
+            if p["panel"] is not None:
+                reports.append(evalbench.evaluate(
+                    evalbench.ar_exog(p["series"], p["panel"],
+                                      p["plan"].train_len, test, model.n_in),
+                    test, "ar_exog", c, term))
     evalbench.write_report(os.path.join(args.out, "report.csv"), reports)
     evalbench.write_forecasts(os.path.join(args.out, "forecasts.csv"),
                               reports)

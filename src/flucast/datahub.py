@@ -95,7 +95,6 @@ class Windows:
     the final input week (time t), then S target weeks."""
 
     last_week: np.ndarray  # (W,) week index of each final input week
-    x_raw: np.ndarray  # (W, N) raw ILI values
     x_des: np.ndarray  # (W, N) deseasonalized values
     q: np.ndarray  # (W, N, L) normalized query values
     y_raw: np.ndarray  # (W, S) raw targets
@@ -352,7 +351,7 @@ def make_windows(series: WeeklySeries, panel, seasonal: np.ndarray,
     out = t[:, None] + np.arange(1, n_out + 1)  # (W, S) target positions
     return Windows(
         last_week=series.start + t,
-        x_raw=series.values[inp], x_des=(series.values - seasonal)[inp],
+        x_des=(series.values - seasonal)[inp],
         q=(panel.matrix[inp] if panel is not None
            else np.zeros((len(t), n_in, 0))),
         y_raw=series.values[out],

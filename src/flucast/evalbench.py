@@ -23,7 +23,8 @@ class MetricError(Error):
 
 
 class NonFiniteMetricError(MetricError, NonFiniteError):
-    """A metric of finite forecasts that overflows."""
+    """A forecast value that is not finite, or a metric of finite
+    forecasts that overflows."""
 
 
 def _finite(name: str, value: float) -> float:
@@ -71,7 +72,7 @@ class EvalReport:
     model_name: str
     country: str
     term: str
-    scores: list  # HorizonScore per horizon 1..S (absent horizons omitted)
+    scores: list  # HorizonScore per forecast horizon 1..k
     traces: list = field(default_factory=list)  # (week, horizon, y, y_hat)
     attention: list = field(default_factory=list)  # (week, query, weight)
 
@@ -82,73 +83,67 @@ def seasonal_naive(windows) -> np.ndarray:
     return windows.x_des[:, -1:] + windows.x_seas
 
 
-@dataclass
-class ArExogModel:
-    """AR(p) on ILI lags plus same-week query values; one-step-ahead only."""
-
-    order: int
-    coefficients: np.ndarray  # p lags, then L query terms, then intercept
-
-    def predict_one(self, lags: np.ndarray, q_next: np.ndarray) -> float:
-        """Forecast y_{t+1} from [y_t .. y_{t-p+1}] and q_{t+1}."""
-        x = np.concatenate([lags, q_next, [1.0]])
-        return float(x @ self.coefficients)
+def _ar_rows(y: np.ndarray, q: np.ndarray, p: int, ts) -> np.ndarray:
+    """The AR-exog rows [y_t..y_{t-p+1}, q_{t+1,:}, 1] at the positions
+    `ts` of y and its (weeks x L) query matrix q, copied exactly."""
+    return np.hstack([y[ts[:, None] - np.arange(p)], q[ts + 1],
+                      np.ones((len(ts), 1))])
 
 
-def fit_ar_exog(y: np.ndarray, q: np.ndarray, p: int) -> ArExogModel:
+def fit_ar_exog(y: np.ndarray, q: np.ndarray, p: int) -> tuple:
     """Least squares for y_{t+1} ~ [y_t..y_{t-p+1}, q_{t+1,:}, 1].
 
     y is the training ILI series, q the aligned (weeks x L) query matrix.
-    Falls back to ridge (lambda 1e-6) on rank deficiency. p is reduced
-    automatically when training rows are scarce.
+    Returns (order, coefficients): p lags, L query terms, intercept.
+    Falls back to ridge (lambda 1e-6) on rank deficiency. The order is p
+    reduced when training rows are scarce.
     """
     y = np.asarray(y, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     n, l = len(y), q.shape[1]
     p = min(p, max(1, n - l - 3))
-    rows = n - p
-    if rows < p + l + 2:
-        raise MetricError(f"need >= {p + l + 2} training rows, have {rows}")
-    design = np.empty((rows, p + l + 1))
-    target = np.empty(rows)
-    for i, t in enumerate(range(p - 1, n - 1)):
-        design[i, :p] = y[t::-1][:p]
-        design[i, p:p + l] = q[t + 1]
-        design[i, -1] = 1.0
-        target[i] = y[t + 1]
+    if n - p < p + l + 2:
+        raise MetricError(f"need >= {p + l + 2} training rows, have {n - p}")
+    design, target = _ar_rows(y, q, p, np.arange(p - 1, n - 1)), y[p:]
     if np.linalg.matrix_rank(design) < design.shape[1]:
         warnings.warn("rank-deficient AR design; using ridge fallback")
         g = design.T @ design + 1e-6 * np.eye(design.shape[1])
         coef = np.linalg.solve(g, design.T @ target)
     else:
         coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return ArExogModel(order=p, coefficients=coef)
+    return p, coef
+
+
+def ar_exog(series, panel, fit_len: int, windows, p: int) -> np.ndarray:
+    """The AR-exog baseline's (W, 1) one-step forecast of the windows,
+    fitted on the first `fit_len` weeks of the series and query panel."""
+    y, q = series.values, panel.matrix
+    order, coef = fit_ar_exog(y[:fit_len], q[:fit_len], p)
+    rows = _ar_rows(y, q, order, windows.last_week - series.start)
+    # row by row: one matrix product may sum in another order
+    return np.array([[row @ coef] for row in rows])
 
 
 def evaluate(y_hat, windows, model_name: str, country: str,
              term: str = "") -> EvalReport:
-    """Score a (W, S) forecast of the windows' raw targets, per horizon.
-
-    NaN marks a horizon that is not forecast for that window. A horizon
-    forecast for no window is reported absent (the AR baseline's
-    multi-step case).
-    """
+    """Score a (W, k) forecast of the windows' raw targets at horizons
+    1..k, 1 <= k <= S; a value that is not finite is refused."""
     if not windows:
         raise MetricError("no test windows")
     y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y_hat.shape != windows.y_raw.shape:
-        raise MetricError(f"forecast shape {y_hat.shape} differs from "
-                          f"targets {windows.y_raw.shape}")
-    kept = ~np.isnan(y_hat)
-    weeks = windows.last_week.tolist()
-    traces = [(weeks[i] + h + 1, h + 1, float(windows.y_raw[i, h]),
-               float(y_hat[i, h])) for i, h in np.argwhere(kept).tolist()]
-    scores = []
-    for h, rows in enumerate(kept.T):
-        if rows.any():
-            y, f = windows.y_raw[rows, h], y_hat[rows, h]
-            scores.append(HorizonScore(horizon=h + 1, rmse=rmse(y, f),
-                                       r2=r2(y, f)))
+    w, s = windows.y_raw.shape
+    if y_hat.ndim != 2 or len(y_hat) != w or not 1 <= y_hat.shape[1] <= s:
+        raise MetricError(f"forecast shape {y_hat.shape} is not (W, k) with "
+                          f"W = {w} and 1 <= k <= S = {s}")
+    y = windows.y_raw[:, :y_hat.shape[1]]
+    if not np.isfinite(y_hat).all():
+        raise NonFiniteMetricError(f"{model_name} forecast for {country} "
+                                   f"holds a non-finite value")
+    traces = [(week + h + 1, h + 1, float(y[i, h]), float(y_hat[i, h]))
+              for i, week in enumerate(windows.last_week.tolist())
+              for h in range(y.shape[1])]
+    scores = [HorizonScore(h + 1, rmse(a, f), r2(a, f))
+              for h, (a, f) in enumerate(zip(y.T, y_hat.T))]
     return EvalReport(model_name=model_name, country=country, term=term,
                       scores=scores, traces=traces)
 
@@ -216,8 +211,10 @@ def write_report(path, reports) -> None:
 
 def write_forecasts(path, reports) -> None:
     datahub.write_csv(
-        path, ["iso_week", "country", "horizon", "y_true", "y_pred"],
-        ([datahub.format_week(week), r.country, h, repr(y), repr(y_hat)]
+        path, ["model", "iso_week", "country", "horizon", "y_true",
+               "y_pred"],
+        ([r.model_name, datahub.format_week(week), r.country, h, repr(y),
+          repr(y_hat)]
          for r in reports for week, h, y, y_hat in r.traces))
 
 

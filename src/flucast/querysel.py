@@ -48,7 +48,6 @@ class EmbeddingTable:
                              f"{sorted({len(v) for v in vectors})}") from None
         if matrix.ndim == 1:  # no word
             matrix = matrix.reshape(len(matrix), 0)
-        self.dim = matrix.shape[1]
         # Row of each word; a repeated word keeps its first place and its
         # last vector.
         rows = {w: i for i, w in zip(range(len(matrix)), words)}

@@ -184,9 +184,7 @@ def windows_from_arrays(x_des, seasonal, q, n, s, t_range):
     for t in range(*t_range):
         o = x_des[t + 1:t + 1 + s]
         x_seas = seasonal[t + 1:t + 1 + s]
-        rows.append((100000 + t,
-                     x_des[t - n + 1:t + 1] + seasonal[t - n + 1:t + 1],
-                     x_des[t - n + 1:t + 1], q[t - n + 1:t + 1],
+        rows.append((100000 + t, x_des[t - n + 1:t + 1], q[t - n + 1:t + 1],
                      o + x_seas, o, x_seas))
     return datahub.Windows(*(np.stack(a) for a in zip(*rows)))
 
@@ -273,19 +271,24 @@ class TestArBaseline:
         for t in range(1, n - 1):
             y[t + 1] = np.concatenate([[y[t], y[t - 1]], q[t + 1],
                                        [1.0]]) @ true
-        model = evalbench.fit_ar_exog(y, q, 2)
-        assert np.max(np.abs(model.coefficients - true)) < 1e-6
+        _, coef = evalbench.fit_ar_exog(y, q, 2)
+        assert np.max(np.abs(coef - true)) < 1e-6
 
     def test_multi_step_horizons_absent(self):
+        """The baseline forecasts one step, so of S = 3 horizons only the
+        first is scored."""
         rng = np.random.default_rng(52)
-        windows = windows_from_arrays(
-            rng.normal(0, 1, 60), np.zeros(60),
-            rng.uniform(0, 1, (60, 1)), 10, 3, (9, 40))
-
-        one_step = np.full((len(windows), 3), np.nan)
-        one_step[:, 0] = windows.x_des[:, -1]
+        series = datahub.WeeklySeries(country="US", start=9000,
+                                      values=rng.uniform(1, 5, 60))
+        panel = datahub.QueryPanel(country="US", queries=["q"],
+                                   matrix=rng.uniform(0, 1, (60, 1)))
+        windows = datahub.make_windows(series, panel, np.zeros(60), 10, 3,
+                                       (9040, 9059))
+        one_step = evalbench.ar_exog(series, panel, 40, windows, 10)
+        assert one_step.shape == (len(windows), 1)
         report = evalbench.evaluate(one_step, windows, "ar_exog", "US")
         assert [sc.horizon for sc in report.scores] == [1]
+        assert {h for _, h, _, _ in report.traces} == {1}
 
 
 class TestQuerySelectionOracle:

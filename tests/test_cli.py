@@ -485,6 +485,30 @@ class TestEvaluateCommand:
         assert all(abs(v - 1.0) < 1e-9 for v in per_week.values())
         assert len(per_week) == TEST_LEN - 4 + 1
 
+    def test_forecast_rows_name_their_model(self, trained_single,
+                                            tmp_path):
+        """With the baselines, forecasts.csv holds a row per model, week,
+        country and horizon, each model's at horizons 1..k."""
+        config, trained = trained_single
+        assert run(config, tmp_path, "evaluate", "--checkpoint",
+                   str(trained / "checkpoint.json"),
+                   "--with-baselines") == 0
+        with open(tmp_path / "forecasts.csv", newline="",
+                  encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            rows = list(reader)
+        assert reader.fieldnames == ["model", "iso_week", "country",
+                                     "horizon", "y_true", "y_pred"]
+        keys = [(r["model"], r["iso_week"], r["country"], r["horizon"])
+                for r in rows]
+        assert len(set(keys)) == len(keys)
+        windows = TEST_LEN - 4 + 1
+        for model, horizons in (("proposed", 4), ("seasonal_naive", 4),
+                                ("ar_exog", 1)):
+            got = [int(r["horizon"]) for r in rows if r["model"] == model]
+            assert got == list(range(1, horizons + 1)) * windows, model
+        assert len(rows) == 9 * windows
+
     def test_forecast_traces_use_true_values(self, trained_single,
                                              tmp_path):
         config, trained = trained_single
@@ -1070,9 +1094,14 @@ class TestBadInput:
         ("train.lr_grid = 0.01,inf",
          "learning rates must be finite, got [0.01, inf]"),
         ("split.test_len = 0", "split.test_len must be >= 1, got 0"),
-        ("split.test_len = -5", "split.test_len must be >= 1, got -5")],
+        ("split.test_len = -5", "split.test_len must be >= 1, got -5"),
+        ("split.test_len = 4",
+         "split.test_len must be at least S + 1 = 5, got 4"),
+        ("split.test_len = 3",
+         "split.test_len must be at least S + 1 = 5, got 3")],
         ids=["lr", "m", "m_huge", "batch_huge", "max_epochs", "n", "s", "k",
-             "arch", "lr_inf", "test_len_0", "test_len_negative"])
+             "arch", "lr_inf", "test_len_0", "test_len_negative",
+             "test_len_S", "test_len_S_minus_1"])
     def test_out_of_range_setting_is_one_line(self, tmp_path, capsys,
                                               monkeypatch, edit, message):
         """Refused before any grid point trains."""
@@ -1443,17 +1472,17 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             "error: --countries names no country\n")
 
-    def test_one_test_window_is_refused(self, tmp_path, capsys):
+    def test_one_test_window_is_refused(self, trained_single, tmp_path,
+                                        capsys):
         """R² needs two test windows, and S = 4 target weeks in a 4-week
-        test range make one."""
-        config = build_workspace(tmp_path)
-        config.write_text(config.read_text(encoding="utf-8")
+        test range make one; `train` refuses that range, and `evaluate`
+        refuses it when the config is edited after training."""
+        config, trained = trained_single
+        edited = tmp_path / "edited.cfg"
+        edited.write_text(config.read_text(encoding="utf-8")
                           + "split.test_len = 4\n", encoding="utf-8")
-        out = tmp_path / "out"
-        assert run(config, out, "train", "--countries", "US") == 0
-        capsys.readouterr()
-        assert run(config, out, "evaluate", "--checkpoint",
-                   str(out / "checkpoint.json")) == 1
+        assert run(edited, tmp_path, "evaluate", "--checkpoint",
+                   str(trained / "checkpoint.json")) == 1
         assert capsys.readouterr().err == (
             "error: US: one test window; split.test_len must be at least "
             "S + 1 = 5\n")

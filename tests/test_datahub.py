@@ -436,7 +436,8 @@ class TestMakeWindows:
         last = datahub.make_windows(series, panel, seasonal, 52, 0,
                                     (series.end + 1, series.end + 5))
         assert last.last_week.tolist() == [series.end]
-        assert np.array_equal(last.x_raw[0], series.values[-52:])
+        assert np.array_equal(last.x_des[0],
+                              series.values[-52:] - seasonal[-52:])
         assert np.array_equal(last.q[0], panel.matrix[-52:])
         assert last.y_raw.shape == (1, 0)
 

@@ -60,7 +60,7 @@ def windows_table(last_week, x_des, x_seas, y_raw, q=None):
     if q is None:
         q = np.zeros(x_des.shape + (1,))
     return datahub.Windows(last_week=last_week + np.arange(len(x_des)),
-                           x_raw=x_des + 1.0, x_des=x_des, q=q,
+                           x_des=x_des, q=q,
                            y_raw=y_raw, o=y_raw - x_seas, x_seas=x_seas)
 
 
@@ -93,9 +93,9 @@ class TestArExog:
         for t in range(1, n - 1):
             x = np.concatenate([[y[t], y[t - 1]], q[t + 1], [1.0]])
             y[t + 1] = x @ true
-        model = evalbench.fit_ar_exog(y, q, p)
-        assert model.order == 2
-        assert np.max(np.abs(model.coefficients - true)) < 1e-6
+        order, coef = evalbench.fit_ar_exog(y, q, p)
+        assert order == 2
+        assert np.max(np.abs(coef - true)) < 1e-6
 
     def test_pure_ar1(self):
         y = np.zeros(200)
@@ -103,17 +103,17 @@ class TestArExog:
         for t in range(199):
             y[t + 1] = 0.5 * y[t]
         q = np.random.default_rng(4).uniform(0, 1, (200, 1))
-        model = evalbench.fit_ar_exog(y, q, 1)
-        assert abs(model.coefficients[0] - 0.5) < 1e-6
-        assert abs(model.coefficients[1]) < 1e-6  # query term unused
-        assert abs(model.coefficients[2]) < 1e-6  # intercept
+        _, coef = evalbench.fit_ar_exog(y, q, 1)
+        assert abs(coef[0] - 0.5) < 1e-6
+        assert abs(coef[1]) < 1e-6  # query term unused
+        assert abs(coef[2]) < 1e-6  # intercept
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(5)
         n, p, l = 300, 3, 2
         y = rng.normal(0, 1, n)
         q = rng.uniform(0, 1, (n, l))
-        model = evalbench.fit_ar_exog(y, q, p)
+        _, coef = evalbench.fit_ar_exog(y, q, p)
         rows = n - p
         design = np.empty((rows, p + l + 1))
         resid = np.empty(rows)
@@ -121,19 +121,91 @@ class TestArExog:
             design[i, :p] = y[t::-1][:p]
             design[i, p:p + l] = q[t + 1]
             design[i, -1] = 1.0
-            resid[i] = y[t + 1] - design[i] @ model.coefficients
+            resid[i] = y[t + 1] - design[i] @ coef
         assert np.max(np.abs(design.T @ resid)) < 1e-7
 
-    def test_predict_one_matches_dot_product(self):
-        model = evalbench.ArExogModel(order=2,
-                                      coefficients=np.array(
-                                          [0.5, 0.25, 2.0, -1.0]))
-        got = model.predict_one(np.array([4.0, 2.0]), np.array([0.5]))
-        assert got == 0.5 * 4 + 0.25 * 2 + 2.0 * 0.5 - 1.0
+    def test_one_step_forecast_of_exact_ar1(self):
+        """On an exact AR(1) with no query effect, the one-step forecast
+        from the row [y_t, q_{t+1}, 1] is 0.5 y_t."""
+        y = 2.0 ** -np.arange(12.0)
+        series = datahub.WeeklySeries(country="US", start=100, values=y)
+        panel = datahub.QueryPanel(
+            country="US", queries=["q"],
+            matrix=np.random.default_rng(4).uniform(0, 1, (12, 1)))
+        windows = datahub.make_windows(series, panel, np.zeros(12), 2, 1,
+                                       (109, 111))
+        got = evalbench.ar_exog(series, panel, 9, windows, 1)
+        assert got.shape == (3, 1)
+        assert np.max(np.abs(got[:, 0] - 0.5 * y[8:11])) < 1e-12
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(evalbench.MetricError):
             evalbench.fit_ar_exog(np.ones(6), np.ones((6, 4)), 3)
+
+    @pytest.mark.parametrize("seed, weeks, fit_len, l, p", [
+        (0, 80, 50, 2, 4), (1, 120, 90, 5, 8), (2, 200, 120, 10, 26),
+        (3, 40, 6, 2, 3)], ids=["small", "wide", "benchmark", "order_cut"])
+    def test_matches_per_row_oracle(self, seed, weeks, fit_len, l, p):
+        """Bit for bit the per-row loop; at fit_len = l + 4 the order is
+        cut from p to 1."""
+        rng = np.random.default_rng(seed)
+        series = datahub.WeeklySeries(country="US", start=500,
+                                      values=rng.uniform(0, 5, weeks))
+        panel = datahub.QueryPanel(country="US",
+                                   queries=[f"q{j}" for j in range(l)],
+                                   matrix=rng.uniform(0, 1, (weeks, l)))
+        windows = datahub.make_windows(series, panel, np.zeros(weeks), p, 3,
+                                       (500 + fit_len, 500 + weeks - 1))
+        got = evalbench.ar_exog(series, panel, fit_len, windows, p)
+        want, order = ar_exog_oracle(series, panel, fit_len, windows, p)
+        assert order == (1 if fit_len == l + 4 else p)
+        assert got.shape == (len(windows), 1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_rank_deficient_design_matches_per_row_oracle(self):
+        """A query constant on the training range repeats the intercept
+        column, and both fall back to ridge."""
+        rng = np.random.default_rng(4)
+        series = datahub.WeeklySeries(country="US", start=500,
+                                      values=rng.uniform(0, 5, 70))
+        matrix = rng.uniform(0, 1, (70, 2))
+        matrix[:, 1] = 0.5
+        panel = datahub.QueryPanel(country="US", queries=["a", "b"],
+                                   matrix=matrix)
+        windows = datahub.make_windows(series, panel, np.zeros(70), 3, 2,
+                                       (540, 569))
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            got = evalbench.ar_exog(series, panel, 40, windows, 3)
+        want, _ = ar_exog_oracle(series, panel, 40, windows, 3)
+        assert got.tobytes() == want.tobytes()
+
+
+def ar_exog_oracle(series, panel, fit_len, windows, p):
+    """The AR-exog baseline as a per-row loop: the design filled row by
+    row, then each forecast the dot product of a row concatenated from
+    the window's lags and the target week's queries. Returns the (W, 1)
+    forecast and the order."""
+    y, q = series.values[:fit_len], panel.matrix[:fit_len]
+    n, l = len(y), q.shape[1]
+    p = min(p, max(1, n - l - 3))
+    design = np.empty((n - p, p + l + 1))
+    target = np.empty(n - p)
+    for i, t in enumerate(range(p - 1, n - 1)):
+        design[i, :p] = y[t::-1][:p]
+        design[i, p:p + l] = q[t + 1]
+        design[i, -1] = 1.0
+        target[i] = y[t + 1]
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        g = design.T @ design + 1e-6 * np.eye(design.shape[1])
+        coef = np.linalg.solve(g, design.T @ target)
+    else:
+        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    y_hat = np.full((len(windows), 1), np.nan)
+    for i, t in enumerate(windows.last_week - series.start):
+        x = np.concatenate([series.values[t::-1][:p], panel.matrix[t + 1],
+                            [1.0]])
+        y_hat[i, 0] = float(x @ coef)
+    return y_hat, p
 
 
 class TestEvaluate:
@@ -152,13 +224,25 @@ class TestEvaluate:
         assert all(s.rmse == 0.0 and s.r2 == 1.0 for s in report.scores)
         assert len(report.traces) == 18
 
-    def test_nan_horizons_reported_absent(self):
+    def test_one_step_forecast_scores_horizon_one(self):
         windows = self.make_windows()
-        one_step = np.full((len(windows), 3), np.nan)
-        one_step[:, 0] = windows.y_raw[:, 0]
-        report = evalbench.evaluate(one_step, windows, "ar", "US")
+        report = evalbench.evaluate(windows.y_raw[:, :1], windows, "ar",
+                                    "US")
         assert [s.horizon for s in report.scores] == [1]
-        assert all(h == 1 for _, h, _, _ in report.traces)
+        assert all(s.rmse == 0.0 and s.r2 == 1.0 for s in report.scores)
+        assert [(w, h, y) for w, h, y, _ in report.traces] == [
+            (200 + i + 1, 1, y) for i, y in enumerate(windows.y_raw[:, 0])]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_forecast_refused(self, bad):
+        """A cell that is not finite is an error naming the model and the
+        country, not a cell left unscored."""
+        windows = self.make_windows()
+        y_hat = windows.y_raw.copy()
+        y_hat[2, 1] = bad
+        with pytest.raises(evalbench.NonFiniteMetricError,
+                           match="^ar forecast for US holds a non-finite"):
+            evalbench.evaluate(y_hat, windows, "ar", "US")
 
     def test_matches_direct_metric_computation(self):
         windows = self.make_windows()
@@ -180,11 +264,14 @@ class TestEvaluate:
             evalbench.evaluate(empty.y_raw, empty, "m", "US")
 
     def test_forecast_shape_mismatch_rejected(self):
+        """A forecast covers horizons 1..k of every window, 1 <= k <= S."""
         windows = self.make_windows()
-        with pytest.raises(evalbench.MetricError, match="shape"):
-            evalbench.evaluate(windows.y_raw[:, :2], windows, "m", "US")
-        with pytest.raises(evalbench.MetricError, match="shape"):
-            evalbench.evaluate(windows.y_raw[0], windows, "m", "US")
+        for y_hat in (windows.y_raw[0], windows.y_raw[:, :0],
+                      windows.y_raw[1:], np.hstack([windows.y_raw] * 2)):
+            with pytest.raises(evalbench.MetricError, match="shape"):
+                evalbench.evaluate(y_hat, windows, "m", "US")
+        report = evalbench.evaluate(windows.y_raw[:, :2], windows, "m", "US")
+        assert [s.horizon for s in report.scores] == [1, 2]
 
     def test_evaluate_model_collects_attention(self):
         model = fluenet.ModelParams(m=3, n_in=4, s_out=3, l_queries=2,
@@ -326,7 +413,8 @@ class TestWriters:
         path = tmp_path / "forecasts.csv"
         evalbench.write_forecasts(str(path), [report])
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[1] == "2017-W40,US,1,2.0,2.5"
+        assert lines == ["model,iso_week,country,horizon,y_true,y_pred",
+                         "net,2017-W40,US,1,2.0,2.5"]
 
     def test_correlation_matrix_csv(self, tmp_path):
         matrix = {("A", "A"): 1.0, ("A", "B"): 0.5,

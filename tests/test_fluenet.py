@@ -477,8 +477,7 @@ class TestModel:
         model = small_model()
         rng = np.random.default_rng(43)
         window = datahub.Windows(
-            last_week=np.array([500]),
-            x_raw=rng.uniform(0, 5, (1, 8)), x_des=rng.normal(0, 1, (1, 8)),
+            last_week=np.array([500]), x_des=rng.normal(0, 1, (1, 8)),
             q=rng.uniform(0, 1, (1, 8, 2)), y_raw=rng.uniform(0, 5, (1, 3)),
             o=rng.normal(0, 1, (1, 3)), x_seas=rng.normal(0, 1, (1, 3)))
         o_hat, weights = fluenet.forward_batch(model, "US", window.x_des,

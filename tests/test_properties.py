@@ -126,7 +126,7 @@ class TestWindowTable:
         for i, t in enumerate(ends):
             inp, out = slice(t - n + 1, t + 1), slice(t + 1, t + 1 + s)
             q = panel.matrix[inp] if l else np.zeros((n, 0))
-            want = {"x_raw": v[inp], "x_des": v[inp] - seasonal[inp],
+            want = {"x_des": v[inp] - seasonal[inp],
                     "q": q, "y_raw": v[out],
                     "o": v[out] - seasonal[out], "x_seas": seasonal[out]}
             for name, value in want.items():
@@ -136,15 +136,15 @@ class TestWindowTable:
         last = windows(length, length + data.draw(st.integers(1, 5),
                                                   label="horizon"), 0)
         assert last.last_week.tolist() == [start + length - 1]
-        assert np.array_equal(last.x_raw[0], v[length - n:])
+        assert np.array_equal(last.x_des[0],
+                              v[length - n:] - seasonal[length - n:])
 
         rows = np.array(data.draw(st.lists(st.integers(0, len(w) - 1),
                                            max_size=12), label="rows"),
                         dtype=np.int64)
         taken = w.take(rows)
         assert len(taken) == len(rows)
-        for name in ("last_week", "x_raw", "x_des", "q", "y_raw", "o",
-                     "x_seas"):
+        for name in ("last_week", "x_des", "q", "y_raw", "o", "x_seas"):
             got, full = getattr(taken, name), getattr(w, name)
             assert got.shape == (len(rows),) + full.shape[1:], name
             for k, i in enumerate(rows):

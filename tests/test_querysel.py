@@ -543,7 +543,7 @@ class TestEmbeddingIo:
                         encoding="utf-8")
         table = querysel.load_embeddings(str(path), "en")
         assert len(table) == 2
-        assert table.dim == 3
+        assert len(table.vector("fever")) == 3
         assert np.array_equal(table.vector("flu"), [1.0, 0.0, 0.5])
 
     def test_load_without_header(self, tmp_path):
@@ -557,7 +557,7 @@ class TestEmbeddingIo:
         path.write_text("flu 1.0\nfever 2.0\n", encoding="utf-8")
         table = querysel.load_embeddings(str(path), "en")
         assert table.vocabulary() == ["flu", "fever"]
-        assert table.dim == 1
+        assert len(table.vector("fever")) == 1
 
     def test_trailing_space_adds_no_component(self, tmp_path):
         path = tmp_path / "emb.vec"
@@ -565,7 +565,7 @@ class TestEmbeddingIo:
                         encoding="utf-8")
         table = querysel.load_embeddings(str(path), "en")
         assert table.vocabulary() == ["flu", "fever"]
-        assert table.dim == 2
+        assert len(table.vector("fever")) == 2
         assert np.array_equal(table.vector("flu"), [1.0, 2.0])
 
     def test_word_without_components_is_data_error(self, tmp_path):
@@ -607,7 +607,7 @@ class TestEmbeddingIo:
         table = EmbeddingTable("xx", ["b", "a", "b", "c"],
                                [[1, 2], [3, 4], [5, 6], [7, 8]])
         assert table.vocabulary() == ["b", "a", "c"]  # first place
-        assert len(table) == 3 and table.dim == 2
+        assert len(table) == 3 and len(table.vector("c")) == 2
         assert np.array_equal(table.vector("b"), [5.0, 6.0])  # last vector
         for w in table.vocabulary():
             assert table.vector(w).base is table._matrix

@@ -26,8 +26,8 @@ def make_windows(rng, count, n_in=6, s_out=2, l=1,
         rows.append((x, q, o))
     x, q, o = (np.stack(a) for a in zip(*rows))
     return datahub.Windows(
-        last_week=1000 + np.arange(count), x_raw=x + 3.0,
-        x_des=x, q=q, y_raw=o + 0.5, o=o, x_seas=np.full(o.shape, 0.5))
+        last_week=1000 + np.arange(count), x_des=x, q=q, y_raw=o + 0.5,
+        o=o, x_seas=np.full(o.shape, 0.5))
 
 
 def make_data(countries, n_train=12, n_val=4, seed=0, **kw):
@@ -424,7 +424,7 @@ class TestGridPool:
             "def windows(n):",
             "    x, o = rng.normal(size=(n, 6)), rng.normal(size=(n, 2))",
             "    q = rng.uniform(size=(n, 6, 1))",
-            "    return datahub.Windows(np.arange(n), x, x, q, o, o, o)",
+            "    return datahub.Windows(np.arange(n), x, q, o, o, o)",
             "config = trainer.TrainConfig(n_in=6, s_out=2, m_grid=(4,),",
             "    lr_grid=(0.01, 0.02), max_epochs=1, batch_size=4)",
             "data = {'US': {'train': windows(8), 'val': windows(4)}}",
