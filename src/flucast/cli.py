@@ -14,6 +14,7 @@ import contextlib
 import gc
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,128 +98,126 @@ def _test_len(cfg) -> int:
     return test_len
 
 
-def _query_list(cfg, country) -> list:
-    from . import querysel
-    return querysel.read_selected(_get(cfg, f"queries.{country}"))
+def _extra_entry(path, extra, key):
+    """Entry `key` of checkpoint `path`'s `extra`; a missing one is refused."""
+    from .numkit import ContractError
+    if key not in extra:
+        raise ContractError(f"{path}: checkpoint extra lacks {key}")
+    return extra[key]
 
 
-def _trends(cfg, series, queries) -> datahub.QueryPanel:
-    return datahub.load_trends(_get(cfg, "data.trends_dir"), queries, series)
+@dataclass(frozen=True)
+class CountryFit:
+    """One country's preprocessing, fitted on its training range and kept
+    in the checkpoint's `extra` as `seasonal.<CC>`, `queries.<CC>` (the
+    configured queries) and `norm.<CC>` (the kept ones' min and max)."""
+
+    seasonal: np.ndarray
+    queries: tuple
+    norm: tuple
+
+    def to_extra(self, c) -> dict:
+        return {f"seasonal.{c}": self.seasonal.tolist(),
+                f"queries.{c}": list(self.queries),
+                f"norm.{c}": [list(s) for s in self.norm]}
+
+    @classmethod
+    def from_extra(cls, path, extra, c, train_len, ili, queries,
+                   l_queries) -> CountryFit:
+        """Country `c`'s record in checkpoint `path`'s `extra`, checked
+        against its `train_len` training weeks in ILI file `ili`, its
+        configured `queries` and the model's query count `l_queries`."""
+        from .numkit import ContractError
+
+        def bad(key, problem):
+            return ContractError(f"{path}: checkpoint extra {key}.{c} "
+                                 f"{problem}")
+
+        seasonal = _extra_entry(path, extra, f"seasonal.{c}")
+        try:
+            seasonal = np.array(seasonal, dtype=np.float64)
+            if seasonal.ndim != 1:
+                raise TypeError
+        except (TypeError, ValueError):
+            raise bad("seasonal", "is not a list of numbers") from None
+        if not np.all(np.isfinite(seasonal)):
+            raise bad("seasonal", "holds non-finite values")
+        if len(seasonal) != train_len:
+            raise bad("seasonal", f"has {len(seasonal)} weeks, but the "
+                                  f"training range of {c} in {ili} has "
+                                  f"{train_len}")
+        trained = _extra_entry(path, extra, f"queries.{c}")
+        if queries != trained:
+            raise ConfigError(f"{c}: queries {queries} differ from the "
+                              f"{trained} the checkpoint was trained on")
+        norm = _extra_entry(path, extra, f"norm.{c}")
+        try:
+            norm = tuple((q, float(mn), float(mx)) for q, mn, mx in norm)
+            if not all(isinstance(q, str) for q, _, _ in norm):
+                raise TypeError
+        except (TypeError, ValueError):
+            raise bad("norm", "is not a list of [query, min, max]") from None
+        for q, mn, mx in norm:
+            if not (np.isfinite(mn) and np.isfinite(mx) and mn < mx):
+                raise bad("norm", f"query {q!r} has min {mn!r} and max "
+                                  f"{mx!r}, not finite with min < max")
+        lo = min(l_queries, 1)
+        if not lo <= len(norm) <= l_queries:
+            raise bad("norm", f"has {len(norm)} queries, the model takes "
+                              f"{lo} to {l_queries}")
+        return cls(seasonal, tuple(trained), norm)
 
 
-def _fit_country(cfg, series, use_queries) -> tuple:
-    """Fit one country's preprocessing on its training range.
-
-    Returns (stored, seasonal, panel): the checkpoint `extra` entries of
-    the fit, the STL seasonal over the training range, and the query
-    panel min-max normalized on that range (None without queries).
-    """
-    from . import decompose
-    c = series.country
-    plan = _split(cfg, series)
-    seasonal = decompose.stl_decompose(series.values[:plan.train_len],
-                                       period=52).seasonal
-    queries, panel, stats = [], None, []
-    if use_queries:
-        queries = _query_list(cfg, c)
-        panel, stats = datahub.minmax_fit_apply(
-            _trends(cfg, series, queries), plan.train_len)
-        if not stats:
-            raise datahub.DataError(
-                f"{c}: no query left after dropping those constant on the "
-                f"training range")
-    stored = {f"seasonal.{c}": seasonal.tolist(), f"queries.{c}": queries,
-              f"norm.{c}": stats}
-    return stored, seasonal, panel
-
-
-def _stored_fit(ckpt, extra, cfg, series, model) -> tuple:
-    """Read back the preprocessing `train` fitted for one country.
-
-    Returns (seasonal, panel) as `_fit_country` does, with the panel
-    loaded for the kept queries only and normalized by the saved stats.
-    A configured query list that differs from the trained one is a
-    ConfigError; a missing or malformed entry is a ContractError naming
-    the checkpoint and the key.
-    """
-    from . import numkit as nk
-    c = series.country
-
-    def stored(key):
-        name = f"{key}.{c}"
-        if name not in extra:
-            raise nk.ContractError(f"{ckpt}: checkpoint extra lacks {name}")
-        return extra[name]
-
-    def bad(key, problem):
-        return nk.ContractError(f"{ckpt}: checkpoint extra {key}.{c} "
-                                f"{problem}")
-
-    seasonal = stored("seasonal")
-    try:
-        seasonal = np.array(seasonal, dtype=np.float64)
-        if seasonal.ndim != 1:
-            raise TypeError
-    except (TypeError, ValueError):
-        raise bad("seasonal", "is not a list of numbers") from None
-    if not np.all(np.isfinite(seasonal)):
-        raise bad("seasonal", "holds non-finite values")
-    fit_len = _split(cfg, series).train_len
-    if len(seasonal) != fit_len:
-        raise bad("seasonal", f"has {len(seasonal)} weeks, but the training "
-                              f"range of {c} in {_get(cfg, 'data.ili')} has "
-                              f"{fit_len}")
-
-    trained = stored("queries")
-    configured = _query_list(cfg, c) if model.l_queries > 0 else []
-    if configured != trained:
-        raise ConfigError(f"{c}: queries {configured} differ from the "
-                          f"{trained} the checkpoint was trained on")
-
-    norm = stored("norm")
-    try:
-        stats = [(q, float(mn), float(mx)) for q, mn, mx in norm]
-        if not all(isinstance(q, str) for q, _, _ in stats):
-            raise TypeError
-    except (TypeError, ValueError):
-        raise bad("norm", "is not a list of [query, min, max]") from None
-    for q, mn, mx in stats:
-        if not (np.isfinite(mn) and np.isfinite(mx) and mn < mx):
-            raise bad("norm", f"query {q!r} has min {mn!r} and max {mx!r}, "
-                              f"not finite with min < max")
-    lo = 1 if model.l_queries > 0 else 0
-    if not lo <= len(stats) <= model.l_queries:
-        raise bad("norm", f"has {len(stats)} queries, the model takes "
-                          f"{lo} to {model.l_queries}")
-    panel = None
-    if model.l_queries > 0:
-        panel = datahub.minmax_apply(
-            _trends(cfg, series, [q for q, _, _ in stats]), stats)
-    return seasonal, panel
+def _prepare(cfg, series, s_out, l_queries, ckpt=None, extra=None) -> dict:
+    """One country's series, split plan, record `fit`, query panel
+    normalized by it (None without queries) and seasonal extended S weeks
+    past the series. Without a checkpoint the record is fitted, with
+    queries if `l_queries` is true; with one it is read from `extra`."""
+    from . import decompose, querysel
+    c, plan = series.country, _split(cfg, series)
+    queries = (querysel.read_selected(_get(cfg, f"queries.{c}"))
+               if l_queries else [])
+    if extra is None:
+        seasonal = decompose.stl_decompose(series.values[:plan.train_len],
+                                           period=52).seasonal
+        panel, norm = (datahub.minmax_fit_apply(datahub.load_trends(
+            _get(cfg, "data.trends_dir"), queries, series), plan.train_len)
+            if queries else (None, []))
+        if queries and not norm:
+            raise datahub.DataError(f"{c}: no query left after dropping "
+                                    f"those constant on the training range")
+        fit = CountryFit(seasonal, tuple(queries), tuple(norm))
+    else:
+        fit = CountryFit.from_extra(ckpt, extra, c, plan.train_len,
+                                    _get(cfg, "data.ili"), queries,
+                                    l_queries)
+        panel = (datahub.minmax_apply(datahub.load_trends(
+            _get(cfg, "data.trends_dir"), [q for q, _, _ in fit.norm],
+            series), fit.norm) if fit.norm else None)
+    return {"series": series, "plan": plan, "fit": fit, "panel": panel,
+            "seasonal": decompose.extend_seasonal(fit.seasonal, 52,
+                                                  len(series) + s_out)}
 
 
-def _apply_country(cfg, series, seasonal_fit, panel) -> dict:
-    """One country's split and full-length seasonal array, from its
-    training-range seasonal and its normalized query panel."""
-    from . import decompose
-    return {"series": series, "plan": _split(cfg, series),
-            "seasonal": decompose.extend_seasonal(seasonal_fit, 52,
-                                                  len(series)),
-            "panel": panel}
+def _windows(p, targets, n_in, s_out) -> datahub.Windows:
+    """A prepared country's windows of n_in input and s_out target weeks
+    whose targets lie in the week range `targets`."""
+    n = len(p["series"])
+    return datahub.make_windows(p["series"], p["panel"], p["seasonal"][:n],
+                                n_in, s_out, targets)
 
 
-def _windows(p, part, n_in, s_out) -> datahub.Windows:
-    """The windows of n_in input and s_out target weeks whose targets lie
-    in one part ("train", "val" or "test") of a prepared country's split."""
-    return datahub.make_windows(p["series"], p["panel"], p["seasonal"], n_in,
-                                s_out, getattr(p["plan"], part))
-
-
-def _prepare_trained(cfg, ckpt, model, extra) -> dict:
-    """Prepare each checkpoint country with its saved preprocessing."""
-    return {c: _apply_country(cfg, s, *_stored_fit(ckpt, extra, cfg, s,
-                                                   model))
-            for c, s in _load_ili(cfg, model.countries).items()}
+def _trained(cfg, ckpt) -> tuple:
+    """Checkpoint `ckpt`'s model, its term, and its countries prepared."""
+    from . import fluenet, numkit
+    model, extra = fluenet.load_checkpoint(ckpt)
+    term = _extra_entry(ckpt, extra, "term")
+    if not isinstance(term, str):
+        raise numkit.ContractError(f"{ckpt}: checkpoint extra term is not a "
+                                   f"string")
+    return model, term, {
+        c: _prepare(cfg, s, model.s_out, model.l_queries, ckpt, extra)
+        for c, s in _load_ili(cfg, model.countries).items()}
 
 
 @contextlib.contextmanager
@@ -345,11 +344,10 @@ def cmd_train(cfg, args) -> int:
                        or _get(cfg, "no_queries", False, bool))
     extra, data = {"term": _get(cfg, "term", "")}, {}
     for c, series in _load_ili(cfg, countries).items():
-        stored, seasonal, panel = _fit_country(cfg, series, use_queries)
-        extra.update(stored)
-        p = _apply_country(cfg, series, seasonal, panel)
-        data[c] = {part: _windows(p, part, tc.n_in, tc.s_out)
-                   for part in ("train", "val")}
+        p = _prepare(cfg, series, tc.s_out, use_queries)
+        extra.update(p["fit"].to_extra(c))
+        data[c] = {part: _windows(p, getattr(p["plan"], part), tc.n_in,
+                                  tc.s_out) for part in ("train", "val")}
     model, log = trainer.fit(tc, data)
     for point in log.diverged_grid_points:
         print(f"grid point lr={point['lr']} M={point['m']} diverged, skipped")
@@ -364,13 +362,11 @@ def cmd_train(cfg, args) -> int:
 
 
 def cmd_evaluate(cfg, args) -> int:
-    from . import evalbench, fluenet
-    model, extra = fluenet.load_checkpoint(args.checkpoint)
-    term = extra.get("term", "")
-    prepared = _prepare_trained(cfg, args.checkpoint, model, extra)
+    from . import evalbench
+    model, term, prepared = _trained(cfg, args.checkpoint)
     reports = []
     for c, p in prepared.items():
-        test = _windows(p, "test", model.n_in, model.s_out)
+        test = _windows(p, p["plan"].test, model.n_in, model.s_out)
         if len(test) < 2:  # R² needs two
             raise ConfigError(f"{c}: one test window; split.test_len must be "
                               f"at least S + 1 = {model.s_out + 1}")
@@ -399,19 +395,16 @@ def cmd_evaluate(cfg, args) -> int:
 
 def cmd_forecast(cfg, args) -> int:
     """Forecast S weeks past the end of each country's series."""
-    from . import decompose, fluenet
-    model, extra = fluenet.load_checkpoint(args.checkpoint)
+    from . import fluenet
+    model, _, prepared = _trained(cfg, args.checkpoint)
     rows = []
-    for c, p in _prepare_trained(cfg, args.checkpoint, model,
-                                 extra).items():
+    for c, p in prepared.items():
         series = p["series"]
-        last = datahub.make_windows(
-            series, p["panel"], p["seasonal"], model.n_in, 0,
-            (series.end + 1, series.end + model.s_out))
+        last = _windows(p, (series.end + 1, series.end + model.s_out),
+                        model.n_in, 0)
         with _naming(args.checkpoint):
             o_hat, _ = fluenet.forward_batch(model, c, last.x_des, last.q)
-        y_hat = o_hat.data[0] + decompose.extend_seasonal(
-            p["seasonal"], 52, len(series) + model.s_out)[len(series):]
+        y_hat = o_hat.data[0] + p["seasonal"][len(series):]
         rows += [[datahub.format_week(series.end + h), c, h,
                   repr(float(y_hat[h - 1]))]
                  for h in range(1, model.s_out + 1)]

@@ -96,14 +96,15 @@ def fit_ar_exog(y: np.ndarray, q: np.ndarray, p: int) -> tuple:
     y is the training ILI series, q the aligned (weeks x L) query matrix.
     Returns (order, coefficients): p lags, L query terms, intercept.
     Falls back to ridge (lambda 1e-6) on rank deficiency. The order is p
-    reduced when training rows are scarce.
+    cut to the largest that leaves n - p >= p + L + 2 rows, as a cut to
+    max(1, n - L - 3) does wherever that fits; below 1 it is refused.
     """
     y = np.asarray(y, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     n, l = len(y), q.shape[1]
-    p = min(p, max(1, n - l - 3))
-    if n - p < p + l + 2:
-        raise MetricError(f"need >= {p + l + 2} training rows, have {n - p}")
+    p = min(p, (n - l - 2) // 2)
+    if p < 1:
+        raise MetricError(f"ar_exog needs >= {l + 4} training weeks, has {n}")
     design, target = _ar_rows(y, q, p, np.arange(p - 1, n - 1)), y[p:]
     if np.linalg.matrix_rank(design) < design.shape[1]:
         warnings.warn("rank-deficient AR design; using ridge fallback")
@@ -118,7 +119,10 @@ def ar_exog(series, panel, fit_len: int, windows, p: int) -> np.ndarray:
     """The AR-exog baseline's (W, 1) one-step forecast of the windows,
     fitted on the first `fit_len` weeks of the series and query panel."""
     y, q = series.values, panel.matrix
-    order, coef = fit_ar_exog(y[:fit_len], q[:fit_len], p)
+    try:
+        order, coef = fit_ar_exog(y[:fit_len], q[:fit_len], p)
+    except MetricError as e:
+        raise MetricError(f"{series.country}: {e}") from None
     rows = _ar_rows(y, q, order, windows.last_week - series.start)
     # row by row: one matrix product may sum in another order
     return np.array([[row @ coef] for row in rows])

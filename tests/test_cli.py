@@ -509,6 +509,33 @@ class TestEvaluateCommand:
             assert got == list(range(1, horizons + 1)) * windows, model
         assert len(rows) == 9 * windows
 
+    def test_ar_order_cut_to_the_training_rows(self, workspace, tmp_path,
+                                               monkeypatch):
+        """At N = 90 the 180 training weeks and L = 2 queries fit order
+        (180 - 2 - 2) // 2 = 88, not 90."""
+        root, config = workspace
+        cfg2 = tmp_path / "c.cfg"
+        cfg2.write_text(config.read_text(encoding="utf-8")
+                        + "model.n = 90\n", encoding="utf-8")
+        assert run(cfg2, tmp_path, "train", "--countries", "US") == 0
+        fit, orders = evalbench.fit_ar_exog, []
+
+        def recording(y, q, p):
+            orders.append((len(y), q.shape[1], p))
+            order, coef = fit(y, q, p)
+            orders.append(order)
+            return order, coef
+
+        monkeypatch.setattr(evalbench, "fit_ar_exog", recording)
+        assert run(cfg2, tmp_path / "eval", "evaluate", "--checkpoint",
+                   str(tmp_path / "checkpoint.json"),
+                   "--with-baselines") == 0
+        assert orders == [(180, 2, 90), 88]
+        with open(tmp_path / "eval" / "report.csv", newline="",
+                  encoding="utf-8") as f:
+            assert [r["horizon"] for r in csv.DictReader(f)
+                    if r["model"] == "ar_exog"] == ["1"]
+
     def test_forecast_traces_use_true_values(self, trained_single,
                                              tmp_path):
         config, trained = trained_single
@@ -952,12 +979,14 @@ class TestBadInput:
          "checkpoint extra norm.US is not a list of [query, min, max]"),
         (lambda doc: {**doc, "extra": {
             **doc["extra"], "norm.US": doc["extra"]["norm.US"] * 2}},
-         "checkpoint extra norm.US has 4 queries, the model takes 1 to 2")],
+         "checkpoint extra norm.US has 4 queries, the model takes 1 to 2"),
+        (lambda doc: {**doc, "extra": {**doc["extra"], "term": 5}},
+         "checkpoint extra term is not a string")],
         ids=["not_json", "other_format", "version", "version_1", "version_2",
              "empty_meta", "missing_tensor", "unexpected_tensor",
              "bad_arch", "negative_l_queries", "short_data", "missing_norm",
              "nan_seasonal", "short_seasonal", "flat_stat", "short_stat",
-             "extra_stats"])
+             "extra_stats", "term_not_string"])
     def test_malformed_checkpoint_is_one_line(self, trained_single, tmp_path,
                                               capsys, command, edit,
                                               message):

@@ -142,6 +142,30 @@ class TestArExog:
         with pytest.raises(evalbench.MetricError):
             evalbench.fit_ar_exog(np.ones(6), np.ones((6, 4)), 3)
 
+    @pytest.mark.parametrize("n, l, p, order", [
+        (180, 2, 90, 88), (180, 2, 88, 88), (180, 2, 20, 20), (8, 4, 3, 1)])
+    def test_order_cut_to_largest_that_fits(self, n, l, p, order):
+        """The order is the largest the n weeks fit: n - p >= p + L + 2
+        rows, one more row than the p + L + 1 coefficients."""
+        rng = np.random.default_rng(n + l + p)
+        got, coef = evalbench.fit_ar_exog(rng.normal(0, 1, n),
+                                          rng.uniform(0, 1, (n, l)), p)
+        assert got == order and len(coef) == order + l + 1
+        assert n - order >= order + l + 2
+        assert n - (order + 1) < order + 1 + l + 2 or order == p
+
+    def test_short_range_names_country_and_baseline(self):
+        series = datahub.WeeklySeries(country="US", start=100,
+                                      values=np.linspace(1, 2, 12))
+        panel = datahub.QueryPanel(country="US", queries=list("abcd"),
+                                   matrix=np.ones((12, 4)))
+        windows = datahub.make_windows(series, panel, np.zeros(12), 2, 1,
+                                       (109, 111))
+        with pytest.raises(evalbench.MetricError,
+                           match=r"^US: ar_exog needs >= 8 training weeks, "
+                                 r"has 7$"):
+            evalbench.ar_exog(series, panel, 7, windows, 2)
+
     @pytest.mark.parametrize("seed, weeks, fit_len, l, p", [
         (0, 80, 50, 2, 4), (1, 120, 90, 5, 8), (2, 200, 120, 10, 26),
         (3, 40, 6, 2, 3)], ids=["small", "wide", "benchmark", "order_cut"])

@@ -6,6 +6,7 @@ in CI replays locally with the same examples.
 """
 
 import datetime
+import json
 import os
 import re
 import warnings
@@ -214,6 +215,46 @@ class TestMinmaxReplay:
         train = fitted.matrix[:train_len]
         assert np.array_equal(train.min(axis=0), np.zeros(len(stats)))
         assert np.array_equal(train.max(axis=0), np.ones(len(stats)))
+
+
+# Finite floats, with the signed zeros and subnormals drawn often.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, -1e-310]))
+
+
+class TestCountryFitRecord:
+    """A country's record comes back from the checkpoint's JSON bit for
+    bit."""
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(data=st.data(),
+                      seasonal=st.lists(FINITE, min_size=1, max_size=60),
+                      queries=st.lists(st.text(max_size=12), max_size=5,
+                                       unique=True))
+    def test_json_round_trip(self, data, seasonal, queries):
+        kept = [q for q in queries
+                if data.draw(st.booleans(), label=f"keep {q!r}")]
+        norm = []
+        for q in kept:
+            mn, mx = sorted(data.draw(
+                st.lists(FINITE, min_size=2, max_size=2, unique=True),
+                label=f"min and max of {q!r}"))
+            norm.append((q, mn, mx))
+        l_queries = data.draw(st.integers(len(norm), len(norm) + 3)
+                              if norm else st.just(0), label="L")
+        fit = cli.CountryFit(np.array(seasonal), tuple(queries),
+                             tuple(norm))
+        text = json.dumps(fit.to_extra("US"), sort_keys=True)
+        back = cli.CountryFit.from_extra(
+            "checkpoint.json", json.loads(text), "US", len(seasonal),
+            "ili.csv", list(queries), l_queries)
+        assert back.seasonal.dtype == np.float64
+        assert back.seasonal.tobytes() == fit.seasonal.tobytes()
+        assert back.queries == fit.queries
+        assert [(q, mn.hex(), mx.hex()) for q, mn, mx in back.norm] == [
+            (q, mn.hex(), mx.hex()) for q, mn, mx in fit.norm]
+        assert json.dumps(back.to_extra("US"), sort_keys=True) == text
 
 
 class TestWtSelectBestFirst:
