@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -44,14 +45,16 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def _get(cfg, key, default=..., cast=str):
+def _get(cfg, key, default=..., cast=str, least=None, most=None):
     """The value of config `key` read by `cast`, or `default` when the key
     is absent; with no default the key is required.
 
     `cast` is str, int, float or bool, or a one-type tuple such as
     (float,) for a comma-separated list, read as a tuple. A boolean is
-    true, yes, on or 1, or false, no, off or 0, in any case. A value that
-    does not read is a ConfigError naming the key.
+    true, yes, on or 1, or false, no, off or 0, in any case. Given bounds,
+    a number, or each number of a list, must lie in least..most, and the
+    list must not be empty. A value that does not read or breaks its
+    bounds is a ConfigError naming the key.
     """
     if key not in cfg:
         if default is ...:
@@ -59,13 +62,20 @@ def _get(cfg, key, default=..., cast=str):
         return default
     raw = cfg[key]
     if isinstance(cast, tuple):
-        return tuple(_get({key: v.strip()}, key, cast=cast[0])
-                     for v in raw.split(",") if v.strip())
+        values = tuple(_get({key: v.strip()}, key, ..., cast[0], least, most)
+                       for v in raw.split(",") if v.strip())
+        if not values and least is not None:
+            raise ConfigError(f"config key {key!r}: empty list")
+        return values
     try:
-        return _BOOLS[raw.lower()] if cast is bool else cast(raw)
+        value = _BOOLS[raw.lower()] if cast is bool else cast(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"config key {key!r}: malformed {cast.__name__} "
                           f"{raw!r}") from None
+    if least is not None and not least <= value <= most:
+        raise ConfigError(f"config key {key!r}: {value!r} is outside "
+                          f"{least!r}..{most!r}")
+    return value
 
 
 def _load_ili(cfg, countries) -> dict:
@@ -92,10 +102,7 @@ def _split(cfg, series) -> datahub.SplitPlan:
 
 
 def _test_len(cfg) -> int:
-    test_len = _get(cfg, "split.test_len", 52, int)
-    if test_len < 1:
-        raise ConfigError(f"split.test_len must be >= 1, got {test_len}")
-    return test_len
+    return _get(cfg, "split.test_len", 52, int, 1, 416)
 
 
 def _extra_entry(path, extra, key):
@@ -165,6 +172,10 @@ class CountryFit:
         if not lo <= len(norm) <= l_queries:
             raise bad("norm", f"has {len(norm)} queries, the model takes "
                               f"{lo} to {l_queries}")
+        kept = iter(trained)
+        if not all(q in kept for q, _, _ in norm):
+            raise bad("norm", f"names queries that are not an ordered "
+                              f"sub-list of queries.{c}")
         return cls(seasonal, tuple(trained), norm)
 
 
@@ -280,6 +291,7 @@ def cmd_select_queries(cfg, args) -> int:
         print(f"wrote {out_path}")
         return 0
 
+    k = _get(cfg, "querysel.k", 100, int, 1, 800)
     # source stopwords leave the English queries, target ones the vocabulary
     stop = {}
     for key in ("querysel.source_stopwords", "querysel.target_stopwords"):
@@ -302,8 +314,7 @@ def cmd_select_queries(cfg, args) -> int:
         return datahub.read_trend(path, series)[:fit_len]
 
     selected = querysel.wt_select(
-        english, source, target, provider, series.values[:fit_len],
-        k=_get(cfg, "querysel.k", 100, int),
+        english, source, target, provider, series.values[:fit_len], k=k,
         stopwords=stop["querysel.source_stopwords"])
     querysel.write_selected(out_path, selected)
     print(f"wrote {out_path}")
@@ -311,25 +322,27 @@ def cmd_select_queries(cfg, args) -> int:
 
 
 def _train_config(cfg, args) -> trainer.TrainConfig:
-    """The training settings that are set, by a key or by --seed; the
-    TrainConfig defaults stand for the rest."""
-    from . import trainer
-    settings = dict(
-        n_in=_get(cfg, "model.n", None, int),
-        s_out=_get(cfg, "model.s", None, int),
-        lr_grid=_get(cfg, "train.lr_grid", None, (float,)),
-        m_grid=_get(cfg, "train.m_grid", None, (int,)),
-        max_epochs=_get(cfg, "train.max_epochs", None, int),
-        patience=_get(cfg, "train.patience", None, int),
-        batch_size=_get(cfg, "train.batch_size", None, int),
-        seed=args.seed if args.seed is not None
-        else _get(cfg, "seed", None, int),
+    """The training settings, each from its key or its default, and the
+    seed from --seed first; all are checked before any data is read."""
+    from . import fluenet, trainer
+    arch = _get(cfg, "model.arch", "proposed")
+    if arch not in fluenet.ARCHS:
+        raise ConfigError(f"config key 'model.arch': unknown arch {arch!r}")
+    # upper bounds: 8x the largest the paper or perfbench uses
+    return trainer.TrainConfig(
+        n_in=_get(cfg, "model.n", 52, int, 1, 416),
+        s_out=_get(cfg, "model.s", 5, int, 1, 40),
+        lr_grid=_get(cfg, "train.lr_grid", (0.001, 0.01, 0.1, 1.0), (float,),
+                     math.ulp(0.0), sys.float_info.max),
+        m_grid=_get(cfg, "train.m_grid", (8, 16, 32, 64), (int,), 1, 512),
+        max_epochs=_get(cfg, "train.max_epochs", 300, int, 1, 2400),
+        patience=_get(cfg, "train.patience", 20, int, 1, 2400),
+        batch_size=_get(cfg, "train.batch_size", 32, int, 1, 4096),
+        seed=args.seed if args.seed is not None else _get(cfg, "seed", 0, int),
         use_country_embedding=not (
             args.no_country_embedding
             or _get(cfg, "no_country_embedding", False, bool)),
-        arch=_get(cfg, "model.arch", None))
-    return trainer.TrainConfig(**{k: v for k, v in settings.items()
-                                  if v is not None})
+        arch=arch)
 
 
 def cmd_train(cfg, args) -> int:

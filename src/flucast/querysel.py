@@ -279,8 +279,6 @@ def wt_select(english_queries, source: EmbeddingTable,
     once theta_w + 1 falls below the best score: no later candidate can
     reach it, and the pick is that of trying all of them.
     """
-    if k < 1:
-        raise SelectionError(f"k must be >= 1, got {k}")
     ili_values = np.asarray(ili_values, dtype=np.float64)
     results = []
     for query in english_queries:

@@ -30,40 +30,18 @@ class TrainingError(Error):
 
 @dataclass
 class TrainConfig:
-    n_in: int = 52
-    s_out: int = 5
-    lr_grid: tuple = (0.001, 0.01, 0.1, 1.0)
-    m_grid: tuple = (8, 16, 32, 64)
-    max_epochs: int = 300
-    patience: int = 20
-    batch_size: int = 32
-    seed: int = 0
-    use_country_embedding: bool = True
-    arch: str = "proposed"
+    """Every training setting; `cli._train_config` reads and checks them."""
 
-    def __post_init__(self):
-        if not self.lr_grid or not self.m_grid:
-            raise TrainingError("hyperparameter grids must be nonempty")
-        if not all(math.isfinite(lr) for lr in self.lr_grid):
-            raise TrainingError(f"learning rates must be finite, got "
-                                f"{list(self.lr_grid)}")
-        if not all(lr > 0 for lr in self.lr_grid):
-            raise TrainingError(f"learning rates must be positive, got "
-                                f"{list(self.lr_grid)}")
-        for name, value in (("m_grid", min(self.m_grid)),
-                            ("max_epochs", self.max_epochs),
-                            ("n_in", self.n_in), ("s_out", self.s_out),
-                            ("patience", self.patience),
-                            ("batch_size", self.batch_size)):
-            if value < 1:
-                raise TrainingError(f"{name} must be >= 1, got {value}")
-        # 8x the largest the paper grid (M = 64) and perfbench (512) use
-        for name, value, most in (("m_grid", max(self.m_grid), 512),
-                                  ("batch_size", self.batch_size, 4096)):
-            if value > most:
-                raise TrainingError(f"{name} must be <= {most}, got {value}")
-        if self.arch not in fluenet.ARCHS:
-            raise TrainingError(f"unknown arch {self.arch!r}")
+    n_in: int
+    s_out: int
+    lr_grid: tuple
+    m_grid: tuple
+    max_epochs: int
+    patience: int
+    batch_size: int
+    seed: int
+    use_country_embedding: bool
+    arch: str
 
 
 @dataclass

@@ -209,7 +209,8 @@ class TestSyntheticForecasting:
     def config(self):
         return trainer.TrainConfig(
             n_in=self.N, s_out=self.S, lr_grid=(0.01,), m_grid=(16,),
-            max_epochs=150, patience=15, batch_size=32, seed=5)
+            max_epochs=150, patience=15, batch_size=32, seed=5,
+            use_country_embedding=True, arch="proposed")
 
     def test_single_and_multi_task_skill(self):
         data = synth_countries()

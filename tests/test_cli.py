@@ -190,9 +190,13 @@ class TestConfigParsing:
         assert cli._get({"no_queries": text}, "no_queries", False,
                         bool) is value
 
-    def test_unset_training_keys_take_the_train_config_defaults(self):
+    def test_unset_training_keys_take_their_defaults(self):
         args = argparse.Namespace(seed=None, no_country_embedding=False)
-        assert cli._train_config({}, args) == trainer.TrainConfig()
+        assert cli._train_config({}, args) == trainer.TrainConfig(
+            n_in=52, s_out=5, lr_grid=(0.001, 0.01, 0.1, 1.0),
+            m_grid=(8, 16, 32, 64), max_epochs=300, patience=20,
+            batch_size=32, seed=0, use_country_embedding=True,
+            arch="proposed")
 
     def test_missing_required_key_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
@@ -266,6 +270,28 @@ class TestDecomposeCommand:
                      + float(row["remainder"]))
             assert abs(total - observed) <= 1e-12 * abs(observed)
 
+    def test_outputs_are_the_same_on_another_blas_kernel(self, workspace,
+                                                         tmp_path):
+        """STL calls no BLAS, so `decompose` writes the same bytes on
+        OpenBLAS's default kernel and on its Haswell kernel."""
+        from flucast import numkit
+        if numkit._openblas_threads() is None:
+            pytest.skip("no OpenBLAS is mapped")
+        _, config = workspace
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        written = []
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Haswell"}):
+            out = tmp_path / (kernel.get("OPENBLAS_CORETYPE") or "default")
+            subprocess.run([sys.executable, "-m", "flucast.cli", "--config",
+                            str(config), "--out", str(out), "decompose"],
+                           env={**env, **kernel}, check=True,
+                           capture_output=True, timeout=120)
+            written.append({name: (out / name).read_bytes()
+                            for name in sorted(os.listdir(out))})
+        assert list(written[0]) == ["decomp_JP.csv", "decomp_US.csv"]
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_trailing_comma_in_countries_is_ignored(self, tmp_path, source):
@@ -981,12 +1007,22 @@ class TestBadInput:
             **doc["extra"], "norm.US": doc["extra"]["norm.US"] * 2}},
          "checkpoint extra norm.US has 4 queries, the model takes 1 to 2"),
         (lambda doc: {**doc, "extra": {**doc["extra"], "term": 5}},
-         "checkpoint extra term is not a string")],
+         "checkpoint extra term is not a string"),
+        (lambda doc: {**doc, "extra": {
+            **doc["extra"], "norm.US": doc["extra"]["norm.US"][::-1]}},
+         "checkpoint extra norm.US names queries that are not an ordered "
+         "sub-list of queries.US"),
+        (lambda doc: {**doc, "extra": {
+            **doc["extra"], "norm.US": [["flu shot", 0.0, 1.0]]
+            + doc["extra"]["norm.US"][1:]}},
+         "checkpoint extra norm.US names queries that are not an ordered "
+         "sub-list of queries.US")],
         ids=["not_json", "other_format", "version", "version_1", "version_2",
              "empty_meta", "missing_tensor", "unexpected_tensor",
              "bad_arch", "negative_l_queries", "short_data", "missing_norm",
              "nan_seasonal", "short_seasonal", "flat_stat", "short_stat",
-             "extra_stats", "term_not_string"])
+             "extra_stats", "term_not_string", "reversed_norm",
+             "foreign_norm"])
     def test_malformed_checkpoint_is_one_line(self, trained_single, tmp_path,
                                               capsys, command, edit,
                                               message):
@@ -1109,37 +1145,60 @@ class TestBadInput:
 
     @pytest.mark.parametrize("edit, message", [
         ("train.lr_grid = 0.01,-0.1",
-         "learning rates must be positive, got [0.01, -0.1]"),
-        ("train.m_grid = 0", "m_grid must be >= 1, got 0"),
+         "config key 'train.lr_grid': -0.1 is outside "
+         "5e-324..1.7976931348623157e+308"),
+        ("train.m_grid = 0", "config key 'train.m_grid': 0 is outside 1..512"),
         ("train.m_grid = 8,1099511627776",
-         "m_grid must be <= 512, got 1099511627776"),
+         "config key 'train.m_grid': 1099511627776 is outside 1..512"),
         ("train.batch_size = 1099511627776",
-         "batch_size must be <= 4096, got 1099511627776"),
-        ("train.max_epochs = 0", "max_epochs must be >= 1, got 0"),
-        ("model.n = 0", "n_in must be >= 1, got 0"),
-        ("model.s = 0", "s_out must be >= 1, got 0"),
-        ("querysel.k = 0", "k must be >= 1, got 0"),
-        ("model.arch = rnn", "unknown arch 'rnn'"),
+         "config key 'train.batch_size': 1099511627776 is outside 1..4096"),
+        ("train.max_epochs = 0",
+         "config key 'train.max_epochs': 0 is outside 1..2400"),
+        ("model.n = 0", "config key 'model.n': 0 is outside 1..416"),
+        ("model.s = 0", "config key 'model.s': 0 is outside 1..40"),
+        ("querysel.k = 0", "config key 'querysel.k': 0 is outside 1..800"),
+        ("model.arch = rnn", "config key 'model.arch': unknown arch 'rnn'"),
         ("train.lr_grid = 0.01,inf",
-         "learning rates must be finite, got [0.01, inf]"),
-        ("split.test_len = 0", "split.test_len must be >= 1, got 0"),
-        ("split.test_len = -5", "split.test_len must be >= 1, got -5"),
+         "config key 'train.lr_grid': inf is outside "
+         "5e-324..1.7976931348623157e+308"),
+        ("split.test_len = 0",
+         "config key 'split.test_len': 0 is outside 1..416"),
+        ("split.test_len = -5",
+         "config key 'split.test_len': -5 is outside 1..416"),
         ("split.test_len = 4",
          "split.test_len must be at least S + 1 = 5, got 4"),
         ("split.test_len = 3",
-         "split.test_len must be at least S + 1 = 5, got 3")],
+         "split.test_len must be at least S + 1 = 5, got 3"),
+        ("model.n = 1099511627776",
+         "config key 'model.n': 1099511627776 is outside 1..416"),
+        ("model.s = 1099511627776",
+         "config key 'model.s': 1099511627776 is outside 1..40"),
+        ("train.max_epochs = 1099511627776",
+         "config key 'train.max_epochs': 1099511627776 is outside 1..2400"),
+        ("train.patience = 1099511627776",
+         "config key 'train.patience': 1099511627776 is outside 1..2400"),
+        ("querysel.k = 1099511627776",
+         "config key 'querysel.k': 1099511627776 is outside 1..800"),
+        ("split.test_len = 1099511627776",
+         "config key 'split.test_len': 1099511627776 is outside 1..416"),
+        ("train.lr_grid = ,", "config key 'train.lr_grid': empty list")],
         ids=["lr", "m", "m_huge", "batch_huge", "max_epochs", "n", "s", "k",
              "arch", "lr_inf", "test_len_0", "test_len_negative",
-             "test_len_S", "test_len_S_minus_1"])
+             "test_len_S", "test_len_S_minus_1", "n_huge", "s_huge",
+             "max_epochs_huge", "patience_huge", "k_huge", "test_len_huge",
+             "lr_empty"])
     def test_out_of_range_setting_is_one_line(self, tmp_path, capsys,
                                               monkeypatch, edit, message):
-        """Refused before any grid point trains."""
-        monkeypatch.setattr(trainer, "_train_one", lambda *a: pytest.fail(
-            "a grid point trained"))
+        """Refused before any data is read, so before any grid point
+        trains."""
         config = build_workspace(tmp_path)
         config, _ = build_wt_inputs(tmp_path, config, tmp_path)
         config.write_text(config.read_text(encoding="utf-8") + edit + "\n",
                           encoding="utf-8")
+        monkeypatch.setattr(datahub, "load_ili", lambda *a: pytest.fail(
+            "data was read"))
+        monkeypatch.setattr(trainer, "_train_one", lambda *a: pytest.fail(
+            "a grid point trained"))
         argv = (["select-queries"] if edit.startswith("querysel.")
                 else ["train", "--countries", "US"])
         assert run(config, tmp_path / "out", *argv) == 1

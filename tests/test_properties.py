@@ -7,8 +7,10 @@ in CI replays locally with the same examples.
 
 import datetime
 import json
+import math
 import os
 import re
+import sys
 import warnings
 
 import hypothesis
@@ -184,6 +186,55 @@ class TestConfigRoundTrip:
         path = tmp_path / "drawn.cfg"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert cli.load_config(str(path)) == want
+
+
+# Each bounded config key with its cast and bounds, as `cli` reads it.
+BOUNDED = [("model.n", int, 1, 416), ("model.s", int, 1, 40),
+           ("train.lr_grid", float, math.ulp(0.0), sys.float_info.max),
+           ("train.m_grid", int, 1, 512), ("train.max_epochs", int, 1, 2400),
+           ("train.patience", int, 1, 2400),
+           ("train.batch_size", int, 1, 4096), ("querysel.k", int, 1, 800),
+           ("split.test_len", int, 1, 416)]
+
+
+def numbers(cast, least, most):
+    """Numbers of type `cast`: 0, -1, 2^40, each bound and one step past
+    it, nan and the infinities for floats, and any other."""
+    if cast is int:
+        return st.one_of(st.sampled_from(
+            [0, -1, 2 ** 40, least, least - 1, most, most + 1]),
+            st.integers())
+    return st.one_of(st.sampled_from(
+        [0.0, -1.0, 2.0 ** 40, math.nan, math.inf, -math.inf, least,
+         math.nextafter(least, -math.inf), most,
+         math.nextafter(most, math.inf)]), st.floats())
+
+
+class TestBoundedSetting:
+    """`cli._get` returns a number exactly when it lies in its bounds, and
+    otherwise raises one ConfigError naming the key."""
+
+    @hypothesis.given(data=st.data(), case=st.sampled_from(BOUNDED),
+                      as_list=st.booleans())
+    def test_value_read_exactly_when_in_bounds(self, data, case, as_list):
+        key, cast, least, most = case
+        values = data.draw(st.lists(numbers(cast, least, most),
+                                    min_size=0 if as_list else 1,
+                                    max_size=4 if as_list else 1),
+                           label="values")
+        cfg = {key: ",".join(map(repr, values))}
+        args = (cfg, key, ..., (cast,) if as_list else cast, least, most)
+        if values and all(least <= v <= most for v in values):
+            got = cli._get(*args)
+            got = got if as_list else (got,)
+            assert [(type(v), repr(v)) for v in got] == [
+                (cast, repr(v)) for v in values]
+            return
+        with pytest.raises(cli.ConfigError) as caught:
+            cli._get(*args)
+        message = str(caught.value)
+        assert message.startswith(f"config key {key!r}: ")
+        assert "\n" not in message
 
 
 class TestMinmaxReplay:

@@ -118,15 +118,10 @@ class TestCountryBatches:
                                          {"US": empty}, 2)
 
 
-class TestConfig:
-    def test_empty_grid_rejected(self):
-        with pytest.raises(trainer.TrainingError):
-            trainer.TrainConfig(lr_grid=())
-
-
 def quick_config(**kw):
     args = dict(n_in=6, s_out=2, lr_grid=(0.01,), m_grid=(8,),
-                max_epochs=40, patience=40, batch_size=8, seed=3)
+                max_epochs=40, patience=40, batch_size=8, seed=3,
+                use_country_embedding=True, arch="proposed")
     args.update(kw)
     return trainer.TrainConfig(**args)
 
@@ -426,7 +421,9 @@ class TestGridPool:
             "    q = rng.uniform(size=(n, 6, 1))",
             "    return datahub.Windows(np.arange(n), x, q, o, o, o)",
             "config = trainer.TrainConfig(n_in=6, s_out=2, m_grid=(4,),",
-            "    lr_grid=(0.01, 0.02), max_epochs=1, batch_size=4)",
+            "    lr_grid=(0.01, 0.02), max_epochs=1, patience=20,",
+            "    batch_size=4, seed=0, use_country_embedding=True,",
+            "    arch='proposed')",
             "data = {'US': {'train': windows(8), 'val': windows(4)}}",
             "trainer.fit(config, data)",
             "print('multiprocessing' in sys.modules)"])
