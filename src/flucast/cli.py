@@ -179,21 +179,21 @@ class CountryFit:
         return cls(seasonal, tuple(trained), norm)
 
 
-def _prepare(cfg, series, s_out, l_queries, ckpt=None, extra=None) -> dict:
+def _prepare(cfg, series, l_queries, ckpt=None, extra=None) -> dict:
     """One country's series, split plan, record `fit`, query panel
-    normalized by it (None without queries) and seasonal extended S weeks
-    past the series. Without a checkpoint the record is fitted, with
-    queries if `l_queries` is true; with one it is read from `extra`."""
+    normalized by it (L = 0, and no trends read, without queries) and
+    seasonal over the series. Without a checkpoint the record is fitted,
+    with queries if `l_queries` is true; with one it is read from `extra`."""
     from . import decompose, querysel
     c, plan = series.country, _split(cfg, series)
     queries = (querysel.read_selected(_get(cfg, f"queries.{c}"))
                if l_queries else [])
+    trends_dir = _get(cfg, "data.trends_dir") if queries else ""
     if extra is None:
         seasonal = decompose.stl_decompose(series.values[:plan.train_len],
                                            period=52).seasonal
-        panel, norm = (datahub.minmax_fit_apply(datahub.load_trends(
-            _get(cfg, "data.trends_dir"), queries, series), plan.train_len)
-            if queries else (None, []))
+        panel, norm = datahub.minmax_fit_apply(datahub.load_trends(
+            trends_dir, queries, series), plan.train_len)
         if queries and not norm:
             raise datahub.DataError(f"{c}: no query left after dropping "
                                     f"those constant on the training range")
@@ -202,19 +202,17 @@ def _prepare(cfg, series, s_out, l_queries, ckpt=None, extra=None) -> dict:
         fit = CountryFit.from_extra(ckpt, extra, c, plan.train_len,
                                     _get(cfg, "data.ili"), queries,
                                     l_queries)
-        panel = (datahub.minmax_apply(datahub.load_trends(
-            _get(cfg, "data.trends_dir"), [q for q, _, _ in fit.norm],
-            series), fit.norm) if fit.norm else None)
+        panel = datahub.minmax_apply(datahub.load_trends(
+            trends_dir, [q for q, _, _ in fit.norm], series), fit.norm)
     return {"series": series, "plan": plan, "fit": fit, "panel": panel,
             "seasonal": decompose.extend_seasonal(fit.seasonal, 52,
-                                                  len(series) + s_out)}
+                                                  len(series))}
 
 
 def _windows(p, targets, n_in, s_out) -> datahub.Windows:
     """A prepared country's windows of n_in input and s_out target weeks
     whose targets lie in the week range `targets`."""
-    n = len(p["series"])
-    return datahub.make_windows(p["series"], p["panel"], p["seasonal"][:n],
+    return datahub.make_windows(p["series"], p["panel"], p["seasonal"],
                                 n_in, s_out, targets)
 
 
@@ -227,7 +225,7 @@ def _trained(cfg, ckpt) -> tuple:
         raise numkit.ContractError(f"{ckpt}: checkpoint extra term is not a "
                                    f"string")
     return model, term, {
-        c: _prepare(cfg, s, model.s_out, model.l_queries, ckpt, extra)
+        c: _prepare(cfg, s, model.l_queries, ckpt, extra)
         for c, s in _load_ili(cfg, model.countries).items()}
 
 
@@ -357,7 +355,7 @@ def cmd_train(cfg, args) -> int:
                        or _get(cfg, "no_queries", False, bool))
     extra, data = {"term": _get(cfg, "term", "")}, {}
     for c, series in _load_ili(cfg, countries).items():
-        p = _prepare(cfg, series, tc.s_out, use_queries)
+        p = _prepare(cfg, series, use_queries)
         extra.update(p["fit"].to_extra(c))
         data[c] = {part: _windows(p, getattr(p["plan"], part), tc.n_in,
                                   tc.s_out) for part in ("train", "val")}
@@ -390,7 +388,7 @@ def cmd_evaluate(cfg, args) -> int:
             reports.append(evalbench.evaluate(
                 evalbench.seasonal_naive(test), test, "seasonal_naive", c,
                 term))
-            if p["panel"] is not None:
+            if p["panel"].queries:
                 reports.append(evalbench.evaluate(
                     evalbench.ar_exog(p["series"], p["panel"],
                                       p["plan"].train_len, test, model.n_in),
@@ -400,15 +398,14 @@ def cmd_evaluate(cfg, args) -> int:
                               reports)
     evalbench.write_attention(
         os.path.join(args.out, "attention.csv"), reports,
-        {c: p["panel"].queries for c, p in prepared.items()
-         if p["panel"] is not None})
+        {c: p["panel"].queries for c, p in prepared.items()})
     print(f"wrote {args.out}/report.csv, forecasts.csv, attention.csv")
     return 0
 
 
 def cmd_forecast(cfg, args) -> int:
     """Forecast S weeks past the end of each country's series."""
-    from . import fluenet
+    from . import decompose, fluenet
     model, _, prepared = _trained(cfg, args.checkpoint)
     rows = []
     for c, p in prepared.items():
@@ -417,7 +414,8 @@ def cmd_forecast(cfg, args) -> int:
                         model.n_in, 0)
         with _naming(args.checkpoint):
             o_hat, _ = fluenet.forward_batch(model, c, last.x_des, last.q)
-        y_hat = o_hat.data[0] + p["seasonal"][len(series):]
+        y_hat = o_hat.data[0] + decompose.extend_seasonal(
+            p["fit"].seasonal, 52, len(series) + model.s_out)[len(series):]
         rows += [[datahub.format_week(series.end + h), c, h,
                   repr(float(y_hat[h - 1]))]
                  for h in range(1, model.s_out + 1)]
@@ -431,7 +429,8 @@ def cmd_forecast(cfg, args) -> int:
 def cmd_correlate(cfg, args) -> int:
     from . import evalbench
     countries = _countries(cfg, args)
-    shifts = {c: _get(cfg, f"correlate.shift.{c}", 0, int)
+    # bounds: 8x the AU alignment, 22 weeks
+    shifts = {c: _get(cfg, f"correlate.shift.{c}", 0, int, -176, 176)
               for c in countries}
     matrix = evalbench.correlation_report(_load_ili(cfg, countries), shifts)
     path = os.path.join(args.out, "correlations.csv")

@@ -338,7 +338,7 @@ def make_windows(series: WeeklySeries, panel, seasonal: np.ndarray,
     lo, hi = targets
     if len(seasonal) != len(series):
         raise DataError("seasonal array length mismatch")
-    if panel is not None and panel.matrix.shape[0] != len(series):
+    if panel.matrix.shape[0] != len(series):
         raise DataError("query panel not aligned to series")
     # the series position of each window's last input week
     t = np.arange(max(lo - series.start - 1, n_in - 1),
@@ -352,8 +352,7 @@ def make_windows(series: WeeklySeries, panel, seasonal: np.ndarray,
     return Windows(
         last_week=series.start + t,
         x_des=(series.values - seasonal)[inp],
-        q=(panel.matrix[inp] if panel is not None
-           else np.zeros((len(t), n_in, 0))),
+        q=panel.matrix[inp],
         y_raw=series.values[out],
         o=series.values[out] - seasonal[out], x_seas=seasonal[out])
 

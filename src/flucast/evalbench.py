@@ -8,7 +8,6 @@ autoregressive model with same-week query values as exogenous inputs
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,9 +93,9 @@ def fit_ar_exog(y: np.ndarray, q: np.ndarray, p: int) -> tuple:
     """Least squares for y_{t+1} ~ [y_t..y_{t-p+1}, q_{t+1,:}, 1].
 
     y is the training ILI series, q the aligned (weeks x L) query matrix.
-    Returns (order, coefficients): p lags, L query terms, intercept.
-    Falls back to ridge (lambda 1e-6) on rank deficiency. The order is p
-    cut to the largest that leaves n - p >= p + L + 2 rows, as a cut to
+    Returns (order, coefficients): p lags, L query terms, intercept, the
+    minimum-norm ones when the design is rank deficient. The order is p cut
+    to the largest that leaves n - p >= p + L + 2 rows, as a cut to
     max(1, n - L - 3) does wherever that fits; below 1 it is refused.
     """
     y = np.asarray(y, dtype=np.float64)
@@ -105,13 +104,8 @@ def fit_ar_exog(y: np.ndarray, q: np.ndarray, p: int) -> tuple:
     p = min(p, (n - l - 2) // 2)
     if p < 1:
         raise MetricError(f"ar_exog needs >= {l + 4} training weeks, has {n}")
-    design, target = _ar_rows(y, q, p, np.arange(p - 1, n - 1)), y[p:]
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        warnings.warn("rank-deficient AR design; using ridge fallback")
-        g = design.T @ design + 1e-6 * np.eye(design.shape[1])
-        coef = np.linalg.solve(g, design.T @ target)
-    else:
-        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    coef, *_ = np.linalg.lstsq(_ar_rows(y, q, p, np.arange(p - 1, n - 1)),
+                               y[p:], rcond=None)
     return p, coef
 
 
@@ -171,39 +165,30 @@ def evaluate_model(model: fluenet.ModelParams, test_windows, country: str,
 
 def correlation_report(series_by_country: dict, shifts: dict = None
                        ) -> dict:
-    """Pairwise Pearson correlations over the overlapping weeks.
+    """Pairwise Pearson correlations over the weeks all series share.
 
     `shifts` maps country -> weeks to shift that series forward (the AU
-    alignment). Each series is min-max normalized on the overlap first;
-    one that is constant there has no correlation, a MetricError.
+    alignment). Fewer than 3 shared weeks, or a series constant on them,
+    has no correlation, a MetricError.
     """
-    shifts = shifts or {}
-    shifted = {}
-    for c, s in series_by_country.items():
-        k = int(shifts.get(c, 0))
-        shifted[c] = datahub.WeeklySeries(country=c, start=s.start + k,
-                                          values=s.values)
-    lo = max(s.start for s in shifted.values())
-    hi = min(s.end for s in shifted.values())
+    start = {c: s.start + (shifts or {}).get(c, 0)
+             for c, s in series_by_country.items()}
+    lo = max(start.values())
+    hi = min(start[c] + len(s) for c, s in series_by_country.items()) - 1
     if hi - lo + 1 < 3:
-        raise MetricError("insufficient overlap between country series")
-    segments = {}
-    for c, s in shifted.items():
-        seg = s.values[lo - s.start:hi - s.start + 1]
-        mn, mx = seg.min(), seg.max()
-        if mx <= mn and len(shifted) > 1:
+        raise MetricError(f"{', '.join(start)}: the series share "
+                          f"{max(hi - lo + 1, 0)} weeks once shifted by "
+                          f"correlate.shift.<CC>, fewer than 3")
+    seg = {c: s.values[lo - start[c]:hi - start[c] + 1]
+           for c, s in series_by_country.items()}
+    for c, values in seg.items():
+        if values.max() <= values.min() and len(seg) > 1:
             raise MetricError(
                 f"{c}: ILI rate is constant over the overlapping weeks "
                 f"{datahub.format_week(lo)}..{datahub.format_week(hi)}, so "
                 f"its correlation is undefined")
-        segments[c] = (seg - mn) / (mx - mn) if mx > mn else seg
-    countries = sorted(segments)
-    out = {}
-    for a in countries:
-        for b in countries:
-            out[(a, b)] = 1.0 if a == b else pearson(segments[a],
-                                                     segments[b])
-    return out
+    return {(a, b): 1.0 if a == b else pearson(seg[a], seg[b])
+            for a in seg for b in seg}
 
 
 def write_report(path, reports) -> None:

@@ -166,7 +166,6 @@ def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
     log = TrainLog(lr=lr, m=m)
     best_val = math.inf
     best_snap = None
-    since_best = 0
     for epoch in range(1, config.max_epochs + 1):
         eps = epsilon_at(epoch, config.max_epochs)
         losses = []
@@ -184,11 +183,8 @@ def _train_one(config: TrainConfig, data: dict, l_queries: int, lr: float,
             best_val = avg_val
             best_snap = _snapshot(model)
             log.chosen_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
+        elif epoch - log.chosen_epoch >= config.patience:
+            break
     _restore(model, best_snap)
     return model, log, best_val
 

@@ -407,6 +407,27 @@ class TestTrainCommand:
                        for n in ckpt["tensors"])
         assert ckpt["extra"]["queries.US"] == []
 
+    def test_no_queries_reads_no_trends_dir(self, workspace, tmp_path):
+        """A country without queries has a zero-column panel: every
+        command runs with no data.trends_dir, and evaluate writes no
+        ar_exog row and no attention row."""
+        root, config = workspace
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(
+            ln for ln in config.read_text(encoding="utf-8").splitlines(True)
+            if not ln.startswith("data.trends_dir")), encoding="utf-8")
+        ckpt = str(tmp_path / "checkpoint.json")
+        assert run(cfg, tmp_path, "train", "--no-queries") == 0
+        assert run(cfg, tmp_path / "e", "evaluate", "--checkpoint", ckpt,
+                   "--with-baselines") == 0
+        assert run(cfg, tmp_path / "f", "forecast", "--checkpoint",
+                   ckpt) == 0
+        with open(tmp_path / "e" / "report.csv", encoding="utf-8") as f:
+            assert {r["model"] for r in csv.DictReader(f)} == {
+                "proposed", "seasonal_naive"}
+        assert (tmp_path / "e" / "attention.csv").read_text(
+            encoding="utf-8") == "iso_week,country,query,weight\n"
+
     def test_seed_flag_is_the_seed_key(self, workspace, tmp_path):
         root, config = workspace
         text = config.read_text(encoding="utf-8")
@@ -1181,12 +1202,15 @@ class TestBadInput:
          "config key 'querysel.k': 1099511627776 is outside 1..800"),
         ("split.test_len = 1099511627776",
          "config key 'split.test_len': 1099511627776 is outside 1..416"),
-        ("train.lr_grid = ,", "config key 'train.lr_grid': empty list")],
+        ("train.lr_grid = ,", "config key 'train.lr_grid': empty list"),
+        ("correlate.shift.US = 1099511627776",
+         "config key 'correlate.shift.US': 1099511627776 is outside "
+         "-176..176")],
         ids=["lr", "m", "m_huge", "batch_huge", "max_epochs", "n", "s", "k",
              "arch", "lr_inf", "test_len_0", "test_len_negative",
              "test_len_S", "test_len_S_minus_1", "n_huge", "s_huge",
              "max_epochs_huge", "patience_huge", "k_huge", "test_len_huge",
-             "lr_empty"])
+             "lr_empty", "shift_huge"])
     def test_out_of_range_setting_is_one_line(self, tmp_path, capsys,
                                               monkeypatch, edit, message):
         """Refused before any data is read, so before any grid point
@@ -1199,8 +1223,8 @@ class TestBadInput:
             "data was read"))
         monkeypatch.setattr(trainer, "_train_one", lambda *a: pytest.fail(
             "a grid point trained"))
-        argv = (["select-queries"] if edit.startswith("querysel.")
-                else ["train", "--countries", "US"])
+        argv = {"querysel": ["select-queries"], "correlate": ["correlate"]
+                }.get(edit.split(".")[0], ["train", "--countries", "US"])
         assert run(config, tmp_path / "out", *argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ class TestArExog:
 
     def test_rank_deficient_design_matches_per_row_oracle(self):
         """A query constant on the training range repeats the intercept
-        column, and both fall back to ridge."""
+        column, and both take lstsq's minimum-norm solution."""
         rng = np.random.default_rng(4)
         series = datahub.WeeklySeries(country="US", start=500,
                                       values=rng.uniform(0, 5, 70))
@@ -198,10 +199,33 @@ class TestArExog:
                                    matrix=matrix)
         windows = datahub.make_windows(series, panel, np.zeros(70), 3, 2,
                                        (540, 569))
-        with pytest.warns(UserWarning, match="rank-deficient"):
-            got = evalbench.ar_exog(series, panel, 40, windows, 3)
+        got = evalbench.ar_exog(series, panel, 40, windows, 3)
         want, _ = ar_exog_oracle(series, panel, 40, windows, 3)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("repeat", ["intercept", "lag"])
+    def test_rank_deficient_fit_is_minimum_norm_and_silent(self, repeat):
+        """A query column that repeats the intercept, or the first lag,
+        leaves the design rank deficient; the fit is lstsq's minimum-norm
+        solution, bit for bit, with no warning."""
+        rng = np.random.default_rng(21)
+        y = rng.uniform(0, 5, 50)
+        q = rng.uniform(0, 1, (50, 2))
+        q[:, 1] = 0.5 if repeat == "intercept" else np.roll(y, 1)
+        p = 3
+        design = np.array([np.r_[y[t::-1][:p], q[t + 1], 1.0]
+                           for t in range(p - 1, 49)])
+        assert np.linalg.matrix_rank(design) < design.shape[1]
+        want, *_ = np.linalg.lstsq(design, y[p:], rcond=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            order, coef = evalbench.fit_ar_exog(y, q, p)
+        assert order == p
+        assert coef.tobytes() == want.tobytes()
+        # of all least-squares solutions, no other is shorter
+        null = np.linalg.svd(design)[2][-1]
+        assert np.allclose(design @ null, 0, atol=1e-12)
+        assert abs(coef @ null) < 1e-12
 
 
 def ar_exog_oracle(series, panel, fit_len, windows, p):
@@ -219,11 +243,7 @@ def ar_exog_oracle(series, panel, fit_len, windows, p):
         design[i, p:p + l] = q[t + 1]
         design[i, -1] = 1.0
         target[i] = y[t + 1]
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        g = design.T @ design + 1e-6 * np.eye(design.shape[1])
-        coef = np.linalg.solve(g, design.T @ target)
-    else:
-        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     y_hat = np.full((len(windows), 1), np.nan)
     for i, t in enumerate(windows.last_week - series.start):
         x = np.concatenate([series.values[t::-1][:p], panel.matrix[t + 1],
@@ -414,8 +434,33 @@ class TestCorrelationReport:
     def test_insufficient_overlap_rejected(self):
         a = self.make_series("A", 100, np.arange(10.0))
         b = self.make_series("B", 109, np.arange(10.0))
-        with pytest.raises(evalbench.MetricError):
+        with pytest.raises(evalbench.MetricError, match=(
+                r"^A, B: the series share 1 weeks once shifted by "
+                r"correlate\.shift\.<CC>, fewer than 3$")):
             evalbench.correlation_report({"A": a, "B": b})
+        with pytest.raises(evalbench.MetricError, match=r"^A, B: .* share 0 "):
+            evalbench.correlation_report({"A": a, "B": b},
+                                         shifts={"A": -40})
+
+    @pytest.mark.parametrize("shifts", [{}, {"B": 7}, {"A": 3, "C": -5}],
+                             ids=["none", "one", "two"])
+    def test_pearson_of_raw_overlap_bitwise(self, shifts):
+        """Each pair's value is pearson of the raw weeks all shifted
+        series share, bit for bit."""
+        rng = np.random.default_rng(14)
+        series = {c: self.make_series(c, start, rng.uniform(0, 5, n))
+                  for c, start, n in (("A", 100, 60), ("B", 90, 70),
+                                      ("C", 110, 50))}
+        start = {c: s.start + shifts.get(c, 0) for c, s in series.items()}
+        lo = max(start.values())
+        hi = min(start[c] + len(s) for c, s in series.items())
+        raw = {c: s.values[lo - start[c]:hi - start[c]]
+               for c, s in series.items()}
+        out = evalbench.correlation_report(series, shifts)
+        assert set(out) == {(a, b) for a in series for b in series}
+        for a, b in out:
+            want = 1.0 if a == b else querysel.pearson(raw[a], raw[b])
+            assert out[(a, b)] == want, (a, b)
 
 
 class TestWriters:

@@ -100,11 +100,9 @@ class TestWindowTable:
         series = datahub.WeeklySeries(country="US", start=start,
                                       values=rng.uniform(0, 5, length))
         seasonal = rng.normal(0, 1, length)
-        panel = None
-        if l:
-            panel = datahub.QueryPanel(
-                country="US", queries=[f"q{j}" for j in range(l)],
-                matrix=rng.uniform(0, 1, (length, l)))
+        panel = datahub.QueryPanel(
+            country="US", queries=[f"q{j}" for j in range(l)],
+            matrix=rng.uniform(0, 1, (length, l)))
 
         def windows(lo, hi, s):
             return datahub.make_windows(series, panel, seasonal, n, s,
@@ -128,9 +126,8 @@ class TestWindowTable:
         assert w.last_week.tolist() == [start + t for t in ends]
         for i, t in enumerate(ends):
             inp, out = slice(t - n + 1, t + 1), slice(t + 1, t + 1 + s)
-            q = panel.matrix[inp] if l else np.zeros((n, 0))
             want = {"x_des": v[inp] - seasonal[inp],
-                    "q": q, "y_raw": v[out],
+                    "q": panel.matrix[inp], "y_raw": v[out],
                     "o": v[out] - seasonal[out], "x_seas": seasonal[out]}
             for name, value in want.items():
                 assert np.array_equal(getattr(w, name)[i], value), name
