@@ -198,10 +198,11 @@ def read_csv(path: str, names):
 def load_ili(path: str) -> dict:
     """Read ili.csv (iso_week,country,ili_rate) into per-country series.
 
-    A negative or non-finite (`nan`, `inf`) rate is a DataError naming
-    `path:line`; week 53 is dropped before either check.
+    A negative or non-finite (`nan`, `inf`) rate, and a second row for a
+    week and country, are each a DataError naming `path:line`; week 53 is
+    dropped before any check.
     """
-    rows = {}
+    rows, lines = {}, {}
     for lineno, (week, country, rate) in read_csv(
             path, ("iso_week", "country", "ili_rate")):
         try:
@@ -215,6 +216,10 @@ def load_ili(path: str) -> dict:
             raise DataError(f"{path}:{lineno}: non-finite ili_rate {rate}")
         if rate < 0:
             raise DataError(f"{path}:{lineno}: negative ili_rate {rate}")
+        first = lines.setdefault((country, idx), lineno)
+        if first != lineno:
+            raise DataError(f"{path}:{lineno}: {format_week(idx)} {country} "
+                            f"repeats the row of line {first}")
         rows.setdefault(country, {})[idx] = rate
     out = {}
     for country, by_week in rows.items():

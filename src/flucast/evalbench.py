@@ -14,7 +14,7 @@ import numpy as np
 
 from . import Error, datahub, fluenet
 from .numkit import NonFiniteError
-from .querysel import pearson
+from .querysel import DegenerateInputError, pearson
 
 
 class MetricError(Error):
@@ -168,8 +168,8 @@ def correlation_report(series_by_country: dict, shifts: dict = None
     """Pairwise Pearson correlations over the weeks all series share.
 
     `shifts` maps country -> weeks to shift that series forward (the AU
-    alignment). Fewer than 3 shared weeks, or a series constant on them,
-    has no correlation, a MetricError.
+    alignment). Fewer than 3 shared weeks, a series constant on them, or
+    a pair `pearson` refuses has no correlation, a MetricError.
     """
     start = {c: s.start + (shifts or {}).get(c, 0)
              for c, s in series_by_country.items()}
@@ -187,8 +187,16 @@ def correlation_report(series_by_country: dict, shifts: dict = None
                 f"{c}: ILI rate is constant over the overlapping weeks "
                 f"{datahub.format_week(lo)}..{datahub.format_week(hi)}, so "
                 f"its correlation is undefined")
-    return {(a, b): 1.0 if a == b else pearson(seg[a], seg[b])
-            for a in seg for b in seg}
+
+    def corr(a, b):
+        try:
+            return pearson(seg[a], seg[b])
+        except DegenerateInputError as e:
+            raise MetricError(f"{a}, {b}: no correlation over the weeks "
+                              f"{datahub.format_week(lo)}.."
+                              f"{datahub.format_week(hi)}: {e}") from None
+
+    return {(a, b): 1.0 if a == b else corr(a, b) for a in seg for b in seg}
 
 
 def write_report(path, reports) -> None:

@@ -19,12 +19,15 @@ inputs depend on its own outputs, calls `gru_cell` (the same op with
 T = 1 and its input as a tensor, which gets a gradient) once per step.
 Without a tape, in validation and inference, the op keeps no per-step
 history.
+
+Each parameter group is a tuple in its op's argument order: a GRU
+(u_z, u_r, u_h, w_z, w_r, w_h) for `numkit.gru_sequence`, attention
+(w_q, w_k, w_v) for `numkit.dot_attention`, an MLP (w1, b1, w2, b2).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,35 +36,6 @@ from .numkit import Tensor2
 
 
 ARCHS = ("proposed", "gru_baseline")
-
-
-@dataclass
-class GruParams:
-    """Input-to-hidden (in_dim x M) and hidden-to-hidden (M x M) maps."""
-
-    u_z: Tensor2
-    u_r: Tensor2
-    u_h: Tensor2
-    w_z: Tensor2
-    w_r: Tensor2
-    w_h: Tensor2
-
-
-@dataclass
-class AttentionParams:
-    w_q: Tensor2  # M x M
-    w_k: Tensor2
-    w_v: Tensor2
-
-
-@dataclass
-class Mlp:
-    """Two affine layers, tanh after the first."""
-
-    w1: Tensor2
-    b1: Tensor2
-    w2: Tensor2
-    b2: Tensor2
 
 
 def _glorot(seed):
@@ -94,6 +68,8 @@ class ModelParams:
     The constructor is the only list of the tensors. It walks them in the
     Glorot draw order, getting each from `make(name, rows, cols, stream)`;
     the default `make` initializes, and `load_checkpoint` reads the file.
+    It keeps each group as that tuple: GRUs `ili_encoder`, `decoder` and
+    `query_encoder`, MLPs `fusion` and `output[c]`, and `attention[c]`.
     """
 
     def __init__(self, m: int, n_in: int, s_out: int, l_queries: int,
@@ -120,16 +96,16 @@ class ModelParams:
             return self._params[name]
 
         def gru(name, in_dim):
-            return GruParams(*(
+            return tuple(
                 put(f"shared.{name}.{g}", m if g[0] == "w" else in_dim, m,
                     "model-init")
-                for g in ("u_z", "u_r", "u_h", "w_z", "w_r", "w_h")))
+                for g in ("u_z", "u_r", "u_h", "w_z", "w_r", "w_h"))
 
         def mlp(prefix, in_dim, out_dim, stream):
-            return Mlp(put(f"{prefix}.w1", in_dim, m, stream),
-                       put(f"{prefix}.b1", 1, m, None),
-                       put(f"{prefix}.w2", m, out_dim, stream),
-                       put(f"{prefix}.b2", 1, out_dim, None))
+            return (put(f"{prefix}.w1", in_dim, m, stream),
+                    put(f"{prefix}.b1", 1, m, None),
+                    put(f"{prefix}.w2", m, out_dim, stream),
+                    put(f"{prefix}.b2", 1, out_dim, None))
 
         self.ili_encoder = gru("ili_encoder", 1 + self.l_queries
                                if arch == "gru_baseline" else 1)
@@ -142,9 +118,9 @@ class ModelParams:
         for c in self.countries:
             stream = f"country/{c}"
             if self.has_attention:
-                self.attention[c] = AttentionParams(*(
+                self.attention[c] = tuple(
                     put(f"country.{c}.attention.{w}", m, m, stream)
-                    for w in ("w_q", "w_k", "w_v")))
+                    for w in ("w_q", "w_k", "w_v"))
             self.output[c] = mlp(f"country.{c}.output", m, 1, stream)
         self.country_embed = (put("shared.country_embed", len(countries),
                                   m, "country-embed")
@@ -166,27 +142,17 @@ class ModelParams:
         return self._params
 
 
-def gru_cell(params: GruParams, x: Tensor2, h_prev: Tensor2) -> Tensor2:
+def gru_cell(gru: tuple, x: Tensor2, h_prev: Tensor2) -> Tensor2:
     """One gated-recurrent step on a (batch x in_dim) input."""
-    return encode_sequence(params, [x], h_prev)
+    return nk.gru_sequence([x], h_prev, *gru)
 
 
-def encode_sequence(params: GruParams, steps, h0: Tensor2) -> Tensor2:
-    """Run the GRU over T inputs as one tape op; returns the final state.
-
-    steps is a (T x batch x in_dim) data array, or a list of T
-    (batch x in_dim) tensors when the inputs need gradients.
-    """
-    return nk.gru_sequence(steps, h0, params.u_z, params.u_r, params.u_h,
-                           params.w_z, params.w_r, params.w_h)
-
-
-def encode_ili(params: GruParams, x_des: np.ndarray, h0: Tensor2) -> Tensor2:
+def encode_ili(gru: tuple, x_des: np.ndarray, h0: Tensor2) -> Tensor2:
     """Encode the (batch x N) deseasonalized window; returns final state."""
-    return encode_sequence(params, x_des.T[:, :, None], h0)
+    return nk.gru_sequence(x_des.T[:, :, None], h0, *gru)
 
 
-def encode_queries(params: GruParams, q: np.ndarray, h0: Tensor2) -> Tensor2:
+def encode_queries(gru: tuple, q: np.ndarray, h0: Tensor2) -> Tensor2:
     """Encode the L query columns with the shared GRU in one pass.
 
     q is (batch x N x L). The L columns run as one GRU over L*batch rows,
@@ -196,25 +162,26 @@ def encode_queries(params: GruParams, q: np.ndarray, h0: Tensor2) -> Tensor2:
     """
     b, n, l = q.shape
     steps = q.transpose(1, 2, 0).reshape(n, l * b, 1)
-    return encode_sequence(params, steps, nk.tile_rows(h0, l))
+    return nk.gru_sequence(steps, nk.tile_rows(h0, l), *gru)
 
 
-def attend(att: AttentionParams, h_tau: Tensor2, h_queries) -> tuple:
+def attend(att: tuple, h_tau: Tensor2, h_queries) -> tuple:
     """Unscaled dot-product attention over the L query encodings.
 
     h_queries is `encode_queries`' (L*batch x M) block. Returns (context
     (batch x M), weights (batch x L) tensor); the weights carry no
     gradient.
     """
-    return nk.dot_attention(h_tau, att.w_q, att.w_k, att.w_v, h_queries)
+    return nk.dot_attention(h_tau, *att, h_queries)
 
 
-def _mlp_apply(mlp: Mlp, x: Tensor2) -> Tensor2:
-    hidden = nk.tanh(nk.add_bias(nk.matmul(x, mlp.w1), mlp.b1))
-    return nk.add_bias(nk.matmul(hidden, mlp.w2), mlp.b2)
+def _mlp_apply(mlp: tuple, x: Tensor2) -> Tensor2:
+    w1, b1, w2, b2 = mlp
+    hidden = nk.tanh(nk.add_bias(nk.matmul(x, w1), b1))
+    return nk.add_bias(nk.matmul(hidden, w2), b2)
 
 
-def decode(decoder: GruParams, output_mlp: Mlp, h_enc: Tensor2,
+def decode(decoder: tuple, output_mlp: tuple, h_enc: Tensor2,
            x_last: np.ndarray, s_out: int, teacher: np.ndarray = None,
            eps: float = 0.0, rng=None) -> Tensor2:
     """Roll the decoder S steps with scheduled sampling.
@@ -272,7 +239,7 @@ def forward_batch(model: ModelParams, country: str, x_des: np.ndarray,
     if model.arch == "gru_baseline":
         joined = np.concatenate([x_des.T[:, :, None], q.transpose(1, 0, 2)],
                                 axis=2)
-        h_tau = encode_sequence(model.ili_encoder, joined, h0)
+        h_tau = nk.gru_sequence(joined, h0, *model.ili_encoder)
     else:
         h_tau = encode_ili(model.ili_encoder, x_des, h0)
 

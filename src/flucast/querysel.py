@@ -312,10 +312,17 @@ def wt_select(english_queries, source: EmbeddingTable,
 def translation_select(mapping_path: str, english_queries) -> list:
     """Return the user-supplied translation for each English query verbatim.
 
-    The mapping file is a CSV with `english` and `translated` columns.
+    The mapping file is a CSV with `english` and `translated` columns; a
+    second row for an English query is a DataError naming both lines.
     """
-    mapping = dict(fields for _, fields in read_csv(
-        mapping_path, ("english", "translated")))
+    mapping, lines = {}, {}
+    for lineno, (english, translated) in read_csv(
+            mapping_path, ("english", "translated")):
+        first = lines.setdefault(english, lineno)
+        if first != lineno:
+            raise DataError(f"{mapping_path}:{lineno}: {english!r} repeats "
+                            f"the row of line {first}")
+        mapping[english] = translated
     missing = [q for q in english_queries if q not in mapping]
     if missing:
         raise SelectionError(f"mapping file lacks rows for {missing}")

@@ -97,10 +97,7 @@ class TestAttentionContract:
             m = int(rng.integers(2, 7))
             l = int(rng.integers(1, 6))
             b = int(rng.integers(1, 5))
-            att = fluenet.AttentionParams(
-                w_q=Tensor2(rng.normal(0, 1, (m, m))),
-                w_k=Tensor2(rng.normal(0, 1, (m, m))),
-                w_v=Tensor2(rng.normal(0, 1, (m, m))))
+            att = tuple(Tensor2(rng.normal(0, 1, (m, m))) for _ in range(3))
             h_tau = Tensor2(rng.normal(0, 1, (b, m)))
             hqs = [rng.normal(0, 1, (b, m)) for _ in range(l)]
             ctx, w = fluenet.attend(att, h_tau, Tensor2(np.concatenate(hqs)))
@@ -117,12 +114,10 @@ class TestScheduledSamplingLimits:
     """Eps=1 is teacher forcing; eps=0 ignores the teacher."""
 
     def make_parts(self, rng, m):
-        dec = fluenet.GruParams(*(Tensor2(rng.normal(0, 0.5, shape))
-                                  for shape in [(1, m)] * 3 + [(m, m)] * 3))
-        out = fluenet.Mlp(w1=Tensor2(rng.normal(0, 0.5, (m, m))),
-                          b1=Tensor2(rng.normal(0, 0.5, (1, m))),
-                          w2=Tensor2(rng.normal(0, 0.5, (m, 1))),
-                          b2=Tensor2(rng.normal(0, 0.5, (1, 1))))
+        dec = tuple(Tensor2(rng.normal(0, 0.5, shape))
+                    for shape in [(1, m)] * 3 + [(m, m)] * 3)
+        out = tuple(Tensor2(rng.normal(0, 0.5, shape))  # w1, b1, w2, b2
+                    for shape in [(m, m), (1, m), (m, 1), (1, 1)])
         return dec, out
 
     def test_eps_one_matches_independent_rollout(self):

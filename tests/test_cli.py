@@ -940,6 +940,18 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             f"error: {path}:7: non-finite ili_rate {value}\n")
 
+    def test_repeated_ili_row_refused(self, tmp_path, capsys):
+        """A second JP 2010-W05 row is refused at its line, naming the
+        first, not decomposed in place of that row's rate."""
+        config = build_workspace(tmp_path)
+        path = tmp_path / "ili.csv"
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("2010-W05,JP,999.0\n")
+        last = len(path.read_text(encoding="utf-8").splitlines())
+        assert run(config, tmp_path / "out", "decompose") == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{last}: 2010-W05 JP repeats the row of line 6\n")
+
     @pytest.mark.parametrize("command", ["evaluate", "forecast"])
     def test_reordered_queries_refused(self, trained_single, tmp_path,
                                        capsys, command):

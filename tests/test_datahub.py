@@ -244,6 +244,21 @@ class TestLoadIli:
         with pytest.raises(datahub.DataError, match="negative"):
             datahub.load_ili(str(path))
 
+    def test_repeated_row_rejected_naming_both_lines(self, tmp_path):
+        """The first repeat in file order is refused, naming its line and
+        the earlier one; a repeated week 53 is dropped, not refused."""
+        path = tmp_path / "ili.csv"
+        write_ili_csv(path, [("2015-W52", "US", 1.0),
+                             ("2015-W53", "US", 9.0),
+                             ("2015-W52", "JP", 1.5),
+                             ("2015-W53", "US", 8.0),
+                             ("2016-W01", "US", 2.0),
+                             ("2015-W52", "US", 3.0),
+                             ("2015-W52", "JP", 4.0)])
+        with pytest.raises(datahub.DataError, match=re.escape(
+                f"{path}:7: 2015-W52 US repeats the row of line 2")):
+            datahub.load_ili(str(path))
+
     def test_gap_rejected_listing_weeks(self, tmp_path):
         path = tmp_path / "ili.csv"
         write_ili_csv(path, [("2015-W01", "US", 1.0),

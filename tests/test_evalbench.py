@@ -442,6 +442,20 @@ class TestCorrelationReport:
             evalbench.correlation_report({"A": a, "B": b},
                                          shifts={"A": -40})
 
+    @pytest.mark.parametrize("scale, reason", [
+        (1e160, "pearson input is not finite or overflows"),
+        (1e-170, "pearson input has zero variance")], ids=["huge", "tiny"])
+    def test_pearson_refusal_names_the_pair(self, scale, reason):
+        """Rates far outside ILI scales overflow or underflow Pearson's
+        sums; the refusal names the countries and the weeks."""
+        rng = np.random.default_rng(15)
+        series = {c: self.make_series(c, 100, scale * rng.uniform(0, 5, 30))
+                  for c in ("JP", "US")}
+        with pytest.raises(evalbench.MetricError, match=(
+                rf"^JP, US: no correlation over the weeks 1-W49\.\.2-W26: "
+                rf"{reason}$")):
+            evalbench.correlation_report(series)
+
     @pytest.mark.parametrize("shifts", [{}, {"B": 7}, {"A": 3, "C": -5}],
                              ids=["none", "one", "two"])
     def test_pearson_of_raw_overlap_bitwise(self, shifts):

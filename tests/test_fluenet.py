@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,21 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+GRU = ("u_z", "u_r", "u_h", "w_z", "w_r", "w_h")
+ATTENTION = ("w_q", "w_k", "w_v")
+MLP = ("w1", "b1", "w2", "b2")
+
+
 def random_gru(rng, in_dim, m):
-    return fluenet.GruParams(
-        u_z=Tensor2(rng.normal(0, 0.5, (in_dim, m))),
-        u_r=Tensor2(rng.normal(0, 0.5, (in_dim, m))),
-        u_h=Tensor2(rng.normal(0, 0.5, (in_dim, m))),
-        w_z=Tensor2(rng.normal(0, 0.5, (m, m))),
-        w_r=Tensor2(rng.normal(0, 0.5, (m, m))),
-        w_h=Tensor2(rng.normal(0, 0.5, (m, m))))
+    """A GRU group: (u_z, u_r, u_h) in_dim x M, then (w_z, w_r, w_h) M x M."""
+    return tuple(Tensor2(rng.normal(0, 0.5, (m if g[0] == "w" else in_dim, m)))
+                 for g in GRU)
+
+
+def fused_encode(gru, steps, h0):
+    """The one-op encoder `encode_ili` and `encode_queries` run, on a list
+    of step tensors."""
+    return nk.gru_sequence(steps, h0, *gru)
 
 
 def tape_sigmoid(a):
@@ -30,12 +39,11 @@ def tape_sigmoid(a):
 
 def per_op_gru_cell(params, x, h_prev):
     """Oracle: one GRU step built from elementwise tape ops."""
-    r = tape_sigmoid(nk.add(nk.matmul(x, params.u_r),
-                            nk.matmul(h_prev, params.w_r)))
-    cand = nk.mul(h_prev, nk.matmul(r, params.w_h))
-    f = nk.tanh(nk.add(nk.matmul(x, params.u_h), cand))
-    z = tape_sigmoid(nk.add(nk.matmul(x, params.u_z),
-                            nk.matmul(h_prev, params.w_z)))
+    u_z, u_r, u_h, w_z, w_r, w_h = params
+    r = tape_sigmoid(nk.add(nk.matmul(x, u_r), nk.matmul(h_prev, w_r)))
+    cand = nk.mul(h_prev, nk.matmul(r, w_h))
+    f = nk.tanh(nk.add(nk.matmul(x, u_h), cand))
+    z = tape_sigmoid(nk.add(nk.matmul(x, u_z), nk.matmul(h_prev, w_z)))
     one = Tensor2(np.ones(z.shape), copy=False)
     return nk.add(nk.mul(nk.sub(one, z), h_prev), nk.mul(z, f))
 
@@ -56,20 +64,21 @@ class TestGruCell:
         h = rng.normal(0, 1, (b, m))
         got = fluenet.gru_cell(g, Tensor2(x), Tensor2(h)).data
 
-        r = sigmoid(x @ g.u_r.data + h @ g.w_r.data)
-        f = np.tanh(x @ g.u_h.data + h * (r @ g.w_h.data))
-        z = sigmoid(x @ g.u_z.data + h @ g.w_z.data)
+        u_z, u_r, u_h, w_z, w_r, w_h = (t.data for t in g)
+        r = sigmoid(x @ u_r + h @ w_r)
+        f = np.tanh(x @ u_h + h * (r @ w_h))
+        z = sigmoid(x @ u_z + h @ w_z)
         want = (1.0 - z) * h + z * f
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_all_zero_weights_halve_state(self):
         m = 3
-        g = fluenet.GruParams(*(nk.zeros(d, m) for d in (1, 1, 1, m, m, m)))
+        g = tuple(nk.zeros(d, m) for d in (1, 1, 1, m, m, m))
         h = np.array([[2.0, -4.0, 6.0]])
         out = fluenet.gru_cell(g, Tensor2(np.ones((1, 1))), Tensor2(h))
         assert np.max(np.abs(out.data - 0.5 * h)) < 1e-15
 
-    def test_encode_sequence_matches_manual_fold(self):
+    def test_encode_ili_matches_manual_fold(self):
         rng = np.random.default_rng(14)
         g = random_gru(rng, 1, 3)
         xs = rng.normal(0, 1, (2, 5))
@@ -85,8 +94,8 @@ class TestGruSequence:
 
     def states_and_grads(self, encode, params, embed, steps, b, weights):
         """Final state and the gradients of a weighted sum of it."""
-        m = params.w_h.rows
-        for t in list(vars(params).values()) + steps:
+        m = params[-1].rows
+        for t in params + tuple(steps):
             t.grad = None
         with nk.GradTape() as tape:
             if embed is None:
@@ -98,7 +107,7 @@ class TestGruSequence:
             h = encode(params, steps, h0)
             loss = nk.mean_all(nk.mul(h, Tensor2(weights)))
         nk.backward(tape, loss)
-        grads = {n: t.grad for n, t in vars(params).items()}
+        grads = {n: t.grad for n, t in zip(GRU, params)}
         grads.update((f"x{t}", x.grad) for t, x in enumerate(steps))
         if embed is not None:
             grads["embed"] = embed.grad
@@ -119,8 +128,8 @@ class TestGruSequence:
         weights = rng.normal(0, 1, (b, m))
         want, want_g = self.states_and_grads(per_op_encode, params, embed,
                                              steps, b, weights)
-        got, got_g = self.states_and_grads(fluenet.encode_sequence, params,
-                                           embed, steps, b, weights)
+        got, got_g = self.states_and_grads(fused_encode, params, embed,
+                                           steps, b, weights)
         assert np.max(np.abs(got - want)) < 1e-12
         assert set(got_g) == set(want_g)
         for name in want_g:
@@ -134,7 +143,7 @@ class TestGruSequence:
         xs = rng.normal(0, 1, (2, 26))
         xs[1, 13] = np.inf
         # The gates saturate, so an unchecked run ends in a finite state.
-        u_z, u_r, u_h, w_z, w_r, w_h = (t.data for t in vars(params).values())
+        u_z, u_r, u_h, w_z, w_r, w_h = (t.data for t in params)
         h = np.zeros((2, 3))
         for t in range(26):
             x = xs[:, t:t + 1]
@@ -174,8 +183,8 @@ class TestBatchedQueryEncoder:
         """Final states as the (L*B x M) block, and the gradients of their
         sum weighted by the (B x L*M) `weights`, query j in columns j*M
         onward."""
-        b, m = q.shape[0], params.w_h.rows
-        for t in vars(params).values():
+        b, m = q.shape[0], params[-1].rows
+        for t in params:
             t.grad = None
         with nk.GradTape() as tape:
             if embed is None:
@@ -195,7 +204,7 @@ class TestBatchedQueryEncoder:
                 loss = nk.mean_all(nk.mul(
                     states, Tensor2(block.reshape(l * b, m))))
         nk.backward(tape, loss)
-        grads = {n: t.grad for n, t in vars(params).items()}
+        grads = {n: t.grad for n, t in zip(GRU, params)}
         if embed is not None:
             grads["embed"] = embed.grad
         return states.data, grads
@@ -232,10 +241,8 @@ class TestBatchedQueryEncoder:
 
 class TestAttention:
     def make_att(self, rng, m):
-        return fluenet.AttentionParams(
-            w_q=Tensor2(rng.normal(0, 0.5, (m, m))),
-            w_k=Tensor2(rng.normal(0, 0.5, (m, m))),
-            w_v=Tensor2(rng.normal(0, 0.5, (m, m))))
+        """An attention group (w_q, w_k, w_v), each M x M."""
+        return tuple(Tensor2(rng.normal(0, 0.5, (m, m))) for _ in ATTENTION)
 
     def test_single_query_gets_full_weight(self):
         rng = np.random.default_rng(20)
@@ -244,7 +251,8 @@ class TestAttention:
         h_q = Tensor2(rng.normal(0, 1, (2, 3)))
         ctx, w = fluenet.attend(att, h_tau, key_block([h_q]))
         assert np.max(np.abs(w.data - 1.0)) < 1e-15
-        assert np.max(np.abs(ctx.data - h_q.data @ att.w_v.data)) < 1e-12
+        w_v = att[2]
+        assert np.max(np.abs(ctx.data - h_q.data @ w_v.data)) < 1e-12
 
     def test_identical_queries_split_evenly(self):
         rng = np.random.default_rng(21)
@@ -263,13 +271,13 @@ class TestAttention:
         ctx, w = fluenet.attend(att, Tensor2(h_tau),
                                 Tensor2(np.concatenate(hqs)))
 
-        s_q = h_tau @ att.w_q.data
-        logits = np.stack([np.sum(s_q * (h @ att.w_k.data), axis=1)
-                           for h in hqs], axis=1)
+        w_q, w_k, w_v = (t.data for t in att)
+        s_q = h_tau @ w_q
+        logits = np.stack([np.sum(s_q * (h @ w_k), axis=1) for h in hqs],
+                          axis=1)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         weights = e / e.sum(axis=1, keepdims=True)
-        context = sum(weights[:, j:j + 1] * (hqs[j] @ att.w_v.data)
-                      for j in range(l))
+        context = sum(weights[:, j:j + 1] * (hqs[j] @ w_v) for j in range(l))
         assert np.max(np.abs(w.data - weights)) < 1e-12
         assert np.max(np.abs(ctx.data - context)) < 1e-12
 
@@ -298,10 +306,8 @@ class TestAttention:
 class TestDecode:
     def make_parts(self, rng, m):
         dec = random_gru(rng, 1, m)
-        out = fluenet.Mlp(w1=Tensor2(rng.normal(0, 0.5, (m, m))),
-                          b1=Tensor2(rng.normal(0, 0.5, (1, m))),
-                          w2=Tensor2(rng.normal(0, 0.5, (m, 1))),
-                          b2=Tensor2(rng.normal(0, 0.5, (1, 1))))
+        out = tuple(Tensor2(rng.normal(0, 0.5, shape))  # w1, b1, w2, b2
+                    for shape in [(m, m), (1, m), (m, 1), (1, 1)])
         return dec, out
 
     def test_teacher_ignored_when_eps_zero(self):
@@ -381,6 +387,29 @@ class TestModel:
         jp = {n for n in names if n.startswith("country.JP.")}
         assert us | jp == names and not us & jp
         assert any(n.startswith("shared.") for n in us)
+
+    def test_groups_are_their_tensors_in_op_order(self):
+        """Each group is the tuple of its prefix's `named_params()`
+        tensors, in the argument order of the op that takes it whole."""
+        gru_args = list(inspect.signature(nk.gru_sequence).parameters)
+        att_args = list(inspect.signature(nk.dot_attention).parameters)
+        assert gru_args[2:] == list(GRU)
+        assert att_args[1:4] == list(ATTENTION)
+        model = small_model(use_country_embedding=True)
+        groups = {f"shared.{name}": (getattr(model, name), GRU)
+                  for name in ("ili_encoder", "decoder", "query_encoder")}
+        groups["shared.fusion"] = (model.fusion, MLP)
+        for c in model.countries:
+            groups[f"country.{c}.attention"] = (model.attention[c], ATTENTION)
+            groups[f"country.{c}.output"] = (model.output[c], MLP)
+        params = model.named_params()
+        for prefix, (group, names) in groups.items():
+            assert type(group) is tuple, prefix
+            want = [params[f"{prefix}.{n}"] for n in names]
+            assert len(group) == len(want), prefix
+            assert all(a is b for a, b in zip(group, want)), prefix
+        held = {f"{p}.{n}" for p, (_, names) in groups.items() for n in names}
+        assert held | {"shared.country_embed"} == set(params)
 
     def test_no_query_model_has_no_attention_tensors(self):
         model = small_model(l_queries=0)

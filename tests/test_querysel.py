@@ -536,6 +536,15 @@ class TestTranslationSelect:
             querysel.translation_select(str(path), ["the flu", "fever"])
 
 
+    def test_repeated_row_names_both_lines(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("english,translated\nthe flu,la grippe\n"
+                        "fever,fievre\nthe flu,influenza\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:4: 'the flu' repeats the row of line 2")):
+            querysel.translation_select(str(path), ["the flu", "fever"])
+
+
 class TestEmbeddingIo:
     def test_load_with_header(self, tmp_path):
         path = tmp_path / "emb.txt"
